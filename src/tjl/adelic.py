@@ -8,8 +8,16 @@ supported modification is realized by a unique globally defined witness.
 Witnesses are normalized to be principal units at infinity; the search box
 at denominator depth m (gamma = t^{-m} w, coordinates of w of degree <= m
 with monic leading a-part) is exactly that normalization, so iterative
-deepening enumerates all witnesses and per-coset uniqueness is an assert,
-not an assumption.
+deepening enumerates all witnesses, and per-coset uniqueness is a checked
+claim (FalsificationError), not an assumption.
+
+The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
+a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
+(q, eps, m), so its q^{2m} values are encoded as base-q integers, sorted
+once and shared by every place, and each place looks up its q^{2m} (a, d)
+values with numpy's searchsorted.  Each depth of each place is scanned and
+embedded once; witness_set and verify_witness_uniqueness both read that
+scan.
 
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
 point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
@@ -21,12 +29,12 @@ units to right translations as well, reversing products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .funcfield import Fq2Element, Poly, RatFunc, monic_irreducibles
+from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
 from .metacyclic import Gamma, gamma
 from .quaternion import (
     AlgebraParams,
@@ -48,6 +56,10 @@ class SearchBoundExceededError(RuntimeError):
     pass
 
 
+class FalsificationError(RuntimeError):
+    """An exact computation contradicts a structural prediction."""
+
+
 class FactorizationError(ValueError):
     pass
 
@@ -63,9 +75,8 @@ class SplitPlace:
         self.pi = pi
         self.precision = precision
         F = alg.field
-        self.modulus = Poly.one(F)
-        for _ in range(precision):
-            self.modulus = self.modulus * pi
+        self._pi_powers = [Poly.one(F)]
+        self.modulus = self.pi_power(precision)
         x, y = self._hensel_point()
         self.x, self.y = x, y
         zero, one = Poly.zero(F), Poly.one(F)
@@ -115,6 +126,13 @@ class SplitPlace:
                 y = (y + err * self.inv_mod(two * eps * y)) % self.modulus
         assert f(x, y).is_zero(), "Hensel lift failed to converge"
         return x, y
+
+    def pi_power(self, k: int) -> Poly:
+        """pi^k, each power built once."""
+        powers = self._pi_powers
+        while len(powers) <= k:
+            powers.append(powers[-1] * self.pi)
+        return powers[k]
 
     def inv_mod(self, a: Poly) -> Poly:
         a = a % self.modulus
@@ -169,6 +187,17 @@ class SplitPlace:
         return tuple(out)
 
     # -- coset structure of the degree-one double coset ----------------
+
+    def coset_labels(self, elt: OrderElement) -> tuple[tuple, tuple]:
+        """The right and left cosets of the degree-one double coset that
+        contain the witness elt."""
+        mat = self.embed(elt)
+        v = self.det(mat).valuation(self.pi)
+        if v != 1:
+            raise FalsificationError(
+                f"witness {elt} has determinant valuation {v} at "
+                f"{format_poly(self.pi)}")
+        return self.identify_right_coset(mat), self.identify_left_coset(mat)
 
     def residues(self) -> list[Poly]:
         F = self.alg.field
@@ -253,54 +282,197 @@ class Witness:
     left_label: tuple
     reduction: LocalReduction
 
+    def labeled_in(self, split: SplitPlace) -> Witness:
+        """The same witness with its cosets read off another model."""
+        right, left = split.coset_labels(self.element)
+        return replace(self, right_label=right, left_label=left)
+
 
 class WitnessSet:
     def __init__(self, alg: AlgebraParams, pi: Poly, witnesses: list[Witness]):
         self.alg = alg
         self.pi = pi
         self.witnesses = witnesses
-        self.by_right = {w.right_label: w for w in witnesses}
-        self.by_left = {w.left_label: w for w in witnesses}
-        assert len(self.by_right) == len(witnesses)
-        assert len(self.by_left) == len(witnesses)
+        self.by_right: dict[tuple, Witness] = {}
+        self.by_left: dict[tuple, Witness] = {}
+        for w in witnesses:
+            for side, index, label in (("right", self.by_right, w.right_label),
+                                       ("left", self.by_left, w.left_label)):
+                if label in index:
+                    raise FalsificationError(
+                        f"second witness in {side} coset {label} at "
+                        f"{format_poly(pi)}")
+                index[label] = w
+        self.depth = max((w.depth for w in witnesses), default=0)
 
     def shifts(self, group: Gamma) -> list[Element]:
         return [(w.reduction.k % group.R, w.reduction.exponent % group.M)
                 for w in self.witnesses]
 
 
-def _lower_polys(field, m: int) -> list[Poly]:
-    return [Poly(field, coeffs) for coeffs in product(range(field.q), repeat=m)]
+# -- the shared norm-form join ------------------------------------------
+#
+# A polynomial of degree < 2m is the base-q integer of its coefficients
+# (t^k has weight q^k); field addition is applied digitwise through the
+# field's tables, so GF(9) goes the same way as prime q.  A polynomial of
+# degree < m is also named by the index of its coefficient tuple in
+# product(range(q), repeat=m), whose first coordinate, the constant term,
+# varies slowest.
+
+TABLE_ROW_CAP = 1 << 22  # q^(2m) rows; about 200 MB of working arrays
+
+_NORM_TABLES: dict = {}
+
+
+def _field_arrays(F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (np.array(F._add, dtype=np.uint8), np.array(F._mul, dtype=np.uint8),
+            np.array(F._neg, dtype=np.uint8))
+
+
+def _squares(add: np.ndarray, mul: np.ndarray, rows: np.ndarray,
+             width: int) -> np.ndarray:
+    """Coefficient rows of the squares of the polynomials in rows."""
+    out = np.zeros((len(rows), width), dtype=np.uint8)
+    n = rows.shape[1]
+    for i in range(n):
+        for j in range(n):
+            out[:, i + j] = add[out[:, i + j], mul[rows[:, i], rows[:, j]]]
+    return out
+
+
+def _pair_keys(q: int, add: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """The keys of x[i] + y[j] for every pair, at row i * len(y) + j."""
+    keys = np.zeros(len(x) * len(y), dtype=np.int64)
+    for k in range(x.shape[1]):
+        keys += add[x[:, k, None], y[None, :, k]].ravel() * np.int64(q ** k)
+    return keys
+
+
+def _norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted keys of eps*b^2 + t*c^2 over all pairs (b, c) of degree < m,
+    and the pair index b * q^m + c behind each; shared by every place."""
+    table = _NORM_TABLES.get((F.q, eps, m))
+    if table is None:
+        table = _NORM_TABLES[(F.q, eps, m)] = _build_norm_table(F, eps, m)
+    return table
+
+
+def _build_norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    add, mul, _ = _field_arrays(F)
+    lows = np.array(list(product(range(F.q), repeat=m)), dtype=np.uint8)
+    sq = _squares(add, mul, lows, 2 * m)
+    # deg c^2 <= 2m - 2, so rolling one digit up multiplies by t
+    keys = _pair_keys(F.q, add, mul[eps][sq], np.roll(sq, 1, axis=1))
+    # ties need no order (the join sorts its hits); the stable kernel
+    # pages in about 0.2 MiB less of numpy than the default one
+    order = np.argsort(keys, kind="stable")
+    return keys[order], order
 
 
 def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     """All (a, b, c, d) with a = t^m + lower, deg b, c, d < m and
-    nrd = t^{2m - deg pi} * pi, via a meet-in-the-middle table on the
-    i, j, ij contribution to the norm form."""
+    nrd = t^{2m - deg pi} * pi, in product order of (a, b, c, d).
+
+    Meet in the middle: a^2 - nrd + eps*t*d^2 = eps*b^2 + t*c^2, so every
+    pair (a, d) is looked up in the shared (b, c) table of _norm_table."""
     F = alg.field
+    q = F.q
     e0 = 2 * m - pi.degree
     if e0 < 0:
         return
-    target = Poly.t_power(F, e0) * pi
-    eps = Poly.constant(F, alg.eps)
-    t = Poly.t(F)
-    lowers = _lower_polys(F, m)
-    rhs: dict[Poly, list[tuple[Poly, Poly, Poly]]] = {}
-    for b in lowers:
-        eb = eps * b * b
-        for c in lowers:
-            ebc = eb + t * c * c
-            for d in lowers:
-                key = ebc - eps * t * d * d
-                rhs.setdefault(key, []).append((b, c, d))
+    if q ** (2 * m) > TABLE_ROW_CAP:
+        raise SearchBoundExceededError(
+            f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
+            f"more than the cap {TABLE_ROW_CAP}")
+    table, pairs = _norm_table(F, alg.eps, m)
+    add, mul, neg = _field_arrays(F)
+    lowers = list(product(range(q), repeat=m))
+    lows = np.array(lowers, dtype=np.uint8)
+    n = len(lowers)
+    monic = np.concatenate([lows, np.ones((n, 1), dtype=np.uint8)], axis=1)
+    target = (Poly.t_power(F, e0) * pi).coeffs  # monic of degree 2m
+    # a^2 - target: the t^{2m} terms cancel
+    lhs = add[_squares(add, mul, monic, 2 * m + 1),
+              neg[np.array(target, dtype=np.uint8)]][:, :2 * m]
+    etd2 = np.roll(mul[alg.eps][_squares(add, mul, lows, 2 * m)], 1, axis=1)
+    keys = _pair_keys(q, add, lhs, etd2)
+    lo = np.searchsorted(table, keys, side="left")
+    hi = np.searchsorted(table, keys, side="right")
+    hits = []
+    for ad in np.flatnonzero(hi > lo).tolist():
+        ia, id_ = divmod(ad, n)
+        for bc in pairs[lo[ad]:hi[ad]].tolist():
+            hits.append((ia, *divmod(bc, n), id_))
     tm = Poly.t_power(F, m)
-    for la in lowers:
-        a = tm + la
-        for (b, c, d) in rhs.get(a * a - target, ()):
-            yield (a, b, c, d)
+    for ia, ib, ic, id_ in sorted(hits):
+        yield (tm + Poly(F, lowers[ia]), Poly(F, lowers[ib]),
+               Poly(F, lowers[ic]), Poly(F, lowers[id_]))
 
 
+class _PlaceScan:
+    """The depth-by-depth witness scan at one place: every normalized
+    candidate of each depth, labeled by its cosets in the default model.
+    Each depth is scanned and embedded once, whichever caller asks first."""
+
+    def __init__(self, alg: AlgebraParams, pi: Poly):
+        self.alg = alg
+        self.pi = pi
+        self.split = SplitPlace(alg, pi)
+        self.depths: dict[int, list[Witness]] = {}
+
+    def witnesses(self, m: int) -> list[Witness]:
+        found = self.depths.get(m)
+        if found is None:
+            found = self.depths[m] = self._scan(m)
+        return found
+
+    def _scan(self, m: int) -> list[Witness]:
+        alg, pi = self.alg, self.pi
+        found = []
+        for (a, b, c, d) in _box_candidates(alg, pi, m):
+            if all(p.is_zero() or p.t_valuation() >= 1 for p in (a, b, c, d)):
+                continue  # a t-multiple of a shallower witness
+            gam = OrderElement.from_polys(alg, a, b, c, d,
+                                          t_denominator_power=m)
+            if not gam.in_K1_infinity():
+                raise FalsificationError(
+                    f"witness {gam} at {format_poly(pi)} is not a principal "
+                    f"unit at infinity")
+            right, left = self.split.coset_labels(gam)
+            found.append(Witness(gam, m, right, left, reduce_at_zero(gam)))
+        return found
+
+
+_SCANS: dict = {}
 _WITNESS_CACHE: dict = {}
+
+
+def _witnesses_within(alg: AlgebraParams, pi: Poly, depth_bound: int,
+                      stop_when_complete: bool) -> list[Witness]:
+    scan = _SCANS.get((alg, pi))
+    if scan is None:
+        scan = _SCANS[(alg, pi)] = _PlaceScan(alg, pi)
+    want = alg.field.q ** pi.degree + 1
+    found: list[Witness] = []
+    for m in range((pi.degree + 1) // 2, depth_bound + 1):
+        found += scan.witnesses(m)
+        if stop_when_complete and len(found) >= want:
+            break
+    return found
+
+
+def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness],
+             depth_bound: int) -> WitnessSet:
+    """One witness in each right and left coset: a second one falsifies the
+    claim, a missing one means the depth bound is too small."""
+    ws = WitnessSet(alg, pi, found)
+    want = alg.field.q ** pi.degree + 1
+    if len(found) != want:
+        raise SearchBoundExceededError(
+            f"found {len(found)} of {want} witnesses at {format_poly(pi)} "
+            f"within depth {depth_bound}")
+    return ws
 
 
 def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
@@ -308,44 +480,21 @@ def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
     """The canonical witnesses for the degree-one modification at pi:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity.  Exactly one witness per right coset and per left
-    coset; a collision at any depth raises."""
-    key = (alg.q, alg.eps, pi)
-    cached = _WITNESS_CACHE.get(key)
-    if cached is not None and split is None:
-        return cached
-    sp = split if split is not None else SplitPlace(alg, pi)
-    want = alg.field.q ** pi.degree + 1
-    found: list[Witness] = []
-    seen_right: set[tuple] = set()
-    seen_left: set[tuple] = set()
-    m_min = (pi.degree + 1) // 2
-    for m in range(m_min, depth_bound + 1):
-        for (a, b, c, d) in _box_candidates(alg, pi, m):
-            if all(p.is_zero() or p.t_valuation() >= 1 for p in (a, b, c, d)):
-                continue  # a t-multiple of a shallower witness
-            gam = OrderElement.from_polys(alg, a, b, c, d,
-                                          t_denominator_power=m)
-            assert gam.in_K1_infinity()
-            mat = sp.embed(gam)
-            assert sp.det(mat).valuation(sp.pi) == 1
-            right = sp.identify_right_coset(mat)
-            left = sp.identify_left_coset(mat)
-            assert right not in seen_right, (
-                f"second witness in right coset {right} at {pi}")
-            assert left not in seen_left, (
-                f"second witness in left coset {left} at {pi}")
-            seen_right.add(right)
-            seen_left.add(left)
-            found.append(Witness(gam, m, right, left, reduce_at_zero(gam)))
-        if len(found) == want:
-            break
-    if len(found) != want:
-        raise SearchBoundExceededError(
-            f"found {len(found)} of {want} witnesses at {pi} "
-            f"within depth {depth_bound}")
-    ws = WitnessSet(alg, pi, found)
-    if split is None:
-        _WITNESS_CACHE[key] = ws
+    coset; a collision at any depth raises.  With split, the cosets are
+    read off that model of the algebra at pi."""
+    ws = _WITNESS_CACHE.get((alg, pi)) if split is None else None
+    if ws is None:
+        found = _witnesses_within(alg, pi, depth_bound,
+                                  stop_when_complete=True)
+        if split is not None:
+            found = [w.labeled_in(split) for w in found]
+        ws = _certify(alg, pi, found, depth_bound)
+        if split is None:
+            _WITNESS_CACHE[(alg, pi)] = ws
+    elif ws.depth > depth_bound:
+        # raises, as a cold call with this bound does: a witness is missing
+        _certify(alg, pi, [w for w in ws.witnesses if w.depth <= depth_bound],
+                 depth_bound)
     return ws
 
 
@@ -355,28 +504,9 @@ def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
     normalized witnesses hit each coset exactly once, with no extras at any
     depth.  Witness norms have degree 2 * depth, so depth_bound 3 covers
     all witnesses of norm degree up to 6."""
-    sp = SplitPlace(alg, pi)
-    per_right: dict[tuple, int] = {}
-    per_left: dict[tuple, int] = {}
-    total = 0
-    m_min = (pi.degree + 1) // 2
-    for m in range(m_min, depth_bound + 1):
-        for (a, b, c, d) in _box_candidates(alg, pi, m):
-            if all(p.is_zero() or p.t_valuation() >= 1 for p in (a, b, c, d)):
-                continue
-            gam = OrderElement.from_polys(alg, a, b, c, d,
-                                          t_denominator_power=m)
-            mat = sp.embed(gam)
-            right = sp.identify_right_coset(mat)
-            left = sp.identify_left_coset(mat)
-            per_right[right] = per_right.get(right, 0) + 1
-            per_left[left] = per_left.get(left, 0) + 1
-            total += 1
-    want = alg.field.q ** pi.degree + 1
-    assert len(per_right) == want and len(per_left) == want
-    assert all(v == 1 for v in per_right.values()), "right witness not unique"
-    assert all(v == 1 for v in per_left.values()), "left witness not unique"
-    return {"cosets": want, "witnesses": total,
+    found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=False)
+    _certify(alg, pi, found, depth_bound)
+    return {"cosets": alg.field.q ** pi.degree + 1, "witnesses": len(found),
             "norm_degree_bound": 2 * depth_bound}
 
 
@@ -524,10 +654,7 @@ class SplitComponent:
         self.mat = tuple(e % self._modulus() for e in mat)
 
     def _modulus(self) -> Poly:
-        m = Poly.one(self.sp.alg.field)
-        for _ in range(self.precision):
-            m = m * self.sp.pi
-        return m
+        return self.sp.pi_power(self.precision)
 
     def det_valuation(self) -> int:
         d = self.sp.det(self.mat) % self._modulus()
@@ -554,9 +681,7 @@ class SplitComponent:
         num = sp.matmul(self.mat, sp.embed(elt.conj()))
         unit_part = n
         if v:
-            piv = Poly.one(sp.alg.field)
-            for _ in range(v):
-                piv = piv * sp.pi
+            piv = sp.pi_power(v)
             shifted = []
             for e in num:
                 quo, rem = e.divmod(piv)
@@ -597,7 +722,7 @@ class AdeleState:
 
 
 def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
-                            max_mods: int = 2
+                            max_mods: int = 2, depth_bound: int = 3
                             ) -> tuple[AdeleState, Element, OrderElement]:
     """A random adele assembled from a known class, random local units, and
     a random product of elementary global factors; returns the state, the
@@ -633,7 +758,7 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
     factors: list[OrderElement] = []
     for _ in range(rng.randrange(max_mods + 1)):
         pi = places[rng.randrange(len(places))]
-        ws = witness_set(alg, pi)
+        ws = witness_set(alg, pi, depth_bound=depth_bound)
         factors.append(ws.witnesses[rng.randrange(len(ws.witnesses))].element)
     factors.append(OrderElement.teichmuller(
         alg, K.from_dlog(rng.randrange(G.M))))
@@ -667,8 +792,8 @@ def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
             return mat
 
 
-def factorize_adele(alg: AlgebraParams, state: AdeleState
-                    ) -> tuple[Element, OrderElement]:
+def factorize_adele(alg: AlgebraParams, state: AdeleState,
+                    depth_bound: int = 3) -> tuple[Element, OrderElement]:
     """Recover the class of an adele by peeling split-place valuations with
     canonical witnesses, then balancing infinity.  Returns the class and
     the accumulated global factor rho applied on the right (the state ends
@@ -678,7 +803,7 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
     rho = OrderElement.one(alg)
     for pi in sorted(state.split.keys(), key=lambda p: (p.degree, p.coeffs)):
         comp = state.split[pi]
-        ws = witness_set(alg, pi)
+        ws = witness_set(alg, pi, depth_bound=depth_bound)
         guard = 0
         while comp.det_valuation() > 0:
             guard += 1

@@ -20,6 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .adelic import (
+    FalsificationError,
     SearchBoundExceededError,
     default_places,
     group_of,
@@ -40,7 +41,6 @@ from .metacyclic import (
 )
 from .quaternion import AlgebraParams, OrderElement
 from .spectral import (
-    FalsificationError,
     NeedsMorePlacesError,
     projective_basis,
     verify_claim,
@@ -224,8 +224,8 @@ def cmd_brandt(args) -> int:
     return 0
 
 
-def _verify_one(alg, label, places):
-    report = verify_claim(alg, label, places)
+def _verify_one(alg, label, places, depth_bound):
+    report = verify_claim(alg, label, places, depth_bound)
     return report.to_json()
 
 
@@ -248,19 +248,27 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     trips = 0
     for _ in range(args.round_trips):
-        state, cls, grand = synthesize_random_adele(alg, rng, places)
-        recovered, rho = factorize_adele(alg, state)
-        assert recovered == cls, "round trip lost the class"
-        assert grand * rho == OrderElement.one(alg)
+        state, cls, grand = synthesize_random_adele(
+            alg, rng, places, depth_bound=args.depth_bound)
+        recovered, rho = factorize_adele(alg, state,
+                                         depth_bound=args.depth_bound)
+        if recovered != cls:
+            raise FalsificationError(
+                f"round trip recovered class {recovered}, not {cls}")
+        if grand * rho != OrderElement.one(alg):
+            raise FalsificationError(
+                "the peeled global factor does not cancel the synthesized one")
         trips += 1
 
     threads = _threads()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             sigma_reports = list(pool.map(
-                lambda lb: _verify_one(alg, lb, places), labels))
+                lambda lb: _verify_one(alg, lb, places, args.depth_bound),
+                labels))
     else:
-        sigma_reports = [_verify_one(alg, lb, places) for lb in labels]
+        sigma_reports = [_verify_one(alg, lb, places, args.depth_bound)
+                         for lb in labels]
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .adelic import (
+    FalsificationError,
     SplitPlace,
     default_places,
     group_of,
@@ -48,10 +49,6 @@ from .quaternion import AlgebraParams
 from .tame import enumerate_A_tame, infinity_prediction, TameParam
 
 Element = tuple[int, int]
-
-
-class FalsificationError(RuntimeError):
-    """An exact computation contradicts a structural prediction."""
 
 
 class NeedsMorePlacesError(RuntimeError):
@@ -349,13 +346,14 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
 
 
 def verify_claim(alg: AlgebraParams, label: IrrepLabel,
-                 places: list[Poly] | None = None) -> SpectralReport:
+                 places: list[Poly] | None = None,
+                 depth_bound: int = 3) -> SpectralReport:
     """The dimension count: blocks of the sigma-decomposition carry
     irreducible representations at infinity whose dimensions sum to
     dim(sigma); cross-validated against the tame dictionary (predicted
     count of eigensystems and predicted orbit at infinity)."""
     G = group_of(alg)
-    blocks = decompose(alg, label, places)
+    blocks = decompose(alg, label, places, depth_bound)
     used_places = blocks[0].places if blocks else (places or [])
     inf_sum = sum(b.dim for b in blocks)
     claim_ok = inf_sum == label.dim

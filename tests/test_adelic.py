@@ -2,16 +2,20 @@
 
 import random
 from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
+from tjl import adelic
 from tjl.funcfield import Poly, RatFunc, parse_poly
-from tjl.metacyclic import gamma
+from tjl.metacyclic import IrrepLabel, gamma
 from tjl.quaternion import AlgebraParams, OrderElement, reduce_at_zero
 from tjl.adelic import (
     AdeleDescription,
     FactorizationError,
+    FalsificationError,
+    SearchBoundExceededError,
     SplitPlace,
     default_places,
     factorize,
@@ -27,6 +31,7 @@ from tjl.adelic import (
     verify_witness_uniqueness,
     witness_set,
 )
+from tjl.spectral import verify_claim
 
 
 def _random_element(alg, rng, deg=2):
@@ -243,3 +248,148 @@ def test_level_scaling_is_invisible():
     r2 = reduce_at_zero(scaled)
     assert r1.to_gamma(G.R, G.M) == r2.to_gamma(G.R, G.M)
     assert r2.k - r1.k == 2 * alg.level
+
+
+# -- the shared norm-form join and the witness scan --------------------
+
+
+def _brute_force_box(alg, pi, m):
+    """Every (a, b, c, d) of the search box at depth m, in product order,
+    whose reduced norm a^2 - eps b^2 - t c^2 + eps t d^2 is t^{2m-deg pi} pi."""
+    F = alg.field
+    e0 = 2 * m - pi.degree
+    if e0 < 0:
+        return []
+    target = Poly.t_power(F, e0) * pi
+    eps = Poly.constant(F, alg.eps)
+    t = Poly.t(F)
+    lowers = [Poly(F, cs) for cs in product(range(F.q), repeat=m)]
+    sq = [p * p for p in lowers]
+    tm = Poly.t_power(F, m)
+    hits = []
+    for la in lowers:
+        a = tm + la
+        for b, b2 in zip(lowers, sq):
+            ab = a * a - eps * b2
+            for c, c2 in zip(lowers, sq):
+                abc = ab - t * c2
+                for d, d2 in zip(lowers, sq):
+                    if abc + eps * t * d2 == target:
+                        hits.append((a, b, c, d))
+    return hits
+
+
+@pytest.mark.parametrize("q, depths, max_places", [
+    (3, (1, 2), None), (5, (1,), None), (9, (1,), 3)])
+def test_box_candidates_match_brute_force(q, depths, max_places):
+    alg = AlgebraParams(q)
+    places = default_places(alg, 2)
+    if max_places is not None:
+        # two degree-one places and one of degree two keep GF(9) cheap
+        places = places[:max_places - 1] + places[-1:]
+    for pi in places:
+        for m in depths:
+            got = list(adelic._box_candidates(alg, pi, m))
+            assert got == _brute_force_box(alg, pi, m), (pi, m)
+            target = RatFunc(Poly.t_power(alg.field, 2 * m - pi.degree) * pi)
+            for a, b, c, d in got:
+                assert OrderElement.from_polys(alg, a, b, c, d).nrd() == target
+
+
+def test_norm_table_is_built_once_per_q_eps_depth(monkeypatch):
+    builds = []
+    build = adelic._build_norm_table
+
+    def counting(F, eps, m):
+        builds.append((F.q, eps, m))
+        return build(F, eps, m)
+
+    monkeypatch.setattr(adelic, "_NORM_TABLES", {})
+    monkeypatch.setattr(adelic, "_build_norm_table", counting)
+    alg = AlgebraParams(3)
+    places = default_places(alg, 2)
+    for pi in places:
+        list(adelic._box_candidates(alg, pi, 2))
+    assert builds == [(3, alg.eps, 2)]
+    list(adelic._box_candidates(alg, places[0], 1))
+    assert builds == [(3, alg.eps, 2), (3, alg.eps, 1)]
+
+
+def test_norm_table_past_the_row_cap_is_a_search_bound():
+    alg = AlgebraParams(9)
+    pi = default_places(alg, 1)[0]
+    assert 9 ** 8 > adelic.TABLE_ROW_CAP
+    with pytest.raises(SearchBoundExceededError, match="cap"):
+        next(adelic._box_candidates(alg, pi, 4))
+
+
+def _fresh_caches(monkeypatch):
+    monkeypatch.setattr(adelic, "_SCANS", {})
+    monkeypatch.setattr(adelic, "_WITNESS_CACHE", {})
+
+
+def test_witness_set_depth_bound_ignores_cache_state(monkeypatch):
+    alg = AlgebraParams(3)
+    for pi in default_places(alg, 2):
+        ws = witness_set(alg, pi, depth_bound=3)
+        assert ws.depth == max(w.depth for w in ws.witnesses)
+        for bound in range(ws.depth):
+            with pytest.raises(SearchBoundExceededError):
+                witness_set(alg, pi, depth_bound=bound)
+        assert witness_set(alg, pi, depth_bound=ws.depth) is ws
+    _fresh_caches(monkeypatch)
+    pi = parse_poly(alg.field, "t^2+2t+2")
+    with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
+        witness_set(alg, pi, depth_bound=0)
+    witness_set(alg, pi, depth_bound=3)
+    with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
+        witness_set(alg, pi, depth_bound=0)
+
+
+def test_witness_set_cache_is_keyed_by_level():
+    pi = parse_poly(AlgebraParams(3).field, "t-1")
+    ws1 = witness_set(AlgebraParams(3), pi)
+    ws2 = witness_set(AlgebraParams(3, level=2), pi)
+    assert ws2 is not ws1
+    assert ws1.alg == AlgebraParams(3)
+    assert ws2.alg == AlgebraParams(3, level=2)
+    assert all(w.element.alg == ws2.alg for w in ws2.witnesses)
+
+
+def test_second_witness_in_a_coset_is_a_falsification(monkeypatch):
+    box = adelic._box_candidates
+
+    def doubled(alg, pi, m):
+        for cand in box(alg, pi, m):
+            yield cand
+            yield cand
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(adelic, "_box_candidates", doubled)
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t-1")
+    with pytest.raises(FalsificationError, match="second witness in right"):
+        verify_witness_uniqueness(alg, pi)
+    with pytest.raises(FalsificationError, match="second witness in right"):
+        witness_set(alg, pi)
+
+
+def test_uniqueness_reports_missing_cosets_as_a_search_bound():
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t^2+1")
+    with pytest.raises(SearchBoundExceededError,
+                       match="found 0 of 10 witnesses at t\\^2\\+1"):
+        verify_witness_uniqueness(alg, pi, depth_bound=0)
+
+
+def test_depth_bound_reaches_every_witness_lookup():
+    alg = AlgebraParams(3)
+    places = default_places(alg, 1)
+    state, _, _ = synthesize_random_adele(alg, random.Random(5), places)
+    with pytest.raises(SearchBoundExceededError):
+        factorize_adele(alg, state, depth_bound=0)
+    # seed 1 draws one Hecke modification, so it needs a witness set
+    with pytest.raises(SearchBoundExceededError):
+        synthesize_random_adele(alg, random.Random(1), places, depth_bound=0)
+    with pytest.raises(SearchBoundExceededError):
+        verify_claim(alg, IrrepLabel((0,), 0), places, depth_bound=0)

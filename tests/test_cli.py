@@ -216,3 +216,17 @@ def test_thread_count_does_not_change_bytes(tmp_path):
         [sys.executable, "-m", "tjl.cli", "orbits", "--q", "3", "--n", "2"],
         capture_output=True, env=env)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_depth_bound_too_small_exits_3(flags):
+    # the missing-witness check is no assert, so -O cannot remove it
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "tjl.cli", "verify", "--q", "3",
+         "--depth-bound", "0"],
+        capture_output=True)
+    assert proc.returncode == 3
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "resource"
+    assert "found 0 of" in payload["message"]
+    assert proc.stdout == b""
