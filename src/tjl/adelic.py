@@ -34,6 +34,7 @@ from itertools import product
 
 import numpy as np
 
+from .cyclotomic import FalsificationError
 from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
 from .metacyclic import Gamma, gamma
 from .quaternion import (
@@ -54,10 +55,6 @@ Mat = tuple[Poly, Poly, Poly, Poly]  # row-major 2x2 over F_q[t] / pi^P
 
 class SearchBoundExceededError(RuntimeError):
     pass
-
-
-class FalsificationError(RuntimeError):
-    """An exact computation contradicts a structural prediction."""
 
 
 class FactorizationError(ValueError):
@@ -448,11 +445,17 @@ _SCANS: dict = {}
 _WITNESS_CACHE: dict = {}
 
 
-def _witnesses_within(alg: AlgebraParams, pi: Poly, depth_bound: int,
-                      stop_when_complete: bool) -> list[Witness]:
+def _place_scan(alg: AlgebraParams, pi: Poly) -> _PlaceScan:
+    """The one scan, and with it the one default split model, per place."""
     scan = _SCANS.get((alg, pi))
     if scan is None:
         scan = _SCANS[(alg, pi)] = _PlaceScan(alg, pi)
+    return scan
+
+
+def _witnesses_within(alg: AlgebraParams, pi: Poly, depth_bound: int,
+                      stop_when_complete: bool) -> list[Witness]:
+    scan = _place_scan(alg, pi)
     want = alg.field.q ** pi.degree + 1
     found: list[Witness] = []
     for m in range((pi.degree + 1) // 2, depth_bound + 1):
@@ -730,7 +733,7 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
     G = group_of(alg)
     F = alg.field
     K = alg.residue
-    splits = {pi: SplitPlace(alg, pi) for pi in places}
+    splits = {pi: _place_scan(alg, pi).split for pi in places}
 
     k0 = rng.randrange(G.R)
     e0 = rng.randrange(G.M)

@@ -6,8 +6,10 @@ All output is deterministic: JSON is emitted with sorted keys and compact
 separators, matrices optionally as TSV with a comment header.  The
 TJL_THREADS environment variable caps the worker count for the per-sigma
 verification loop; results are assembled in canonical order so the bytes
-do not depend on it.  Exit codes: 0 success, 1 falsified invariant,
-2 usage error, 3 resource or search bound exceeded.
+do not depend on it.  Exit codes: 0 success, 1 falsified invariant
+(including an internal inconsistency such as a non-rational inner
+product), 2 usage error, 3 resource or search bound exceeded.  Every
+failure writes one JSON line with a non-empty message to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .adelic import (
+    FactorizationError,
     FalsificationError,
     SearchBoundExceededError,
     default_places,
@@ -29,7 +32,9 @@ from .adelic import (
     factorize_adele,
     verify_witness_uniqueness,
 )
+from .cyclotomic import NotRationalError
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
+from .linalg import InconsistentSystemError
 from .metacyclic import (
     GroupParams,
     IrrepLabel,
@@ -39,7 +44,7 @@ from .metacyclic import (
     enumerate_orbits,
     gamma,
 )
-from .quaternion import AlgebraParams, OrderElement
+from .quaternion import AlgebraParams, OrderElement, ReductionError
 from .spectral import (
     NeedsMorePlacesError,
     projective_basis,
@@ -382,26 +387,26 @@ def run(argv=None) -> int:
             raise UsageError("tsv output is only available for brandt")
         return args.func(args)
     except UsageError as exc:
-        print(_canonical_json({"schema_version": SCHEMA_VERSION,
-                               "error": "usage", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, "usage", exc)
     except (NeedsMorePlacesError, SearchBoundExceededError) as exc:
-        print(_canonical_json({"schema_version": SCHEMA_VERSION,
-                               "error": "resource", "message": str(exc),
-                               "hint": "raise --degree-bound/--depth-bound"}),
-              file=sys.stderr)
-        return 3
-    except (FalsificationError, AssertionError) as exc:
-        print(_canonical_json({"schema_version": SCHEMA_VERSION,
-                               "error": "falsification", "message": str(exc)}),
-              file=sys.stderr)
-        return 1
+        return _fail(3, "resource", exc,
+                     hint="raise --degree-bound/--depth-bound")
+    except (FalsificationError, AssertionError, NotRationalError,
+            InconsistentSystemError, ReductionError,
+            FactorizationError) as exc:
+        # an exact computation contradicted itself: not the caller's fault
+        return _fail(1, "falsification", exc)
     except ValueError as exc:
-        print(_canonical_json({"schema_version": SCHEMA_VERSION,
-                               "error": "usage", "message": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, "usage", exc)
+
+
+def _fail(code: int, error: str, exc: Exception, **extra) -> int:
+    """Report exc on stderr as one JSON line, never with an empty message."""
+    print(_canonical_json({"schema_version": SCHEMA_VERSION, "error": error,
+                           "message": str(exc) or type(exc).__name__,
+                           **extra}),
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> None:

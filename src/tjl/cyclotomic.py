@@ -8,6 +8,19 @@ about the underlying complex number is asked (equality, rationality,
 inversion).  Two scalars are equal iff the difference of their coefficient
 vectors is divisible by Phi_m.
 
+Two fast paths keep the hot sums and quotients exact:
+
+- A sum of many roots of unity (a character sum) is best built as an
+  exponent histogram, a dict or Counter from exponent mod m to count, and
+  passed to Cyc(m, hist) once: one scalar and one reduction modulo Phi_m,
+  not one Cyc per term.
+- inverse() inverts a monomial v*zeta^e in closed form as (1/v)*zeta^(-e).
+  Any other scalar is divided by its least-exponent monomial, a unit; the
+  quotient u has a zeta^0 coefficient of 1, and its inverse comes from the
+  extended Euclidean algorithm against Phi_m, memoised on (m, u).  Inverse
+  coefficients with denominator 1 are returned as ints, so later
+  reductions stay on the int64 path.
+
 No floating point is used anywhere.  numpy appears only as an overflow-checked
 int64 fast path for the reduction matvec; the pure Python route is kept and
 used whenever coefficients are Fractions or too large.
@@ -30,6 +43,10 @@ class OrderMismatchError(ValueError):
 
 class NotRationalError(ValueError):
     """Raised when a scalar expected to be rational is not."""
+
+
+class FalsificationError(RuntimeError):
+    """An exact computation contradicts a structural prediction."""
 
 
 def divisors(m: int) -> list[int]:
@@ -261,13 +278,11 @@ class Cyc:
         ints_only = all(isinstance(v, int) for v in self._c.values())
         if ints_only and self._c:
             mat = _reduction_matrix(m)
-            cmax = max(abs(v) for v in self._c.values())
+            cmax = max(map(abs, self._c.values()))
             if mat is not None and (rowmax + 1) * (cmax + 1) * (len(self._c) + 1) < 2**62:
                 vec = np.zeros(m, dtype=np.int64)
-                for e, v in self._c.items():
-                    vec[e] = v
-                red = vec @ mat
-                self._red = tuple(int(x) for x in red)
+                vec[list(self._c)] = list(self._c.values())
+                self._red = tuple((vec @ mat).tolist())
                 return self._red
         acc: list[RationalLike] = [0] * d
         for e, v in self._c.items():
@@ -308,13 +323,21 @@ class Cyc:
         return all(Fraction(c).denominator == 1 for c in self.reduced())
 
     def inverse(self) -> Cyc:
-        """Multiplicative inverse in Q(zeta_m), via xgcd with Phi_m over Q[x]."""
-        red = [Fraction(c) for c in self.reduced()]
-        if all(c == 0 for c in red):
+        """Multiplicative inverse in Q(zeta_m).
+
+        A monomial v*zeta^e inverts to (1/v)*zeta^(-e).  Otherwise the
+        scalar is v0*zeta^e0 * u for its least-exponent term v0*zeta^e0,
+        and u, whose terms are exact and sorted, is inverted once per
+        (m, u) by xgcd with Phi_m over Q[x]."""
+        m = self.order
+        if not self._c:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        inv = _modular_inverse_poly(red, phi)
-        return Cyc(self.order, {e: v for e, v in enumerate(inv) if v})
+        e0 = min(self._c)
+        v0 = Fraction(self._c[e0])
+        if len(self._c) == 1:
+            return Cyc(m, {-e0: _exact(1 / v0)})
+        u = tuple(sorted((e - e0, _exact(v / v0)) for e, v in self._c.items()))
+        return Cyc(m, {e - e0: _exact(v / v0) for e, v in _unit_inverse(m, u)})
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -343,6 +366,24 @@ class Cyc:
     def __repr__(self):
         terms = ", ".join(f"{e}: {v}" for e, v in sorted(self._c.items()))
         return f"Cyc({self.order}, {{{terms}}})"
+
+
+def _exact(x: Fraction) -> RationalLike:
+    """x as an int when it is one, so reductions stay on the int64 path."""
+    return x.numerator if x.denominator == 1 else x
+
+
+@lru_cache(maxsize=4096)
+def _unit_inverse(m: int, u: tuple[tuple[int, RationalLike], ...]
+                  ) -> tuple[tuple[int, RationalLike], ...]:
+    """Inverse of the scalar with sparse terms u, as (exponent, coefficient)
+    pairs on the basis 1, zeta, ..., zeta^(phi(m)-1)."""
+    red = [Fraction(c) for c in Cyc(m, dict(u)).reduced()]
+    if not any(red):
+        raise ZeroDivisionError("inverse of zero cyclotomic scalar")
+    phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    inv = _modular_inverse_poly(red, phi)
+    return tuple((e, _exact(v)) for e, v in enumerate(inv) if v)
 
 
 def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -399,14 +440,22 @@ def inner_product(
     weights: list[int],
     group_order: int,
 ) -> Fraction:
-    """(1/|G|) * sum_c w_c * f(c) * conj(g(c)), which must be exactly rational."""
+    """(1/|G|) * sum_c w_c * f(c) * conj(g(c)), which must be exactly rational.
+
+    The products are summed as one exponent histogram over Z/m and reduced
+    modulo Phi_m once."""
     if not (len(f_values) == len(g_values) == len(weights)):
         raise ValueError("mismatched lengths")
     if not f_values:
         return Fraction(0)
     m = f_values[0].order
-    acc = Cyc(m)
+    hist: dict[int, RationalLike] = {}
     for fv, gv, w in zip(f_values, g_values, weights):
-        acc = acc + fv * gv.conj() * w
-    val = acc.to_rational()
-    return val / group_order
+        if fv.order != m or gv.order != m:
+            raise OrderMismatchError(
+                f"orders differ: {m} vs {fv.order}, {gv.order}")
+        for e1, v1 in fv._c.items():
+            for e2, v2 in gv._c.items():
+                e = (e1 - e2) % m
+                hist[e] = hist.get(e, 0) + w * v1 * v2
+    return Cyc(m, hist).to_rational() / group_order

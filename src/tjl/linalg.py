@@ -52,31 +52,12 @@ def mat_vec(A: Matrix, v: Vector) -> Vector:
     return out
 
 
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(A: Matrix, c: Cyc) -> Matrix:
-    return [[c * a for a in row] for row in A]
-
-
 def transpose(A: Matrix) -> Matrix:
     return [list(col) for col in zip(*A)]
 
 
 def mat_eq(A: Matrix, B: Matrix) -> bool:
     return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def trace(A: Matrix) -> Cyc:
-    acc = A[0][0]
-    for i in range(1, len(A)):
-        acc = acc + A[i][i]
-    return acc
 
 
 def rref(A: Matrix) -> tuple[Matrix, list[int]]:

@@ -10,12 +10,19 @@ so characters, multiplicities and intertwiners are all exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclotomic import Cyc, divisors
+from .cyclotomic import (
+    Cyc,
+    FalsificationError,
+    OrderMismatchError,
+    divisors,
+    inner_product,
+)
 from .funcfield import is_prime_power
 
 Element = tuple[int, int]
@@ -89,6 +96,7 @@ class Gamma:
         self._elements: list[Element] | None = None
         self._index: dict[Element, int] | None = None
         self._classes: list[tuple[Element, ...]] | None = None
+        self._table: tuple | None = None
 
     # -- group law -------------------------------------------------------
 
@@ -137,14 +145,6 @@ class Gamma:
     def element_index(self, g: Element) -> int:
         self.elements()
         return self._index[g]
-
-    def contains(self, g) -> bool:
-        return (
-            isinstance(g, tuple)
-            and len(g) == 2
-            and 0 <= g[0] < self.R
-            and 0 <= g[1] < self.M
-        )
 
     def conjugacy_classes(self) -> list[tuple[Element, ...]]:
         """Brute-force conjugacy classes, each sorted, in order of least element."""
@@ -302,66 +302,76 @@ class Irrep:
         return out
 
     def character(self, g: Element) -> Cyc:
-        """Trace of matrix(g), by the closed formula."""
+        """Trace of matrix(g), by the closed formula: zero unless f divides
+        k, else the twist times the sum of zeta_M^(e c) over the orbit."""
         k, e = g
         k %= self.group.R
         if k % self.f:
             return Cyc.zero(self.m)
-        val = Cyc.zero(self.m)
-        for tag in self.tags:
-            val = val + self._zeta_M(e * tag)
-        return self._zeta_twist(self.s * (k // self.f)) * val
+        M, m = self.group.M, self.m
+        twist = (m // self.s_modulus) * (self.s * (k // self.f)
+                                         % self.s_modulus)
+        return Cyc(m, Counter(twist + (m // M) * (e * c % M)
+                              for c in self.label.orbit))
 
     def __repr__(self):
         return f"Irrep({self.group!r}, orbit={self.label.orbit}, s={self.s})"
-
-
-def build_model(group: Gamma, label: IrrepLabel) -> Irrep:
-    return Irrep(group, label)
-
-
-def character_of(group: Gamma, label: IrrepLabel, g: Element) -> Cyc:
-    return Irrep(group, label).character(g)
 
 
 def chi_multiplicity(group: Gamma, label: IrrepLabel, c_exp: int) -> int:
     """Multiplicity of the abelian character e -> zeta_M^(c_exp * e) in the
     restriction of the irrep to the normal subgroup of pairs (0, e).
 
-    Computed two independent ways (basis-tag count, and the exact character
-    inner product over the abelian subgroup); both must agree.
+    Computed two independent ways, which must agree: the count of basis tags
+    of the monomial model equal to c_exp, and the exact character inner
+    product (1/M) sum_e sum_{c in orbit} zeta_M^(e c) zeta_M^(-c_exp e),
+    summed as one exponent histogram.
     """
     M = group.M
     c_exp %= M
-    rep = Irrep(group, label)
-    by_tags = sum(1 for tag in rep.tags if tag == c_exp)
+    by_tags = Irrep(group, label).tags.count(c_exp)
 
-    total = Cyc.zero(rep.m)
-    for e in range(M):
-        total = total + rep.character((0, e)) * rep._zeta_M(-c_exp * e)
-    value = total.to_rational() / M
-    assert value.denominator == 1
-    by_sum = int(value)
-
-    assert by_tags == by_sum, (label, c_exp, by_tags, by_sum)
+    hist = Counter(e * (c - c_exp) % M for e in range(M) for c in label.orbit)
+    value = Cyc(M, hist).to_rational() / M
+    if value.denominator != 1:
+        raise FalsificationError(
+            f"multiplicity of chi_{c_exp} in {label} is {value}, not an "
+            f"integer")
+    if by_tags != value:
+        raise FalsificationError(
+            f"multiplicity of chi_{c_exp} in {label}: {by_tags} basis tags "
+            f"but character sum {value}")
     return by_tags
 
 
 def character_table(group: Gamma):
-    """(labels, class representatives, class sizes, value matrix)."""
-    labels = enumerate_irreps(group)
-    classes = group.conjugacy_classes()
-    reps = [cls[0] for cls in classes]
-    sizes = [len(cls) for cls in classes]
-    irreps = [Irrep(group, lab) for lab in labels]
-    values = [[rep.character(g) for g in reps] for rep in irreps]
-    return labels, reps, sizes, values
+    """(labels, class representatives, class sizes, value matrix), as
+    tuples, computed once per group."""
+    if group._table is None:
+        labels = tuple(enumerate_irreps(group))
+        classes = group.conjugacy_classes()
+        reps = tuple(cls[0] for cls in classes)
+        sizes = tuple(len(cls) for cls in classes)
+        # a table holds few distinct values (195 in the 3885 entries of the
+        # groups with q^n - 1 <= 26); the cache keeps one Cyc for each
+        distinct: dict[tuple, Cyc] = {}
+        values = []
+        for lab in labels:
+            rep = Irrep(group, lab)
+            row = [rep.character(g) for g in reps]
+            values.append(tuple(distinct.setdefault(v.coefficients, v)
+                                for v in row))
+        group._table = labels, reps, sizes, tuple(values)
+    return group._table
 
 
 def character_inner(
     group: Gamma, row_a: list[Cyc], row_b: list[Cyc], sizes: list[int]
 ) -> Fraction:
-    total = Cyc.zero(group.cyc_order)
-    for size, a, b in zip(sizes, row_a, row_b):
-        total = total + a * b.conj() * size
-    return total.to_rational() / group.order
+    """(1/|G|) sum over classes of size * a * conj(b); every value must lie
+    in Q(zeta_m) for m = group.cyc_order."""
+    if row_a and row_a[0].order != group.cyc_order:
+        raise OrderMismatchError(
+            f"character values of order {row_a[0].order} in a group of "
+            f"cyclotomic order {group.cyc_order}")
+    return inner_product(row_a, row_b, sizes, group.order)

@@ -43,6 +43,7 @@ from .metacyclic import (
     Irrep,
     IrrepLabel,
     character_inner,
+    character_table,
     enumerate_irreps,
 )
 from .quaternion import AlgebraParams
@@ -272,14 +273,17 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     for c, v in lines.items():
         pivot = next(i for i, e in enumerate(v) if not e.is_zero())
         evs = []
-        for op in hecke_ops:
+        for pi, op in zip(places, hecke_ops):
             w = mat_vec(op, v)
             lam = w[pivot] / v[pivot]
             for a, b in zip(w, v):
                 if a != lam * b:
                     raise FalsificationError(
                         "Hecke operator does not preserve a unit line")
-            assert lam.is_integral(), "Hecke eigenvalue not an algebraic integer"
+            if not lam.is_integral():
+                raise FalsificationError(
+                    f"Hecke eigenvalue {lam.to_json()} at {format_poly(pi)} "
+                    f"is not an algebraic integer")
             evs.append(lam)
         eigen[c] = evs
 
@@ -306,10 +310,7 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     for c in sorted(lines):
         key = tuple(e.sort_key() for e in eigen[c])
         by_system.setdefault(key, []).append(c)
-    classes = G.conjugacy_classes()
-    reps = [cl[0] for cl in classes]
-    sizes = [len(cl) for cl in classes]
-    all_labels = enumerate_irreps(G)
+    all_labels, reps, sizes, table = character_table(G)
     blocks: list[EigensystemBlock] = []
     for a, key in enumerate(sorted(by_system)):
         chis = by_system[key]
@@ -321,9 +322,8 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
             for i in range(1, len(basis)):
                 tr = tr + mat[i][i]
             char_row.append(tr)
-        matches = [lb for lb in all_labels
-                   if all(char_row[i] == Irrep(G, lb).character(reps[i])
-                          for i in range(len(reps)))]
+        matches = [lb for lb, row in zip(all_labels, table)
+                   if all(a == b for a, b in zip(char_row, row))]
         if not matches:
             norm = character_inner(G, char_row, char_row, sizes)
             if norm > 1:
@@ -332,9 +332,14 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
                     f"infinity (character norm {norm})")
             raise FalsificationError(
                 "block character is irreducible but matches no label")
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise FalsificationError(
+                f"block character matches {len(matches)} labels: {matches}")
         inf_label = matches[0]
-        assert inf_label.dim == len(basis)
+        if inf_label.dim != len(basis):
+            raise FalsificationError(
+                f"block of dimension {len(basis)} matches {inf_label} of "
+                f"dimension {inf_label.dim}")
         blocks.append(EigensystemBlock(
             a=a,
             places=list(places),

@@ -209,8 +209,10 @@ def test_round_trips_recover_class():
         # the peeled global factor cancels the synthesized one exactly
         assert grand * rho == one
         assert state.infinity.in_K1_infinity()
-        for comp in state.split.values():
+        for pi, comp in state.split.items():
             assert comp.is_unit()
+            # one split model per place, shared with the witness scan
+            assert comp.sp is adelic._place_scan(alg, pi).split
 
 
 def test_round_trips_level_two():

@@ -10,7 +10,12 @@ import sys
 
 import pytest
 
+import tjl.cli as cli
+from tjl.adelic import FactorizationError
 from tjl.cli import run, main
+from tjl.cyclotomic import NotRationalError
+from tjl.linalg import InconsistentSystemError
+from tjl.quaternion import ReductionError
 
 
 def invoke(capsys, *argv):
@@ -230,3 +235,19 @@ def test_depth_bound_too_small_exits_3(flags):
     assert payload["error"] == "resource"
     assert "found 0 of" in payload["message"]
     assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("error", [NotRationalError, InconsistentSystemError,
+                                   ReductionError, FactorizationError])
+def test_internal_errors_exit_1(monkeypatch, capsys, error):
+    # an internal inconsistency is a falsification, not a usage error, and
+    # an exception without a message still reports a non-empty one
+    def broken(*args):
+        raise error()
+
+    monkeypatch.setattr(cli, "character_table", broken)
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert payload["message"] == error.__name__

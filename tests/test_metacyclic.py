@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from tjl.cyclotomic import Cyc
+from tjl.cyclotomic import Cyc, FalsificationError, OrderMismatchError
 from tjl.metacyclic import (
     Gamma,
     Irrep,
     IrrepLabel,
-    build_model,
     character_inner,
-    character_of,
     character_table,
     chi_multiplicity,
     enumerate_irreps,
@@ -97,7 +97,7 @@ def test_model_is_homomorphism():
     for q, n, level in [(3, 2, 1), (2, 3, 1), (3, 2, 2), (2, 2, 1)]:
         G = gamma(q, n, level)
         for label in enumerate_irreps(G):
-            rep = build_model(G, label)
+            rep = Irrep(G, label)
             els = G.elements()
             for _ in range(6):
                 g, h = rng.choice(els), rng.choice(els)
@@ -117,7 +117,7 @@ def test_model_relation_frobenius():
     for q, n, level in [(3, 2, 1), (2, 3, 1), (5, 2, 1)]:
         G = gamma(q, n, level)
         for label in enumerate_irreps(G):
-            rep = build_model(G, label)
+            rep = Irrep(G, label)
             F = rep.matrix((1 % G.R, 0))
             Finv = rep.matrix(G.inv((1 % G.R, 0)))
             D = rep.matrix((0, 1 % G.M))
@@ -130,7 +130,7 @@ def test_character_matches_trace():
     for q, n, level in [(3, 2, 1), (2, 3, 1), (3, 2, 2)]:
         G = gamma(q, n, level)
         for label in enumerate_irreps(G):
-            rep = build_model(G, label)
+            rep = Irrep(G, label)
             for _ in range(8):
                 g = rng.choice(G.elements())
                 mat = rep.matrix(g)
@@ -143,7 +143,7 @@ def test_character_matches_trace():
 def test_character_constant_on_classes():
     G = gamma(3, 2, 1)
     for label in enumerate_irreps(G):
-        rep = build_model(G, label)
+        rep = Irrep(G, label)
         for cls in G.conjugacy_classes():
             vals = {rep.character(g).reduced() for g in cls}
             assert len(vals) == 1
@@ -207,7 +207,7 @@ def test_distinct_characters():
     G = gamma(3, 2, 2)
     seen = set()
     for label in enumerate_irreps(G):
-        rep = build_model(G, label)
+        rep = Irrep(G, label)
         key = tuple(rep.character(g).reduced() for g in G.elements())
         assert key not in seen
         seen.add(key)
@@ -233,3 +233,90 @@ def test_invalid_params():
         Gamma(6, 2, 1)
     with pytest.raises(ValueError):
         Gamma(3, 0, 1)
+
+
+# the acceptance grid cut to q^n - 1 <= 26, the groups of the census benchmark
+CENSUS_SMALL = [(q, n, N) for q in (2, 3, 4, 5) for n in (1, 2, 3)
+                for N in (1, 2) if q**n - 1 <= 26]
+
+
+def naive_chi_multiplicity(G, label, c):
+    """One Cyc per term: (1/M) sum_e sum_tags zeta_M^(e tag) zeta_M^(-c e)."""
+    m, M = G.cyc_order, G.M
+    total = Cyc.zero(m)
+    for e in range(M):
+        for tag in Irrep(G, label).tags:
+            total = total + (Cyc.zeta(m, (m // M) * e * tag)
+                             * Cyc.zeta(m, (m // M) * -c * e))
+    return total.to_rational() / M
+
+
+def naive_character_inner(G, row_a, row_b, sizes):
+    total = Cyc.zero(G.cyc_order)
+    for size, a, b in zip(sizes, row_a, row_b):
+        total = total + a * b.conj() * size
+    return total.to_rational() / G.order
+
+
+@pytest.mark.parametrize("q,n,level", CENSUS_SMALL)
+def test_histogram_sums_match_naive_reference(q, n, level):
+    G = gamma(q, n, level)
+    labels, reps, sizes, rows = character_table(G)
+    for label, row in zip(labels, rows):
+        rep = Irrep(G, label)
+        for g, value in zip(reps, row):
+            mat = rep.matrix(g)
+            trace = Cyc.zero(rep.m)
+            for i in range(rep.dim):
+                trace = trace + mat[i][i]
+            assert value == trace
+        for c in range(G.M):
+            assert chi_multiplicity(G, label, c) == naive_chi_multiplicity(
+                G, label, c)
+    for ra in rows:
+        for rb in rows:
+            assert character_inner(G, ra, rb, sizes) == naive_character_inner(
+                G, ra, rb, sizes)
+
+
+def test_character_inner_rejects_foreign_order():
+    G = gamma(3, 2, 1)
+    labels, reps, sizes, rows = character_table(G)
+    foreign = [Cyc.from_rational(G.cyc_order * 2, 1)] * len(reps)
+    with pytest.raises(OrderMismatchError):
+        character_inner(G, rows[0], foreign, sizes)
+    with pytest.raises(OrderMismatchError):
+        character_inner(G, foreign, rows[0], sizes)
+    with pytest.raises(OrderMismatchError):
+        character_inner(G, foreign, foreign, sizes)
+
+
+def _shifted_tags(self, orbit):
+    return tuple((c + 1) % self.M for c in orbit)
+
+
+def test_chi_multiplicity_cross_check_fails_loudly(monkeypatch):
+    # shifting the model's basis tags moves one side of the cross-check
+    # only: the character sum is taken over the orbit itself
+    monkeypatch.setattr(Gamma, "orbit_tags", _shifted_tags)
+    with pytest.raises(FalsificationError, match="basis tags"):
+        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)
+
+
+def test_chi_multiplicity_cross_check_survives_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.metacyclic import Gamma, IrrepLabel, chi_multiplicity, "
+        "gamma\n"
+        "Gamma.orbit_tags = lambda self, orbit: "
+        "tuple((c + 1) % self.M for c in orbit)\n"
+        "try:\n"
+        "    chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, bool(str(exc)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
