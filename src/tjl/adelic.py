@@ -74,6 +74,9 @@ class SplitPlace:
         F = alg.field
         self._pi_powers = [Poly.one(F)]
         self.modulus = self.pi_power(precision)
+        # den -> den^{-1} mod pi^P; the denominators met are few (powers of
+        # t, mostly), and a SplitPlace fixes every other input
+        self._den_inverses: dict[Poly, Poly] = {}
         x, y = self._hensel_point()
         self.x, self.y = x, y
         zero, one = Poly.zero(F), Poly.one(F)
@@ -90,12 +93,15 @@ class SplitPlace:
             self.mat_k = self.matmul(self.matmul(g, self.mat_k), ginv)
         # model sanity: the defining relations hold mod pi^P
         t = Poly.t(F)
-        assert self.matmul(self.mat_i, self.mat_i) == self.scalar_mat(
-            Poly.constant(F, alg.eps))
-        assert self.matmul(self.mat_j, self.mat_j) == self.scalar_mat(t)
         anti = self.matmul(self.mat_j, self.mat_i)
         ij = self.matmul(self.mat_i, self.mat_j)
-        assert anti == tuple((-e) % self.modulus for e in ij)
+        if (self.matmul(self.mat_i, self.mat_i)
+                != self.scalar_mat(Poly.constant(F, alg.eps))
+                or self.matmul(self.mat_j, self.mat_j) != self.scalar_mat(t)
+                or anti != tuple((-e) % self.modulus for e in ij)):
+            raise FalsificationError(
+                f"the matrix model at {format_poly(pi)} breaks the relations "
+                f"i^2 = eps, j^2 = t, ji = -ij")
 
     # -- ring helpers --------------------------------------------------
 
@@ -103,7 +109,9 @@ class SplitPlace:
         alg, pi = self.alg, self.pi
         F = alg.field
         base = split_certificate(alg, pi)
-        assert base is not None, f"algebra is ramified at {pi}"
+        if base is None:
+            raise FalsificationError(
+                f"the algebra is ramified at {format_poly(pi)}")
         x, y = base
         t = Poly.t(F)
         eps = Poly.constant(F, alg.eps)
@@ -121,7 +129,9 @@ class SplitPlace:
                 x = (x - err * self.inv_mod(two * x)) % self.modulus
             else:
                 y = (y + err * self.inv_mod(two * eps * y)) % self.modulus
-        assert f(x, y).is_zero(), "Hensel lift failed to converge"
+        if not f(x, y).is_zero():
+            raise FalsificationError(
+                f"the Hensel lift at {format_poly(pi)} did not converge")
         return x, y
 
     def pi_power(self, k: int) -> Poly:
@@ -134,12 +144,21 @@ class SplitPlace:
     def inv_mod(self, a: Poly) -> Poly:
         a = a % self.modulus
         g, u, _ = a.xgcd(self.modulus)
-        if g.degree != 0:
+        if not g.is_one():
             raise ZeroDivisionError(
                 f"{a} is not a unit mod {self.pi}^{self.precision}")
-        if not g.is_one():
-            u = u.scale(a.field.inv(g.lead))
         return u % self.modulus
+
+    def reduce(self, r: RatFunc) -> Poly:
+        """The image of r in O/pi^P; its denominator must be a unit at pi
+        (ValueError otherwise).  The inverse of each denominator is
+        computed once per model."""
+        inv = self._den_inverses.get(r.den)
+        if inv is None:
+            if (r.den % self.pi).is_zero():
+                raise ValueError("denominator not a unit at the place")
+            inv = self._den_inverses[r.den] = self.inv_mod(r.den)
+        return (r.num * inv) % self.modulus
 
     def scalar_mat(self, c: Poly) -> Mat:
         z = Poly.zero(self.alg.field)
@@ -173,7 +192,7 @@ class SplitPlace:
     def embed(self, elt: OrderElement) -> Mat:
         """The matrix of elt mod pi^P; denominators must be prime to pi."""
         m = self.modulus
-        coords = [c.reduce_mod(self.pi, m) for c in elt.coords()]
+        coords = [self.reduce(c) for c in elt.coords()]
         out = []
         for idx in range(4):
             acc = Poly.zero(self.alg.field)
@@ -225,38 +244,43 @@ class SplitPlace:
         """The point of the projective line over O/pi spanned by (v0, v1)."""
         v0, v1 = v0 % self.pi, v1 % self.pi
         if v1.is_zero():
-            assert not v0.is_zero()
+            if v0.is_zero():
+                raise FalsificationError(
+                    f"the zero vector spans no line mod {format_poly(self.pi)}")
             return ("inf",)
         g, u, _ = v1.xgcd(self.pi)
-        assert g.degree == 0
         if not g.is_one():
-            u = u.scale(self.alg.field.inv(g.lead))
+            raise FalsificationError(
+                f"{format_poly(v1)} is not a unit mod {format_poly(self.pi)}")
         return ("aff", ((v0 * u) % self.pi).coeffs)
+
+    def _common_line(self, vectors, what: str) -> tuple:
+        """The one line of the vectors that are nonzero mod pi."""
+        lines = [self._line(*v) for v in vectors
+                 if not ((v[0] % self.pi).is_zero()
+                         and (v[1] % self.pi).is_zero())]
+        if not lines:
+            raise FalsificationError(
+                f"matrix vanishes mod {format_poly(self.pi)}")
+        if any(l != lines[0] for l in lines):
+            raise FalsificationError(
+                f"{what} span two lines mod {format_poly(self.pi)}")
+        return lines[0]
 
     def identify_right_coset(self, A: Mat) -> tuple:
         """The right coset hK containing the primitive non-unit A,
         determined by the common line of the columns of A mod pi."""
-        cols = [(A[0], A[2]), (A[1], A[3])]
-        lines = [self._line(*c) for c in cols
-                 if not ((c[0] % self.pi).is_zero()
-                         and (c[1] % self.pi).is_zero())]
-        assert lines, "matrix vanishes mod pi"
-        assert all(l == lines[0] for l in lines), "columns span two lines"
-        if lines[0] == ("inf",):
+        line = self._common_line([(A[0], A[2]), (A[1], A[3])], "columns")
+        if line == ("inf",):
             return ("diag",)
-        return ("upper", lines[0][1])
+        return ("upper", line[1])
 
     def identify_left_coset(self, A: Mat) -> tuple:
         """The left coset Kh containing A, read off the row line mod pi."""
-        rows = [(A[0], A[1]), (A[2], A[3])]
-        lines = [self._line(*r) for r in rows
-                 if not ((r[0] % self.pi).is_zero()
-                         and (r[1] % self.pi).is_zero())]
-        assert lines, "matrix vanishes mod pi"
-        assert all(l == lines[0] for l in lines), "rows span two lines"
-        if lines[0] == ("inf",):
+        line = self._common_line([(A[0], A[1]), (A[2], A[3])], "rows")
+        if line == ("inf",):
             return ("diag",)
-        return ("lower", lines[0][1])
+        return ("lower", line[1])
 
 
 def standard_conjugator(alg: AlgebraParams) -> Mat:
@@ -618,15 +642,16 @@ def factorize(alg: AlgebraParams, desc: AdeleDescription,
     G = group_of(alg)
     if desc.kind == "uniformizer":
         w = OrderElement.j(alg)
-        balance = _pi_infinity_power(alg, 1) * w
-        assert balance == OrderElement.one(alg)
+        if _pi_infinity_power(alg, 1) * w != OrderElement.one(alg):
+            raise FactorizationError("j does not undo the uniformizer j/t")
     elif desc.kind == "teichmuller":
         if desc.unit is None or desc.unit == alg.residue.zero:
             raise FactorizationError("need a nonzero Teichmueller unit")
         K = alg.residue
         w = OrderElement.teichmuller(alg, K.inv(desc.unit))
-        balance = OrderElement.teichmuller(alg, desc.unit) * w
-        assert balance == OrderElement.one(alg)
+        if OrderElement.teichmuller(alg, desc.unit) * w != OrderElement.one(alg):
+            raise FactorizationError(
+                f"the Teichmueller unit {desc.unit} is not undone")
     elif desc.kind == "hecke":
         if desc.place is None or desc.coset is None:
             raise FactorizationError("hecke modification needs place and coset")
@@ -634,10 +659,12 @@ def factorize(alg: AlgebraParams, desc: AdeleDescription,
         if desc.coset not in ws.by_right:
             raise FactorizationError(f"unknown coset label {desc.coset}")
         w = ws.by_right[desc.coset].element
-        assert w.in_K1_infinity()
         n = w.nrd()
-        assert n.valuation(desc.place) == 1
-        assert n.valuation_at_infinity() == 0
+        if not (w.in_K1_infinity() and n.valuation(desc.place) == 1
+                and n.valuation_at_infinity() == 0):
+            raise FactorizationError(
+                f"witness {w} is not a principal unit at infinity of norm "
+                f"valuation 1 at {format_poly(desc.place)}")
     else:
         raise FactorizationError(f"unknown modification kind {desc.kind!r}")
     red = reduce_at_zero(w)
@@ -661,9 +688,15 @@ class SplitComponent:
 
     def det_valuation(self) -> int:
         d = self.sp.det(self.mat) % self._modulus()
-        assert not d.is_zero(), "component precision exhausted"
+        if d.is_zero():
+            raise FactorizationError(
+                f"component precision exhausted at {format_poly(self.sp.pi)}: "
+                f"the determinant vanishes mod pi^{self.precision}")
         v = d.valuation(self.sp.pi)
-        assert v < self.precision
+        if v >= self.precision:
+            raise FactorizationError(
+                f"determinant valuation {v} at {format_poly(self.sp.pi)} "
+                f"exceeds the precision {self.precision}")
         return v
 
     def is_unit(self) -> bool:
@@ -680,7 +713,10 @@ class SplitComponent:
         sp = self.sp
         n = elt.nrd()
         v = n.valuation(sp.pi)
-        assert v >= 0
+        if v < 0:
+            raise FactorizationError(
+                f"cannot divide by an element whose norm has valuation {v} "
+                f"at {format_poly(sp.pi)}")
         num = sp.matmul(self.mat, sp.embed(elt.conj()))
         unit_part = n
         if v:
@@ -688,14 +724,20 @@ class SplitComponent:
             shifted = []
             for e in num:
                 quo, rem = e.divmod(piv)
-                assert rem.is_zero(), "division leaves the coset structure"
+                if not rem.is_zero():
+                    raise FactorizationError(
+                        f"division at {format_poly(sp.pi)} leaves the coset "
+                        f"structure")
                 shifted.append(quo)
             num = tuple(shifted)
             unit_part = n / RatFunc(piv)
             self.precision -= v
-            assert self.precision >= 2, "component precision exhausted"
+            if self.precision < 2:
+                raise FactorizationError(
+                    f"component precision exhausted at {format_poly(sp.pi)}: "
+                    f"{self.precision} digits left")
         m = self._modulus()
-        inv = sp.inv_mod(unit_part.reduce_mod(sp.pi, sp.modulus))
+        inv = sp.inv_mod(sp.reduce(unit_part))
         self.mat = tuple((e * inv) % m for e in num)
 
 
@@ -756,7 +798,9 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
         RatFunc.t_power(F, -1).scale(rng.randrange(F.q)),
         RatFunc.t_power(F, -1).scale(rng.randrange(F.q)),
     )
-    assert kinf.in_K1_infinity()
+    if not kinf.in_K1_infinity():
+        raise FalsificationError(
+            f"synthesized infinity unit {kinf} is not principal")
 
     factors: list[OrderElement] = []
     for _ in range(rng.randrange(max_mods + 1)):
@@ -821,7 +865,9 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
             w = ws.by_left[label].element
             state.right_divide(w)
             rho = rho * w.inverse()
-        assert comp.is_unit()
+        if not comp.is_unit():
+            raise FactorizationError(f"peeling at {format_poly(pi)} left a "
+                                     f"non-unit component")
     # balance infinity with a global Teichmueller times a j-power
     r = reduce_at_infinity(state.infinity)
     K = alg.residue
@@ -829,8 +875,12 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
         * _pi_infinity_power(alg, -r.k)
     state.right_multiply(gamma_f)
     rho = rho * gamma_f
-    assert state.infinity.in_K1_infinity()
-    for comp in state.split.values():
-        assert comp.is_unit()
+    if not state.infinity.in_K1_infinity():
+        raise FactorizationError(
+            "the balanced component at infinity is not a principal unit")
+    for pi, comp in state.split.items():
+        if not comp.is_unit():
+            raise FactorizationError(
+                f"the component at {format_poly(pi)} stopped being a unit")
     red = reduce_at_zero(state.zero)
     return (red.k % G.R, red.exponent % G.M), rho

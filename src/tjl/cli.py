@@ -4,12 +4,14 @@ pipeline, and projective-basis dumps.
 
 All output is deterministic: JSON is emitted with sorted keys and compact
 separators, matrices optionally as TSV with a comment header.  The
-TJL_THREADS environment variable caps the worker count for the per-sigma
-verification loop; results are assembled in canonical order so the bytes
-do not depend on it.  Exit codes: 0 success, 1 falsified invariant
-(including an internal inconsistency such as a non-rational inner
-product), 2 usage error, 3 resource or search bound exceeded.  Every
-failure writes one JSON line with a non-empty message to stderr.
+per-sigma verification loop runs serially in canonical order: it is pure
+Python, so threads could not speed it up under the GIL.  TJL_THREADS is
+still read and validated (a positive integer, else exit 2) but changes
+nothing, so the bytes do not depend on it.  Exit codes: 0 success, 1
+falsified invariant (including an internal inconsistency such as a
+non-rational inner product), 2 usage error, 3 resource or search bound
+exceeded.  Every failure writes one JSON line with a non-empty message to
+stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .adelic import (
@@ -62,7 +63,7 @@ class UsageError(ValueError):
     pass
 
 
-def _threads() -> int:
+def _check_threads() -> None:
     raw = os.environ.get("TJL_THREADS", "1")
     try:
         n = int(raw)
@@ -70,7 +71,6 @@ def _threads() -> int:
         raise UsageError(f"TJL_THREADS must be an integer, got {raw!r}")
     if n < 1:
         raise UsageError("TJL_THREADS must be >= 1")
-    return n
 
 
 def _canonical_json(obj) -> str:
@@ -265,15 +265,8 @@ def cmd_verify(args) -> int:
                 "the peeled global factor does not cancel the synthesized one")
         trips += 1
 
-    threads = _threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sigma_reports = list(pool.map(
-                lambda lb: _verify_one(alg, lb, places, args.depth_bound),
-                labels))
-    else:
-        sigma_reports = [_verify_one(alg, lb, places, args.depth_bound)
-                         for lb in labels]
+    sigma_reports = [_verify_one(alg, lb, places, args.depth_bound)
+                     for lb in labels]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -382,7 +375,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        _threads()
+        _check_threads()
         if getattr(args, "format", "json") == "tsv" and args.command != "brandt":
             raise UsageError("tsv output is only available for brandt")
         return args.func(args)

@@ -9,6 +9,19 @@ and the canonical enumeration of field elements is by that integer encoding.
 Rational functions carry exact valuations at every place (monic irreducible of
 F_q[t], plus the degree valuation at infinity), so no truncated t-adic
 arithmetic is needed anywhere.
+
+Fast paths, each chosen by a property of the operands and each giving the
+same result as the general code:
+- a product with a constant factor c is the other factor scaled by c (c = 1
+  returns it as is);
+- divmod by a divisor of higher degree is (0, self) with no division;
+- a RatFunc with denominator 1 needs no gcd; with denominator c*t^k the gcd
+  is t^min(k, v_t(num)), so normalising is a shift and a scaling;
+- a sum of two RatFuncs with equal denominators adds the numerators over
+  that denominator, and the result is normalised as usual.
+Numerator and denominator are unique once the denominator is monic and
+coprime to the numerator, so any exact way to reach that form gives the same
+polynomials.
 """
 
 from __future__ import annotations
@@ -16,6 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from .cyclotomic import FalsificationError
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -233,10 +248,12 @@ class Poly:
 
     def __init__(self, field: GF, coeffs):
         self.field = field
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        if type(coeffs) is not tuple:
+            coeffs = tuple(coeffs)
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        self.coeffs = coeffs if n == len(coeffs) else coeffs[:n]
 
     @staticmethod
     def zero(field: GF) -> Poly:
@@ -288,20 +305,16 @@ class Poly:
         return hash((self.field.q, self.coeffs))
 
     def __add__(self, other: Poly) -> Poly:
-        F = self.field
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Poly(
-            F,
-            (
-                F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                for i in range(n)
-            ),
-        )
+        if len(a) < len(b):
+            a, b = b, a
+        add = self.field._add
+        return Poly(self.field,
+                    tuple([add[x][y] for x, y in zip(a, b)]) + a[len(b):])
 
     def __neg__(self) -> Poly:
-        F = self.field
-        return Poly(F, (F.neg(c) for c in self.coeffs))
+        neg = self.field._neg
+        return Poly(self.field, tuple([neg[c] for c in self.coeffs]))
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -311,20 +324,28 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
+        # a constant factor: the product is a scaling (or the other factor)
+        if len(a) == 1:
+            return other.scale(a[0])
+        if len(b) == 1:
+            return self.scale(b[0])
+        add, mul = F._add, F._mul
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
-                row = F._mul[ca]
-                for j, cb in enumerate(b):
+                row = mul[ca]
+                for j, cb in enumerate(b, i):
                     if cb:
-                        out[i + j] = F.add(out[i + j], row[cb])
-        return Poly(F, out)
+                        out[j] = add[out[j]][row[cb]]
+        return Poly(F, tuple(out))
 
     def scale(self, c: int) -> Poly:
-        F = self.field
+        if c == 1:
+            return self
         if c == 0:
-            return Poly.zero(F)
-        return Poly(F, (F.mul(c, x) for x in self.coeffs))
+            return Poly.zero(self.field)
+        row = self.field._mul[c]
+        return Poly(self.field, tuple([row[x] for x in self.coeffs]))
 
     def shift(self, k: int) -> Poly:
         """Multiply by t^k."""
@@ -334,20 +355,30 @@ class Poly:
 
     def divmod(self, den: Poly) -> tuple[Poly, Poly]:
         F = self.field
-        if den.is_zero():
+        d = den.coeffs
+        if not d:
             raise ZeroDivisionError("division by zero polynomial")
-        num = list(self.coeffs)
-        dd = den.degree
-        inv_lead = F.inv(den.lead)
-        quot = [0] * max(len(num) - dd, 0)
-        for k in range(len(num) - 1, dd - 1, -1):
-            c = F.mul(num[k], inv_lead)
+        a = self.coeffs
+        dd = len(d) - 1
+        if len(a) <= dd:
+            return Poly.zero(F), self
+        add, mul, neg = F._add, F._mul, F._neg
+        inv_lead = F._inv[d[-1]]
+        # subtracting c*den is adding c*(-den) below the leading term,
+        # which cancels
+        low = [neg[c] for c in d[:-1]]
+        num = list(a)
+        quot = [0] * (len(a) - dd)
+        for k in range(len(a) - 1 - dd, -1, -1):
+            c = num[k + dd]
             if c:
-                quot[k - dd] = c
-                for j, cd in enumerate(den.coeffs):
-                    num[k - dd + j] = F.sub(num[k - dd + j], F.mul(c, cd))
-            num.pop()
-        return Poly(F, quot), Poly(F, num)
+                c = mul[c][inv_lead]
+                quot[k] = c
+                row = mul[c]
+                for j, cd in enumerate(low, k):
+                    if cd:
+                        num[j] = add[num[j]][row[cd]]
+        return Poly(F, tuple(quot)), Poly(F, tuple(num[:dd]))
 
     def __mod__(self, den: Poly) -> Poly:
         return self.divmod(den)[1]
@@ -510,10 +541,19 @@ class RatFunc:
         field = num.field
         if den is None:
             den = Poly.one(field)
-        if den.is_zero():
+        d = den.coeffs
+        if not d:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             den = Poly.one(field)
+        elif d == (1,):
+            pass
+        elif d.count(0) == len(d) - 1:
+            # den = c*t^k: the gcd is t^min(k, v_t(num))
+            s = min(len(d) - 1, num.t_valuation())
+            c = field._inv[d[-1]]
+            num = Poly(field, num.coeffs[s:]).scale(c)
+            den = Poly.t_power(field, len(d) - 1 - s)
         else:
             g = num.gcd(den)
             if g.degree > 0:
@@ -564,6 +604,8 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __add__(self, other: RatFunc) -> RatFunc:
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> RatFunc:
@@ -630,7 +672,10 @@ class RatFunc:
         if not (self.den.valuation(pi) == 0):
             raise ValueError("denominator not a unit at the place")
         g, u, _ = self.den.xgcd(power)
-        assert g.is_one(), "denominator not invertible modulo the given power"
+        if not g.is_one():
+            raise FalsificationError(
+                f"denominator {format_poly(self.den)} is not invertible "
+                f"modulo {format_poly(power)}")
         return (self.num * u) % power
 
     def __repr__(self):

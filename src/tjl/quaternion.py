@@ -248,9 +248,6 @@ class OrderElement:
                 and self.c.valuation_at_infinity() >= 1
                 and self.d.valuation_at_infinity() >= 1)
 
-    def in_K_infinity(self) -> bool:
-        return self.infinity_integral() and self.nrd().valuation_at_infinity() == 0
-
 
 def nrd(x: OrderElement) -> RatFunc:
     return x.nrd()
@@ -285,8 +282,9 @@ def reduce_at_zero(x: OrderElement) -> LocalReduction:
         raise ReductionError("unit residue vanished at t")
     # the residue norm matches the unit part of nrd
     n = y.nrd()
-    assert n.t_valuation() == 0
-    assert K.norm(u) == n.value_at_zero()
+    if n.t_valuation() != 0 or K.norm(u) != n.value_at_zero():
+        raise ReductionError(
+            "the unit part at t has a norm that is not the residue norm")
     return LocalReduction("zero", k, u, K.dlog(u))
 
 
@@ -302,7 +300,8 @@ def reduce_at_infinity(x: OrderElement) -> LocalReduction:
     u = K.element(y.a.value_at_infinity(), y.b.value_at_infinity())
     if u == K.zero:
         raise ReductionError("unit residue vanished at infinity")
-    assert y.nrd().valuation_at_infinity() == 0
+    if y.nrd().valuation_at_infinity() != 0:
+        raise ReductionError("the unit part at infinity has a non-unit norm")
     return LocalReduction("infinity", k, u, K.dlog(u))
 
 

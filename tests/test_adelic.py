@@ -1,6 +1,8 @@
 """Split places, canonical witnesses, Hecke matrices, and adele round trips."""
 
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import product
 
@@ -57,6 +59,67 @@ def test_split_place_determinant_is_norm():
                 lhs = sp.det(mx)
                 rhs = x.nrd().reduce_mod(sp.pi, sp.modulus)
                 assert lhs == rhs
+
+
+def test_split_place_reduce_matches_reduce_mod():
+    rng = random.Random(43)
+    for q in (3, 5):
+        alg = AlgebraParams(q)
+        F = alg.field
+        for pi in default_places(alg, 2)[:3]:
+            sp = SplitPlace(alg, pi)
+            dens = [Poly.t_power(F, k).scale(c)
+                    for k in range(4) for c in range(1, q)]
+            dens += [pi + Poly.one(F), Poly(F, (2, 0, 1)) * Poly.t(F)]
+            misses = hits = 0
+            for den in dens:
+                if (den % pi).is_zero():
+                    continue
+                for _ in range(3):
+                    num = Poly(F, [rng.randrange(q) for _ in range(6)])
+                    r = RatFunc(num, den)
+                    want = r.reduce_mod(pi, sp.modulus)
+                    if r.den in sp._den_inverses:
+                        hits += 1
+                    else:
+                        misses += 1
+                    assert sp.reduce(r) == want
+                    # the second reduction reads the memo and agrees
+                    assert r.den in sp._den_inverses
+                    assert sp.reduce(r) == want
+            assert hits and misses
+            for bad in (pi, pi * Poly.t(F), pi * pi):
+                r = RatFunc(Poly.one(F), bad)
+                with pytest.raises(ValueError):
+                    sp.reduce(r)
+                with pytest.raises(ValueError):
+                    r.reduce_mod(pi, sp.modulus)
+                assert r.den not in sp._den_inverses
+
+
+def test_exhausted_component_precision_survives_dash_O():
+    # dividing by a witness costs one digit; at precision 2 nothing is
+    # left, and the check is no assert, so -O cannot remove it
+    script = (
+        "import sys\n"
+        "from tjl.adelic import FactorizationError, SplitComponent, "
+        "SplitPlace, witness_set\n"
+        "from tjl.funcfield import parse_poly\n"
+        "from tjl.quaternion import AlgebraParams\n"
+        "alg = AlgebraParams(3)\n"
+        "pi = parse_poly(alg.field, 't+1')\n"
+        "sp = SplitPlace(alg, pi)\n"
+        "w = witness_set(alg, pi).witnesses[0].element\n"
+        "comp = SplitComponent(sp, sp.embed(w), precision=2)\n"
+        "try:\n"
+        "    comp.right_divide(w)\n"
+        "except FactorizationError as exc:\n"
+        "    print(sys.flags.optimize, 'precision exhausted' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
 
 
 def test_split_place_rejects_t():

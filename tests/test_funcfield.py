@@ -274,3 +274,126 @@ def test_fq2_norm_surjective_onto_base_units():
         K = fq2(q)
         norms = {K.norm(x) for x in K.elements() if x != K.zero}
         assert norms == set(range(1, q))
+
+
+# -- the fast paths against plain references ---------------------------
+
+FAST_PATH_QS = (2, 3, 4, 5, 7, 9)
+
+
+def _rand_poly(F, rng, max_len):
+    return Poly(F, [rng.randrange(F.q) for _ in range(rng.randrange(max_len + 1))])
+
+
+def _ref_mul(F, a, b):
+    """Schoolbook product of coefficient tuples through F.add / F.mul."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = F.add(out[i + j], F.mul(x, y))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _ref_add(F, a, b):
+    n = max(len(a), len(b))
+    out = [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+           for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _general_normal_form(num, den):
+    """num/den reduced by Poly.gcd and made monic: the general path."""
+    F = num.field
+    if num.is_zero():
+        return num, Poly.one(F)
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    c = F.inv(den.lead)
+    return num.scale(c), den.scale(c)
+
+
+def test_poly_kernels_match_references():
+    rng = random.Random(31)
+    for q in FAST_PATH_QS:
+        F = gf(q)
+        for _ in range(150):
+            a, b = _rand_poly(F, rng, 7), _rand_poly(F, rng, 7)
+            assert (a * b).coeffs == _ref_mul(F, a.coeffs, b.coeffs)
+            assert (a + b).coeffs == _ref_add(F, a.coeffs, b.coeffs)
+            assert (a - b + b) == a
+            if b.is_zero():
+                continue
+            quo, rem = a.divmod(b)
+            # q*d + r == a, checked with the reference kernels
+            assert _ref_add(F, _ref_mul(F, quo.coeffs, b.coeffs),
+                            rem.coeffs) == a.coeffs
+            assert rem.is_zero() or rem.degree < b.degree
+            assert (a % b, a // b) == (rem, quo)
+        # a divisor of higher degree leaves everything in the remainder
+        a = Poly(F, (1, 1))
+        assert a.divmod(Poly.t_power(F, 3)) == (Poly.zero(F), a)
+
+
+def test_poly_mul_by_constant_is_scale():
+    rng = random.Random(32)
+    for q in FAST_PATH_QS:
+        F = gf(q)
+        for _ in range(40):
+            a = _rand_poly(F, rng, 6)
+            for c in range(q):
+                const = Poly.constant(F, c)
+                assert a * const == a.scale(c) == const * a
+                assert (a * const).coeffs == _ref_mul(F, a.coeffs, const.coeffs)
+
+
+def test_ratfunc_normal_form_matches_general_gcd():
+    rng = random.Random(33)
+    for q in FAST_PATH_QS:
+        F = gf(q)
+        dens = [Poly.one(F)]
+        # den = c*t^k with c != 1 (where the field has one) and k = 0..3
+        for k in range(4):
+            for c in range(1, q):
+                dens.append(Poly.t_power(F, k).scale(c))
+        for _ in range(20):
+            den = _rand_poly(F, rng, 5)
+            if not den.is_zero():
+                dens.append(den)
+        for den in dens:
+            k = den.degree if den.coeffs.count(0) == den.degree else None
+            for _ in range(6):
+                num = _rand_poly(F, rng, 5)
+                if k is not None and not num.is_zero():
+                    # v_t(num) below, equal to and above k
+                    num = num.shift(rng.choice((0, k, k + 1, k + 3)))
+                x = RatFunc(num, den)
+                assert (x.num, x.den) == _general_normal_form(num, den)
+                assert x.den.is_monic()
+                assert x.num.gcd(x.den).is_one() or x.num.is_zero()
+
+
+def test_ratfunc_same_denominator_sum_is_the_cross_multiplied_sum():
+    rng = random.Random(34)
+    for q in FAST_PATH_QS:
+        F = gf(q)
+        for _ in range(60):
+            den = Poly.zero(F)
+            while den.is_zero():
+                den = _rand_poly(F, rng, 3)
+            x = RatFunc(_rand_poly(F, rng, 4), den)
+            # (n + p*d)/d is reduced when n/d is; with n negated, the sum
+            # is the polynomial p, so the shared denominator cancels
+            p = _rand_poly(F, rng, 3)
+            n = x.num if rng.randrange(2) else -x.num
+            y = RatFunc(n + p * x.den, x.den)
+            assert x.den == y.den
+            cross = RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)
+            assert x + y == cross
+            assert x - y == RatFunc(x.num * y.den - y.num * x.den,
+                                    x.den * y.den)
