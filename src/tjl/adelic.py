@@ -707,11 +707,12 @@ class SplitComponent:
         self.mat = tuple(e % m
                          for e in self.sp.matmul(self.mat, self.sp.embed(elt)))
 
-    def right_divide(self, elt: OrderElement) -> None:
+    def right_divide(self, elt: OrderElement, norm: RatFunc | None = None) -> None:
         """Multiply by elt^{-1} on the right; pi-valuation v of nrd(elt)
-        costs v digits of precision."""
+        costs v digits of precision.  A caller that holds nrd(elt) passes
+        it as norm."""
         sp = self.sp
-        n = elt.nrd()
+        n = elt.nrd() if norm is None else norm
         v = n.valuation(sp.pi)
         if v < 0:
             raise FactorizationError(
@@ -758,12 +759,16 @@ class AdeleState:
         for comp in self.split.values():
             comp.right_multiply(elt)
 
-    def right_divide(self, elt: OrderElement) -> None:
-        inv = elt.inverse()
+    def right_divide(self, elt: OrderElement) -> OrderElement:
+        """Multiply by elt^{-1} on the right and return elt^{-1}; nrd(elt)
+        is computed once for every component."""
+        n = elt.nrd()
+        inv = elt.inverse(n)
         self.zero = self.zero * inv
         self.infinity = self.infinity * inv
         for comp in self.split.values():
-            comp.right_divide(elt)
+            comp.right_divide(elt, n)
+        return inv
 
 
 def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
@@ -858,13 +863,11 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
                 raise FactorizationError(f"peeling at {pi} does not terminate")
             if all((e % pi).is_zero() for e in comp.mat):
                 central = OrderElement.scalar(alg, RatFunc(pi))
-                state.right_divide(central)
-                rho = rho * central.inverse()
+                rho = rho * state.right_divide(central)
                 continue
             label = comp.sp.identify_left_coset(comp.mat)
             w = ws.by_left[label].element
-            state.right_divide(w)
-            rho = rho * w.inverse()
+            rho = rho * state.right_divide(w)
         if not comp.is_unit():
             raise FactorizationError(f"peeling at {format_poly(pi)} left a "
                                      f"non-unit component")

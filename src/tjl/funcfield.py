@@ -317,7 +317,12 @@ class Poly:
         return Poly(self.field, tuple([neg[c] for c in self.coeffs]))
 
     def __sub__(self, other: Poly) -> Poly:
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        add, neg = self.field._add, self.field._neg
+        diff = tuple([add[x][neg[y]] for x, y in zip(a, b)])
+        if len(a) >= len(b):
+            return Poly(self.field, diff + a[len(b):])
+        return Poly(self.field, diff + tuple([neg[y] for y in b[len(a):]]))
 
     def __mul__(self, other: Poly) -> Poly:
         F = self.field

@@ -12,6 +12,16 @@ t and at infinity are computed from valuations with no precision tracking.
 Reduction at a ramified place sends x to (k, u): k the valuation of nrd(x)
 and u the residue after dividing out the k-th uniformizer power on the left
 (uniformizer j at t, j/t at infinity).
+
+Products, norms and inverses run over one shared denominator.  Each
+operand's four coordinates are written as polynomials over the monic lcm D
+of their denominators (no work when the denominators are equal, and a shift
+when all are powers of t).  The coordinate products are then plain F_q[t]
+products; eps is a scaling and t a shift.  Each output coordinate is one
+RatFunc(numerator, D1*D2), normalised once.  This is exact: xy has exactly
+these numerators over D1*D2, and a RatFunc's normal form (monic denominator
+coprime to the numerator) is unique, so every coordinate, hash and
+certificate is the same as with per-coordinate RatFunc arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .funcfield import GF, Fq2, Fq2Element, Poly, RatFunc, fq2, gf, monic_irreducibles
+from .cyclotomic import FalsificationError
+from .funcfield import (GF, Fq2, Fq2Element, Poly, RatFunc, format_poly, fq2, gf,
+                        monic_irreducibles)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -176,17 +188,17 @@ class OrderElement:
         return OrderElement(self.alg, -self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: OrderElement) -> OrderElement:
-        F = self.alg.field
-        eps = RatFunc.constant(F, self.alg.eps)
-        t = RatFunc.t_power(F, 1)
-        a, b, c, d = self.coords()
-        e, f_, g, h = other.coords()
+        eps = self.alg.eps
+        (a, b, c, d), D1 = _over_common_denominator(self)
+        (e, f, g, h), D2 = _over_common_denominator(other)
+        den = D1 * D2
         return OrderElement(
             self.alg,
-            a * e + eps * b * f_ + t * c * g - eps * t * d * h,
-            a * f_ + b * e - t * c * h + t * d * g,
-            a * g + c * e + eps * b * h - eps * d * f_,
-            a * h + d * e + b * g - c * f_,
+            RatFunc(a * e + (b * f).scale(eps)
+                    + (c * g - (d * h).scale(eps)).shift(1), den),
+            RatFunc(a * f + b * e + (d * g - c * h).shift(1), den),
+            RatFunc(a * g + c * e + (b * h - d * f).scale(eps), den),
+            RatFunc(a * h + d * e + b * g - c * f, den),
         )
 
     def scale(self, r: RatFunc) -> OrderElement:
@@ -196,11 +208,10 @@ class OrderElement:
         return OrderElement(self.alg, self.a, -self.b, -self.c, -self.d)
 
     def nrd(self) -> RatFunc:
-        F = self.alg.field
-        eps = RatFunc.constant(F, self.alg.eps)
-        t = RatFunc.t_power(F, 1)
-        a, b, c, d = self.coords()
-        return a * a - eps * b * b - t * c * c + eps * t * d * d
+        eps = self.alg.eps
+        (a, b, c, d), D = _over_common_denominator(self)
+        return RatFunc(a * a - (b * b).scale(eps)
+                       - (c * c - (d * d).scale(eps)).shift(1), D * D)
 
     def trd(self) -> RatFunc:
         return self.a + self.a
@@ -208,18 +219,18 @@ class OrderElement:
     def is_zero(self) -> bool:
         return all(x.is_zero() for x in self.coords())
 
-    def inverse(self) -> OrderElement:
-        n = self.nrd()
+    def inverse(self, norm: RatFunc | None = None) -> OrderElement:
+        """conj(x) / nrd(x); a caller that holds nrd(x) passes it as norm."""
+        n = self.nrd() if norm is None else norm
         if n.is_zero():
             raise NotInvertibleError("zero has no inverse in a division algebra")
-        return self.conj().scale(n.inverse())
-
-    def power(self, k: int) -> OrderElement:
-        base = self if k >= 0 else self.inverse()
-        out = OrderElement.one(self.alg)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
+        (a, b, c, d), D = _over_common_denominator(self)
+        # conj(x) = (a, -b, -c, -d)/D and 1/nrd(x) = n.den/n.num
+        den = D * n.num
+        up = n.den
+        down = -up
+        return OrderElement(self.alg, RatFunc(a * up, den), RatFunc(b * down, den),
+                            RatFunc(c * down, den), RatFunc(d * down, den))
 
     def __repr__(self) -> str:
         return f"OrderElement({self.a}, {self.b}, {self.c}, {self.d})"
@@ -253,6 +264,43 @@ def nrd(x: OrderElement) -> RatFunc:
     return x.nrd()
 
 
+def _is_t_power(den: Poly) -> bool:
+    """Whether a monic denominator is t^k."""
+    cs = den.coeffs
+    return cs.count(0) == len(cs) - 1
+
+
+def _lcm(p: Poly, r: Poly) -> Poly:
+    """Monic lcm of two monic denominators."""
+    if p.coeffs == r.coeffs or r.is_one():
+        return p
+    if p.is_one():
+        return r
+    if _is_t_power(p) and _is_t_power(r):
+        return p if p.degree > r.degree else r
+    return p * (r // p.gcd(r))
+
+
+def _over_common_denominator(x: OrderElement
+                             ) -> tuple[tuple[Poly, Poly, Poly, Poly], Poly]:
+    """Numerators of x's coordinates over D, the monic lcm of their
+    denominators, and D itself."""
+    coords = (x.a, x.b, x.c, x.d)
+    D = x.a.den
+    for r in coords[1:]:
+        D = _lcm(D, r.den)
+    shift = _is_t_power(D)
+    nums = []
+    for r in coords:
+        if r.den.coeffs == D.coeffs or r.num.is_zero():
+            nums.append(r.num)
+        elif shift:  # a monic divisor of t^k is a smaller power of t
+            nums.append(r.num.shift(D.degree - r.den.degree))
+        else:
+            nums.append(r.num * (D // r.den))
+    return tuple(nums), D
+
+
 # -- local reductions at the two ramified places -----------------------
 
 
@@ -270,7 +318,8 @@ def reduce_at_zero(x: OrderElement) -> LocalReduction:
     """Valuation and unit residue of x in the completed algebra at t."""
     if x.is_zero():
         raise ReductionError("cannot reduce zero")
-    k = x.nrd().t_valuation()
+    n = x.nrd()
+    k = n.t_valuation()
     # left division: with x = j^k y the unit residues compose by
     # (k,e)(k',e') = (k+k', e q^{k'} + e'), matching the finite model
     y = _j_power(x.alg, -k) * x
@@ -280,9 +329,12 @@ def reduce_at_zero(x: OrderElement) -> LocalReduction:
     u = K.element(y.a.value_at_zero(), y.b.value_at_zero())
     if u == K.zero:
         raise ReductionError("unit residue vanished at t")
-    # the residue norm matches the unit part of nrd
-    n = y.nrd()
-    if n.t_valuation() != 0 or K.norm(u) != n.value_at_zero():
+    # the residue norm of y's coordinates matches the unit part of nrd(x):
+    # nrd is multiplicative and nrd(j) = -t, so nrd(y) = (-t)^(-k) nrd(x)
+    unit = (n * RatFunc.t_power(x.alg.field, -k)).value_at_zero()
+    if k % 2:
+        unit = x.alg.field.neg(unit)
+    if K.norm(u) != unit:
         raise ReductionError(
             "the unit part at t has a norm that is not the residue norm")
     return LocalReduction("zero", k, u, K.dlog(u))
@@ -318,9 +370,15 @@ def reduce_homomorphism_check(alg: AlgebraParams, pairs) -> None:
     K = alg.residue
     for x, y in pairs:
         rx, ry, rxy = reduce_at_zero(x), reduce_at_zero(y), reduce_at_zero(x * y)
-        assert rxy.k == rx.k + ry.k
+        if rxy.k != rx.k + ry.k:
+            raise FalsificationError(
+                f"valuations at t do not add: {rxy.k} != {rx.k} + {ry.k} "
+                f"for x = {x}, y = {y}")
         twisted = K.power(rx.residue, pow(alg.q, ry.k % 2, alg.q * alg.q - 1))
-        assert rxy.residue == K.mul(twisted, ry.residue)
+        if rxy.residue != K.mul(twisted, ry.residue):
+            raise FalsificationError(
+                f"residues at t do not compose by the Frobenius twist "
+                f"for x = {x}, y = {y}")
 
 
 # -- maximality and ramification certificates --------------------------
@@ -336,8 +394,10 @@ def gram_determinant(alg: AlgebraParams) -> RatFunc:
     det = RatFunc.one(alg.field)
     for k in range(4):
         for l in range(4):
-            if k != l:
-                assert gram[k][l].is_zero()
+            if k != l and not gram[k][l].is_zero():
+                raise FalsificationError(
+                    f"the trace form is not diagonal on 1, i, j, ij: "
+                    f"entry ({k}, {l}) is {gram[k][l]}")
         det = det * gram[k][k]
     return det
 
@@ -348,7 +408,9 @@ def maximality_certificate(alg: AlgebraParams) -> bool:
     sixteen = F.embed_int(16)
     coeff = F.neg(F.mul(sixteen, F.mul(alg.eps, alg.eps)))
     expected = RatFunc(Poly(F, (0, 0, coeff)))
-    assert det == expected, "Gram determinant must be -16 eps^2 t^2"
+    if det != expected:
+        raise FalsificationError(
+            f"Gram determinant {det} is not -16 eps^2 t^2 = {expected}")
     return True
 
 
@@ -391,13 +453,18 @@ def ramification_certificate(alg: AlgebraParams, max_deg: int = 2) -> dict:
         if pi == t:
             continue
         point = split_certificate(alg, pi)
-        assert point is not None, f"unexpected ramification at {pi}"
+        if point is None:
+            raise FalsificationError(
+                f"unexpected ramification at {format_poly(pi)}")
         split_at.append((pi, point))
     # anisotropy of x^2 - eps y^2 over the residue field at t (= F_q): only
     # the trivial zero.  The same form controls the place at infinity.
     zeros = [(x, y) for x in range(F.q) for y in range(F.q)
              if F.sub(F.mul(x, x), F.mul(alg.eps, F.mul(y, y))) == 0]
-    assert zeros == [(0, 0)], "norm form must be anisotropic at the ramified places"
+    if zeros != [(0, 0)]:
+        raise FalsificationError(
+            f"norm form must be anisotropic at the ramified places; "
+            f"its zeros are {zeros}")
     return {
         "split_places": [p for p, _ in split_at],
         "split_points": {p: pt for p, pt in split_at},
@@ -415,12 +482,18 @@ def unit_congruence_certificate(alg: AlgebraParams) -> bool:
     F = alg.field
     for k in range(7):
         mono = RatFunc.t_power(F, k)
-        assert mono.valuation_at_infinity() == -k <= 0
+        if mono.valuation_at_infinity() != -k:
+            raise FalsificationError(
+                f"t^{k} has valuation {mono.valuation_at_infinity()} at "
+                f"infinity, not {-k}")
     hits = []
     for a in range(F.q):
         for b in range(F.q):
             delta = OrderElement.teichmuller(alg, alg.residue.element(a, b))
             if delta.in_K1_infinity():
                 hits.append((a, b))
-    assert hits == [(1, 0)]
+    if hits != [(1, 0)]:
+        raise FalsificationError(
+            f"the principal units at infinity among the constants a + b i "
+            f"are {hits}, not only 1")
     return True

@@ -302,6 +302,28 @@ def test_round_trips_q5():
         assert grand * rho == one
 
 
+def test_adele_right_divide_returns_the_inverse():
+    # one norm serves every component: each ends as if divided on its own
+    alg = AlgebraParams(5)
+    places = default_places(alg, 1)
+    rng = random.Random(104)
+    for pi in places[:3]:
+        state, _, _ = synthesize_random_adele(alg, rng, places)
+        for elt in (witness_set(alg, pi).witnesses[0].element,
+                    OrderElement.scalar(alg, RatFunc(pi))):
+            state.right_multiply(elt)  # so that elt divides every component
+            zero, infinity = state.zero, state.infinity
+            alone = {p: adelic.SplitComponent(c.sp, c.mat, c.precision)
+                     for p, c in state.split.items()}
+            inv = state.right_divide(elt)
+            assert inv == elt.inverse()
+            assert (state.zero, state.infinity) == (zero * inv, infinity * inv)
+            for p, comp in alone.items():
+                comp.right_divide(elt)
+                assert (comp.mat, comp.precision) == (
+                    state.split[p].mat, state.split[p].precision)
+
+
 def test_level_scaling_is_invisible():
     # multiplying the component at t by t^N leaves the class unchanged
     alg = AlgebraParams(3, level=2)

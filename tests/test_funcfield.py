@@ -326,6 +326,8 @@ def test_poly_kernels_match_references():
             a, b = _rand_poly(F, rng, 7), _rand_poly(F, rng, 7)
             assert (a * b).coeffs == _ref_mul(F, a.coeffs, b.coeffs)
             assert (a + b).coeffs == _ref_add(F, a.coeffs, b.coeffs)
+            assert (a - b).coeffs == _ref_add(
+                F, a.coeffs, tuple(F.neg(y) for y in b.coeffs))
             assert (a - b + b) == a
             if b.is_zero():
                 continue

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tjl.quaternion as quaternion
+from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import Poly, RatFunc, gf, monic_irreducibles, parse_poly
 from tjl.quaternion import (
     AlgebraParams,
+    LocalReduction,
     OrderElement,
     ReductionError,
     gram_determinant,
@@ -236,3 +241,187 @@ def test_parse_place_compatibility():
     F = gf(3)
     assert parse_poly(F, "t-1") == Poly(F, (2, 1))
     assert parse_poly(F, "t^2+1") == Poly(F, (1, 0, 1))
+
+
+# -- the shared-denominator kernels against per-coordinate RatFunc formulas --
+
+
+def _ref_mul(x, y):
+    F = x.alg.field
+    eps = RatFunc.constant(F, x.alg.eps)
+    t = RatFunc.t_power(F, 1)
+    a, b, c, d = x.coords()
+    e, f, g, h = y.coords()
+    return OrderElement(
+        x.alg,
+        a * e + eps * b * f + t * c * g - eps * t * d * h,
+        a * f + b * e - t * c * h + t * d * g,
+        a * g + c * e + eps * b * h - eps * d * f,
+        a * h + d * e + b * g - c * f,
+    )
+
+
+def _ref_nrd(x):
+    F = x.alg.field
+    eps = RatFunc.constant(F, x.alg.eps)
+    t = RatFunc.t_power(F, 1)
+    a, b, c, d = x.coords()
+    return a * a - eps * b * b - t * c * c + eps * t * d * d
+
+
+def _ref_inverse(x):
+    return x.conj().scale(_ref_nrd(x).inverse())
+
+
+def _random_den(F, rng, places):
+    """1, c*t^k, pi^k or t^k * pi^l, so coordinates disagree."""
+    kind = rng.randrange(4)
+    k = rng.randrange(1, 4)
+    if kind == 0:
+        return Poly.one(F)
+    if kind == 1:
+        return Poly.t_power(F, k).scale(rng.randrange(1, F.q))
+    pi = places[rng.randrange(len(places))]
+    pik = Poly.one(F)
+    for _ in range(rng.randrange(1, 3)):
+        pik = pik * pi
+    return pik if kind == 2 else pik * Poly.t_power(F, k)
+
+
+def _rational_element(alg, rng):
+    F = alg.field
+    places = [p for p in monic_irreducibles(F, 2) if p != Poly.t(F)]
+    coords = []
+    for _ in range(4):
+        if rng.randrange(5) == 0:
+            coords.append(RatFunc.zero(F))
+            continue
+        num = Poly(F, tuple(rng.randrange(F.q) for _ in range(rng.randrange(1, 4))))
+        coords.append(RatFunc(num, _random_den(F, rng, places)))
+    return OrderElement(alg, *coords)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_shared_denominator_kernels_match_per_coordinate_formulas(q):
+    alg = AlgebraParams(q)
+    rng = random.Random(500 + q)
+    F = alg.field
+    t2 = RatFunc.t_power(F, -2)
+    for _ in range(60):
+        x, y = _rational_element(alg, rng), _rational_element(alg, rng)
+        # equal denominators on every coordinate, and mixed t-powers
+        same = x.scale(t2)
+        for u, v in ((x, y), (y, x), (same, y), (x, same),
+                     (random_element(alg, rng, denom=1), random_element(alg, rng))):
+            assert u * v == _ref_mul(u, v)
+        for u in (x, y, same):
+            n = u.nrd()
+            assert n == _ref_nrd(u)
+            if u.is_zero():
+                continue
+            assert u.inverse() == _ref_inverse(u)
+            assert u.inverse(n) == _ref_inverse(u)
+        assert (x * y).nrd() == x.nrd() * y.nrd()
+
+
+def _ref_reduce_at_zero(x):
+    """v_t(nrd x), and the residue of j^{-k} x with its norm checked on a
+    second full norm."""
+    alg = x.alg
+    k = _ref_nrd(x).t_valuation()
+    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
+    jinv = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
+    for _ in range(abs(k)):
+        y = _ref_mul(y, jinv if k > 0 else OrderElement.j(alg))
+    y = _ref_mul(y, x)
+    K = alg.residue
+    u = K.element(y.a.value_at_zero(), y.b.value_at_zero())
+    assert K.norm(u) == _ref_nrd(y).value_at_zero()
+    return LocalReduction("zero", k, u, K.dlog(u))
+
+
+def test_reduce_at_zero_at_odd_and_negative_valuations():
+    for q in (3, 5, 7):
+        alg = AlgebraParams(q)
+        rng = random.Random(600 + q)
+        seen = set()
+        j = OrderElement.j(alg)
+        jinv = j.inverse()
+        for _ in range(40):
+            x = _rational_element(alg, rng)
+            if x.is_zero():
+                continue
+            for shift in (j, jinv, jinv * jinv * jinv):
+                z = shift * x
+                red = reduce_at_zero(z)
+                assert red == _ref_reduce_at_zero(z)
+                seen.add((red.k < 0, red.k % 2))
+        assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_reduce_at_zero_rejects_a_wrong_residue_norm(monkeypatch):
+    # a residue whose norm disagrees with nrd(x) trips the cross-check
+    alg = AlgebraParams(3)
+    K = alg.residue
+    monkeypatch.setattr(type(K), "norm", lambda self, u: 0)
+    with pytest.raises(ReductionError, match="residue norm"):
+        reduce_at_zero(OrderElement.j(alg))
+
+
+# -- certificate checks that python -O keeps --------------------------------
+
+
+def _fake_reduce(x):
+    return LocalReduction("zero", 1, x.alg.residue.one, 0)
+
+
+CERTIFICATE_TAMPERING = {
+    "reduce_homomorphism_check": (
+        lambda mp, alg: mp.setattr(quaternion, "reduce_at_zero", _fake_reduce),
+        lambda alg: reduce_homomorphism_check(
+            alg, [(OrderElement.j(alg), OrderElement.j(alg))])),
+    "gram_determinant": (
+        lambda mp, alg: mp.setattr(OrderElement, "trd",
+                                   lambda self: self.a + self.b + self.c),
+        gram_determinant),
+    "maximality_certificate": (
+        lambda mp, alg: mp.setattr(quaternion, "gram_determinant",
+                                   lambda alg: RatFunc.one(alg.field)),
+        maximality_certificate),
+    "ramification_certificate": (
+        lambda mp, alg: mp.setattr(quaternion, "split_certificate",
+                                   lambda alg, pi: None),
+        ramification_certificate),
+    "unit_congruence_certificate": (
+        lambda mp, alg: mp.setattr(OrderElement, "in_K1_infinity",
+                                   lambda self: True),
+        unit_congruence_certificate),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_TAMPERING))
+def test_tampered_certificates_raise_falsification(monkeypatch, name):
+    tamper, check = CERTIFICATE_TAMPERING[name]
+    alg = AlgebraParams(3)
+    tamper(monkeypatch, alg)
+    with pytest.raises(FalsificationError) as exc:
+        check(alg)
+    assert str(exc.value)
+
+
+def test_tampered_maximality_certificate_fails_under_dash_O():
+    script = (
+        "import sys\n"
+        "import tjl.quaternion as Q\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "alg = Q.AlgebraParams(3)\n"
+        "Q.gram_determinant = lambda alg: Q.RatFunc.one(alg.field)\n"
+        "try:\n"
+        "    Q.maximality_certificate(alg)\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'Gram determinant' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
