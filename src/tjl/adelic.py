@@ -868,9 +868,6 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
             label = comp.sp.identify_left_coset(comp.mat)
             w = ws.by_left[label].element
             rho = rho * state.right_divide(w)
-        if not comp.is_unit():
-            raise FactorizationError(f"peeling at {format_poly(pi)} left a "
-                                     f"non-unit component")
     # balance infinity with a global Teichmueller times a j-power
     r = reduce_at_infinity(state.infinity)
     K = alg.residue

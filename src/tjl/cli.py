@@ -35,7 +35,6 @@ from .adelic import (
 )
 from .cyclotomic import NotRationalError
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
-from .linalg import InconsistentSystemError
 from .metacyclic import (
     GroupParams,
     IrrepLabel,
@@ -47,6 +46,7 @@ from .metacyclic import (
 )
 from .quaternion import AlgebraParams, OrderElement, ReductionError
 from .spectral import (
+    InconsistentSystemError,
     NeedsMorePlacesError,
     projective_basis,
     verify_claim,
@@ -140,11 +140,13 @@ def cmd_irreps(args) -> int:
     G = gamma(args.q, args.n, args.level)
     labels, reps, sizes, rows = character_table(G)
     square_sum = sum(lb.dim ** 2 for lb in labels)
+    # <b, a> is the conjugate of <a, b>, and both must be rational (else
+    # NotRationalError), so the pairs i <= j decide orthonormality
     ortho = True
     for i, ra in enumerate(rows):
-        for j, rb in enumerate(rows):
+        for j in range(i, len(rows)):
             want = Fraction(1 if i == j else 0)
-            if character_inner(G, ra, rb, sizes) != want:
+            if character_inner(G, ra, rows[j], sizes) != want:
                 ortho = False
     classes = G.conjugacy_classes()
     multiplicity = []

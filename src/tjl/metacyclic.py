@@ -280,25 +280,28 @@ class Irrep:
     def dim(self) -> int:
         return self.f
 
-    def _zeta_M(self, e: int) -> Cyc:
-        M = self.group.M
-        return Cyc.zeta(self.m, (self.m // M) * (e % M))
-
-    def _zeta_twist(self, j: int) -> Cyc:
-        return Cyc.zeta(self.m, (self.m // self.s_modulus) * (j % self.s_modulus))
-
-    def matrix(self, g: Element) -> list[list[Cyc]]:
-        """The representing matrix, rows indexed like columns by basis tags."""
+    def monomial(self, g: Element) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The representing matrix as (perm, exps): column j holds
+        zeta_m^exps[j] in row perm[j], exponents reduced mod m.  The tag
+        of column j picks the abelian character, and the twist is paid
+        once per wraparound of the cyclic shift."""
         k, e = g
         k %= self.group.R
+        f, m, M, sm = self.f, self.m, self.group.M, self.s_modulus
+        perm = tuple((j + k) % f for j in range(f))
+        exps = tuple(((m // sm) * (self.s * ((j + k) // f) % sm)
+                      + (m // M) * (e * self.tags[j] % M)) % m
+                     for j in range(f))
+        return perm, exps
+
+    def matrix(self, g: Element) -> list[list[Cyc]]:
+        """The dense expansion of monomial(g), rows indexed like columns by
+        basis tags."""
+        perm, exps = self.monomial(g)
         zero = Cyc.zero(self.m)
         out = [[zero] * self.f for _ in range(self.f)]
-        for j in range(self.f):
-            i = (j + k) % self.f
-            wraps = (j + k) // self.f
-            out[i][j] = self._zeta_twist(self.s * wraps) * self._zeta_M(
-                e * self.tags[j]
-            )
+        for j, (i, x) in enumerate(zip(perm, exps)):
+            out[i][j] = Cyc.zeta(self.m, x)
         return out
 
     def character(self, g: Element) -> Cyc:

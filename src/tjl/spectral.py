@@ -5,16 +5,25 @@ right action of the group at infinity.
 The sigma-isotypic part of the left action is modeled by the intertwiner
 space Hom(V_sigma, C(Gamma)); its canonical basis A^(i) sends v to the
 function x -> (sigma(x^{-1}) v)_i, so every right translation R_h acts on
-the basis through the closed form sigma(h^{-1})^T.  Hecke operators are
-sums of those over witness reductions.  The space splits into lines under
-the unit group at infinity, lines group into blocks by their exact Hecke
-eigensystems, and each block must carry an irreducible representation of
-the group at infinity; at level zero a single block per sigma is expected,
-with orbit negated relative to sigma.
+the basis through the closed form sigma(h^{-1})^T.  Every sigma(g) is a
+monomial matrix, held as (perm, exps): column j holds zeta_m^exps[j] in
+row perm[j].  Products and transposes of such matrices compose
+permutations and add exponents, so the whole stage runs on integers and
+builds a Cyc only for a finished sum.
+
+The unit group at infinity acts diagonally in the tag basis, so its lines
+are coordinate lines.  A Hecke operator is a sum of right translations
+over witness reductions; its action on a line is one exponent histogram
+per target coordinate, and every off-diagonal histogram must vanish.  The
+lines group into blocks by their exact Hecke eigensystems, and each block
+must carry an irreducible representation of the group at infinity; at
+level zero a single block per sigma is expected, with orbit negated
+relative to sigma.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .adelic import (
@@ -27,16 +36,6 @@ from .adelic import (
 )
 from .cyclotomic import Cyc
 from .funcfield import Poly, format_poly
-from .linalg import (
-    Matrix,
-    Vector,
-    kernel_basis,
-    mat_eq,
-    mat_mul,
-    mat_vec,
-    restrict_operator,
-    transpose,
-)
 from .metacyclic import (
     Gamma,
     GroupParams,
@@ -50,10 +49,38 @@ from .quaternion import AlgebraParams
 from .tame import enumerate_A_tame, infinity_prediction, TameParam
 
 Element = tuple[int, int]
+Monomial = tuple[tuple[int, ...], tuple[int, ...]]
+Vector = list[Cyc]
 
 
 class NeedsMorePlacesError(RuntimeError):
     """The supplied places do not separate the eigensystems."""
+
+
+class InconsistentSystemError(ValueError):
+    """An operator does not keep a subspace it must keep."""
+
+
+def _require(ok: bool, message: str) -> None:
+    """A check that python -O cannot remove."""
+    if not ok:
+        raise FalsificationError(message)
+
+
+def _compose(a: Monomial, b: Monomial, m: int) -> Monomial:
+    """The product a*b: column j of b lands in row pb[j], which a sends to
+    row pa[pb[j]]; the roots of unity multiply."""
+    (pa, ea), (pb, eb) = a, b
+    return (tuple(pa[i] for i in pb),
+            tuple((ea[i] + x) % m for i, x in zip(pb, eb)))
+
+
+def _transpose(a: Monomial) -> Monomial:
+    perm, exps = a
+    tp, te = [0] * len(perm), [0] * len(perm)
+    for j, (i, x) in enumerate(zip(perm, exps)):
+        tp[i], te[i] = j, x
+    return tuple(tp), tuple(te)
 
 
 # -- the intertwiner space --------------------------------------------
@@ -61,7 +88,9 @@ class NeedsMorePlacesError(RuntimeError):
 
 class HomSpace:
     """Basis of the space of maps V_sigma -> C(Gamma) commuting with the
-    left translation action; dimension dim(sigma)."""
+    left translation action; dimension dim(sigma).  basis[xi] is the
+    monomial sigma(x^{-1}) at the xi-th group element x, and basis
+    intertwiner i takes its values in row i."""
 
     def __init__(self, group: Gamma, label: IrrepLabel):
         self.group = group
@@ -69,75 +98,63 @@ class HomSpace:
         self.irrep = Irrep(group, label)
         self.f = self.irrep.dim
         self.order = group.cyc_order
-        els = group.elements()
-        self.element_list = els
-        inv_mats = {x: self.irrep.matrix(group.inv(x)) for x in els}
-        # basis intertwiner i as a |Gamma| x f array of function values
-        self.basis = [[[inv_mats[x][i][j] for j in range(self.f)]
-                       for x in els] for i in range(self.f)]
-        self._ops: dict[Element, Matrix] = {}
-        self._verify_intertwining(inv_mats)
+        self.element_list = group.elements()
+        self.basis = [self.irrep.monomial(group.inv(x))
+                      for x in self.element_list]
+        self._ops: dict[Element, Monomial] = {}
+        self._verify_intertwining()
         self._verify_dimension()
 
-    def _verify_intertwining(self, inv_mats) -> None:
+    def _verify_intertwining(self) -> None:
         """Each basis element solves the equivariance system
-        A(sigma(g) v)(x) = A(v)(g^{-1} x) for the two generators."""
+        A(sigma(g) v)(x) = A(v)(g^{-1} x) for the two generators and every
+        x, that is sigma(x^{-1}) sigma(g) = sigma(x^{-1} g)."""
         G = self.group
         for gen in ((1, 0), (0, 1)):
-            sg = self.irrep.matrix(gen)
-            for T in self.basis:
-                lhs = mat_mul(T, sg)
-                for xi, x in enumerate(self.element_list):
-                    shifted = T[G.element_index(G.mul(G.inv(gen), x))]
-                    assert all(a == b for a, b in zip(lhs[xi], shifted)), (
-                        "intertwining system violated")
+            sg = self.irrep.monomial(gen)
+            back = G.inv(gen)
+            for x, at_x in zip(self.element_list, self.basis):
+                shifted = self.basis[G.element_index(G.mul(back, x))]
+                if _compose(at_x, sg, self.order) != shifted:
+                    raise FalsificationError(
+                        f"intertwining system violated at {x} for the "
+                        f"generator {gen}")
 
     def _verify_dimension(self) -> None:
         """The multiplicity of sigma in the left regular module is f, and
         the basis is independent (its values at the identity are the
         identity matrix)."""
         G = self.group
-        idx = G.element_index(G.identity)
-        for i, T in enumerate(self.basis):
-            for j in range(self.f):
-                want = 1 if i == j else 0
-                assert T[idx][j] == Cyc.from_rational(self.order, want)
+        at_identity = self.basis[G.element_index(G.identity)]
+        _require(at_identity == (tuple(range(self.f)), (0,) * self.f),
+                 "the basis is not the identity at the identity element")
         classes = G.conjugacy_classes()
         reg = [Cyc.from_rational(self.order, G.order if len(c) == 1
                                  and c[0] == G.identity else 0)
                for c in classes]
         sig = [self.irrep.character(c[0]) for c in classes]
         mult = character_inner(G, reg, sig, [len(c) for c in classes])
-        assert mult == self.f, "regular-module multiplicity mismatch"
+        _require(mult == self.f, "regular-module multiplicity mismatch")
 
-    def op_right(self, g: Element) -> Matrix:
+    def op_right(self, g: Element) -> Monomial:
         """Matrix of the right translation R_g on the basis: the function
         x -> F(xg) corresponds to sigma(g^{-1})^T acting on coefficients."""
         g = (g[0] % self.group.R, g[1] % self.group.M)
         if g not in self._ops:
-            self._ops[g] = transpose(self.irrep.matrix(self.group.inv(g)))
+            self._ops[g] = _transpose(
+                self.irrep.monomial(self.group.inv(g)))
         return self._ops[g]
-
-    def op_sum(self, shifts: list[Element]) -> Matrix:
-        acc = self.op_right(shifts[0])
-        for g in shifts[1:]:
-            acc = [[a + b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(acc, self.op_right(g))]
-        return acc
 
     def verify_operator_realization(self, g: Element) -> None:
         """Cross-check the closed form against a direct application of R_g
-        to the basis functions."""
+        to the basis functions: op_right(g)^T sigma(x^{-1}) must be
+        sigma((xg)^{-1}) for every x."""
         G = self.group
-        C = self.op_right(g)
-        for i, T in enumerate(self.basis):
-            for xi, x in enumerate(self.element_list):
-                moved = T[G.element_index(G.mul(x, g))]
-                for j in range(self.f):
-                    acc = Cyc.zero(self.order)
-                    for k in range(self.f):
-                        acc = acc + C[k][i] * self.basis[k][xi][j]
-                    assert acc == moved[j], "operator realization mismatch"
+        C = _transpose(self.op_right(g))
+        for x, at_x in zip(self.element_list, self.basis):
+            moved = self.basis[G.element_index(G.mul(x, g))]
+            _require(_compose(C, at_x, self.order) == moved,
+                     "operator realization mismatch")
 
 
 def hom_space(group: Gamma, label: IrrepLabel) -> HomSpace:
@@ -222,8 +239,8 @@ def _phi(g: Element, R: int) -> Element:
     return ((-g[0]) % R, g[1])
 
 
-def _zeta_power(order: int, M: int, c: int) -> Cyc:
-    return Cyc.zeta(order, (order // M) * (c % M))
+def _unit_vector(f: int, j: int, order: int) -> Vector:
+    return [Cyc.from_rational(order, 1 if i == j else 0) for i in range(f)]
 
 
 def decompose(alg: AlgebraParams, label: IrrepLabel,
@@ -247,88 +264,78 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     M, R = G.M, G.R
     order = G.cyc_order
 
-    # lines: the unit group at infinity acts through U with simple spectrum
-    U = hs.op_right((0, 1))
-    lines: dict[int, Vector] = {}
+    # lines: the unit group at infinity acts through U, diagonal in the tag
+    # basis with simple spectrum; line c is the coordinate where U has
+    # the eigenvalue zeta_M^c
+    perm, exps = hs.op_right((0, 1))
+    _require(perm == tuple(range(f)),
+             "the unit group at infinity does not act diagonally")
+    lines: dict[int, int] = {}
     for c in range(M):
-        shifted = [[U[i][j] - (_zeta_power(order, M, c)
-                               if i == j else Cyc.zero(order))
-                    for j in range(f)] for i in range(f)]
-        kern = kernel_basis(shifted)
-        if len(kern) > 1:
+        on_c = [j for j, x in enumerate(exps) if x == (order // M) * c]
+        if len(on_c) > 1:
             raise FalsificationError(
-                f"unit character {c} occurs with multiplicity {len(kern)}")
-        if kern:
-            lines[c] = kern[0]
+                f"unit character {c} occurs with multiplicity {len(on_c)}")
+        if on_c:
+            lines[c] = on_c[0]
     if len(lines) != f:
         raise FalsificationError(
             f"unit characters cover {len(lines)} of {f} dimensions")
 
-    # exact Hecke eigenvalue of every line at every place
-    hecke_ops = []
+    # exact Hecke eigenvalue of every line at every place: the image of
+    # line j, summed over the witness shifts as one histogram per row
+    eigen: dict[int, list[Cyc]] = {c: [] for c in lines}
     for pi in places:
-        shifts = witness_set(alg, pi, depth_bound=depth_bound).shifts(G)
-        hecke_ops.append(hs.op_sum(shifts))
-    eigen: dict[int, list[Cyc]] = {}
-    for c, v in lines.items():
-        pivot = next(i for i, e in enumerate(v) if not e.is_zero())
-        evs = []
-        for pi, op in zip(places, hecke_ops):
-            w = mat_vec(op, v)
-            lam = w[pivot] / v[pivot]
-            for a, b in zip(w, v):
-                if a != lam * b:
-                    raise FalsificationError(
-                        "Hecke operator does not preserve a unit line")
-            if not lam.is_integral():
+        ops = [hs.op_right(g) for g in
+               witness_set(alg, pi, depth_bound=depth_bound).shifts(G)]
+        for c, j in lines.items():
+            rows = [Counter() for _ in range(f)]
+            for op_perm, op_exps in ops:
+                rows[op_perm[j]][op_exps[j]] += 1
+            if any(not Cyc(order, hist).is_zero()
+                   for i, hist in enumerate(rows) if i != j):
                 raise FalsificationError(
-                    f"Hecke eigenvalue {lam.to_json()} at {format_poly(pi)} "
-                    f"is not an algebraic integer")
-            evs.append(lam)
-        eigen[c] = evs
+                    "Hecke operator does not preserve a unit line")
+            eigen[c].append(Cyc(order, rows[j]))
 
     # the Frobenius part of the infinity action permutes lines c -> cq
-    P = hs.op_right((1, 0))
-    for c, v in lines.items():
-        w = mat_vec(P, v)
+    keys = {c: tuple(e.sort_key() for e in evs) for c, evs in eigen.items()}
+    perm, _ = hs.op_right((1, 0))
+    for c, j in lines.items():
         target = (c * alg.q) % M
         if target not in lines:
             raise FalsificationError("Frobenius step leaves the line set")
-        tv = lines[target]
-        pivot = next(i for i, e in enumerate(tv) if not e.is_zero())
-        lam = w[pivot] / tv[pivot]
-        for a, b in zip(w, tv):
-            if a != lam * b:
-                raise FalsificationError("Frobenius step mixes unit lines")
-        if [e.sort_key() for e in eigen[c]] != [e.sort_key()
-                                                for e in eigen[target]]:
+        if perm[j] != lines[target]:
+            raise FalsificationError("Frobenius step mixes unit lines")
+        if keys[c] != keys[target]:
             raise NeedsMorePlacesError(
                 "Frobenius-conjugate lines carry different eigensystems")
 
     # group lines into blocks by their eigensystems, in canonical order
     by_system: dict[tuple, list[int]] = {}
     for c in sorted(lines):
-        key = tuple(e.sort_key() for e in eigen[c])
-        by_system.setdefault(key, []).append(c)
+        by_system.setdefault(keys[c], []).append(c)
     all_labels, reps, sizes, table = character_table(G)
     blocks: list[EigensystemBlock] = []
     for a, key in enumerate(sorted(by_system)):
         chis = by_system[key]
-        basis = [lines[c] for c in chis]
+        block = {lines[c] for c in chis}
         char_row = []
         for rep in reps:
-            mat = restrict_operator(hs.op_right(_phi(rep, R)), basis)
-            tr = mat[0][0]
-            for i in range(1, len(basis)):
-                tr = tr + mat[i][i]
-            char_row.append(tr)
+            op_perm, op_exps = hs.op_right(_phi(rep, R))
+            if any(op_perm[j] not in block for j in block):
+                raise InconsistentSystemError(
+                    f"the infinity action at {rep} does not keep the "
+                    f"block of unit characters {chis}")
+            char_row.append(Cyc(order, Counter(
+                op_exps[j] for j in block if op_perm[j] == j)))
         matches = [lb for lb, row in zip(all_labels, table)
                    if all(a == b for a, b in zip(char_row, row))]
         if not matches:
             norm = character_inner(G, char_row, char_row, sizes)
             if norm > 1:
                 raise NeedsMorePlacesError(
-                    f"block of dimension {len(basis)} is reducible at "
+                    f"block of dimension {len(chis)} is reducible at "
                     f"infinity (character norm {norm})")
             raise FalsificationError(
                 "block character is irreducible but matches no label")
@@ -336,15 +343,16 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
             raise FalsificationError(
                 f"block character matches {len(matches)} labels: {matches}")
         inf_label = matches[0]
-        if inf_label.dim != len(basis):
+        if inf_label.dim != len(chis):
             raise FalsificationError(
-                f"block of dimension {len(basis)} matches {inf_label} of "
+                f"block of dimension {len(chis)} matches {inf_label} of "
                 f"dimension {inf_label.dim}")
         blocks.append(EigensystemBlock(
             a=a,
             places=list(places),
             hecke_eigenvalues=[eigen[chis[0]][i] for i in range(len(places))],
-            lines=[SpectralLine(c, lines[c], eigen[c]) for c in chis],
+            lines=[SpectralLine(c, _unit_vector(f, lines[c], order), eigen[c])
+                   for c in chis],
             infinity_label=inf_label,
         ))
     return blocks
@@ -380,7 +388,8 @@ def verify_claim(alg: AlgebraParams, label: IrrepLabel,
         if len(ext) != len(blocks):
             raise FalsificationError(
                 f"{len(blocks)} eigensystems but {len(ext)} predicted")
-        assert sum(r for _, _, r in ext) == params.n
+        _require(sum(r for _, _, r in ext) == params.n,
+                 f"the tame r-sum of {label} is not n = {params.n}")
     else:
         # one-dimensional sector: a single eigensystem
         if len(blocks) != 1:
@@ -413,11 +422,16 @@ def projective_basis(alg: AlgebraParams, label: IrrepLabel,
     blocks = decompose(alg, label, places)
     lines = [(b.a, line.chi, line.vector)
              for b in blocks for line in b.lines]
-    assert len(lines) == label.dim
-    assert len({(a, chi) for a, chi, _ in lines}) == len(lines)
-    mat = [list(v) for _, _, v in lines]
-    from .linalg import rank
-    assert rank(mat) == label.dim, "projective lines do not span"
+    _require(len(lines) == label.dim,
+             f"{len(lines)} projective lines for dimension {label.dim}")
+    _require(len({(a, chi) for a, chi, _ in lines}) == len(lines),
+             "two projective lines carry the same (block, chi) label")
+    # coordinate lines span exactly when their coordinates are distinct
+    supports = {tuple(j for j, c in enumerate(v) if not c.is_zero())
+                for _, _, v in lines}
+    _require(len(supports) == label.dim
+             and all(len(s) == 1 for s in supports),
+             "projective lines do not span")
     return ProjectiveBasis(label, lines)
 
 
@@ -433,7 +447,8 @@ def eigenvalue_table(alg: AlgebraParams, label: IrrepLabel,
         base = sorted(witness_set(alg, pi).shifts(G))
         conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
         again = sorted(witness_set(alg, pi, split=conj).shifts(G))
-        assert base == again, "witness reductions depend on the splitting"
+        _require(base == again, f"witness reductions at {format_poly(pi)} "
+                 f"depend on the splitting")
     out = []
     for b in blocks:
         for pi, v in zip(b.places, b.hecke_eigenvalues):
@@ -445,17 +460,20 @@ def eigenvalue_table(alg: AlgebraParams, label: IrrepLabel,
 def verify_bimodule(group: Gamma) -> dict:
     """Left and right translations commute elementwise, and the commutant
     of the left action has dimension equal to the group order: the count
-    of diagonal orbits on Gamma x Gamma, free hence |Gamma| of them."""
+    of diagonal orbits on Gamma x Gamma, free hence |Gamma| of them.
+    Both actions are generated by the two generators, so commuting on
+    every pair of generators at every x is commuting everywhere."""
     els = group.elements()
-    import random as _random
-    rng = _random.Random(7)
-    for _ in range(20):
-        g = els[rng.randrange(len(els))]
-        h = els[rng.randrange(len(els))]
-        x = els[rng.randrange(len(els))]
-        lhs = group.mul(group.mul(group.inv(g), x), h)
-        rhs = group.mul(group.inv(g), group.mul(x, h))
-        assert lhs == rhs
+    gens = ((1 % group.R, 0), (0, 1 % group.M))
+    for g in gens:
+        for h in gens:
+            for x in els:
+                lhs = group.mul(group.mul(group.inv(g), x), h)
+                rhs = group.mul(group.inv(g), group.mul(x, h))
+                if lhs != rhs:
+                    raise FalsificationError(
+                        f"left translation by {g} and right translation "
+                        f"by {h} do not commute at {x}")
     seen = set()
     orbits = 0
     for x in els:
@@ -469,8 +487,10 @@ def verify_bimodule(group: Gamma) -> dict:
                 if pair not in seen:
                     seen.add(pair)
                     size += 1
-            assert size == group.order, "diagonal action is not free"
-    assert orbits == group.order
+            _require(size == group.order, "diagonal action is not free")
+    _require(orbits == group.order,
+             f"{orbits} diagonal orbits, not |Gamma| = {group.order}")
     total = sum(lb.dim ** 2 for lb in enumerate_irreps(group))
-    assert total == group.order
+    _require(total == group.order,
+             f"irrep dimensions square-sum to {total}, not {group.order}")
     return {"commutant_dimension": orbits, "square_sum": total}

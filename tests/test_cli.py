@@ -14,8 +14,8 @@ import tjl.cli as cli
 from tjl.adelic import FactorizationError
 from tjl.cli import run, main
 from tjl.cyclotomic import NotRationalError
-from tjl.linalg import InconsistentSystemError
 from tjl.quaternion import ReductionError
+from tjl.spectral import InconsistentSystemError
 
 
 def invoke(capsys, *argv):
@@ -221,6 +221,17 @@ def test_thread_count_does_not_change_bytes(tmp_path):
         [sys.executable, "-m", "tjl.cli", "orbits", "--q", "3", "--n", "2"],
         capture_output=True, env=env)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv", [("verify", "--q", "3"),
+                                  ("basis", "--q", "3", "--sigma", "1:0")])
+def test_python_O_does_not_change_bytes(argv):
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "tjl.cli", *argv],
+                              capture_output=True, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

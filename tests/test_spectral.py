@@ -1,15 +1,30 @@
 """Spectral decomposition: intertwiner spaces, Hecke eigensystems, blocks,
 infinity labels, and the projective basis of eigenlines."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from tjl.funcfield import parse_poly
-from tjl.metacyclic import GroupParams, IrrepLabel, enumerate_irreps, gamma
+from tjl.cyclotomic import Cyc
+from tjl import spectral
+from tjl.metacyclic import (
+    Gamma,
+    GroupParams,
+    Irrep,
+    IrrepLabel,
+    enumerate_irreps,
+    gamma,
+)
 from tjl.quaternion import AlgebraParams
 from tjl.adelic import default_places, group_of
 from tjl.spectral import (
+    FalsificationError,
+    HomSpace,
+    InconsistentSystemError,
+    NeedsMorePlacesError,
     decompose,
     eigenvalue_table,
     hom_space,
@@ -26,6 +41,24 @@ def _places_q3():
     return [parse_poly(F, name) for name in ("t-1", "t+1", "t^2+1")]
 
 
+def _dense(mono):
+    """The monomial (perm, exps) of Gamma(3, 2, 1) as a dense Cyc matrix."""
+    perm, exps = mono
+    out = [[Cyc.zero(8)] * len(perm) for _ in perm]
+    for j, (i, x) in enumerate(zip(perm, exps)):
+        out[i][j] = Cyc.zeta(8, x)
+    return out
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _mat_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Cyc.zero(8))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
 def _rational(v):
     assert v.is_rational()
     return v.to_rational()
@@ -36,7 +69,8 @@ def test_hom_space_dimensions():
     for label in enumerate_irreps(G):
         hs = hom_space(G, label)
         assert hs.f == label.dim
-        assert len(hs.basis) == label.dim
+        # basis intertwiner i takes its values in row i of each monomial
+        assert all(len(perm) == label.dim for perm, _ in hs.basis)
 
 
 def test_hom_space_operator_realization():
@@ -51,15 +85,18 @@ def test_right_operators_form_a_homomorphism():
     G = gamma(3, 2, 1)
     label = next(l for l in enumerate_irreps(G) if l.dim == 2)
     hs = hom_space(G, label)
+    rep = Irrep(G, label)
     import random
     rng = random.Random(11)
     els = G.elements()
-    from tjl.linalg import mat_eq, mat_mul
+    for g in els:
+        # the closed form is sigma(g^{-1})^T, built here from the dense model
+        assert _dense(hs.op_right(g)) == _transpose(rep.matrix(G.inv(g)))
     for _ in range(15):
         g = els[rng.randrange(len(els))]
         h = els[rng.randrange(len(els))]
-        assert mat_eq(mat_mul(hs.op_right(g), hs.op_right(h)),
-                      hs.op_right(G.mul(g, h)))
+        assert _mat_mul(_dense(hs.op_right(g)), _dense(hs.op_right(h))) \
+            == _dense(hs.op_right(G.mul(g, h)))
 
 
 def test_eigensystem_table_q3_frozen():
@@ -184,3 +221,214 @@ def test_bimodule_commutant():
         G = gamma(q, 2, level)
         assert out["commutant_dimension"] == G.order
         assert out["square_sum"] == G.order
+
+
+# -- checks that python -O keeps, and tamper tests that trip them --------
+
+SIGMA = IrrepLabel((1, 3), 0)   # dim 2; U = diag(zeta^7, zeta^5) at q = 3
+
+
+def test_no_assert_statements():
+    # a check written as assert would vanish under python -O
+    import ast
+    import tjl.quaternion
+    import tjl.spectral
+    for module in (tjl.spectral, tjl.quaternion):
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+        assert lines == [], f"{module.__name__} asserts at lines {lines}"
+
+
+def _tamper_ops(monkeypatch, fakes):
+    """HomSpace.op_right returns fakes[g] where given."""
+    real = HomSpace.op_right
+    monkeypatch.setattr(HomSpace, "op_right",
+                        lambda self, g: fakes.get(g) or real(self, g))
+
+
+def _extra_shifts(monkeypatch, extra):
+    """Every witness set gains the given shifts."""
+    real = spectral.witness_set
+
+    class Shifted:
+        def __init__(self, ws):
+            self.ws = ws
+
+        def shifts(self, group):
+            return self.ws.shifts(group) + extra
+
+    monkeypatch.setattr(spectral, "witness_set",
+                        lambda *a, **k: Shifted(real(*a, **k)))
+
+
+def _tamper_table(monkeypatch, edit):
+    """character_table(G) returns edit(labels, reps, sizes, rows)."""
+    real = spectral.character_table
+    monkeypatch.setattr(spectral, "character_table",
+                        lambda G: edit(*real(G)))
+
+
+def _decompose_q3(level=1):
+    # every witness shift at t^2+1 lies in the abelian part, so tampering
+    # with R_(1,0) leaves the Hecke operator alone
+    alg = AlgebraParams(3, level=level)
+    return decompose(alg, SIGMA, [parse_poly(alg.field, "t^2+1")])
+
+
+def test_tamper_unit_group_not_diagonal(monkeypatch):
+    _tamper_ops(monkeypatch, {(0, 1): ((1, 0), (7, 5))})
+    with pytest.raises(FalsificationError, match="does not act diagonally"):
+        _decompose_q3()
+
+
+def test_tamper_unit_character_multiplicity(monkeypatch):
+    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (7, 7))})
+    with pytest.raises(FalsificationError, match="multiplicity 2"):
+        _decompose_q3()
+
+
+def test_tamper_unit_character_coverage(monkeypatch):
+    # at level 3 the cyclotomic order is 24 = 3 M, so exponent 16 is no
+    # unit character zeta_M^c
+    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (21, 16))})
+    with pytest.raises(FalsificationError, match="cover 1 of 2"):
+        _decompose_q3(level=3)
+
+
+def test_tamper_hecke_leaves_a_line(monkeypatch):
+    # R_(1,0) swaps the two coordinate lines
+    _extra_shifts(monkeypatch, [(1, 0)])
+    with pytest.raises(FalsificationError, match="does not preserve"):
+        _decompose_q3()
+
+
+def test_tamper_frobenius_leaves_line_set(monkeypatch):
+    # lines 6 and 7: 6q = 2 mod 8 is no line
+    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (7, 6))})
+    with pytest.raises(FalsificationError, match="leaves the line set"):
+        _decompose_q3()
+
+
+def test_tamper_frobenius_mixes_lines(monkeypatch):
+    _tamper_ops(monkeypatch, {(1, 0): ((0, 1), (0, 0))})
+    with pytest.raises(FalsificationError, match="mixes unit lines"):
+        _decompose_q3()
+
+
+def test_tamper_conjugate_lines_split(monkeypatch):
+    # R_(0,1) adds zeta^7 to line 7 and zeta^5 to line 5
+    _extra_shifts(monkeypatch, [(0, 1)])
+    with pytest.raises(NeedsMorePlacesError, match="Frobenius-conjugate"):
+        _decompose_q3()
+
+
+def test_tamper_block_not_invariant(monkeypatch):
+    # lines 0 and 4 are Frobenius-fixed, a fixed Frobenius step keeps them,
+    # and an extra shift separates their eigenvalues: two one-line blocks,
+    # which R_(1,1) swaps
+    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (0, 4)),
+                              (1, 0): ((0, 1), (0, 0))})
+    _extra_shifts(monkeypatch, [(0, 1)])
+    with pytest.raises(InconsistentSystemError, match="does not keep"):
+        _decompose_q3()
+
+
+BLOCK_LABEL = IrrepLabel((5, 7), 0)
+
+
+def _without_block_label(labels, reps, sizes, rows):
+    kept = [(lb, row) for lb, row in zip(labels, rows) if lb != BLOCK_LABEL]
+    return [lb for lb, _ in kept], reps, sizes, [row for _, row in kept]
+
+
+def test_tamper_block_matches_no_label(monkeypatch):
+    _tamper_table(monkeypatch, _without_block_label)
+    with pytest.raises(FalsificationError, match="matches no label"):
+        _decompose_q3()
+
+
+def test_tamper_block_reducible(monkeypatch):
+    # doubled class sizes double every character norm
+    def edit(labels, reps, sizes, rows):
+        labels, reps, sizes, rows = _without_block_label(
+            labels, reps, sizes, rows)
+        return labels, reps, [2 * s for s in sizes], rows
+
+    _tamper_table(monkeypatch, edit)
+    with pytest.raises(NeedsMorePlacesError, match="reducible at infinity"):
+        _decompose_q3()
+
+
+def test_tamper_block_matches_two_labels(monkeypatch):
+    def edit(labels, reps, sizes, rows):
+        row = rows[labels.index(BLOCK_LABEL)]
+        return (*labels, IrrepLabel((9, 9), 0)), reps, sizes, (*rows, row)
+
+    _tamper_table(monkeypatch, edit)
+    with pytest.raises(FalsificationError, match="matches 2 labels"):
+        _decompose_q3()
+
+
+def test_tamper_block_label_dimension(monkeypatch):
+    def edit(labels, reps, sizes, rows):
+        relabel = {BLOCK_LABEL: IrrepLabel((0,), 0)}
+        return [relabel.get(lb, lb) for lb in labels], reps, sizes, rows
+
+    _tamper_table(monkeypatch, edit)
+    with pytest.raises(FalsificationError, match="of dimension 1"):
+        _decompose_q3()
+
+
+def test_tamper_intertwining(monkeypatch):
+    real = Irrep.monomial
+
+    def bent(self, g):
+        perm, exps = real(self, g)
+        if g == (1, 5):
+            exps = ((exps[0] + 1) % self.m,) + exps[1:]
+        return perm, exps
+
+    monkeypatch.setattr(Irrep, "monomial", bent)
+    with pytest.raises(FalsificationError, match="intertwining"):
+        hom_space(gamma(3, 2, 1), SIGMA)
+
+
+def test_tamper_operator_realization(monkeypatch):
+    hs = hom_space(gamma(3, 2, 1), SIGMA)
+    hs.verify_operator_realization((1, 1))
+    perm, exps = hs.op_right((1, 1))
+    hs._ops[(1, 1)] = (perm, (exps[0], (exps[1] + 4) % 8))
+    with pytest.raises(FalsificationError, match="realization"):
+        hs.verify_operator_realization((1, 1))
+
+
+def test_tamper_bimodule_commutation():
+    G = Gamma(3, 2, 1)   # a private instance: the cached group stays intact
+    real = G.mul
+    G.mul = lambda g, h: (0, 0) if (g, h) == ((1, 3), (0, 1)) else real(g, h)
+    with pytest.raises(FalsificationError, match="do not commute"):
+        verify_bimodule(G)
+
+
+def test_tamper_trips_under_python_O():
+    # _require is an if, not an assert, so -O keeps the check
+    script = (
+        "from tjl import spectral\n"
+        "from tjl.funcfield import parse_poly\n"
+        "from tjl.metacyclic import IrrepLabel\n"
+        "from tjl.quaternion import AlgebraParams\n"
+        "real = spectral.HomSpace.op_right\n"
+        "spectral.HomSpace.op_right = lambda self, g: (\n"
+        "    ((1, 0), (7, 5)) if g == (0, 1) else real(self, g))\n"
+        "alg = AlgebraParams(3)\n"
+        "try:\n"
+        "    spectral.decompose(alg, IrrepLabel((1, 3), 0),\n"
+        "                       [parse_poly(alg.field, 't^2+1')])\n"
+        "except spectral.FalsificationError as exc:\n"
+        "    print('tripped:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("tripped: the unit group at infinity does not "
+                           "act diagonally\n")
