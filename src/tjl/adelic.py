@@ -45,6 +45,7 @@ from .quaternion import (
     _pi_infinity_power,
     reduce_at_infinity,
     reduce_at_zero,
+    residue_field_elements,
     split_certificate,
 )
 
@@ -215,72 +216,47 @@ class SplitPlace:
                 f"{format_poly(self.pi)}")
         return self.identify_right_coset(mat), self.identify_left_coset(mat)
 
-    def residues(self) -> list[Poly]:
-        F = self.alg.field
-        return [Poly(F, coeffs)
-                for coeffs in product(range(F.q), repeat=self.pi.degree)]
-
     def right_coset_labels(self) -> list[tuple]:
-        return [("diag",)] + [("upper", r.coeffs) for r in self.residues()]
+        return [("diag",)] + [("upper", r.coeffs)
+                              for r in residue_field_elements(self.pi)]
 
     def left_coset_labels(self) -> list[tuple]:
-        return [("diag",)] + [("lower", r.coeffs) for r in self.residues()]
+        return [("diag",)] + [("lower", r.coeffs)
+                              for r in residue_field_elements(self.pi)]
 
-    def right_coset_rep(self, label: tuple) -> Mat:
-        F = self.alg.field
-        zero, one = Poly.zero(F), Poly.one(F)
-        if label[0] == "diag":
-            return (one, zero, zero, self.pi)
-        return (self.pi, Poly(F, label[1]), zero, one)
-
-    def left_coset_rep(self, label: tuple) -> Mat:
-        F = self.alg.field
-        zero, one = Poly.zero(F), Poly.one(F)
-        if label[0] == "diag":
-            return (one, zero, zero, self.pi)
-        return (self.pi, zero, Poly(F, label[1]), one)
-
-    def _line(self, v0: Poly, v1: Poly) -> tuple:
-        """The point of the projective line over O/pi spanned by (v0, v1)."""
-        v0, v1 = v0 % self.pi, v1 % self.pi
-        if v1.is_zero():
-            if v0.is_zero():
+    def _coset_label(self, vectors, what: str, kind: str) -> tuple:
+        """The coset named by the one line over O/pi that the vectors
+        nonzero mod pi span: ("diag",) for the line of (1, 0), else
+        (kind, v0/v1 mod pi)."""
+        pi = self.pi
+        labels = set()
+        for v0, v1 in vectors:
+            v0, v1 = v0 % pi, v1 % pi
+            if v1.is_zero():
+                if not v0.is_zero():
+                    labels.add(("diag",))
+                continue
+            g, u, _ = v1.xgcd(pi)
+            if not g.is_one():
                 raise FalsificationError(
-                    f"the zero vector spans no line mod {format_poly(self.pi)}")
-            return ("inf",)
-        g, u, _ = v1.xgcd(self.pi)
-        if not g.is_one():
+                    f"{format_poly(v1)} is not a unit mod {format_poly(pi)}")
+            labels.add((kind, ((v0 * u) % pi).coeffs))
+        if not labels:
+            raise FalsificationError(f"matrix vanishes mod {format_poly(pi)}")
+        if len(labels) > 1:
             raise FalsificationError(
-                f"{format_poly(v1)} is not a unit mod {format_poly(self.pi)}")
-        return ("aff", ((v0 * u) % self.pi).coeffs)
-
-    def _common_line(self, vectors, what: str) -> tuple:
-        """The one line of the vectors that are nonzero mod pi."""
-        lines = [self._line(*v) for v in vectors
-                 if not ((v[0] % self.pi).is_zero()
-                         and (v[1] % self.pi).is_zero())]
-        if not lines:
-            raise FalsificationError(
-                f"matrix vanishes mod {format_poly(self.pi)}")
-        if any(l != lines[0] for l in lines):
-            raise FalsificationError(
-                f"{what} span two lines mod {format_poly(self.pi)}")
-        return lines[0]
+                f"{what} span two lines mod {format_poly(pi)}")
+        return labels.pop()
 
     def identify_right_coset(self, A: Mat) -> tuple:
         """The right coset hK containing the primitive non-unit A,
         determined by the common line of the columns of A mod pi."""
-        line = self._common_line([(A[0], A[2]), (A[1], A[3])], "columns")
-        if line == ("inf",):
-            return ("diag",)
-        return ("upper", line[1])
+        return self._coset_label([(A[0], A[2]), (A[1], A[3])], "columns",
+                                 "upper")
 
     def identify_left_coset(self, A: Mat) -> tuple:
         """The left coset Kh containing A, read off the row line mod pi."""
-        line = self._common_line([(A[0], A[1]), (A[2], A[3])], "rows")
-        if line == ("inf",):
-            return ("diag",)
-        return ("lower", line[1])
+        return self._coset_label([(A[0], A[1]), (A[2], A[3])], "rows", "lower")
 
 
 def standard_conjugator(alg: AlgebraParams) -> Mat:
@@ -324,11 +300,9 @@ class WitnessSet:
                         f"second witness in {side} coset {label} at "
                         f"{format_poly(pi)}")
                 index[label] = w
-        self.depth = max((w.depth for w in witnesses), default=0)
 
     def shifts(self, group: Gamma) -> list[Element]:
-        return [(w.reduction.k % group.R, w.reduction.exponent % group.M)
-                for w in self.witnesses]
+        return [w.reduction.to_gamma(group.R, group.M) for w in self.witnesses]
 
 
 # -- the shared norm-form join ------------------------------------------
@@ -466,7 +440,6 @@ class _PlaceScan:
 
 
 _SCANS: dict = {}
-_WITNESS_CACHE: dict = {}
 
 
 def _place_scan(alg: AlgebraParams, pi: Poly) -> _PlaceScan:
@@ -508,21 +481,13 @@ def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity.  Exactly one witness per right coset and per left
     coset; a collision at any depth raises.  With split, the cosets are
-    read off that model of the algebra at pi."""
-    ws = _WITNESS_CACHE.get((alg, pi)) if split is None else None
-    if ws is None:
-        found = _witnesses_within(alg, pi, depth_bound,
-                                  stop_when_complete=True)
-        if split is not None:
-            found = [w.labeled_in(split) for w in found]
-        ws = _certify(alg, pi, found, depth_bound)
-        if split is None:
-            _WITNESS_CACHE[(alg, pi)] = ws
-    elif ws.depth > depth_bound:
-        # raises, as a cold call with this bound does: a witness is missing
-        _certify(alg, pi, [w for w in ws.witnesses if w.depth <= depth_bound],
-                 depth_bound)
-    return ws
+    read off that model of the algebra at pi.  The depth scans are cached
+    per place, so every call certifies its own list and the depth bound
+    holds whatever was asked before."""
+    found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
+    if split is not None:
+        found = [w.labeled_in(split) for w in found]
+    return _certify(alg, pi, found, depth_bound)
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
@@ -566,13 +531,9 @@ def hecke_matrix(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
     """Sum of the right translations by the witness reductions at pi: a
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
     with every left translation."""
-    G = group_of(alg)
     ws = witness_set(alg, pi, depth_bound=depth_bound, split=split)
-    out = np.zeros((G.order, G.order), dtype=np.int64)
-    for g in ws.shifts(G):
-        for xi, x in enumerate(G.elements()):
-            out[xi][G.element_index(G.mul(x, g))] += 1
-    return out
+    return sum(right_translation_matrix(alg, g)
+               for g in ws.shifts(group_of(alg)))
 
 
 def infinity_action_matrices(alg: AlgebraParams) -> dict:
@@ -582,13 +543,12 @@ def infinity_action_matrices(alg: AlgebraParams) -> dict:
     Products are reversed: act(h) act(h') = act(h' h)."""
     G = group_of(alg)
     r = reduce_at_zero(OrderElement.j(alg))
-    uniformizer = right_translation_matrix(alg, (r.k % G.R, r.exponent % G.M))
+    uniformizer = right_translation_matrix(alg, r.to_gamma(G.R, G.M))
     units = []
     for e in range(G.M):
         w = OrderElement.teichmuller(alg, alg.residue.from_dlog((-e) % G.M))
-        ru = reduce_at_zero(w)
         units.append(right_translation_matrix(
-            alg, (ru.k % G.R, ru.exponent % G.M)))
+            alg, reduce_at_zero(w).to_gamma(G.R, G.M)))
     return {"uniformizer": uniformizer, "units": units}
 
 
@@ -599,14 +559,21 @@ def verify_action_relations(alg: AlgebraParams) -> None:
     G = group_of(alg)
     act = infinity_action_matrices(alg)
     P, U = act["uniformizer"], act["units"]
-    assert (U[0] == np.eye(G.order, dtype=np.int64)).all()
+
+    def require(ok: bool, claim: str) -> None:
+        if not ok:
+            raise FalsificationError(f"the infinity action breaks {claim}")
+
+    require((U[0] == np.eye(G.order, dtype=np.int64)).all(), "act(1) = 1")
     for e in range(G.M):
         for e2 in range(G.M):
-            assert (U[e] @ U[e2] == U[(e + e2) % G.M]).all()
+            require((U[e] @ U[e2] == U[(e + e2) % G.M]).all(),
+                    f"act(u^{e}) act(u^{e2}) = act(u^{e + e2})")
         # act(u) act(P) = act(P u) = act(u^q P) = act(P) act(u^q)
-        assert (U[e] @ P == P @ U[(e * alg.q) % G.M]).all()
+        require((U[e] @ P == P @ U[(e * alg.q) % G.M]).all(),
+                f"P u^{e} = u^{e * alg.q} P")
     sq = right_translation_matrix(alg, (2 % G.R, 0))
-    assert (P @ P == sq).all()  # the square of the uniformizer is t
+    require((P @ P == sq).all(), "P^2 = t")
 
 
 def default_places(alg: AlgebraParams, max_deg: int = 2) -> list[Poly]:
@@ -668,7 +635,7 @@ def factorize(alg: AlgebraParams, desc: AdeleDescription,
     else:
         raise FactorizationError(f"unknown modification kind {desc.kind!r}")
     red = reduce_at_zero(w)
-    return FactorizationResult(w, (red.k % G.R, red.exponent % G.M), red)
+    return FactorizationResult(w, red.to_gamma(G.R, G.M), red)
 
 
 # -- adele states and round-trip recovery ------------------------------
@@ -839,8 +806,7 @@ def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
         mat = tuple(
             Poly(F, tuple(rng.randrange(F.q) for _ in range(span)))
             for _ in range(4))
-        d = sp.det(mat)
-        if not d.is_zero() and d.valuation(sp.pi) == 0:
+        if not (sp.det(mat) % sp.pi).is_zero():
             return mat
 
 
@@ -882,5 +848,4 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
         if not comp.is_unit():
             raise FactorizationError(
                 f"the component at {format_poly(pi)} stopped being a unit")
-    red = reduce_at_zero(state.zero)
-    return (red.k % G.R, red.exponent % G.M), rho
+    return reduce_at_zero(state.zero).to_gamma(G.R, G.M), rho

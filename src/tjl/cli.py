@@ -9,8 +9,8 @@ Python, so threads could not speed it up under the GIL.  TJL_THREADS is
 still read and validated (a positive integer, else exit 2) but changes
 nothing, so the bytes do not depend on it.  Exit codes: 0 success, 1
 falsified invariant (including an internal inconsistency such as a
-non-rational inner product), 2 usage error, 3 resource or search bound
-exceeded.  Every failure writes one JSON line with a non-empty message to
+non-rational inner product, a scalar order mismatch or a failed inverse),
+2 usage error, 3 resource or search bound exceeded.  Every failure writes one JSON line with a non-empty message to
 stderr.
 """
 
@@ -33,7 +33,7 @@ from .adelic import (
     factorize_adele,
     verify_witness_uniqueness,
 )
-from .cyclotomic import NotRationalError
+from .cyclotomic import NotRationalError, OrderMismatchError
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
 from .metacyclic import (
     GroupParams,
@@ -98,12 +98,16 @@ def _check_local(q: int, n: int, level: int) -> None:
             f"{LOCAL_SIZE_CAP}")
 
 
-def _check_adelic(q: int, level: int) -> None:
-    if q not in ODD_PRIME_POWERS:
+def _check_adelic(args) -> None:
+    if args.q not in ODD_PRIME_POWERS:
         raise UsageError(
-            f"adelic commands need an odd prime power q <= 9, got {q}")
-    if level < 1:
-        raise UsageError(f"N must be >= 1, got {level}")
+            f"adelic commands need an odd prime power q <= 9, got {args.q}")
+    if args.level < 1:
+        raise UsageError(f"N must be >= 1, got {args.level}")
+    if args.degree_bound < 1:
+        raise UsageError(f"--degree-bound must be >= 1, got {args.degree_bound}")
+    if getattr(args, "round_trips", 0) < 0:
+        raise UsageError(f"--round-trips must be >= 0, got {args.round_trips}")
 
 
 def _parse_sigma(text: str, group) -> IrrepLabel:
@@ -203,7 +207,7 @@ def cmd_tame(args) -> int:
 
 
 def cmd_brandt(args) -> int:
-    _check_adelic(args.q, args.level)
+    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     pi = _parse_place(alg, args.place)
     T = hecke_matrix(alg, pi, depth_bound=args.depth_bound)
@@ -237,7 +241,7 @@ def _verify_one(alg, label, places, depth_bound):
 
 
 def cmd_verify(args) -> int:
-    _check_adelic(args.q, args.level)
+    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     G = group_of(alg)
     places = default_places(alg, args.degree_bound)
@@ -285,12 +289,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    _check_adelic(args.q, args.level)
+    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     G = group_of(alg)
     label = _parse_sigma(args.sigma, G)
     places = default_places(alg, args.degree_bound)
-    pb = projective_basis(alg, label, places)
+    pb = projective_basis(alg, label, places, args.depth_bound)
     report = {
         "schema_version": SCHEMA_VERSION,
         "q": args.q,
@@ -387,8 +391,8 @@ def run(argv=None) -> int:
         return _fail(3, "resource", exc,
                      hint="raise --degree-bound/--depth-bound")
     except (FalsificationError, AssertionError, NotRationalError,
-            InconsistentSystemError, ReductionError,
-            FactorizationError) as exc:
+            OrderMismatchError, ZeroDivisionError, InconsistentSystemError,
+            ReductionError, FactorizationError) as exc:
         # an exact computation contradicted itself: not the caller's fault
         return _fail(1, "falsification", exc)
     except ValueError as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd
 
 import numpy as np
@@ -58,7 +59,8 @@ def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _poly_mul(a, b) -> tuple:
+    """The product of two dense coefficient sequences (ints or Fractions)."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -69,8 +71,10 @@ def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    """Divide num by the monic integer polynomial den, asserting zero remainder."""
-    assert den[-1] == 1
+    """Divide num by the monic integer polynomial den; a nonzero remainder
+    falsifies the caller's divisibility claim."""
+    if den[-1] != 1:
+        raise FalsificationError(f"divisor {den} is not monic")
     num = list(num)
     dd = len(den) - 1
     quot = [0] * (len(num) - dd)
@@ -81,7 +85,8 @@ def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
         quot[k - dd] = c
         for j, cd in enumerate(den):
             num[k - dd + j] -= c * cd
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise FalsificationError("non-exact polynomial division")
     return quot
 
 
@@ -420,18 +425,8 @@ def _modular_inverse_poly(u: list[Fraction], mod: list[Fraction]) -> list[Fracti
             return [x / c for x in s1]
         q, rem = _frac_poly_divmod(r0, r1)
         r0, r1 = r1, rem
-        qs1 = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, ca in enumerate(q):
-            if ca:
-                for j, cb in enumerate(s1):
-                    if cb:
-                        qs1[i + j] += ca * cb
-        ns = [Fraction(0)] * max(len(s0), len(qs1))
-        for i, c in enumerate(s0):
-            ns[i] += c
-        for i, c in enumerate(qs1):
-            ns[i] -= c
-        s0, s1 = s1, ns
+        s0, s1 = s1, [a - b for a, b in
+                      zip_longest(s0, _poly_mul(q, s1), fillvalue=0)]
 
 
 def inner_product(

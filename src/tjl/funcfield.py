@@ -66,7 +66,11 @@ class GF:
         if self.r == 1:
             self.modulus = None
         else:
-            self.modulus = self._canonical_irreducible()
+            # the first monic irreducible of degree r over F_p, in the
+            # (degree, lex) order of monic_irreducibles
+            self.modulus = next(g.coeffs
+                                for g in monic_irreducibles(gf(self.p), self.r)
+                                if g.degree == self.r)
         self._build_tables()
         self._squares = {self.mul(a, a) for a in range(q)}
 
@@ -78,53 +82,6 @@ class GF:
 
     def _undigits(self, ds) -> int:
         return sum(int(d) % self.p * self.p**i for i, d in enumerate(ds))
-
-    def _canonical_irreducible(self) -> tuple[int, ...]:
-        """Coefficients (c0..c_{r-1}, 1) of the first irreducible monic over F_p."""
-        p, r = self.p, self.r
-        for tail in product(range(p), repeat=r):
-            cand = tuple(tail) + (1,)
-            if self._fp_poly_irreducible(cand):
-                return cand
-        raise AssertionError("no irreducible polynomial found")
-
-    def _fp_poly_irreducible(self, poly: tuple[int, ...]) -> bool:
-        p = self.p
-        deg = len(poly) - 1
-
-        def pmul(a, b):
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                for j, cb in enumerate(b):
-                    out[i + j] = (out[i + j] + ca * cb) % p
-            while out and out[-1] == 0:
-                out.pop()
-            return tuple(out)
-
-        def pmod(a, b):
-            a = list(a)
-            db = len(b) - 1
-            inv_lead = pow(b[-1], p - 2, p)
-            while len(a) - 1 >= db and a:
-                c = a[-1] * inv_lead % p
-                k = len(a) - 1 - db
-                for j, cb in enumerate(b):
-                    a[k + j] = (a[k + j] - c * cb) % p
-                while a and a[-1] == 0:
-                    a.pop()
-            return tuple(a)
-
-        monics = [()]
-        for d in range(1, deg // 2 + 1):
-            for tail in product(range(p), repeat=d):
-                cand = tuple(tail) + (1,)
-                if d == 1 or all(
-                    pmod(cand, g) != () for g in monics if 1 <= len(g) - 1 <= d // 2
-                ):
-                    monics.append(cand)
-                    if pmod(poly, cand) == ():
-                        return False
-        return True
 
     def _build_tables(self):
         q, p, r = self.q, self.p, self.r
@@ -140,19 +97,10 @@ class GF:
                 if r == 1:
                     self._mul[a][b] = a * b % p
                 else:
-                    conv = [0] * (2 * r - 1)
-                    for i, x in enumerate(da):
-                        if x:
-                            for j, y in enumerate(db):
-                                conv[i + j] = (conv[i + j] + x * y) % p
-                    # reduce modulo the canonical irreducible (monic)
-                    for k in range(2 * r - 2, r - 1, -1):
-                        c = conv[k]
-                        if c:
-                            conv[k] = 0
-                            for j in range(r):
-                                conv[k - r + j] = (conv[k - r + j] - c * self.modulus[j]) % p
-                    self._mul[a][b] = self._undigits(conv[:r])
+                    # the product of the residue polynomials mod the modulus
+                    Fp = gf(p)
+                    prod = Poly(Fp, da) * Poly(Fp, db) % Poly(Fp, self.modulus)
+                    self._mul[a][b] = self._undigits(prod.coeffs)
         self._neg = [self._solve_neg(a) for a in range(q)]
         self._inv = [0] * q
         for a in range(1, q):

@@ -416,10 +416,11 @@ def verify_all(alg: AlgebraParams,
 
 
 def projective_basis(alg: AlgebraParams, label: IrrepLabel,
-                     places: list[Poly] | None = None) -> ProjectiveBasis:
+                     places: list[Poly] | None = None,
+                     depth_bound: int = 3) -> ProjectiveBasis:
     """Within each block, the eigenlines of the unit group at infinity:
     all one-dimensional, labeled (block, chi), jointly spanning."""
-    blocks = decompose(alg, label, places)
+    blocks = decompose(alg, label, places, depth_bound)
     lines = [(b.a, line.chi, line.vector)
              for b in blocks for line in b.lines]
     _require(len(lines) == label.dim,

@@ -1,6 +1,7 @@
 """Split places, canonical witnesses, Hecke matrices, and adele round trips."""
 
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -221,6 +222,46 @@ def test_infinity_action_relations():
     verify_action_relations(AlgebraParams(3, level=2))
 
 
+def test_broken_infinity_action_is_a_falsification(monkeypatch):
+    # each relation raises FalsificationError, which python -O keeps
+    alg = AlgebraParams(3)
+    real = adelic.infinity_action_matrices(alg)
+    G = group_of(alg)
+    tampered = [
+        {**real, "units": [real["units"][1]] + real["units"][1:]},
+        {**real, "units": real["units"][:1] + real["units"][2:] + [
+            real["units"][1]]},
+        {**real, "uniformizer": np.eye(G.order, dtype=np.int64)},
+        {**real, "uniformizer": right_translation_matrix(alg, (1, 1))},
+    ]
+    for act, claim in zip(tampered, ("act(1) = 1", "act(u^", "P u^", "P^2")):
+        monkeypatch.setattr(adelic, "infinity_action_matrices",
+                            lambda alg, act=act: act)
+        with pytest.raises(FalsificationError, match=re.escape(claim)):
+            verify_action_relations(alg)
+
+
+def test_coset_reader_on_coset_representatives():
+    # the right coset of (pi r; 0 1) is the column line of (r, 1), the left
+    # coset of (pi 0; r 1) the row line of (r, 1); (1 0; 0 pi) is diag
+    alg = AlgebraParams(3)
+    F = alg.field
+    pi = parse_poly(F, "t^2+1")
+    sp = SplitPlace(alg, pi)
+    zero, one = Poly.zero(F), Poly.one(F)
+    assert sp.identify_right_coset((one, zero, zero, pi)) == ("diag",)
+    assert sp.identify_left_coset((one, zero, zero, pi)) == ("diag",)
+    for r in (Poly(F, c) for c in product(range(3), repeat=2)):
+        assert sp.identify_right_coset((pi, r, zero, one)) == ("upper", r.coeffs)
+        assert sp.identify_left_coset((pi, zero, r, one)) == ("lower", r.coeffs)
+    with pytest.raises(FalsificationError, match="columns span two lines"):
+        sp.identify_right_coset((one, zero, zero, one))
+    with pytest.raises(FalsificationError, match="rows span two lines"):
+        sp.identify_left_coset((one, zero, zero, one))
+    with pytest.raises(FalsificationError, match="vanishes"):
+        sp.identify_right_coset((pi, pi, zero, pi))
+
+
 def test_infinity_action_commutes_with_hecke():
     alg = AlgebraParams(3)
     act = infinity_action_matrices(alg)
@@ -412,18 +453,17 @@ def test_norm_table_past_the_row_cap_is_a_search_bound():
 
 def _fresh_caches(monkeypatch):
     monkeypatch.setattr(adelic, "_SCANS", {})
-    monkeypatch.setattr(adelic, "_WITNESS_CACHE", {})
 
 
 def test_witness_set_depth_bound_ignores_cache_state(monkeypatch):
     alg = AlgebraParams(3)
     for pi in default_places(alg, 2):
         ws = witness_set(alg, pi, depth_bound=3)
-        assert ws.depth == max(w.depth for w in ws.witnesses)
-        for bound in range(ws.depth):
+        depth = max(w.depth for w in ws.witnesses)
+        for bound in range(depth):
             with pytest.raises(SearchBoundExceededError):
                 witness_set(alg, pi, depth_bound=bound)
-        assert witness_set(alg, pi, depth_bound=ws.depth) is ws
+        assert witness_set(alg, pi, depth_bound=depth).witnesses == ws.witnesses
     _fresh_caches(monkeypatch)
     pi = parse_poly(alg.field, "t^2+2t+2")
     with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):

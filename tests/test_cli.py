@@ -13,8 +13,8 @@ import pytest
 import tjl.cli as cli
 from tjl.adelic import FactorizationError
 from tjl.cli import run, main
-from tjl.cyclotomic import NotRationalError
-from tjl.quaternion import ReductionError
+from tjl.cyclotomic import NotRationalError, OrderMismatchError
+from tjl.quaternion import NotInvertibleError, ReductionError
 from tjl.spectral import InconsistentSystemError
 
 
@@ -258,6 +258,53 @@ def test_internal_errors_exit_1(monkeypatch, capsys, error):
 
     monkeypatch.setattr(cli, "character_table", broken)
     code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert payload["message"] == error.__name__
+
+
+def test_basis_honours_depth_bound(capsys):
+    code, out, err = invoke(capsys, "basis", "--q", "3", "--sigma", "1:0",
+                            "--depth-bound", "0")
+    assert code == 3 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "resource"
+    assert "within depth 0" in payload["message"]
+
+
+@pytest.mark.parametrize("flag, value", [("--degree-bound", "0"),
+                                         ("--round-trips", "-2")])
+def test_bad_bounds_are_usage_errors(capsys, flag, value):
+    code, out, err = invoke(capsys, "verify", "--q", "3", flag, value)
+    assert code == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "usage"
+    assert flag in payload["message"]
+
+
+def test_order_mismatch_is_a_falsification(monkeypatch, capsys):
+    # an OrderMismatchError is a ValueError, but no argument can cause it
+    def mismatched(*args):
+        raise OrderMismatchError("orders differ: 8 vs 4")
+
+    monkeypatch.setattr(cli, "character_inner", mismatched)
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert payload["message"] == "orders differ: 8 vs 4"
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, NotInvertibleError])
+def test_division_by_zero_is_a_falsification(monkeypatch, capsys, error):
+    # a failed inverse mod pi^P, of a quaternion or of a Cyc is an internal
+    # inconsistency: one JSON line and exit 1, not a traceback
+    def broken(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(cli, "hecke_matrix", broken)
+    code, out, err = invoke(capsys, "brandt", "--q", "3", "--place", "t+1")
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "falsification"

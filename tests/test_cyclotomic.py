@@ -6,8 +6,10 @@ from math import gcd
 
 import pytest
 
+from tjl import cyclotomic
 from tjl.cyclotomic import (
     Cyc,
+    FalsificationError,
     NotRationalError,
     OrderMismatchError,
     cyclotomic_polynomial,
@@ -219,3 +221,13 @@ def test_integral_inverses_hold_ints():
         assert a * inv == 1
         assert all(type(v) is int for v in inv.coefficients)
         assert all(type(v) is int for v in inv.reduced())
+
+
+def test_inexact_polynomial_division_is_a_falsification():
+    # x^2 + 1 = (x + 1)(x - 1) + 2, and a divisor must be monic; neither
+    # check is an assert, so python -O keeps both
+    with pytest.raises(FalsificationError, match="non-exact"):
+        cyclotomic._poly_exact_div([1, 0, 1], (1, 1))
+    with pytest.raises(FalsificationError, match="not monic"):
+        cyclotomic._poly_exact_div([1, 0, 2], (1, 2))
+    assert cyclotomic._poly_exact_div([-1, 0, 1], (1, 1)) == [-1, 1]

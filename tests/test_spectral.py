@@ -231,9 +231,11 @@ SIGMA = IrrepLabel((1, 3), 0)   # dim 2; U = diag(zeta^7, zeta^5) at q = 3
 def test_no_assert_statements():
     # a check written as assert would vanish under python -O
     import ast
+    import tjl.adelic
+    import tjl.cyclotomic
     import tjl.quaternion
     import tjl.spectral
-    for module in (tjl.spectral, tjl.quaternion):
+    for module in (tjl.spectral, tjl.quaternion, tjl.adelic, tjl.cyclotomic):
         with open(module.__file__) as fh:
             tree = ast.parse(fh.read())
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
