@@ -34,7 +34,7 @@ from itertools import product
 
 import numpy as np
 
-from .cyclotomic import FalsificationError
+from .cyclotomic import FalsificationError, require
 from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
 from .metacyclic import Gamma, gamma
 from .quaternion import (
@@ -560,20 +560,18 @@ def verify_action_relations(alg: AlgebraParams) -> None:
     act = infinity_action_matrices(alg)
     P, U = act["uniformizer"], act["units"]
 
-    def require(ok: bool, claim: str) -> None:
-        if not ok:
-            raise FalsificationError(f"the infinity action breaks {claim}")
-
-    require((U[0] == np.eye(G.order, dtype=np.int64)).all(), "act(1) = 1")
+    require((U[0] == np.eye(G.order, dtype=np.int64)).all(),
+            "the infinity action breaks act(1) = 1")
     for e in range(G.M):
         for e2 in range(G.M):
             require((U[e] @ U[e2] == U[(e + e2) % G.M]).all(),
-                    f"act(u^{e}) act(u^{e2}) = act(u^{e + e2})")
+                    f"the infinity action breaks act(u^{e}) act(u^{e2}) "
+                    f"= act(u^{e + e2})")
         # act(u) act(P) = act(P u) = act(u^q P) = act(P) act(u^q)
         require((U[e] @ P == P @ U[(e * alg.q) % G.M]).all(),
-                f"P u^{e} = u^{e * alg.q} P")
+                f"the infinity action breaks P u^{e} = u^{e * alg.q} P")
     sq = right_translation_matrix(alg, (2 % G.R, 0))
-    require((P @ P == sq).all(), "P^2 = t")
+    require((P @ P == sq).all(), "the infinity action breaks P^2 = t")
 
 
 def default_places(alg: AlgebraParams, max_deg: int = 2) -> list[Poly]:

@@ -390,9 +390,9 @@ def run(argv=None) -> int:
     except (NeedsMorePlacesError, SearchBoundExceededError) as exc:
         return _fail(3, "resource", exc,
                      hint="raise --degree-bound/--depth-bound")
-    except (FalsificationError, AssertionError, NotRationalError,
-            OrderMismatchError, ZeroDivisionError, InconsistentSystemError,
-            ReductionError, FactorizationError) as exc:
+    except (FalsificationError, NotRationalError, OrderMismatchError,
+            ZeroDivisionError, InconsistentSystemError, ReductionError,
+            FactorizationError) as exc:
         # an exact computation contradicted itself: not the caller's fault
         return _fail(1, "falsification", exc)
     except ValueError as exc:

@@ -18,12 +18,12 @@ Two fast paths keep the hot sums and quotients exact:
   Any other scalar is divided by its least-exponent monomial, a unit; the
   quotient u has a zeta^0 coefficient of 1, and its inverse comes from the
   extended Euclidean algorithm against Phi_m, memoised on (m, u).  Inverse
-  coefficients with denominator 1 are returned as ints, so later
-  reductions stay on the int64 path.
+  coefficients with denominator 1 are returned as ints.
 
-No floating point is used anywhere.  numpy appears only as an overflow-checked
-int64 fast path for the reduction matvec; the pure Python route is kept and
-used whenever coefficients are Fractions or too large.
+No floating point is used anywhere.  Reduction modulo Phi_m is one pass over
+sparse rows x^k mod Phi_m: the rows have one to three nonzero entries on
+average, so the loop is short, and it is exact for ints of any size and for
+Fractions alike.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
-
-import numpy as np
 
 RationalLike = int | Fraction
 
@@ -48,6 +46,13 @@ class NotRationalError(ValueError):
 
 class FalsificationError(RuntimeError):
     """An exact computation contradicts a structural prediction."""
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise FalsificationError(message) unless ok; unlike assert, python -O
+    keeps the check."""
+    if not ok:
+        raise FalsificationError(message)
 
 
 def divisors(m: int) -> list[int]:
@@ -102,34 +107,24 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Rows x^k mod Phi_m for 0 <= k < m, plus the maximal absolute entry."""
+def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows x^k mod Phi_m for 0 <= k < m, each as its nonzero (j, c) pairs."""
     phi = cyclotomic_polynomial(m)
     d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    cur = [0] * d
+    dense: list[list[int]] = []
     for k in range(m):
         if k < d:
             row = [0] * d
             row[k] = 1
         else:
-            prev = rows[k - 1]
-            row = [0] + list(prev[: d - 1])
+            prev = dense[k - 1]
+            row = [0] + prev[: d - 1]
             lead = prev[d - 1]
             if lead:
                 for j in range(d):
                     row[j] -= lead * phi[j]
-        rows.append(tuple(row))
-    mx = max((abs(c) for row in rows for c in row), default=0)
-    return tuple(rows), mx
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(m: int):
-    rows, mx = _reduction_rows(m)
-    if mx < 2**31:
-        return np.array(rows, dtype=np.int64)
-    return None
+        dense.append(row)
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in dense)
 
 
 class Cyc:
@@ -275,27 +270,14 @@ class Cyc:
 
     def reduced(self) -> tuple[RationalLike, ...]:
         """Coefficients on the basis 1, zeta, ..., zeta^(phi(m)-1)."""
-        if self._red is not None:
-            return self._red
-        m = self.order
-        rows, rowmax = _reduction_rows(m)
-        d = len(rows[0])
-        ints_only = all(isinstance(v, int) for v in self._c.values())
-        if ints_only and self._c:
-            mat = _reduction_matrix(m)
-            cmax = max(map(abs, self._c.values()))
-            if mat is not None and (rowmax + 1) * (cmax + 1) * (len(self._c) + 1) < 2**62:
-                vec = np.zeros(m, dtype=np.int64)
-                vec[list(self._c)] = list(self._c.values())
-                self._red = tuple((vec @ mat).tolist())
-                return self._red
-        acc: list[RationalLike] = [0] * d
-        for e, v in self._c.items():
-            row = rows[e]
-            for j in range(d):
-                if row[j]:
-                    acc[j] += v * row[j]
-        self._red = tuple(acc)
+        if self._red is None:
+            m = self.order
+            rows = _reduction_rows(m)
+            acc: list[RationalLike] = [0] * (len(cyclotomic_polynomial(m)) - 1)
+            for e, v in self._c.items():
+                for j, c in rows[e]:
+                    acc[j] += v * c
+            self._red = tuple(acc)
         return self._red
 
     def is_zero(self) -> bool:
@@ -325,7 +307,7 @@ class Cyc:
 
     def is_integral(self) -> bool:
         """Whether the scalar lies in Z[zeta_m] (integer reduced coefficients)."""
-        return all(Fraction(c).denominator == 1 for c in self.reduced())
+        return all(c.denominator == 1 for c in self.reduced())
 
     def inverse(self) -> Cyc:
         """Multiplicative inverse in Q(zeta_m).
@@ -354,18 +336,12 @@ class Cyc:
 
     def sort_key(self) -> tuple:
         """Deterministic total order key (reduced coefficients as num/den pairs)."""
-        out = []
-        for c in self.reduced():
-            f = Fraction(c)
-            out.append((f.numerator, f.denominator))
-        return tuple(out)
+        return tuple((c.numerator, c.denominator) for c in self.reduced())
 
     def to_json(self) -> dict:
         """Canonical JSON shape: order plus reduced coefficients."""
-        coeffs = []
-        for c in self.reduced():
-            f = Fraction(c)
-            coeffs.append(f.numerator if f.denominator == 1 else [f.numerator, f.denominator])
+        coeffs = [c.numerator if c.denominator == 1 else [c.numerator, c.denominator]
+                  for c in self.reduced()]
         return {"order": self.order, "coeffs": coeffs}
 
     def __repr__(self):
@@ -374,7 +350,7 @@ class Cyc:
 
 
 def _exact(x: Fraction) -> RationalLike:
-    """x as an int when it is one, so reductions stay on the int64 path."""
+    """x as an int when it is one, so reduced coefficients stay ints."""
     return x.numerator if x.denominator == 1 else x
 
 

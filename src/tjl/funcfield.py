@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import FalsificationError
+from .cyclotomic import FalsificationError, require
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -113,7 +113,7 @@ class GF:
         for b in range(self.q):
             if self._add[a][b] == 0:
                 return b
-        raise AssertionError
+        raise FalsificationError(f"{a} has no additive inverse in GF({self.q})")
 
     # -- arithmetic ------------------------------------------------------
 
@@ -163,10 +163,11 @@ class GF:
         for a in range(1, self.q):
             if not self.is_square(a):
                 return a
-        raise AssertionError
+        raise FalsificationError(f"GF({self.q}) has no non-square unit")
 
     def multiplicative_order(self, a: int) -> int:
-        assert a != 0
+        if a == 0:
+            raise ValueError("0 has no multiplicative order")
         k, x = 1, a
         while x != 1:
             x = self.mul(x, a)
@@ -178,7 +179,7 @@ class GF:
         for a in range(1, self.q):
             if self.multiplicative_order(a) == self.q - 1:
                 return a
-        raise AssertionError
+        raise FalsificationError(f"GF({self.q}) has no generator")
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -656,7 +657,8 @@ class Fq2:
             raise ValueError("quadratic extension by a nonsquare needs odd q")
         self.base = base
         self.eps = base.smallest_nonsquare if eps is None else eps
-        assert not base.is_square(self.eps)
+        if base.is_square(self.eps):
+            raise ValueError(f"eps = {self.eps} is a square in GF({base.q})")
         self.q = base.q
         self._dlog: dict[Fq2Element, int] | None = None
         self._powers: list[Fq2Element] | None = None
@@ -725,7 +727,8 @@ class Fq2:
         return out
 
     def multiplicative_order(self, x: Fq2Element) -> int:
-        assert x != self.zero
+        if x == self.zero:
+            raise ValueError("0 has no multiplicative order")
         k, y = 1, x
         while y != self.one:
             y = self.mul(y, x)
@@ -750,7 +753,7 @@ class Fq2:
             if self.multiplicative_order(x) == full:
                 best = x
                 break
-        assert best is not None
+        require(best is not None, f"GF({self.q}^2) has no generator")
         powers = [self.one]
         table = {self.one: 0}
         cur = self.one

@@ -22,6 +22,7 @@ from .cyclotomic import (
     OrderMismatchError,
     divisors,
     inner_product,
+    require,
 )
 from .funcfield import is_prime_power
 
@@ -46,9 +47,11 @@ def mobius(m: int) -> int:
 
 def orbit_count_of_size(q: int, n: int, d: int) -> int:
     """Number of Frobenius orbits on Z/(q^n - 1) of size exactly d (d | n)."""
-    assert n % d == 0
+    if n % d:
+        raise ValueError(f"orbit size {d} does not divide n = {n}")
     total = sum(mobius(d // e) * (q**e - 1) for e in divisors(d))
-    assert total % d == 0
+    require(total % d == 0,
+            f"the necklace sum {total} for size {d} is not divisible by {d}")
     return total // d
 
 
@@ -174,27 +177,27 @@ class Gamma:
 
     # -- Frobenius orbits and irrep labels -------------------------------
 
-    def frobenius_orbit(self, c: int) -> tuple[int, ...]:
+    def _frobenius_walk(self, c: int) -> tuple[int, ...]:
+        """c mod M, qc, q^2 c, ... up to the first repeat."""
         M = self.M
         c %= M
-        orbit = [c]
+        walk = [c]
         x = c * self.q % M
         while x != c:
-            orbit.append(x)
+            walk.append(x)
             x = x * self.q % M
-        return tuple(sorted(orbit))
+        return tuple(walk)
+
+    def frobenius_orbit(self, c: int) -> tuple[int, ...]:
+        return tuple(sorted(self._frobenius_walk(c)))
 
     def orbit_tags(self, orbit: tuple[int, ...]) -> tuple[int, ...]:
         """The orbit in Frobenius order starting from its least element."""
-        M = self.M
-        c = orbit[0]
-        tags = [c]
-        x = c * self.q % M
-        while x != c:
-            tags.append(x)
-            x = x * self.q % M
-        assert tuple(sorted(tags)) == orbit
-        return tuple(tags)
+        tags = self._frobenius_walk(orbit[0])
+        if tuple(sorted(tags)) != orbit:
+            raise ValueError(f"{orbit} is not a sorted Frobenius orbit "
+                             f"mod {self.M}")
+        return tags
 
     def __repr__(self):
         return f"Gamma(q={self.q}, n={self.n}, level={self.level})"
@@ -217,12 +220,14 @@ def enumerate_orbits(group: Gamma) -> list[tuple[int, ...]]:
         seen.update(orb)
         orbits.append(orb)
     # orbit sizes divide n, and the census matches the necklace counts
-    for orb in orbits:
-        assert group.n % len(orb) == 0
+    bad = [orb for orb in orbits if group.n % len(orb)]
+    require(not bad, f"orbits {bad} have sizes that do not divide n = {group.n}")
     for d in divisors(group.n):
         expected = orbit_count_of_size(group.q, group.n, d)
         got = sum(1 for orb in orbits if len(orb) == d)
-        assert got == expected, (d, got, expected)
+        require(got == expected,
+                f"{got} Frobenius orbits of size {d}, the necklace count "
+                f"is {expected}")
     return orbits
 
 
@@ -251,11 +256,14 @@ def enumerate_irreps(group: Gamma) -> list[IrrepLabel]:
     labels = []
     for orbit in enumerate_orbits(group):
         f = len(orbit)
-        assert group.R % f == 0
+        require(group.R % f == 0,
+                f"orbit size {f} does not divide R = {group.R}")
         for s in range(group.R // f):
             labels.append(IrrepLabel(orbit, s))
     labels.sort()
-    assert sum(lab.dim**2 for lab in labels) == group.order
+    total = sum(lab.dim**2 for lab in labels)
+    require(total == group.order,
+            f"irrep dimensions square-sum to {total}, not {group.order}")
     return labels
 
 

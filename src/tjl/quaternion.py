@@ -344,7 +344,8 @@ def reduce_at_infinity(x: OrderElement) -> LocalReduction:
     """Valuation and unit residue at infinity, uniformizer j/t."""
     if x.is_zero():
         raise ReductionError("cannot reduce zero")
-    k = x.nrd().valuation_at_infinity()
+    n = x.nrd()
+    k = n.valuation_at_infinity()
     y = _pi_infinity_power(x.alg, -k) * x
     if not y.infinity_integral():
         raise ReductionError("reduced element fails integrality at infinity")
@@ -352,8 +353,14 @@ def reduce_at_infinity(x: OrderElement) -> LocalReduction:
     u = K.element(y.a.value_at_infinity(), y.b.value_at_infinity())
     if u == K.zero:
         raise ReductionError("unit residue vanished at infinity")
-    if y.nrd().valuation_at_infinity() != 0:
-        raise ReductionError("the unit part at infinity has a non-unit norm")
+    # nrd(j/t) = -1/t, so nrd(y) = (-t)^k nrd(x); c and d of y vanish at
+    # infinity, so nrd(y) takes the value K.norm(u) there
+    unit = (n * RatFunc.t_power(x.alg.field, k)).value_at_infinity()
+    if k % 2:
+        unit = x.alg.field.neg(unit)
+    if K.norm(u) != unit:
+        raise ReductionError(
+            "the unit part at infinity has a norm that is not the residue norm")
     return LocalReduction("infinity", k, u, K.dlog(u))
 
 

@@ -34,7 +34,7 @@ from .adelic import (
     standard_conjugator,
     witness_set,
 )
-from .cyclotomic import Cyc
+from .cyclotomic import Cyc, require
 from .funcfield import Poly, format_poly
 from .metacyclic import (
     Gamma,
@@ -59,12 +59,6 @@ class NeedsMorePlacesError(RuntimeError):
 
 class InconsistentSystemError(ValueError):
     """An operator does not keep a subspace it must keep."""
-
-
-def _require(ok: bool, message: str) -> None:
-    """A check that python -O cannot remove."""
-    if not ok:
-        raise FalsificationError(message)
 
 
 def _compose(a: Monomial, b: Monomial, m: int) -> Monomial:
@@ -126,15 +120,15 @@ class HomSpace:
         identity matrix)."""
         G = self.group
         at_identity = self.basis[G.element_index(G.identity)]
-        _require(at_identity == (tuple(range(self.f)), (0,) * self.f),
-                 "the basis is not the identity at the identity element")
+        require(at_identity == (tuple(range(self.f)), (0,) * self.f),
+                "the basis is not the identity at the identity element")
         classes = G.conjugacy_classes()
         reg = [Cyc.from_rational(self.order, G.order if len(c) == 1
                                  and c[0] == G.identity else 0)
                for c in classes]
         sig = [self.irrep.character(c[0]) for c in classes]
         mult = character_inner(G, reg, sig, [len(c) for c in classes])
-        _require(mult == self.f, "regular-module multiplicity mismatch")
+        require(mult == self.f, "regular-module multiplicity mismatch")
 
     def op_right(self, g: Element) -> Monomial:
         """Matrix of the right translation R_g on the basis: the function
@@ -153,8 +147,8 @@ class HomSpace:
         C = _transpose(self.op_right(g))
         for x, at_x in zip(self.element_list, self.basis):
             moved = self.basis[G.element_index(G.mul(x, g))]
-            _require(_compose(C, at_x, self.order) == moved,
-                     "operator realization mismatch")
+            require(_compose(C, at_x, self.order) == moved,
+                    "operator realization mismatch")
 
 
 def hom_space(group: Gamma, label: IrrepLabel) -> HomSpace:
@@ -268,8 +262,8 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     # basis with simple spectrum; line c is the coordinate where U has
     # the eigenvalue zeta_M^c
     perm, exps = hs.op_right((0, 1))
-    _require(perm == tuple(range(f)),
-             "the unit group at infinity does not act diagonally")
+    require(perm == tuple(range(f)),
+            "the unit group at infinity does not act diagonally")
     lines: dict[int, int] = {}
     for c in range(M):
         on_c = [j for j, x in enumerate(exps) if x == (order // M) * c]
@@ -388,8 +382,8 @@ def verify_claim(alg: AlgebraParams, label: IrrepLabel,
         if len(ext) != len(blocks):
             raise FalsificationError(
                 f"{len(blocks)} eigensystems but {len(ext)} predicted")
-        _require(sum(r for _, _, r in ext) == params.n,
-                 f"the tame r-sum of {label} is not n = {params.n}")
+        require(sum(r for _, _, r in ext) == params.n,
+                f"the tame r-sum of {label} is not n = {params.n}")
     else:
         # one-dimensional sector: a single eigensystem
         if len(blocks) != 1:
@@ -423,16 +417,16 @@ def projective_basis(alg: AlgebraParams, label: IrrepLabel,
     blocks = decompose(alg, label, places, depth_bound)
     lines = [(b.a, line.chi, line.vector)
              for b in blocks for line in b.lines]
-    _require(len(lines) == label.dim,
-             f"{len(lines)} projective lines for dimension {label.dim}")
-    _require(len({(a, chi) for a, chi, _ in lines}) == len(lines),
-             "two projective lines carry the same (block, chi) label")
+    require(len(lines) == label.dim,
+            f"{len(lines)} projective lines for dimension {label.dim}")
+    require(len({(a, chi) for a, chi, _ in lines}) == len(lines),
+            "two projective lines carry the same (block, chi) label")
     # coordinate lines span exactly when their coordinates are distinct
     supports = {tuple(j for j, c in enumerate(v) if not c.is_zero())
                 for _, _, v in lines}
-    _require(len(supports) == label.dim
-             and all(len(s) == 1 for s in supports),
-             "projective lines do not span")
+    require(len(supports) == label.dim
+            and all(len(s) == 1 for s in supports),
+            "projective lines do not span")
     return ProjectiveBasis(label, lines)
 
 
@@ -448,8 +442,8 @@ def eigenvalue_table(alg: AlgebraParams, label: IrrepLabel,
         base = sorted(witness_set(alg, pi).shifts(G))
         conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
         again = sorted(witness_set(alg, pi, split=conj).shifts(G))
-        _require(base == again, f"witness reductions at {format_poly(pi)} "
-                 f"depend on the splitting")
+        require(base == again, f"witness reductions at {format_poly(pi)} "
+                f"depend on the splitting")
     out = []
     for b in blocks:
         for pi, v in zip(b.places, b.hecke_eigenvalues):
@@ -488,10 +482,10 @@ def verify_bimodule(group: Gamma) -> dict:
                 if pair not in seen:
                     seen.add(pair)
                     size += 1
-            _require(size == group.order, "diagonal action is not free")
-    _require(orbits == group.order,
-             f"{orbits} diagonal orbits, not |Gamma| = {group.order}")
+            require(size == group.order, "diagonal action is not free")
+    require(orbits == group.order,
+            f"{orbits} diagonal orbits, not |Gamma| = {group.order}")
     total = sum(lb.dim ** 2 for lb in enumerate_irreps(group))
-    _require(total == group.order,
-             f"irrep dimensions square-sum to {total}, not {group.order}")
+    require(total == group.order,
+            f"irrep dimensions square-sum to {total}, not {group.order}")
     return {"commutant_dimension": orbits, "square_sum": total}

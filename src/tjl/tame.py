@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cyclotomic import require
 from .metacyclic import (
     Gamma,
     GroupParams,
@@ -77,7 +78,9 @@ def classify_irreducibles(params: GroupParams) -> list[TameParam]:
     out.sort()
     # independent count: necklace formula times the number of twists
     expected = orbit_count_of_size(params.q, params.n, params.n) * params.level
-    assert len(out) == expected, (len(out), expected)
+    require(len(out) == expected,
+            f"{len(out)} irreducible parameters, the necklace count times "
+            f"the twists is {expected}")
     return out
 
 
@@ -90,7 +93,8 @@ def jl_transfer(p: TameParam) -> IrrepLabel:
     """Transfer to the finite-model irrep with the same orbit and twist; its
     dimension is r_value(p)."""
     label = IrrepLabel(p.orbit, p.s)
-    assert label.dim == r_value(p)
+    require(label.dim == r_value(p),
+            f"the transfer of {p} has dimension {label.dim}, not r = {r_value(p)}")
     return label
 
 
@@ -111,7 +115,8 @@ def restrict_at_infinity(g: GlobalTameParam, params: GroupParams) -> TameParam:
     to inertia at zero, so the orbit negates mod M; the twist is carried over
     unchanged (fixed convention, cross-validated by the spectral pipeline)."""
     out = TameParam(negate_orbit(g.orbit, params.M), 1, g.s)
-    assert out.f == len(g.orbit)
+    require(out.f == len(g.orbit),
+            f"restriction at infinity changes the orbit size of {g}")
     return out
 
 
@@ -138,7 +143,9 @@ def enumerate_A_tame(
     g = katz_special_extension(p)
     at_inf = restrict_at_infinity(g, params)
     out = [(g, at_inf, r_value(at_inf))]
-    assert sum(r for _, _, r in out) == r_value(p) == params.n
+    total = sum(r for _, _, r in out)
+    require(total == r_value(p) == params.n,
+            f"the r-sum over A_tame({p}) is {total}, not n = {params.n}")
     return out
 
 

@@ -224,7 +224,9 @@ def test_thread_count_does_not_change_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [("verify", "--q", "3"),
-                                  ("basis", "--q", "3", "--sigma", "1:0")])
+                                  ("basis", "--q", "3", "--sigma", "1:0"),
+                                  ("irreps", "--q", "3"),
+                                  ("tame", "--q", "3", "--n", "2")])
 def test_python_O_does_not_change_bytes(argv):
     outs = []
     for flags in ([], ["-O"]):

@@ -231,3 +231,32 @@ def test_inexact_polynomial_division_is_a_falsification():
     with pytest.raises(FalsificationError, match="not monic"):
         cyclotomic._poly_exact_div([1, 0, 2], (1, 2))
     assert cyclotomic._poly_exact_div([-1, 0, 1], (1, 1)) == [-1, 1]
+
+
+@pytest.mark.parametrize("m", (1, 2, 12, 80, 168))
+def test_reduced_is_the_remainder_mod_phi(m):
+    # one reduction route for ints, Fractions and ints past 2^63 alike;
+    # 168 is the group order at q = 13
+    rng = random.Random(m)
+    phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
+    d = len(phi) - 1
+    draws = {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "big": lambda: rng.choice((1, -1)) * rng.randint(2**63, 2**80),
+    }
+    for kind, draw in draws.items():
+        for nterms in (1, 3, m):
+            a = Cyc(m, {rng.randrange(m): draw() for _ in range(nterms)})
+            _, rem = cyclotomic._frac_poly_divmod(
+                [Fraction(c) for c in a.coefficients], phi)
+            expected = tuple(rem) + (Fraction(0),) * (d - len(rem))
+            assert a.reduced() == expected
+            if kind != "fraction":
+                assert all(type(c) is int for c in a.reduced())
+            assert a.sort_key() == tuple((c.numerator, c.denominator)
+                                         for c in expected)
+            assert a.to_json()["coeffs"] == [
+                c.numerator if c.denominator == 1 else [c.numerator, c.denominator]
+                for c in expected]
+            assert a.is_integral() == all(c.denominator == 1 for c in expected)

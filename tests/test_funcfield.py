@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (
+    GF,
     INF,
+    Fq2,
     Poly,
     RatFunc,
     format_poly,
@@ -399,3 +404,43 @@ def test_ratfunc_same_denominator_sum_is_the_cross_multiplied_sum():
             assert x + y == cross
             assert x - y == RatFunc(x.num * y.den - y.num * x.den,
                                     x.den * y.den)
+
+
+def test_bad_field_arguments_raise_value_error():
+    with pytest.raises(ValueError, match="is a square"):
+        Fq2(gf(3), eps=1)
+    with pytest.raises(ValueError, match="no multiplicative order"):
+        gf(5).multiplicative_order(0)
+    K = fq2(3)
+    with pytest.raises(ValueError, match="no multiplicative order"):
+        K.multiplicative_order(K.zero)
+
+
+def _no_negatives(F):
+    F._add = [[1] * F.q for _ in range(F.q)]
+    return F._solve_neg(0)
+
+
+def _only_squares(F):
+    F.is_square = lambda a: True
+    return F.smallest_nonsquare
+
+
+def _no_generator(F):
+    F.multiplicative_order = lambda a: 1
+    return F.generator
+
+
+def _no_generator_fq2(F):
+    K = Fq2(F)   # a private instance: the cached fq2(5) stays intact
+    K.multiplicative_order = lambda x: 1
+    return K.generator
+
+
+@pytest.mark.parametrize("tamper", [_no_negatives, _only_squares,
+                                    _no_generator, _no_generator_fq2])
+def test_tampered_field_tables_raise_falsification(tamper):
+    F = GF(5)   # a private instance: the cached gf(5) stays intact
+    with pytest.raises(FalsificationError) as exc:
+        tamper(F)
+    assert str(exc.value)

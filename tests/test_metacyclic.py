@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import tjl.metacyclic as metacyclic
 from tjl.cyclotomic import Cyc, FalsificationError, OrderMismatchError
 from tjl.metacyclic import (
     Gamma,
@@ -320,3 +321,21 @@ def test_chi_multiplicity_cross_check_survives_dash_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+def test_orbit_census_tamper_raises_falsification(monkeypatch):
+    real = metacyclic.orbit_count_of_size
+    monkeypatch.setattr(metacyclic, "orbit_count_of_size",
+                        lambda q, n, d: real(q, n, d) + (d == n))
+    with pytest.raises(FalsificationError, match="necklace count"):
+        enumerate_orbits(gamma(3, 2, 1))
+
+
+def test_bad_orbit_arguments_raise_value_error():
+    with pytest.raises(ValueError, match="does not divide"):
+        orbit_count_of_size(3, 4, 3)
+    G = gamma(3, 2, 1)
+    assert G.orbit_tags((1, 3)) == (1, 3)
+    for bad in ((1, 2), (3, 1), (1, 3, 5)):
+        with pytest.raises(ValueError, match="not a sorted Frobenius orbit"):
+            G.orbit_tags(bad)

@@ -425,3 +425,31 @@ def test_tampered_maximality_certificate_fails_under_dash_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+def test_reduce_at_infinity_takes_one_norm(monkeypatch):
+    alg = AlgebraParams(5)
+    rng = random.Random(77)
+    j = OrderElement.j(alg)
+    cases = [j, j.inverse(), j.scale(RatFunc.t_power(alg.field, -1))]
+    cases += [x for x in (_rational_element(alg, rng) for _ in range(30))
+              if not x.is_zero()]
+    expected = [reduce_at_infinity(x) for x in cases]
+    assert {red.k % 2 for red in expected} == {0, 1}
+    calls = []
+    real = OrderElement.nrd
+    monkeypatch.setattr(OrderElement, "nrd",
+                        lambda self: calls.append(self) or real(self))
+    for x, red in zip(cases, expected):
+        calls.clear()
+        assert reduce_at_infinity(x) == red
+        assert len(calls) == 1
+
+
+def test_reduce_at_infinity_rejects_a_wrong_residue_norm(monkeypatch):
+    # a residue whose norm disagrees with nrd(x) trips the cross-check
+    alg = AlgebraParams(3)
+    K = alg.residue
+    monkeypatch.setattr(type(K), "norm", lambda self, u: 0)
+    with pytest.raises(ReductionError, match="residue norm"):
+        reduce_at_infinity(OrderElement.j(alg))

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import pytest
 
+import tjl.tame as tame
+from tjl.cyclotomic import FalsificationError
 from tjl.metacyclic import GroupParams, IrrepLabel, enumerate_irreps, gamma
 from tjl.tame import (
     GlobalTameParam,
@@ -127,3 +132,29 @@ def test_report_shape():
     assert entry["at_infinity"]["orbit"] == sorted(
         (-c) % 7 for c in entry["parameter"]["orbit"]
     )
+
+
+def test_classification_tamper_raises_falsification(monkeypatch):
+    real = tame.orbit_count_of_size
+    monkeypatch.setattr(tame, "orbit_count_of_size",
+                        lambda q, n, d: real(q, n, d) + 1)
+    with pytest.raises(FalsificationError, match="necklace count"):
+        classify_irreducibles(GroupParams(3, 2, 1))
+
+
+def test_classification_tamper_survives_dash_O():
+    script = (
+        "import sys\n"
+        "import tjl.tame as tame\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "real = tame.orbit_count_of_size\n"
+        "tame.orbit_count_of_size = lambda q, n, d: real(q, n, d) + 1\n"
+        "try:\n"
+        "    tame.classify_irreducibles(tame.GroupParams(3, 2, 1))\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'necklace count' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
