@@ -31,8 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cyclotomic import FalsificationError, require
 from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
@@ -48,6 +47,9 @@ from .quaternion import (
     residue_field_elements,
     split_certificate,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Element = tuple[int, int]
 
@@ -75,9 +77,15 @@ class SplitPlace:
         F = alg.field
         self._pi_powers = [Poly.one(F)]
         self.modulus = self.pi_power(precision)
+        # row e - D holds t^e mod pi^P (D = deg pi^P <= e) as its nonzero
+        # (j, c) pairs; _mulsum folds each high coefficient along its row
+        self._fold_rows: list[list[tuple[int, int]]] = []
         # den -> den^{-1} mod pi^P; the denominators met are few (powers of
         # t, mostly), and a SplitPlace fixes every other input
         self._den_inverses: dict[Poly, Poly] = {}
+        # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
+        # repeat (witness norms, pi^2)
+        self._num_inverses: dict[Poly, Poly] = {}
         x, y = self._hensel_point()
         self.x, self.y = x, y
         zero, one = Poly.zero(F), Poly.one(F)
@@ -92,6 +100,9 @@ class SplitPlace:
             self.mat_i = self.matmul(self.matmul(g, self.mat_i), ginv)
             self.mat_j = self.matmul(self.matmul(g, self.mat_j), ginv)
             self.mat_k = self.matmul(self.matmul(g, self.mat_k), ginv)
+        # entry idx of the basis matrices 1, i, j, ij, in coordinate order
+        self._basis_entries = tuple(zip(self.mat_one, self.mat_i, self.mat_j,
+                                        self.mat_k))
         # model sanity: the defining relations hold mod pi^P
         t = Poly.t(F)
         anti = self.matmul(self.mat_j, self.mat_i)
@@ -150,6 +161,61 @@ class SplitPlace:
                 f"{a} is not a unit mod {self.pi}^{self.precision}")
         return u % self.modulus
 
+    def _mulsum(self, pairs) -> Poly:
+        """The sum of a*b mod pi^P over the pairs (a, b) of Polys.  Every
+        product lands in one coefficient list (a constant factor is one
+        scaled pass), each coefficient of degree e >= D = deg pi^P is folded
+        back along the row t^e mod pi^P, and one Poly is built at the end."""
+        add, mul = self.alg.field._add, self.alg.field._mul
+        out: list[int] = []
+        for a, b in pairs:
+            a, b = a.coeffs, b.coeffs
+            if len(a) < len(b):
+                a, b = b, a
+            if not b:
+                continue
+            n = len(a) + len(b) - 1
+            if len(out) < n:
+                out += [0] * (n - len(out))
+            for i, cb in enumerate(b):
+                if cb:
+                    row = mul[cb]
+                    for ca in a:
+                        out[i] = add[out[i]][row[ca]]
+                        i += 1
+        D = self.modulus.degree
+        if len(out) > D:
+            rows = self._rows_to(len(out) - 1)
+            for e in range(D, len(out)):
+                c = out[e]
+                if c:
+                    row = mul[c]
+                    for j, r in rows[e - D]:
+                        out[j] = add[out[j]][row[r]]
+            del out[D:]
+        return Poly(self.alg.field, tuple(out))
+
+    def _rows_to(self, top: int) -> list[list[tuple[int, int]]]:
+        """The fold rows t^e mod pi^P for D <= e <= top, built once per
+        model and grown on demand."""
+        rows = self._fold_rows
+        D = self.modulus.degree
+        if D + len(rows) <= top:
+            F = self.alg.field
+            add, mul = F._add, F._mul
+            low = [F._neg[c] for c in self.modulus.coeffs[:D]]  # t^D
+            cur = [0] * D
+            for j, c in (rows[-1] if rows else [(D - 1, 1)]):
+                cur[j] = c
+            while D + len(rows) <= top:
+                c = cur[-1]
+                cur = [0] + cur[:-1]  # times t, with c t^D left over
+                if c:
+                    row = mul[c]
+                    cur = [add[x][row[y]] for x, y in zip(cur, low)]
+                rows.append([(j, c) for j, c in enumerate(cur) if c])
+        return rows
+
     def reduce(self, r: RatFunc) -> Poly:
         """The image of r in O/pi^P; its denominator must be a unit at pi
         (ValueError otherwise).  The inverse of each denominator is
@@ -159,49 +225,48 @@ class SplitPlace:
             if (r.den % self.pi).is_zero():
                 raise ValueError("denominator not a unit at the place")
             inv = self._den_inverses[r.den] = self.inv_mod(r.den)
-        return (r.num * inv) % self.modulus
+        return self._mulsum(((r.num, inv),))
+
+    def unit_inverse(self, r: RatFunc) -> Poly:
+        """The inverse mod pi^P of the unit part r / pi^v, v = v_pi(r), of r
+        whose denominator is a unit at pi (ValueError otherwise).  The
+        inverse of each numerator's unit part is computed once per model."""
+        if (r.den % self.pi).is_zero():
+            raise ValueError("denominator not a unit at the place")
+        inv = self._num_inverses.get(r.num)
+        if inv is None:
+            unit = r.num // self.pi_power(r.num.valuation(self.pi))
+            inv = self._num_inverses[r.num] = self.inv_mod(unit)
+        return self._mulsum(((r.den, inv),))
 
     def scalar_mat(self, c: Poly) -> Mat:
         z = Poly.zero(self.alg.field)
         c = c % self.modulus
         return (c, z, z, c)
 
+    def scale_mat(self, A: Mat, c: Poly) -> Mat:
+        """c A mod pi^P."""
+        return tuple(self._mulsum(((e, c),)) for e in A)
+
     def matmul(self, A: Mat, B: Mat) -> Mat:
-        m = self.modulus
         a0, a1, a2, a3 = A
         b0, b1, b2, b3 = B
-        return (
-            (a0 * b0 + a1 * b2) % m,
-            (a0 * b1 + a1 * b3) % m,
-            (a2 * b0 + a3 * b2) % m,
-            (a2 * b1 + a3 * b3) % m,
-        )
+        k = self._mulsum
+        return (k(((a0, b0), (a1, b2))), k(((a0, b1), (a1, b3))),
+                k(((a2, b0), (a3, b2))), k(((a2, b1), (a3, b3))))
 
     def det(self, A: Mat) -> Poly:
-        return (A[0] * A[3] - A[1] * A[2]) % self.modulus
+        return self._mulsum(((A[0], A[3]), (-A[1], A[2])))
 
     def _inverse_unit_matrix(self, A: Mat) -> Mat:
-        dinv = self.inv_mod(self.det(A))
-        m = self.modulus
-        return (
-            (A[3] * dinv) % m,
-            (-A[1] * dinv) % m,
-            (-A[2] * dinv) % m,
-            (A[0] * dinv) % m,
-        )
+        return self.scale_mat((A[3], -A[1], -A[2], A[0]),
+                              self.inv_mod(self.det(A)))
 
     def embed(self, elt: OrderElement) -> Mat:
         """The matrix of elt mod pi^P; denominators must be prime to pi."""
-        m = self.modulus
         coords = [self.reduce(c) for c in elt.coords()]
-        out = []
-        for idx in range(4):
-            acc = Poly.zero(self.alg.field)
-            for coeff, mat in zip(coords, (self.mat_one, self.mat_i,
-                                           self.mat_j, self.mat_k)):
-                acc = acc + coeff * mat[idx]
-            out.append(acc % m)
-        return tuple(out)
+        return tuple(self._mulsum(zip(coords, entries))
+                     for entries in self._basis_entries)
 
     # -- coset structure of the degree-one double coset ----------------
 
@@ -300,9 +365,16 @@ class WitnessSet:
                         f"second witness in {side} coset {label} at "
                         f"{format_poly(pi)}")
                 index[label] = w
+        self._shifts: dict[tuple[int, int], tuple[Element, ...]] = {}
 
     def shifts(self, group: Gamma) -> list[Element]:
-        return [w.reduction.to_gamma(group.R, group.M) for w in self.witnesses]
+        """The witness reductions in group; read once per (R, M)."""
+        key = (group.R, group.M)
+        found = self._shifts.get(key)
+        if found is None:
+            found = self._shifts[key] = tuple(
+                w.reduction.to_gamma(group.R, group.M) for w in self.witnesses)
+        return list(found)
 
 
 # -- the shared norm-form join ------------------------------------------
@@ -320,6 +392,8 @@ _NORM_TABLES: dict = {}
 
 
 def _field_arrays(F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     return (np.array(F._add, dtype=np.uint8), np.array(F._mul, dtype=np.uint8),
             np.array(F._neg, dtype=np.uint8))
 
@@ -327,6 +401,8 @@ def _field_arrays(F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _squares(add: np.ndarray, mul: np.ndarray, rows: np.ndarray,
              width: int) -> np.ndarray:
     """Coefficient rows of the squares of the polynomials in rows."""
+    import numpy as np
+
     out = np.zeros((len(rows), width), dtype=np.uint8)
     n = rows.shape[1]
     for i in range(n):
@@ -338,6 +414,8 @@ def _squares(add: np.ndarray, mul: np.ndarray, rows: np.ndarray,
 def _pair_keys(q: int, add: np.ndarray, x: np.ndarray,
                y: np.ndarray) -> np.ndarray:
     """The keys of x[i] + y[j] for every pair, at row i * len(y) + j."""
+    import numpy as np
+
     keys = np.zeros(len(x) * len(y), dtype=np.int64)
     for k in range(x.shape[1]):
         keys += add[x[:, k, None], y[None, :, k]].ravel() * np.int64(q ** k)
@@ -354,6 +432,8 @@ def _norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     add, mul, _ = _field_arrays(F)
     lows = np.array(list(product(range(F.q), repeat=m)), dtype=np.uint8)
     sq = _squares(add, mul, lows, 2 * m)
@@ -371,6 +451,8 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
 
     Meet in the middle: a^2 - nrd + eps*t*d^2 = eps*b^2 + t*c^2, so every
     pair (a, d) is looked up in the shared (b, c) table of _norm_table."""
+    import numpy as np
+
     F = alg.field
     q = F.q
     e0 = 2 * m - pi.degree
@@ -415,6 +497,9 @@ class _PlaceScan:
         self.pi = pi
         self.split = SplitPlace(alg, pi)
         self.depths: dict[int, list[Witness]] = {}
+        # depth bound -> its certified WitnessSet; a failed certification
+        # is not stored, so a bound too small raises on every call
+        self.certified: dict[int, WitnessSet] = {}
 
     def witnesses(self, m: int) -> list[Witness]:
         found = self.depths.get(m)
@@ -481,13 +566,20 @@ def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity.  Exactly one witness per right coset and per left
     coset; a collision at any depth raises.  With split, the cosets are
-    read off that model of the algebra at pi.  The depth scans are cached
-    per place, so every call certifies its own list and the depth bound
-    holds whatever was asked before."""
-    found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
+    read off that model of the algebra at pi, and nothing is cached.
+    Otherwise the certified set is kept per place and depth bound; only a
+    successful certification is kept, so the depth bound holds whatever
+    was asked before."""
     if split is not None:
-        found = [w.labeled_in(split) for w in found]
-    return _certify(alg, pi, found, depth_bound)
+        found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
+        return _certify(alg, pi, [w.labeled_in(split) for w in found],
+                        depth_bound)
+    scan = _place_scan(alg, pi)
+    ws = scan.certified.get(depth_bound)
+    if ws is None:
+        found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
+        ws = scan.certified[depth_bound] = _certify(alg, pi, found, depth_bound)
+    return ws
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
@@ -510,6 +602,8 @@ def group_of(alg: AlgebraParams) -> Gamma:
 
 
 def left_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
+    import numpy as np
+
     G = group_of(alg)
     out = np.zeros((G.order, G.order), dtype=np.int64)
     ginv = G.inv(g)
@@ -519,6 +613,8 @@ def left_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
 
 
 def right_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
+    import numpy as np
+
     G = group_of(alg)
     out = np.zeros((G.order, G.order), dtype=np.int64)
     for xi, x in enumerate(G.elements()):
@@ -556,6 +652,8 @@ def verify_action_relations(alg: AlgebraParams) -> None:
     """The infinity action reverses products and satisfies the local
     commutation rule (uniformizer) u = u^q (uniformizer); its square is
     the central scalar t."""
+    import numpy as np
+
     G = group_of(alg)
     act = infinity_action_matrices(alg)
     P, U = act["uniformizer"], act["units"]
@@ -667,10 +765,15 @@ class SplitComponent:
     def is_unit(self) -> bool:
         return self.det_valuation() == 0
 
-    def right_multiply(self, elt: OrderElement) -> None:
+    def _truncated(self, mat: Mat) -> Mat:
+        """Entries known mod pi^P, cut down to mod pi^precision."""
+        if self.precision == self.sp.precision:
+            return mat
         m = self._modulus()
-        self.mat = tuple(e % m
-                         for e in self.sp.matmul(self.mat, self.sp.embed(elt)))
+        return tuple(e % m for e in mat)
+
+    def right_multiply(self, elt: OrderElement) -> None:
+        self.mat = self._truncated(self.sp.matmul(self.mat, self.sp.embed(elt)))
 
     def right_divide(self, elt: OrderElement, norm: RatFunc | None = None) -> None:
         """Multiply by elt^{-1} on the right; pi-valuation v of nrd(elt)
@@ -684,7 +787,6 @@ class SplitComponent:
                 f"cannot divide by an element whose norm has valuation {v} "
                 f"at {format_poly(sp.pi)}")
         num = sp.matmul(self.mat, sp.embed(elt.conj()))
-        unit_part = n
         if v:
             piv = sp.pi_power(v)
             shifted = []
@@ -696,15 +798,12 @@ class SplitComponent:
                         f"structure")
                 shifted.append(quo)
             num = tuple(shifted)
-            unit_part = n / RatFunc(piv)
             self.precision -= v
             if self.precision < 2:
                 raise FactorizationError(
                     f"component precision exhausted at {format_poly(sp.pi)}: "
                     f"{self.precision} digits left")
-        m = self._modulus()
-        inv = sp.inv_mod(sp.reduce(unit_part))
-        self.mat = tuple((e * inv) % m for e in num)
+        self.mat = self._truncated(sp.scale_mat(num, sp.unit_inverse(n)))
 
 
 class AdeleState:

@@ -305,13 +305,14 @@ def _over_common_denominator(x: OrderElement
 
 
 def _j_power(alg: AlgebraParams, k: int) -> OrderElement:
-    """j^k for any integer k, using j^2 = t and j^{-1} = j/t."""
-    F = alg.field
+    """j^k for any integer k: t^h for k = 2h and t^h j for k = 2h + 1,
+    since j^2 = t (so j^{-1} = j/t)."""
     half, odd = divmod(k, 2)  # floor division keeps odd in {0, 1}
-    out = OrderElement.scalar(alg, RatFunc.t_power(F, half))
+    th = RatFunc.t_power(alg.field, half)
     if odd:
-        out = out * OrderElement.j(alg)
-    return out
+        z = RatFunc.zero(alg.field)
+        return OrderElement(alg, z, z, th, z)
+    return OrderElement.scalar(alg, th)
 
 
 def reduce_at_zero(x: OrderElement) -> LocalReduction:

@@ -98,6 +98,128 @@ def test_split_place_reduce_matches_reduce_mod():
                 assert r.den not in sp._den_inverses
 
 
+# The per-entry formulas SplitPlace used before its multiply-reduce kernel:
+# products and sums of Polys, then one divmod by pi^P.  The kernel must give
+# the same remainders.
+
+
+def _ref_inv(a, m):
+    g, u, _ = (a % m).xgcd(m)
+    assert g.is_one()
+    return u % m
+
+
+def _ref_reduce(sp, r):
+    return (r.num * _ref_inv(r.den, sp.modulus)) % sp.modulus
+
+
+def _ref_matmul(sp, A, B):
+    m = sp.modulus
+    a0, a1, a2, a3 = A
+    b0, b1, b2, b3 = B
+    return ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m,
+            (a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m)
+
+
+def _ref_det(sp, A):
+    return (A[0] * A[3] - A[1] * A[2]) % sp.modulus
+
+
+def _ref_embed(sp, elt):
+    coords = [_ref_reduce(sp, c) for c in elt.coords()]
+    out = []
+    for idx in range(4):
+        acc = Poly.zero(sp.alg.field)
+        for coeff, mat in zip(coords, (sp.mat_one, sp.mat_i, sp.mat_j,
+                                       sp.mat_k)):
+            acc = acc + coeff * mat[idx]
+        out.append(acc % sp.modulus)
+    return tuple(out)
+
+
+def _ref_unit_inverse(sp, n):
+    unit = n / RatFunc(sp.pi_power(n.valuation(sp.pi)))
+    return _ref_inv(_ref_reduce(sp, unit), sp.modulus)
+
+
+def _kernel_models(q):
+    """Split models at the first places of degree 1 and 2, and the
+    conjugated model at the first place."""
+    alg = AlgebraParams(q)
+    places = default_places(alg, 2)
+    for deg in (1, 2):
+        yield SplitPlace(alg, next(p for p in places if p.degree == deg))
+    yield SplitPlace(alg, places[0], conjugator=standard_conjugator(alg))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_split_place_kernel_matches_per_entry_formulas(q):
+    # GF(4) and GF(8) carry no algebra (odd characteristic only); GF(9)
+    # runs the kernel's table arithmetic on a field that is not prime
+    rng = random.Random(600 + q)
+    for sp in _kernel_models(q):
+        alg, F, pi = sp.alg, sp.alg.field, sp.pi
+        D = sp.modulus.degree
+
+        def poly(deg):
+            return Poly(F, [rng.randrange(q) for _ in range(deg + 1)])
+
+        for _ in range(6):
+            # degrees past 2D need fold rows that no reduced product reaches
+            A = tuple(poly(rng.choice((D - 1, 2 * D + 3))) for _ in range(4))
+            B = tuple(poly(rng.choice((0, D - 1, 2 * D))) for _ in range(4))
+            assert sp.matmul(A, B) == _ref_matmul(sp, A, B)
+            assert sp.det(A) == _ref_det(sp, A)
+            assert sp.scale_mat(A, B[0]) == tuple(
+                (e * B[0]) % sp.modulus for e in A)
+            den = Poly.t_power(F, rng.randrange(4)).scale(rng.randrange(1, q))
+            r = RatFunc(poly(2 * D + 1), den)
+            assert sp.reduce(r) == _ref_reduce(sp, r)
+            elt = OrderElement(alg, *(RatFunc(poly(2 * D), den)
+                                      for _ in range(4)))
+            assert sp.embed(elt) == _ref_embed(sp, elt)
+        for bad in (sp.reduce, sp.unit_inverse):
+            with pytest.raises(ValueError):
+                bad(RatFunc(Poly.one(F), pi * Poly.t(F)))
+
+        # the unit part of a norm: every witness norm, a central pi and
+        # elements prime to pi; the second call reads the memo
+        ws = witness_set(alg, pi, depth_bound=4)
+        norms = [w.element.nrd() for w in ws.witnesses]
+        norms += [RatFunc(pi * pi), elt.nrd(), RatFunc(poly(2 * D), den)]
+        for n in norms:
+            if n.is_zero():
+                continue
+            want = _ref_unit_inverse(sp, n)
+            assert sp.unit_inverse(n) == want
+            assert n.num in sp._num_inverses
+            assert sp.unit_inverse(n) == want
+
+        # a component at precision 2 cuts every kernel result down to pi^2;
+        # at full precision, dividing by a witness costs one digit
+        by = OrderElement.zero(alg)
+        while by.is_zero() or by.nrd().valuation(pi):
+            by = OrderElement(alg, *(RatFunc(poly(D)) for _ in range(4)))
+        w = ws.witnesses[0].element
+        for precision in (2, sp.precision):
+            m = sp.pi_power(precision)
+            comp = adelic.SplitComponent(sp, A, precision=precision)
+            mat = comp.mat
+            comp.right_multiply(elt)
+            mat = tuple(e % m for e in _ref_matmul(sp, mat, _ref_embed(sp, elt)))
+            assert comp.mat == mat
+            comp.right_divide(by)
+            inv = _ref_unit_inverse(sp, by.nrd())
+            mat = tuple((e * inv) % m for e in
+                        _ref_matmul(sp, mat, _ref_embed(sp, by.conj())))
+            assert (comp.mat, comp.precision) == (mat, precision)
+        comp.right_multiply(w)
+        comp.right_divide(w)
+        m = sp.pi_power(sp.precision - 1)
+        assert (comp.mat, comp.precision) == (
+            tuple(e % m for e in mat), sp.precision - 1)
+
+
 def test_exhausted_component_precision_survives_dash_O():
     # dividing by a witness costs one digit; at precision 2 nothing is
     # left, and the check is no assert, so -O cannot remove it
@@ -471,6 +593,32 @@ def test_witness_set_depth_bound_ignores_cache_state(monkeypatch):
     witness_set(alg, pi, depth_bound=3)
     with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
         witness_set(alg, pi, depth_bound=0)
+
+
+def test_witness_set_is_certified_once_per_depth_bound(monkeypatch):
+    _fresh_caches(monkeypatch)
+    certify = adelic._certify
+    calls = []
+    monkeypatch.setattr(adelic, "_certify",
+                        lambda *a: calls.append(a[3]) or certify(*a))
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t^2+1")
+    ws = witness_set(alg, pi)
+    assert witness_set(alg, pi) is ws
+    assert calls == [3]
+    assert witness_set(alg, pi, depth_bound=4).witnesses == ws.witnesses
+    assert calls == [3, 4]
+    # a model passed as split is read afresh on every call
+    split = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
+    assert witness_set(alg, pi, split=split) is not witness_set(alg, pi,
+                                                               split=split)
+    assert calls == [3, 4, 3, 3]
+    # the shifts are read once per group; a caller's list is its own
+    G = group_of(alg)
+    shifts = ws.shifts(G)
+    shifts.append((0, 0))
+    assert ws.shifts(G) == shifts[:-1]
+    assert ws.shifts(G) is not ws.shifts(G)
 
 
 def test_witness_set_cache_is_keyed_by_level():

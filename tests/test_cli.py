@@ -236,6 +236,23 @@ def test_python_O_does_not_change_bytes(argv):
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_irreps_does_not_import_numpy():
+    # numpy serves only the witness join and the integer matrices of
+    # tjl.adelic, which the census never reaches
+    script = (
+        "import os, sys\n"
+        "from tjl.cli import main\n"
+        "try:\n"
+        "    main(['irreps', '--q', '3', '--output', os.devnull])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_depth_bound_too_small_exits_3(flags):
     # the missing-witness check is no assert, so -O cannot remove it

@@ -340,6 +340,19 @@ def _ref_reduce_at_zero(x):
     return LocalReduction("zero", k, u, K.dlog(u))
 
 
+def test_j_power_is_the_repeated_product():
+    for q in (3, 5, 9):
+        alg = AlgebraParams(q)
+        j = OrderElement.j(alg)
+        jinv = j.scale(RatFunc.t_power(alg.field, -1))
+        assert j * jinv == OrderElement.one(alg)
+        for k in range(-7, 8):
+            want = OrderElement.one(alg)
+            for _ in range(abs(k)):
+                want = want * (j if k > 0 else jinv)
+            assert quaternion._j_power(alg, k) == want
+
+
 def test_reduce_at_zero_at_odd_and_negative_valuations():
     for q in (3, 5, 7):
         alg = AlgebraParams(q)
