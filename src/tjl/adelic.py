@@ -13,9 +13,9 @@ claim (FalsificationError), not an assumption.
 
 The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
-(q, eps, m), so its q^{2m} values are encoded as base-q integers, sorted
-once and shared by every place, and each place looks up its q^{2m} (a, d)
-values with numpy's searchsorted.  Each depth of each place is scanned and
+(q, eps, m), so its q^{2m} values are encoded as base-q integers and
+hashed once into a dict shared by every place, and each place looks up its
+q^{2m} (a, d) values there.  Each depth of each place is scanned and
 embedded once; witness_set and verify_witness_uniqueness both read that
 scan.
 
@@ -49,6 +49,8 @@ from .quaternion import (
 )
 
 if TYPE_CHECKING:
+    from array import array
+
     import numpy as np
 
 Element = tuple[int, int]
@@ -379,70 +381,92 @@ class WitnessSet:
 
 # -- the shared norm-form join ------------------------------------------
 #
-# A polynomial of degree < 2m is the base-q integer of its coefficients
-# (t^k has weight q^k); field addition is applied digitwise through the
-# field's tables, so GF(9) goes the same way as prime q.  A polynomial of
-# degree < m is also named by the index of its coefficient tuple in
-# product(range(q), repeat=m), whose first coordinate, the constant term,
-# varies slowest.
+# A polynomial of degree < 2m is keyed by the base-q integer of its
+# coefficients (t^k has weight q^k), held as two half-keys of m digits:
+# key = lo + q^m * hi.  Keys are added through the digit-sum table of
+# _digit_sums, one lookup per half, so GF(9) goes the same way as prime q.
+# A polynomial of degree < m is also named by the index of its coefficient
+# tuple in product(range(q), repeat=m), whose first coordinate, the constant
+# term, varies slowest.
 
-TABLE_ROW_CAP = 1 << 22  # q^(2m) rows; about 200 MB of working arrays
+# q^(2m) rows.  Building a table and its digit sums raises the peak RSS by
+# about 40 bytes a row (measured with CPython 3.11 on x86-64 Linux: 19 MiB
+# for the 531441 rows of q=9, m=3, 70 MiB for the 1771561 of q=11, m=3),
+# so the cap stands for about 170 MiB.
+TABLE_ROW_CAP = 1 << 22
 
 _NORM_TABLES: dict = {}
+_DIGIT_SUMS: dict = {}
 
 
-def _field_arrays(F) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    import numpy as np
+def _digit_sums(F, m: int) -> list[list[int]]:
+    """s[u][v] is the key of the sum of the polynomials of degree < m keyed
+    u and v.  For m > 1 every entry is an element of one list(range(q^m)),
+    so the q^(2m) entries share q^m int objects."""
+    sums = _DIGIT_SUMS.get((F.q, m))
+    if sums is None:
+        q = F.q
+        if m == 1:
+            sums = F._add
+        else:
+            keys = list(range(q ** m))
+            rest = _digit_sums(F, m - 1)
+            # u = u0 + q * u', and the digits of v run low digit fastest
+            sums = [[keys[lo + q * hi] for hi in rest[u // q]
+                     for lo in F._add[u % q]] for u in range(q ** m)]
+        _DIGIT_SUMS[(F.q, m)] = sums
+    return sums
 
-    return (np.array(F._add, dtype=np.uint8), np.array(F._mul, dtype=np.uint8),
-            np.array(F._neg, dtype=np.uint8))
 
-
-def _squares(add: np.ndarray, mul: np.ndarray, rows: np.ndarray,
-             width: int) -> np.ndarray:
-    """Coefficient rows of the squares of the polynomials in rows."""
-    import numpy as np
-
-    out = np.zeros((len(rows), width), dtype=np.uint8)
-    n = rows.shape[1]
-    for i in range(n):
-        for j in range(n):
-            out[:, i + j] = add[out[:, i + j], mul[rows[:, i], rows[:, j]]]
+def _half_keys(polys, m: int) -> list[tuple[int, int]]:
+    """The (lo, hi) half-keys of polynomials of degree < 2m."""
+    out = []
+    for p in polys:
+        cs = p.coeffs
+        q = p.field.q
+        lo = hi = 0
+        for c in reversed(cs[:m]):
+            lo = lo * q + c
+        for c in reversed(cs[m:]):
+            hi = hi * q + c
+        out.append((lo, hi))
     return out
 
 
-def _pair_keys(q: int, add: np.ndarray, x: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """The keys of x[i] + y[j] for every pair, at row i * len(y) + j."""
-    import numpy as np
-
-    keys = np.zeros(len(x) * len(y), dtype=np.int64)
-    for k in range(x.shape[1]):
-        keys += add[x[:, k, None], y[None, :, k]].ravel() * np.int64(q ** k)
-    return keys
-
-
-def _norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted keys of eps*b^2 + t*c^2 over all pairs (b, c) of degree < m,
-    and the pair index b * q^m + c behind each; shared by every place."""
+def _norm_table(F, eps: int, m: int) -> dict[int, array]:
+    """The key of eps*b^2 + t*c^2 -> the pair indices b * q^m + c behind it,
+    over all pairs (b, c) of degree < m, in increasing order; shared by
+    every place.  An array of C longs holds the indices of a key, so the
+    q^(2m) indices make no int objects."""
     table = _NORM_TABLES.get((F.q, eps, m))
     if table is None:
         table = _NORM_TABLES[(F.q, eps, m)] = _build_norm_table(F, eps, m)
     return table
 
 
-def _build_norm_table(F, eps: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
+def _build_norm_table(F, eps: int, m: int) -> dict[int, array]:
+    from array import array  # loaded by a join, not by importing tjl
 
-    add, mul, _ = _field_arrays(F)
-    lows = np.array(list(product(range(F.q), repeat=m)), dtype=np.uint8)
-    sq = _squares(add, mul, lows, 2 * m)
-    # deg c^2 <= 2m - 2, so rolling one digit up multiplies by t
-    keys = _pair_keys(F.q, add, mul[eps][sq], np.roll(sq, 1, axis=1))
-    # ties need no order (the join sorts its hits); the stable kernel
-    # pages in about 0.2 MiB less of numpy than the default one
-    order = np.argsort(keys, kind="stable")
-    return keys[order], order
+    Q = F.q ** m
+    sums = _digit_sums(F, m)
+    lows = [Poly(F, cs) for cs in product(range(F.q), repeat=m)]
+    squares = [p * p for p in lows]
+    ebs = _half_keys((p.scale(eps) for p in squares), m)
+    tcs = _half_keys((p.shift(1) for p in squares), m)
+    table: dict[int, array] = {}
+    get = table.get
+    bc = 0
+    for blo, bhi in ebs:
+        slo, shi = sums[blo], sums[bhi]
+        for clo, chi in tcs:
+            key = slo[clo] + Q * shi[chi]
+            pairs = get(key)
+            if pairs is None:
+                table[key] = array("l", (bc,))
+            else:
+                pairs.append(bc)
+            bc += 1
+    return table
 
 
 def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
@@ -451,8 +475,6 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
 
     Meet in the middle: a^2 - nrd + eps*t*d^2 = eps*b^2 + t*c^2, so every
     pair (a, d) is looked up in the shared (b, c) table of _norm_table."""
-    import numpy as np
-
     F = alg.field
     q = F.q
     e0 = 2 * m - pi.degree
@@ -462,29 +484,27 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
         raise SearchBoundExceededError(
             f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
             f"more than the cap {TABLE_ROW_CAP}")
-    table, pairs = _norm_table(F, alg.eps, m)
-    add, mul, neg = _field_arrays(F)
-    lowers = list(product(range(q), repeat=m))
-    lows = np.array(lowers, dtype=np.uint8)
-    n = len(lowers)
-    monic = np.concatenate([lows, np.ones((n, 1), dtype=np.uint8)], axis=1)
-    target = (Poly.t_power(F, e0) * pi).coeffs  # monic of degree 2m
-    # a^2 - target: the t^{2m} terms cancel
-    lhs = add[_squares(add, mul, monic, 2 * m + 1),
-              neg[np.array(target, dtype=np.uint8)]][:, :2 * m]
-    etd2 = np.roll(mul[alg.eps][_squares(add, mul, lows, 2 * m)], 1, axis=1)
-    keys = _pair_keys(q, add, lhs, etd2)
-    lo = np.searchsorted(table, keys, side="left")
-    hi = np.searchsorted(table, keys, side="right")
-    hits = []
-    for ad in np.flatnonzero(hi > lo).tolist():
-        ia, id_ = divmod(ad, n)
-        for bc in pairs[lo[ad]:hi[ad]].tolist():
-            hits.append((ia, *divmod(bc, n), id_))
+    table = _norm_table(F, alg.eps, m)
+    get = table.get
+    Q = q ** m
+    sums = _digit_sums(F, m)
+    lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
     tm = Poly.t_power(F, m)
+    tops = [tm + p for p in lows]
+    target = Poly.t_power(F, e0) * pi  # monic of degree 2m
+    # a^2 - target: the t^{2m} terms cancel
+    lhs = _half_keys((a * a - target for a in tops), m)
+    etd2 = _half_keys(((p * p).scale(alg.eps).shift(1) for p in lows), m)
+    hits = []
+    for ia, (alo, ahi) in enumerate(lhs):
+        slo, shi = sums[alo], sums[ahi]
+        for id_, (dlo, dhi) in enumerate(etd2):
+            pairs = get(slo[dlo] + Q * shi[dhi])
+            if pairs is not None:
+                for bc in pairs:
+                    hits.append((ia, *divmod(bc, Q), id_))
     for ia, ib, ic, id_ in sorted(hits):
-        yield (tm + Poly(F, lowers[ia]), Poly(F, lowers[ib]),
-               Poly(F, lowers[ic]), Poly(F, lowers[id_]))
+        yield tops[ia], lows[ib], lows[ic], lows[id_]
 
 
 class _PlaceScan:

@@ -276,8 +276,11 @@ class Poly:
     def __mul__(self, other: Poly) -> Poly:
         F = self.field
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
+        # Poly is immutable, so a zero factor is the product
+        if not a:
+            return self
+        if not b:
+            return other
         # a constant factor: the product is a scaling (or the other factor)
         if len(a) == 1:
             return other.scale(a[0])

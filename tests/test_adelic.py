@@ -530,7 +530,7 @@ def _brute_force_box(alg, pi, m):
 
 
 @pytest.mark.parametrize("q, depths, max_places", [
-    (3, (1, 2), None), (5, (1,), None), (9, (1,), 3)])
+    (3, (1, 2), None), (5, (1,), None), (9, (1,), 3), (7, (1,), None)])
 def test_box_candidates_match_brute_force(q, depths, max_places):
     alg = AlgebraParams(q)
     places = default_places(alg, 2)
@@ -544,6 +544,39 @@ def test_box_candidates_match_brute_force(q, depths, max_places):
             target = RatFunc(Poly.t_power(alg.field, 2 * m - pi.degree) * pi)
             for a, b, c, d in got:
                 assert OrderElement.from_polys(alg, a, b, c, d).nrd() == target
+
+
+def _key(p):
+    """The base-q key of p: t^k has weight q^k."""
+    return sum(c * p.field.q ** k for k, c in enumerate(p.coeffs))
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("m", [1, 2])
+def test_digit_sums_are_poly_addition(q, m):
+    F = AlgebraParams(q).field
+    polys = [Poly(F, cs[::-1]) for cs in product(range(q), repeat=m)]
+    assert [_key(p) for p in polys] == list(range(q ** m))
+    sums = adelic._digit_sums(F, m)
+    assert len(sums) == q ** m
+    for u, pu in enumerate(polys):
+        assert sums[u] == [_key(pu + pv) for pv in polys], (u, pu)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("m", [1, 2])
+def test_norm_table_files_each_pair_under_its_norm(q, m):
+    alg = AlgebraParams(q)
+    F = alg.field
+    eps, t = Poly.constant(F, alg.eps), Poly.t(F)
+    lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
+    want: dict[int, list[int]] = {}
+    for ib, b in enumerate(lows):
+        for ic, c in enumerate(lows):
+            key = _key(eps * b * b + t * c * c)
+            want.setdefault(key, []).append(ib * len(lows) + ic)
+    table = adelic._build_norm_table(F, alg.eps, m)
+    assert {key: list(pairs) for key, pairs in table.items()} == want
 
 
 def test_norm_table_is_built_once_per_q_eps_depth(monkeypatch):

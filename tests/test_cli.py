@@ -236,21 +236,36 @@ def test_python_O_does_not_change_bytes(argv):
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_irreps_does_not_import_numpy():
-    # numpy serves only the witness join and the integer matrices of
-    # tjl.adelic, which the census never reaches
+def _exit_code_and_numpy(argv: list[str]) -> list[str]:
+    """The exit code of a tjl run with argv, and whether numpy is then in
+    sys.modules."""
     script = (
         "import os, sys\n"
         "from tjl.cli import main\n"
         "try:\n"
-        "    main(['irreps', '--q', '3', '--output', os.devnull])\n"
+        f"    main({argv!r} + ['--output', os.devnull])\n"
         "except SystemExit as exc:\n"
         "    print(exc.code, 'numpy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    return proc.stdout.split()
+
+
+def test_irreps_does_not_import_numpy():
+    # numpy serves only brandt and the integer Hecke and action matrices of
+    # tjl.adelic, which the census never reaches
+    assert _exit_code_and_numpy(["irreps", "--q", "3"]) == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "3", "--degree-bound", "1"],
+    ["basis", "--q", "3", "--sigma", "1:0"]])
+def test_verify_and_basis_do_not_import_numpy(argv):
+    # the witness join is pure Python, and the spectral stage works on
+    # monomial matrices
+    assert _exit_code_and_numpy(argv) == ["0", "False"]
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])

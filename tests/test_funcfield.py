@@ -359,6 +359,17 @@ def test_poly_mul_by_constant_is_scale():
                 assert (a * const).coeffs == _ref_mul(F, a.coeffs, const.coeffs)
 
 
+@pytest.mark.parametrize("q", [3, 9])
+def test_poly_mul_by_zero_is_zero(q):
+    F = gf(q)
+    rng = random.Random(q)
+    zero = Poly.zero(F)
+    for a in [zero, Poly.one(F), Poly.t(F)] + [_rand_poly(F, rng, 5)
+                                                for _ in range(10)]:
+        assert a * zero == zero == zero * a
+        assert (a * zero).coeffs == () == (zero * a).coeffs
+
+
 def test_ratfunc_normal_form_matches_general_gcd():
     rng = random.Random(33)
     for q in FAST_PATH_QS:
