@@ -29,11 +29,9 @@ units to right translations as well, reversing products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import product
-from typing import TYPE_CHECKING
 
-from .cyclotomic import FalsificationError, require
+from .cyclotomic import FalsificationError, FrozenRecord, require
 from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
 from .metacyclic import Gamma, gamma
 from .quaternion import (
@@ -48,6 +46,7 @@ from .quaternion import (
     split_certificate,
 )
 
+TYPE_CHECKING = False  # typing is not imported at run time
 if TYPE_CHECKING:
     from array import array
 
@@ -338,18 +337,17 @@ def standard_conjugator(alg: AlgebraParams) -> Mat:
 # -- canonical witness sets -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
-    element: OrderElement
-    depth: int
-    right_label: tuple
-    left_label: tuple
-    reduction: LocalReduction
+class Witness(FrozenRecord):
+    __slots__ = ("element", "depth", "right_label", "left_label", "reduction")
+
+    def __init__(self, element: OrderElement, depth: int, right_label: tuple,
+                 left_label: tuple, reduction: LocalReduction):
+        self._set(element, depth, right_label, left_label, reduction)
 
     def labeled_in(self, split: SplitPlace) -> Witness:
         """The same witness with its cosets read off another model."""
         right, left = split.coset_labels(self.element)
-        return replace(self, right_label=right, left_label=left)
+        return Witness(self.element, self.depth, right, left, self.reduction)
 
 
 class WitnessSet:
@@ -700,22 +698,24 @@ def default_places(alg: AlgebraParams, max_deg: int = 2) -> list[Poly]:
 # -- elementary factorizations ----------------------------------------
 
 
-@dataclass(frozen=True)
-class AdeleDescription:
+class AdeleDescription(FrozenRecord):
     """A finitely supported modification: a Hecke coset at a split place,
     the uniformizer at infinity, or a Teichmueller unit at infinity."""
 
-    kind: str  # "hecke" | "uniformizer" | "teichmuller"
-    place: Poly | None = None
-    coset: tuple | None = None
-    unit: Fq2Element | None = None
+    __slots__ = ("kind", "place", "coset", "unit")
+
+    def __init__(self, kind: str, place: Poly | None = None,
+                 coset: tuple | None = None, unit: Fq2Element | None = None):
+        # kind is "hecke", "uniformizer" or "teichmuller"
+        self._set(kind, place, coset, unit)
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    witness: OrderElement
-    shift: Element
-    reduction: LocalReduction
+class FactorizationResult(FrozenRecord):
+    __slots__ = ("witness", "shift", "reduction")
+
+    def __init__(self, witness: OrderElement, shift: Element,
+                 reduction: LocalReduction):
+        self._set(witness, shift, reduction)
 
 
 def factorize(alg: AlgebraParams, desc: AdeleDescription,
@@ -917,13 +917,17 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
 
 
 def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
+    """A random matrix mod pi^P whose determinant is a unit.  Only det mod
+    pi decides that, so it is taken of the entries reduced mod pi."""
     F = sp.alg.field
     span = sp.modulus.degree
+    pi = sp.pi
     while True:
         mat = tuple(
             Poly(F, tuple(rng.randrange(F.q) for _ in range(span)))
             for _ in range(4))
-        if not (sp.det(mat) % sp.pi).is_zero():
+        a, b, c, d = (e % pi for e in mat)
+        if not ((a * d - b * c) % pi).is_zero():
             return mat
 
 

@@ -10,8 +10,13 @@ still read and validated (a positive integer, else exit 2) but changes
 nothing, so the bytes do not depend on it.  Exit codes: 0 success, 1
 falsified invariant (including an internal inconsistency such as a
 non-rational inner product, a scalar order mismatch or a failed inverse),
-2 usage error, 3 resource or search bound exceeded.  Every failure writes one JSON line with a non-empty message to
-stderr.
+2 usage error, 3 resource or search bound exceeded.  Every failure writes
+one JSON line with a non-empty message to stderr.
+
+Start-up is kept lean: beyond tjl's own modules, importing this module
+loads only argparse, json and fractions from the standard library (with
+what they import themselves), and run() builds the argument parser once
+per process and reuses it on every later call.
 """
 
 from __future__ import annotations
@@ -374,10 +379,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        # parsing leaves no state in the parser, so one serves every call
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -32,6 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import gcd
+from operator import attrgetter
 
 RationalLike = int | Fraction
 
@@ -53,6 +54,84 @@ def require(ok: bool, message: str) -> None:
     keeps the check."""
     if not ok:
         raise FalsificationError(message)
+
+
+class Record:
+    """A plain record whose fields are the names in ``__slots__``, in order.
+
+    Equality holds only between instances of one class and compares the
+    field tuples; the repr is ``Name(field=value, ...)``.  A subclass writes
+    its own ``__init__`` and stores its fields with ``_set``.  A Record is
+    mutable and not hashable; FrozenRecord is the hashable kind."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            # cls._fields(record) is the field tuple, read in C; every
+            # record has two fields or more, so attrgetter returns a tuple
+            cls._fields = attrgetter(*cls.__slots__)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == self._fields(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which takes the fields
+        # in order
+        return type(self), self._fields(self)
+
+
+class FrozenRecord(Record):
+    """A Record that hashes as its field tuple and refuses assignment."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OrderedRecord(FrozenRecord):
+    """A FrozenRecord ordered by its field tuple within one class."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) < self._fields(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) <= self._fields(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) > self._fields(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) >= self._fields(other)
+        return NotImplemented
 
 
 def divisors(m: int) -> list[int]:

@@ -26,11 +26,10 @@ polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import FalsificationError, require
+from .cyclotomic import FalsificationError, FrozenRecord, require
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -641,12 +640,13 @@ class RatFunc:
         return f"RatFunc(({format_poly(self.num)})/({format_poly(self.den)}))"
 
 
-@dataclass(frozen=True)
-class Fq2Element:
+class Fq2Element(FrozenRecord):
     """a + b*i with i^2 = eps, encoded over the base field."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self._set(a, b)
 
     def index(self, q: int) -> int:
         return self.a + q * self.b

@@ -11,7 +11,6 @@ so characters, multiplicities and intertwiners are all exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -19,6 +18,8 @@ from math import lcm
 from .cyclotomic import (
     Cyc,
     FalsificationError,
+    FrozenRecord,
+    OrderedRecord,
     OrderMismatchError,
     divisors,
     inner_product,
@@ -55,17 +56,15 @@ def orbit_count_of_size(q: int, n: int, d: int) -> int:
     return total // d
 
 
-@dataclass(frozen=True)
-class GroupParams:
-    q: int
-    n: int
-    level: int = 1
+class GroupParams(FrozenRecord):
+    __slots__ = ("q", "n", "level")
 
-    def __post_init__(self):
-        if not is_prime_power(self.q):
-            raise ValueError(f"q = {self.q} must be a prime power")
-        if self.n < 1 or self.level < 1:
+    def __init__(self, q: int, n: int, level: int = 1):
+        if not is_prime_power(q):
+            raise ValueError(f"q = {q} must be a prime power")
+        if n < 1 or level < 1:
             raise ValueError("n and the level must be positive")
+        self._set(q, n, level)
 
     @property
     def M(self) -> int:
@@ -231,12 +230,13 @@ def enumerate_orbits(group: Gamma) -> list[tuple[int, ...]]:
     return orbits
 
 
-@dataclass(frozen=True, order=True)
-class IrrepLabel:
+class IrrepLabel(OrderedRecord):
     """An irrep: a Frobenius orbit (sorted tuple) plus a twist s mod R/f."""
 
-    orbit: tuple[int, ...]
-    s: int
+    __slots__ = ("orbit", "s")
+
+    def __init__(self, orbit: tuple[int, ...], s: int):
+        self._set(orbit, s)
 
     @property
     def dim(self) -> int:

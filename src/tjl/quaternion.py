@@ -26,10 +26,9 @@ certificate is the same as with per-coordinate RatFunc arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
-from .cyclotomic import FalsificationError
+from .cyclotomic import FalsificationError, FrozenRecord
 from .funcfield import (GF, Fq2, Fq2Element, Poly, RatFunc, format_poly, fq2, gf,
                         monic_irreducibles)
 
@@ -42,25 +41,23 @@ class ReductionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class AlgebraParams(FrozenRecord):
     """q odd prime power, eps the canonical non-square, level N for the
     arithmetic quotient at t."""
 
-    q: int
-    level: int = 1
-    eps: int | None = None
+    __slots__ = ("q", "level", "eps")
 
-    def __post_init__(self) -> None:
-        F = gf(self.q)
+    def __init__(self, q: int, level: int = 1, eps: int | None = None):
+        F = gf(q)
         if F.p == 2:
             raise ValueError("the algebra needs odd characteristic")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be positive")
-        if self.eps is None:
-            object.__setattr__(self, "eps", F.smallest_nonsquare)
-        elif F.is_square(self.eps):
-            raise ValueError(f"eps = {self.eps} is a square in F_{self.q}")
+        if eps is None:
+            eps = F.smallest_nonsquare
+        elif F.is_square(eps):
+            raise ValueError(f"eps = {eps} is a square in F_{q}")
+        self._set(q, level, eps)
 
     @property
     def field(self) -> GF:
@@ -76,15 +73,16 @@ class AlgebraParams:
         return {"q": self.q, "N": self.level, "eps": self.eps}
 
 
-@dataclass(frozen=True)
-class LocalReduction:
+class LocalReduction(FrozenRecord):
     """Class of a local unit group coset: uniformizer power k and residue
     unit u in F_{q^2}^* with its discrete log."""
 
-    place: str  # "zero" or "infinity"
-    k: int
-    residue: Fq2Element
-    exponent: int
+    __slots__ = ("place", "k", "residue", "exponent")
+
+    def __init__(self, place: str, k: int, residue: Fq2Element,
+                 exponent: int):
+        # place is "zero" or "infinity"
+        self._set(place, k, residue, exponent)
 
     def to_gamma(self, R: int, M: int) -> tuple[int, int]:
         return (self.k % R, self.exponent % M)

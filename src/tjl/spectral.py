@@ -24,7 +24,6 @@ relative to sigma.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .adelic import (
     FalsificationError,
@@ -34,7 +33,7 @@ from .adelic import (
     standard_conjugator,
     witness_set,
 )
-from .cyclotomic import Cyc, require
+from .cyclotomic import Cyc, Record, require
 from .funcfield import Poly, format_poly
 from .metacyclic import (
     Gamma,
@@ -158,34 +157,37 @@ def hom_space(group: Gamma, label: IrrepLabel) -> HomSpace:
 # -- lines, blocks, reports -------------------------------------------
 
 
-@dataclass
-class SpectralLine:
-    chi: int                 # unit-character exponent at infinity
-    vector: Vector
-    eigenvalues: list[Cyc]   # aligned with the place list
+class SpectralLine(Record):
+    __slots__ = ("chi", "vector", "eigenvalues")
+
+    def __init__(self, chi: int, vector: Vector, eigenvalues: list[Cyc]):
+        # chi is the unit-character exponent at infinity; the eigenvalues
+        # are aligned with the place list
+        self._set(chi, vector, eigenvalues)
 
 
-@dataclass
-class EigensystemBlock:
-    a: int
-    places: list[Poly]
-    hecke_eigenvalues: list[Cyc]
-    lines: list[SpectralLine]
-    infinity_label: IrrepLabel
+class EigensystemBlock(Record):
+    __slots__ = ("a", "places", "hecke_eigenvalues", "lines",
+                 "infinity_label")
+
+    def __init__(self, a: int, places: list[Poly],
+                 hecke_eigenvalues: list[Cyc], lines: list[SpectralLine],
+                 infinity_label: IrrepLabel):
+        self._set(a, places, hecke_eigenvalues, lines, infinity_label)
 
     @property
     def dim(self) -> int:
         return len(self.lines)
 
 
-@dataclass
-class SpectralReport:
-    label: IrrepLabel
-    dim: int
-    places: list[Poly]
-    blocks: list[EigensystemBlock]
-    claim_ok: bool
-    infinity_dim_sum: int
+class SpectralReport(Record):
+    __slots__ = ("label", "dim", "places", "blocks", "claim_ok",
+                 "infinity_dim_sum")
+
+    def __init__(self, label: IrrepLabel, dim: int, places: list[Poly],
+                 blocks: list[EigensystemBlock], claim_ok: bool,
+                 infinity_dim_sum: int):
+        self._set(label, dim, places, blocks, claim_ok, infinity_dim_sum)
 
     def to_json(self) -> dict:
         return {
@@ -220,10 +222,13 @@ class SpectralReport:
         }
 
 
-@dataclass
-class ProjectiveBasis:
-    label: IrrepLabel
-    lines: list[tuple[int, int, Vector]]  # (block index a, chi, line)
+class ProjectiveBasis(Record):
+    __slots__ = ("label", "lines")
+
+    def __init__(self, label: IrrepLabel,
+                 lines: list[tuple[int, int, Vector]]):
+        # each line is (block index a, chi, line)
+        self._set(label, lines)
 
 
 def _phi(g: Element, R: int) -> Element:

@@ -11,9 +11,7 @@ normalized so the Steinberg parameter has r = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .cyclotomic import require
+from .cyclotomic import OrderedRecord, require
 from .metacyclic import (
     Gamma,
     GroupParams,
@@ -28,13 +26,13 @@ class TameParamError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class TameParam:
+class TameParam(OrderedRecord):
     """Inertial orbit of size f, Steinberg depth d (f*d = n), twist s mod R/f."""
 
-    orbit: tuple[int, ...]
-    d: int
-    s: int
+    __slots__ = ("orbit", "d", "s")
+
+    def __init__(self, orbit: tuple[int, ...], d: int, s: int):
+        self._set(orbit, d, s)
 
     @property
     def f(self) -> int:
@@ -55,12 +53,13 @@ class TameParam:
         return {"orbit": list(self.orbit), "d": self.d, "s": self.s}
 
 
-@dataclass(frozen=True, order=True)
-class GlobalTameParam:
+class GlobalTameParam(OrderedRecord):
     """A global tame parameter: a regular orbit (size n) with twist s mod N."""
 
-    orbit: tuple[int, ...]
-    s: int
+    __slots__ = ("orbit", "s")
+
+    def __init__(self, orbit: tuple[int, ...], s: int):
+        self._set(orbit, s)
 
     def to_json(self) -> dict:
         return {"orbit": list(self.orbit), "s": self.s}

@@ -137,6 +137,35 @@ def _ref_embed(sp, elt):
     return tuple(out)
 
 
+def _old_random_unit_matrix(sp, rng, rejected):
+    """The earlier _random_unit_matrix, which tested the determinant mod
+    pi^P reduced mod pi; the draws it refuses go to rejected."""
+    F = sp.alg.field
+    span = sp.modulus.degree
+    while True:
+        mat = tuple(
+            Poly(F, tuple(rng.randrange(F.q) for _ in range(span)))
+            for _ in range(4))
+        if not (sp.det(mat) % sp.pi).is_zero():
+            return mat
+        rejected.append(mat)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_random_unit_matrix_tests_det_mod_pi_like_the_full_det(q):
+    # the determinant of the entries reduced mod pi decides exactly what the
+    # determinant mod pi^P did, so the draws, the RNG stream and the
+    # accepted matrices stay the same, at places of degree 1 and 2
+    for sp in list(_kernel_models(q))[:2]:
+        new, old = random.Random(800 + q), random.Random(800 + q)
+        rejected = []
+        for _ in range(200):
+            assert (adelic._random_unit_matrix(sp, new)
+                    == _old_random_unit_matrix(sp, old, rejected))
+        assert new.getstate() == old.getstate()
+        assert rejected
+
+
 def _ref_unit_inverse(sp, n):
     unit = n / RatFunc(sp.pi_power(n.valuation(sp.pi)))
     return _ref_inv(_ref_reduce(sp, unit), sp.modulus)

@@ -236,27 +236,65 @@ def test_python_O_does_not_change_bytes(argv):
     assert outs[0] and outs[0] == outs[1]
 
 
-def _exit_code_and_numpy(argv: list[str]) -> list[str]:
-    """The exit code of a tjl run with argv, and whether numpy is then in
-    sys.modules."""
+@pytest.mark.parametrize("argv", [("verify", "--q", "3"),
+                                  ("irreps", "--q", "4", "--n", "2", "--N", "2")])
+def test_hash_seed_does_not_change_bytes(argv):
+    # records hash as their field tuples, so set and dict orders may follow
+    # the string hash seed; no output may
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "tjl.cli", *argv],
+                              capture_output=True, env=env, check=True)
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
+def test_reused_parser_gives_the_bytes_of_fresh_processes(capsys):
+    # run() keeps one parser per process: a usage error that argparse
+    # itself reports must leave nothing behind for the calls after it
+    runs = [["verify", "--q", "three"],
+            ["orbits", "--q", "3", "--n", "2"],
+            ["verify", "--q", "3", "--degree-bound", "1"]]
+    for argv in runs:
+        code, out, err = invoke(capsys, *argv)
+        fresh = subprocess.run([sys.executable, "-m", "tjl.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout,
+                                    fresh.stderr)
+    assert cli._PARSER is not None
+
+
+def _modules_loaded(argv: list[str], modules: list[str]) -> dict:
+    """Which of modules a fresh interpreter loads by ``import tjl.cli``
+    ("import"), and by that import plus a tjl run with argv ("run"), with
+    the run's exit code ("code").  The run writes its report to os.devnull;
+    modules loaded before tjl.cli was imported do not count."""
     script = (
-        "import os, sys\n"
+        "import json, os, sys\n"
+        "before = set(sys.modules)\n"
+        f"modules = {modules!r}\n"
+        "def loaded():\n"
+        "    return [m for m in modules if m in sys.modules and m not in before]\n"
         "from tjl.cli import main\n"
+        "after_import = loaded()\n"
         "try:\n"
         f"    main({argv!r} + ['--output', os.devnull])\n"
         "except SystemExit as exc:\n"
-        "    print(exc.code, 'numpy' in sys.modules)\n"
+        "    print(json.dumps({'import': after_import, 'run': loaded(),\n"
+        "                      'code': exc.code}))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return json.loads(proc.stdout)
 
 
 def test_irreps_does_not_import_numpy():
     # numpy serves only brandt and the integer Hecke and action matrices of
     # tjl.adelic, which the census never reaches
-    assert _exit_code_and_numpy(["irreps", "--q", "3"]) == ["0", "False"]
+    assert _modules_loaded(["irreps", "--q", "3"], ["numpy"]) == {
+        "import": [], "run": [], "code": 0}
 
 
 @pytest.mark.parametrize("argv", [
@@ -265,7 +303,17 @@ def test_irreps_does_not_import_numpy():
 def test_verify_and_basis_do_not_import_numpy(argv):
     # the witness join is pure Python, and the spectral stage works on
     # monomial matrices
-    assert _exit_code_and_numpy(argv) == ["0", "False"]
+    assert _modules_loaded(argv, ["numpy"]) == {
+        "import": [], "run": [], "code": 0}
+
+
+def test_start_up_loads_no_dataclasses_or_inspect():
+    # tjl's records are plain slotted classes, so neither the import nor a
+    # verify run pays for dataclasses and the inspect, dis and tokenize
+    # modules it pulls in
+    heavy = ["dataclasses", "inspect", "dis", "tokenize", "typing"]
+    got = _modules_loaded(["verify", "--q", "3", "--degree-bound", "1"], heavy)
+    assert got == {"import": [], "run": [], "code": 0}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]])
