@@ -25,6 +25,15 @@ point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
 mod pi.  Hecke matrices sum the right-translation action of the witness
 reductions; the infinity action sends the uniformizer and the Teichmueller
 units to right translations as well, reversing products.
+
+The model is built mod pi^P (P = 8), but its arithmetic works mod pi^k for
+the precision k each caller passes: the multiply-reduce kernel folds high
+coefficients back along rows t^e mod pi^k kept per k, and an embedding
+entry is one kernel call over the coordinate numerators and the basis
+matrices scaled by each inverse denominator.  An adele component computes
+at its own precision, which a division by norm valuation v lowers by v.
+A synthesized adele starts at P digits; factorize_adele cuts each component
+to the v + 2 digits its peeling uses (the proof is in its docstring).
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ class FactorizationError(ValueError):
 
 
 class SplitPlace:
-    """Matrix model of the algebra at a split place pi, entries mod pi^P."""
+    """Matrix model of the algebra at a split place pi.  The model is built
+    mod pi^P; its arithmetic works mod pi^k for the precision k <= P that
+    each caller passes."""
 
     def __init__(self, alg: AlgebraParams, pi: Poly, precision: int = 8,
                  conjugator: Mat | None = None):
@@ -74,16 +85,20 @@ class SplitPlace:
             raise ValueError("the algebra does not split at t")
         self.alg = alg
         self.pi = pi
-        self.precision = precision
+        self.precision = P = precision
         F = alg.field
         self._pi_powers = [Poly.one(F)]
-        self.modulus = self.pi_power(precision)
-        # row e - D holds t^e mod pi^P (D = deg pi^P <= e) as its nonzero
-        # (j, c) pairs; _mulsum folds each high coefficient along its row
-        self._fold_rows: list[list[tuple[int, int]]] = []
+        self.modulus = self.pi_power(P)
+        # k -> its fold rows: row e - D holds t^e mod pi^k (D = deg pi^k <=
+        # e) as its nonzero (j, c) pairs; _mulsum folds each high
+        # coefficient along its row
+        self._fold_rows: dict[int, list[list[tuple[int, int]]]] = {}
         # den -> den^{-1} mod pi^P; the denominators met are few (powers of
         # t, mostly), and a SplitPlace fixes every other input
         self._den_inverses: dict[Poly, Poly] = {}
+        # (den, idx) -> den^{-1} times the entries of basis matrix idx, mod
+        # pi^P: one embedding entry is one _mulsum over these
+        self._scaled_basis: dict[tuple[Poly, int], Mat] = {}
         # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
         # repeat (witness norms, pi^2)
         self._num_inverses: dict[Poly, Poly] = {}
@@ -94,23 +109,22 @@ class SplitPlace:
         self.mat_i: Mat = (zero, Poly.constant(F, alg.eps), one, zero)
         self.mat_j: Mat = (x, y.scale(alg.eps) % self.modulus,
                            (-y) % self.modulus, (-x) % self.modulus)
-        self.mat_k: Mat = self.matmul(self.mat_i, self.mat_j)
+        self.mat_k: Mat = self.matmul(self.mat_i, self.mat_j, P)
         if conjugator is not None:
             g = conjugator
             ginv = self._inverse_unit_matrix(g)
-            self.mat_i = self.matmul(self.matmul(g, self.mat_i), ginv)
-            self.mat_j = self.matmul(self.matmul(g, self.mat_j), ginv)
-            self.mat_k = self.matmul(self.matmul(g, self.mat_k), ginv)
-        # entry idx of the basis matrices 1, i, j, ij, in coordinate order
-        self._basis_entries = tuple(zip(self.mat_one, self.mat_i, self.mat_j,
-                                        self.mat_k))
+            self.mat_i = self.matmul(self.matmul(g, self.mat_i, P), ginv, P)
+            self.mat_j = self.matmul(self.matmul(g, self.mat_j, P), ginv, P)
+            self.mat_k = self.matmul(self.matmul(g, self.mat_k, P), ginv, P)
+        # the basis matrices of 1, i, j, ij, in coordinate order
+        self._basis = (self.mat_one, self.mat_i, self.mat_j, self.mat_k)
         # model sanity: the defining relations hold mod pi^P
         t = Poly.t(F)
-        anti = self.matmul(self.mat_j, self.mat_i)
-        ij = self.matmul(self.mat_i, self.mat_j)
-        if (self.matmul(self.mat_i, self.mat_i)
+        anti = self.matmul(self.mat_j, self.mat_i, P)
+        ij = self.matmul(self.mat_i, self.mat_j, P)
+        if (self.matmul(self.mat_i, self.mat_i, P)
                 != self.scalar_mat(Poly.constant(F, alg.eps))
-                or self.matmul(self.mat_j, self.mat_j) != self.scalar_mat(t)
+                or self.matmul(self.mat_j, self.mat_j, P) != self.scalar_mat(t)
                 or anti != tuple((-e) % self.modulus for e in ij)):
             raise FalsificationError(
                 f"the matrix model at {format_poly(pi)} breaks the relations "
@@ -162,11 +176,11 @@ class SplitPlace:
                 f"{a} is not a unit mod {self.pi}^{self.precision}")
         return u % self.modulus
 
-    def _mulsum(self, pairs) -> Poly:
-        """The sum of a*b mod pi^P over the pairs (a, b) of Polys.  Every
+    def _mulsum(self, pairs, k: int) -> Poly:
+        """The sum of a*b mod pi^k over the pairs (a, b) of Polys.  Every
         product lands in one coefficient list (a constant factor is one
-        scaled pass), each coefficient of degree e >= D = deg pi^P is folded
-        back along the row t^e mod pi^P, and one Poly is built at the end."""
+        scaled pass), each coefficient of degree e >= D = deg pi^k is folded
+        back along the row t^e mod pi^k, and one Poly is built at the end."""
         add, mul = self.alg.field._add, self.alg.field._mul
         out: list[int] = []
         for a, b in pairs:
@@ -184,9 +198,9 @@ class SplitPlace:
                     for ca in a:
                         out[i] = add[out[i]][row[ca]]
                         i += 1
-        D = self.modulus.degree
+        D = k * self.pi.degree
         if len(out) > D:
-            rows = self._rows_to(len(out) - 1)
+            rows = self._rows_to(k, len(out) - 1)
             for e in range(D, len(out)):
                 c = out[e]
                 if c:
@@ -196,15 +210,16 @@ class SplitPlace:
             del out[D:]
         return Poly(self.alg.field, tuple(out))
 
-    def _rows_to(self, top: int) -> list[list[tuple[int, int]]]:
-        """The fold rows t^e mod pi^P for D <= e <= top, built once per
-        model and grown on demand."""
-        rows = self._fold_rows
-        D = self.modulus.degree
+    def _rows_to(self, k: int, top: int) -> list[list[tuple[int, int]]]:
+        """The fold rows t^e mod pi^k for D = deg pi^k <= e <= top, built
+        once per model and precision and grown on demand."""
+        rows = self._fold_rows.setdefault(k, [])
+        modulus = self.pi_power(k)
+        D = modulus.degree
         if D + len(rows) <= top:
             F = self.alg.field
             add, mul = F._add, F._mul
-            low = [F._neg[c] for c in self.modulus.coeffs[:D]]  # t^D
+            low = [F._neg[c] for c in modulus.coeffs[:D]]  # t^D
             cur = [0] * D
             for j, c in (rows[-1] if rows else [(D - 1, 1)]):
                 cur[j] = c
@@ -217,19 +232,18 @@ class SplitPlace:
                 rows.append([(j, c) for j, c in enumerate(cur) if c])
         return rows
 
-    def reduce(self, r: RatFunc) -> Poly:
-        """The image of r in O/pi^P; its denominator must be a unit at pi
-        (ValueError otherwise).  The inverse of each denominator is
-        computed once per model."""
-        inv = self._den_inverses.get(r.den)
+    def _den_inverse(self, den: Poly) -> Poly:
+        """den^{-1} mod pi^P for a denominator that is a unit at pi
+        (ValueError otherwise), computed once per model."""
+        inv = self._den_inverses.get(den)
         if inv is None:
-            if (r.den % self.pi).is_zero():
+            if (den % self.pi).is_zero():
                 raise ValueError("denominator not a unit at the place")
-            inv = self._den_inverses[r.den] = self.inv_mod(r.den)
-        return self._mulsum(((r.num, inv),))
+            inv = self._den_inverses[den] = self.inv_mod(den)
+        return inv
 
-    def unit_inverse(self, r: RatFunc) -> Poly:
-        """The inverse mod pi^P of the unit part r / pi^v, v = v_pi(r), of r
+    def unit_inverse(self, r: RatFunc, k: int) -> Poly:
+        """The inverse mod pi^k of the unit part r / pi^v, v = v_pi(r), of r
         whose denominator is a unit at pi (ValueError otherwise).  The
         inverse of each numerator's unit part is computed once per model."""
         if (r.den % self.pi).is_zero():
@@ -238,44 +252,59 @@ class SplitPlace:
         if inv is None:
             unit = r.num // self.pi_power(r.num.valuation(self.pi))
             inv = self._num_inverses[r.num] = self.inv_mod(unit)
-        return self._mulsum(((r.den, inv),))
+        return self._mulsum(((r.den, inv),), k)
 
     def scalar_mat(self, c: Poly) -> Mat:
         z = Poly.zero(self.alg.field)
         c = c % self.modulus
         return (c, z, z, c)
 
-    def scale_mat(self, A: Mat, c: Poly) -> Mat:
-        """c A mod pi^P."""
-        return tuple(self._mulsum(((e, c),)) for e in A)
+    def scale_mat(self, A: Mat, c: Poly, k: int) -> Mat:
+        """c A mod pi^k."""
+        return tuple(self._mulsum(((e, c),), k) for e in A)
 
-    def matmul(self, A: Mat, B: Mat) -> Mat:
+    def matmul(self, A: Mat, B: Mat, k: int) -> Mat:
+        """A B mod pi^k."""
         a0, a1, a2, a3 = A
         b0, b1, b2, b3 = B
-        k = self._mulsum
-        return (k(((a0, b0), (a1, b2))), k(((a0, b1), (a1, b3))),
-                k(((a2, b0), (a3, b2))), k(((a2, b1), (a3, b3))))
+        s = self._mulsum
+        return (s(((a0, b0), (a1, b2)), k), s(((a0, b1), (a1, b3)), k),
+                s(((a2, b0), (a3, b2)), k), s(((a2, b1), (a3, b3)), k))
 
-    def det(self, A: Mat) -> Poly:
-        return self._mulsum(((A[0], A[3]), (-A[1], A[2])))
+    def det(self, A: Mat, k: int) -> Poly:
+        """det A mod pi^k."""
+        return self._mulsum(((A[0], A[3]), (-A[1], A[2])), k)
 
     def _inverse_unit_matrix(self, A: Mat) -> Mat:
+        P = self.precision
         return self.scale_mat((A[3], -A[1], -A[2], A[0]),
-                              self.inv_mod(self.det(A)))
+                              self.inv_mod(self.det(A, P)), P)
 
-    def embed(self, elt: OrderElement) -> Mat:
-        """The matrix of elt mod pi^P; denominators must be prime to pi."""
-        coords = [self.reduce(c) for c in elt.coords()]
-        return tuple(self._mulsum(zip(coords, entries))
-                     for entries in self._basis_entries)
+    def embed(self, elt: OrderElement, k: int) -> Mat:
+        """The matrix of elt mod pi^k; denominators must be prime to pi.
+        Entry e is one _mulsum over the four pairs (numerator of coordinate
+        idx, den^{-1} times entry e of basis matrix idx)."""
+        cols = [(r.num, self._scaled(r.den, idx))
+                for idx, r in enumerate(elt.coords()) if r.num.coeffs]
+        return tuple(self._mulsum([(num, s[e]) for num, s in cols], k)
+                     for e in range(4))
+
+    def _scaled(self, den: Poly, idx: int) -> Mat:
+        """den^{-1} times basis matrix idx, mod pi^P, computed once per
+        model."""
+        scaled = self._scaled_basis.get((den, idx))
+        if scaled is None:
+            scaled = self._scaled_basis[(den, idx)] = self.scale_mat(
+                self._basis[idx], self._den_inverse(den), self.precision)
+        return scaled
 
     # -- coset structure of the degree-one double coset ----------------
 
     def coset_labels(self, elt: OrderElement) -> tuple[tuple, tuple]:
         """The right and left cosets of the degree-one double coset that
         contain the witness elt."""
-        mat = self.embed(elt)
-        v = self.det(mat).valuation(self.pi)
+        mat = self.embed(elt, self.precision)
+        v = self.det(mat, self.precision).valuation(self.pi)
         if v != 1:
             raise FalsificationError(
                 f"witness {elt} has determinant valuation {v} at "
@@ -758,19 +787,18 @@ def factorize(alg: AlgebraParams, desc: AdeleDescription,
 
 
 class SplitComponent:
-    """A component at a split place: 2x2 matrix entries known mod pi^P,
-    with P shrinking by the norm valuation on every division."""
+    """A component at a split place: 2x2 matrix entries known mod
+    pi^precision, with the precision shrinking by the norm valuation on
+    every division.  All its arithmetic runs mod pi^precision."""
 
     def __init__(self, sp: SplitPlace, mat: Mat, precision: int | None = None):
         self.sp = sp
         self.precision = sp.precision if precision is None else precision
-        self.mat = tuple(e % self._modulus() for e in mat)
-
-    def _modulus(self) -> Poly:
-        return self.sp.pi_power(self.precision)
+        modulus = sp.pi_power(self.precision)
+        self.mat = tuple(e % modulus for e in mat)
 
     def det_valuation(self) -> int:
-        d = self.sp.det(self.mat) % self._modulus()
+        d = self.sp.det(self.mat, self.precision)
         if d.is_zero():
             raise FactorizationError(
                 f"component precision exhausted at {format_poly(self.sp.pi)}: "
@@ -785,29 +813,25 @@ class SplitComponent:
     def is_unit(self) -> bool:
         return self.det_valuation() == 0
 
-    def _truncated(self, mat: Mat) -> Mat:
-        """Entries known mod pi^P, cut down to mod pi^precision."""
-        if self.precision == self.sp.precision:
-            return mat
-        m = self._modulus()
-        return tuple(e % m for e in mat)
-
     def right_multiply(self, elt: OrderElement) -> None:
-        self.mat = self._truncated(self.sp.matmul(self.mat, self.sp.embed(elt)))
+        sp, k = self.sp, self.precision
+        self.mat = sp.matmul(self.mat, sp.embed(elt, k), k)
 
     def right_divide(self, elt: OrderElement, norm: RatFunc | None = None) -> None:
         """Multiply by elt^{-1} on the right; pi-valuation v of nrd(elt)
         costs v digits of precision.  A caller that holds nrd(elt) passes
         it as norm."""
-        sp = self.sp
+        sp, k = self.sp, self.precision
         n = elt.nrd() if norm is None else norm
         v = n.valuation(sp.pi)
         if v < 0:
             raise FactorizationError(
                 f"cannot divide by an element whose norm has valuation {v} "
                 f"at {format_poly(sp.pi)}")
-        num = sp.matmul(self.mat, sp.embed(elt.conj()))
+        num = sp.matmul(self.mat, sp.embed(elt.conj(), k), k)
         if v:
+            # entries of degree < deg pi^k: the quotients by pi^v are
+            # reduced mod pi^(k - v) already
             piv = sp.pi_power(v)
             shifted = []
             for e in num:
@@ -818,12 +842,12 @@ class SplitComponent:
                         f"structure")
                 shifted.append(quo)
             num = tuple(shifted)
-            self.precision -= v
-            if self.precision < 2:
+            self.precision = k = k - v
+            if k < 2:
                 raise FactorizationError(
                     f"component precision exhausted at {format_poly(sp.pi)}: "
-                    f"{self.precision} digits left")
-        self.mat = self._truncated(sp.scale_mat(num, sp.unit_inverse(n)))
+                    f"{k} digits left")
+        self.mat = sp.scale_mat(num, sp.unit_inverse(n, k), k)
 
 
 class AdeleState:
@@ -906,7 +930,9 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
     comps = {}
     for pi, sp in splits.items():
         ks = _random_unit_matrix(sp, rng)
-        comps[pi] = SplitComponent(sp, sp.matmul(ks, sp.embed(gamma_rand)))
+        P = sp.precision
+        comps[pi] = SplitComponent(
+            sp, sp.matmul(ks, sp.embed(gamma_rand, P), P))
     state = AdeleState(
         alg,
         zero=lift * kappa0 * gamma_rand,
@@ -937,8 +963,25 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
     canonical witnesses, then balancing infinity.  Returns the class and
     the accumulated global factor rho applied on the right (the state ends
     multiplied by rho, unit at every tracked place and principal at
-    infinity)."""
+    infinity).
+
+    Each component is first cut down to v + 2 digits, v the pi-valuation of
+    its determinant, when it holds more.  That is all the peeling needs:
+    every division at pi by an element of norm valuation w lowers both the
+    precision and v by exactly w (det(A x^{-1}) = det(A) / nrd(x)), so
+    precision - v stays 2.  A witness at pi costs 1 digit, a central pi
+    costs 2, and a division at another place costs 0, its norm being a unit
+    at pi; multiplying by the infinity balance costs nothing.  Peeling ends
+    at v = 0 with the 2 digits that right_divide's precision check asks
+    for; when v > 0, one digit fewer makes the last division at pi fail
+    that check.
+    Every decision reads the matrix mod pi or its determinant's valuation
+    below the precision, so the cut changes no choice."""
     G = group_of(alg)
+    for pi, comp in state.split.items():
+        cut = comp.det_valuation() + 2
+        if cut < comp.precision:
+            state.split[pi] = SplitComponent(comp.sp, comp.mat, cut)
     rho = OrderElement.one(alg)
     for pi in sorted(state.split.keys(), key=lambda p: (p.degree, p.coeffs)):
         comp = state.split[pi]

@@ -14,7 +14,8 @@ Fast paths, each chosen by a property of the operands and each giving the
 same result as the general code:
 - a product with a constant factor c is the other factor scaled by c (c = 1
   returns it as is);
-- divmod by a divisor of higher degree is (0, self) with no division;
+- divmod by a divisor of higher degree is (0, self) with no division, and
+  `%` computes the remainder alone, building no quotient;
 - a RatFunc with denominator 1 needs no gcd; with denominator c*t^k the gcd
   is t^min(k, v_t(num)), so normalising is a shift and a scaling;
 - a sum of two RatFuncs with equal denominators adds the numerators over
@@ -310,6 +311,16 @@ class Poly:
         return Poly(self.field, (0,) * k + self.coeffs)
 
     def divmod(self, den: Poly) -> tuple[Poly, Poly]:
+        quot = [0] * max(len(self.coeffs) - len(den.coeffs) + 1, 0)
+        rem = self._remainder(den, quot)
+        return Poly(self.field, tuple(quot)), rem
+
+    def __mod__(self, den: Poly) -> Poly:
+        return self._remainder(den, None)
+
+    def _remainder(self, den: Poly, quot: list[int] | None) -> Poly:
+        """self mod den; the quotient's coefficients go to quot when a
+        list is passed, so a bare remainder builds no quotient."""
         F = self.field
         d = den.coeffs
         if not d:
@@ -317,27 +328,24 @@ class Poly:
         a = self.coeffs
         dd = len(d) - 1
         if len(a) <= dd:
-            return Poly.zero(F), self
+            return self
         add, mul, neg = F._add, F._mul, F._neg
         inv_lead = F._inv[d[-1]]
         # subtracting c*den is adding c*(-den) below the leading term,
         # which cancels
         low = [neg[c] for c in d[:-1]]
         num = list(a)
-        quot = [0] * (len(a) - dd)
         for k in range(len(a) - 1 - dd, -1, -1):
             c = num[k + dd]
             if c:
                 c = mul[c][inv_lead]
-                quot[k] = c
+                if quot is not None:
+                    quot[k] = c
                 row = mul[c]
                 for j, cd in enumerate(low, k):
                     if cd:
                         num[j] = add[num[j]][row[cd]]
-        return Poly(F, tuple(quot)), Poly(F, tuple(num[:dd]))
-
-    def __mod__(self, den: Poly) -> Poly:
-        return self.divmod(den)[1]
+        return Poly(F, tuple(num[:dd]))
 
     def __floordiv__(self, den: Poly) -> Poly:
         return self.divmod(den)[0]

@@ -16,9 +16,13 @@ and u the residue after dividing out the k-th uniformizer power on the left
 Products, norms and inverses run over one shared denominator.  Each
 operand's four coordinates are written as polynomials over the monic lcm D
 of their denominators (no work when the denominators are equal, and a shift
-when all are powers of t).  The coordinate products are then plain F_q[t]
-products; eps is a scaling and t a shift.  Each output coordinate is one
-RatFunc(numerator, D1*D2), normalised once.  This is exact: xy has exactly
+when all are powers of t).  A product is then one table-driven pass: each
+of the 16 products of basis elements is c t^s e_(x XOR y) with c = +-1 or
++-eps and s = 0 or 1, so every coordinate product is added, scaled by c and
+shifted by s, straight into the coefficient list of its output coordinate.
+Norms and inverses are plain F_q[t] products; eps is a scaling and t a
+shift.  Each output coordinate is one RatFunc(numerator, D1*D2),
+normalised once.  This is exact: xy has exactly
 these numerators over D1*D2, and a RatFunc's normal form (monic denominator
 coprime to the numerator) is unique, so every coordinate, hash and
 certificate is the same as with per-coordinate RatFunc arithmetic.
@@ -186,18 +190,35 @@ class OrderElement:
         return OrderElement(self.alg, -self.a, -self.b, -self.c, -self.d)
 
     def __mul__(self, other: OrderElement) -> OrderElement:
-        eps = self.alg.eps
-        (a, b, c, d), D1 = _over_common_denominator(self)
-        (e, f, g, h), D2 = _over_common_denominator(other)
+        F = self.alg.field
+        add, mul = F._add, F._mul
+        xs, D1 = _over_common_denominator(self)
+        ys, D2 = _over_common_denominator(other)
+        table = _basis_products(self.alg)
+        out: tuple[list[int], ...] = ([], [], [], [])
+        for x, p in enumerate(xs):
+            p = p.coeffs
+            if not p:
+                continue
+            for y, (z, shift, m) in enumerate(table[x]):
+                r = ys[y].coeffs
+                if not r:
+                    continue
+                a, b = (p, r) if len(p) >= len(r) else (r, p)
+                acc = out[z]
+                n = len(a) + len(b) - 1 + shift
+                if len(acc) < n:
+                    acc += [0] * (n - len(acc))
+                mrow = mul[m]
+                for i, cb in enumerate(b, shift):
+                    if cb:
+                        row = mul[mrow[cb]]
+                        for ca in a:
+                            acc[i] = add[acc[i]][row[ca]]
+                            i += 1
         den = D1 * D2
-        return OrderElement(
-            self.alg,
-            RatFunc(a * e + (b * f).scale(eps)
-                    + (c * g - (d * h).scale(eps)).shift(1), den),
-            RatFunc(a * f + b * e + (d * g - c * h).shift(1), den),
-            RatFunc(a * g + c * e + (b * h - d * f).scale(eps), den),
-            RatFunc(a * h + d * e + b * g - c * f, den),
-        )
+        return OrderElement(self.alg, *(RatFunc(Poly(F, tuple(c)), den)
+                                        for c in out))
 
     def scale(self, r: RatFunc) -> OrderElement:
         return OrderElement(self.alg, self.a * r, self.b * r, self.c * r, self.d * r)
@@ -260,6 +281,37 @@ class OrderElement:
 
 def nrd(x: OrderElement) -> RatFunc:
     return x.nrd()
+
+
+# e_x e_y = sign * eps^a * t^s * e_(x XOR y) on the basis e_0..e_3 = 1, i,
+# j, ij, as (sign, a, s): from i^2 = eps, j^2 = t and ji = -ij.  Row x
+# holds y = 0..3; its comment spells out e_x e_0, ..., e_x e_3.
+_BASIS_PRODUCT_RULES = (
+    ((1, 0, 0), (1, 0, 0), (1, 0, 0), (1, 0, 0)),     # 1, i, j, ij
+    ((1, 0, 0), (1, 1, 0), (1, 0, 0), (1, 1, 0)),     # i, eps, ij, eps j
+    ((1, 0, 0), (-1, 0, 0), (1, 0, 1), (-1, 0, 1)),   # j, -ij, t, -t i
+    ((1, 0, 0), (-1, 1, 0), (1, 0, 1), (-1, 1, 1)),   # ij, -eps j, t i, -eps t
+)
+
+_BASIS_PRODUCTS: dict = {}
+
+
+def _basis_products(alg: AlgebraParams) -> tuple:
+    """Row x holds, for each y, (x XOR y, s, c): e_x e_y = c t^s e_(x XOR y)
+    with c = +-1 or +-eps in F_q; built once per (q, eps)."""
+    key = (alg.q, alg.eps)
+    table = _BASIS_PRODUCTS.get(key)
+    if table is None:
+        F = alg.field
+        rows = []
+        for x, rules in enumerate(_BASIS_PRODUCT_RULES):
+            row = []
+            for y, (sign, a, s) in enumerate(rules):
+                c = alg.eps if a else 1
+                row.append((x ^ y, s, F.neg(c) if sign < 0 else c))
+            rows.append(tuple(row))
+        table = _BASIS_PRODUCTS[key] = tuple(rows)
+    return table
 
 
 def _is_t_power(den: Poly) -> bool:

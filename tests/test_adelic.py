@@ -52,23 +52,31 @@ def test_split_place_determinant_is_norm():
         alg = AlgebraParams(q)
         for pi in default_places(alg, 1)[:2]:
             sp = SplitPlace(alg, pi)
+            P = sp.precision
             for _ in range(20):
                 x = _random_element(alg, rng)
                 y = _random_element(alg, rng)
-                mx, my = sp.embed(x), sp.embed(y)
-                assert sp.matmul(mx, my) == sp.embed(x * y)
-                lhs = sp.det(mx)
+                mx, my = sp.embed(x, P), sp.embed(y, P)
+                assert sp.matmul(mx, my, P) == sp.embed(x * y, P)
+                lhs = sp.det(mx, P)
                 rhs = x.nrd().reduce_mod(sp.pi, sp.modulus)
                 assert lhs == rhs
 
 
 def test_split_place_reduce_matches_reduce_mod():
+    # a scalar r embeds as diag(r mod pi^P, r mod pi^P)
     rng = random.Random(43)
     for q in (3, 5):
         alg = AlgebraParams(q)
         F = alg.field
         for pi in default_places(alg, 2)[:3]:
             sp = SplitPlace(alg, pi)
+            P = sp.precision
+            zero = Poly.zero(F)
+
+            def reduce(r):
+                return sp.embed(OrderElement.scalar(alg, r), P)
+
             dens = [Poly.t_power(F, k).scale(c)
                     for k in range(4) for c in range(1, q)]
             dens += [pi + Poly.one(F), Poly(F, (2, 0, 1)) * Poly.t(F)]
@@ -84,23 +92,23 @@ def test_split_place_reduce_matches_reduce_mod():
                         hits += 1
                     else:
                         misses += 1
-                    assert sp.reduce(r) == want
+                    assert reduce(r) == (want, zero, zero, want)
                     # the second reduction reads the memo and agrees
                     assert r.den in sp._den_inverses
-                    assert sp.reduce(r) == want
+                    assert reduce(r) == (want, zero, zero, want)
             assert hits and misses
             for bad in (pi, pi * Poly.t(F), pi * pi):
                 r = RatFunc(Poly.one(F), bad)
                 with pytest.raises(ValueError):
-                    sp.reduce(r)
+                    reduce(r)
                 with pytest.raises(ValueError):
                     r.reduce_mod(pi, sp.modulus)
                 assert r.den not in sp._den_inverses
 
 
 # The per-entry formulas SplitPlace used before its multiply-reduce kernel:
-# products and sums of Polys, then one divmod by pi^P.  The kernel must give
-# the same remainders.
+# products and sums of Polys, then one divmod by pi^P (or by the modulus m
+# passed).  The kernel at precision k must give the same remainders mod pi^k.
 
 
 def _ref_inv(a, m):
@@ -113,19 +121,19 @@ def _ref_reduce(sp, r):
     return (r.num * _ref_inv(r.den, sp.modulus)) % sp.modulus
 
 
-def _ref_matmul(sp, A, B):
-    m = sp.modulus
+def _ref_matmul(sp, A, B, m=None):
+    m = sp.modulus if m is None else m
     a0, a1, a2, a3 = A
     b0, b1, b2, b3 = B
     return ((a0 * b0 + a1 * b2) % m, (a0 * b1 + a1 * b3) % m,
             (a2 * b0 + a3 * b2) % m, (a2 * b1 + a3 * b3) % m)
 
 
-def _ref_det(sp, A):
-    return (A[0] * A[3] - A[1] * A[2]) % sp.modulus
+def _ref_det(sp, A, m=None):
+    return (A[0] * A[3] - A[1] * A[2]) % (sp.modulus if m is None else m)
 
 
-def _ref_embed(sp, elt):
+def _ref_embed(sp, elt, m=None):
     coords = [_ref_reduce(sp, c) for c in elt.coords()]
     out = []
     for idx in range(4):
@@ -133,7 +141,7 @@ def _ref_embed(sp, elt):
         for coeff, mat in zip(coords, (sp.mat_one, sp.mat_i, sp.mat_j,
                                        sp.mat_k)):
             acc = acc + coeff * mat[idx]
-        out.append(acc % sp.modulus)
+        out.append(acc % (sp.modulus if m is None else m))
     return tuple(out)
 
 
@@ -146,7 +154,7 @@ def _old_random_unit_matrix(sp, rng, rejected):
         mat = tuple(
             Poly(F, tuple(rng.randrange(F.q) for _ in range(span)))
             for _ in range(4))
-        if not (sp.det(mat) % sp.pi).is_zero():
+        if not (sp.det(mat, sp.precision) % sp.pi).is_zero():
             return mat
         rejected.append(mat)
 
@@ -171,6 +179,10 @@ def _ref_unit_inverse(sp, n):
     return _ref_inv(_ref_reduce(sp, unit), sp.modulus)
 
 
+def _cut(mat, m):
+    return tuple(e % m for e in mat)
+
+
 def _kernel_models(q):
     """Split models at the first places of degree 1 and 2, and the
     conjugated model at the first place."""
@@ -187,27 +199,38 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
     # runs the kernel's table arithmetic on a field that is not prime
     rng = random.Random(600 + q)
     for sp in _kernel_models(q):
-        alg, F, pi = sp.alg, sp.alg.field, sp.pi
+        alg, F, pi, P = sp.alg, sp.alg.field, sp.pi, sp.precision
         D = sp.modulus.degree
 
         def poly(deg):
             return Poly(F, [rng.randrange(q) for _ in range(deg + 1)])
 
-        for _ in range(6):
+        # powers of t, and a denominator that is none
+        dens = [Poly.t_power(F, rng.randrange(4)).scale(rng.randrange(1, q))
+                for _ in range(5)] + [pi + Poly.one(F)]
+        for den in dens:
             # degrees past 2D need fold rows that no reduced product reaches
             A = tuple(poly(rng.choice((D - 1, 2 * D + 3))) for _ in range(4))
             B = tuple(poly(rng.choice((0, D - 1, 2 * D))) for _ in range(4))
-            assert sp.matmul(A, B) == _ref_matmul(sp, A, B)
-            assert sp.det(A) == _ref_det(sp, A)
-            assert sp.scale_mat(A, B[0]) == tuple(
-                (e * B[0]) % sp.modulus for e in A)
-            den = Poly.t_power(F, rng.randrange(4)).scale(rng.randrange(1, q))
-            r = RatFunc(poly(2 * D + 1), den)
-            assert sp.reduce(r) == _ref_reduce(sp, r)
             elt = OrderElement(alg, *(RatFunc(poly(2 * D), den)
                                       for _ in range(4)))
-            assert sp.embed(elt) == _ref_embed(sp, elt)
-        for bad in (sp.reduce, sp.unit_inverse):
+            # the same formulas mod pi^k, at every precision k <= P
+            for k in range(1, P + 1):
+                m = sp.pi_power(k)
+                products = Poly.zero(F)
+                for a, b in zip(A, B):
+                    products = products + a * b
+                assert sp._mulsum(zip(A, B), k) == products % m
+                assert sp.matmul(A, B, k) == _ref_matmul(sp, A, B, m)
+                assert sp.det(A, k) == _ref_det(sp, A, m)
+                assert sp.scale_mat(A, B[0], k) == _cut(
+                    tuple(e * B[0] for e in A), m)
+                assert sp.embed(elt, k) == _ref_embed(sp, elt, m)
+            # one scaled basis matrix per (denominator, coordinate)
+            assert {(c.den, idx) for idx, c in enumerate(elt.coords())
+                    if not c.is_zero()} <= set(sp._scaled_basis)
+        for bad in (lambda r: sp.unit_inverse(r, P),
+                    lambda r: sp.embed(OrderElement.scalar(alg, r), P)):
             with pytest.raises(ValueError):
                 bad(RatFunc(Poly.one(F), pi * Poly.t(F)))
 
@@ -220,9 +243,10 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
             if n.is_zero():
                 continue
             want = _ref_unit_inverse(sp, n)
-            assert sp.unit_inverse(n) == want
+            for k in range(1, P + 1):
+                assert sp.unit_inverse(n, k) == want % sp.pi_power(k)
             assert n.num in sp._num_inverses
-            assert sp.unit_inverse(n) == want
+            assert sp.unit_inverse(n, P) == want
 
         # a component at precision 2 cuts every kernel result down to pi^2;
         # at full precision, dividing by a witness costs one digit
@@ -230,12 +254,12 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
         while by.is_zero() or by.nrd().valuation(pi):
             by = OrderElement(alg, *(RatFunc(poly(D)) for _ in range(4)))
         w = ws.witnesses[0].element
-        for precision in (2, sp.precision):
+        for precision in (2, P):
             m = sp.pi_power(precision)
             comp = adelic.SplitComponent(sp, A, precision=precision)
             mat = comp.mat
             comp.right_multiply(elt)
-            mat = tuple(e % m for e in _ref_matmul(sp, mat, _ref_embed(sp, elt)))
+            mat = _cut(_ref_matmul(sp, mat, _ref_embed(sp, elt)), m)
             assert comp.mat == mat
             comp.right_divide(by)
             inv = _ref_unit_inverse(sp, by.nrd())
@@ -244,9 +268,8 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
             assert (comp.mat, comp.precision) == (mat, precision)
         comp.right_multiply(w)
         comp.right_divide(w)
-        m = sp.pi_power(sp.precision - 1)
         assert (comp.mat, comp.precision) == (
-            tuple(e % m for e in mat), sp.precision - 1)
+            _cut(mat, sp.pi_power(P - 1)), P - 1)
 
 
 def test_exhausted_component_precision_survives_dash_O():
@@ -262,7 +285,7 @@ def test_exhausted_component_precision_survives_dash_O():
         "pi = parse_poly(alg.field, 't+1')\n"
         "sp = SplitPlace(alg, pi)\n"
         "w = witness_set(alg, pi).witnesses[0].element\n"
-        "comp = SplitComponent(sp, sp.embed(w), precision=2)\n"
+        "comp = SplitComponent(sp, sp.embed(w, 2), precision=2)\n"
         "try:\n"
         "    comp.right_divide(w)\n"
         "except FactorizationError as exc:\n"
@@ -514,6 +537,41 @@ def test_adele_right_divide_returns_the_inverse():
                 comp.right_divide(elt)
                 assert (comp.mat, comp.precision) == (
                     state.split[p].mat, state.split[p].precision)
+
+
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_factorize_adele_cuts_each_component_to_v_plus_two_digits(q):
+    # each peel at pi costs the pi-valuation it removes from the
+    # determinant, so a component cut to v + 2 digits ends at 2 digits, and
+    # one with a digit fewer runs out on its last peel
+    alg = AlgebraParams(q)
+    places = default_places(alg, 1)[:3]
+    peeled = 0
+    for trip in range(10):
+        rng = random.Random(900 * q + trip)
+        state, cls, grand = synthesize_random_adele(alg, rng, places,
+                                                    depth_bound=1)
+        start = {pi: (comp.precision, comp.det_valuation())
+                 for pi, comp in state.split.items()}
+        recovered, rho = factorize_adele(alg, state, depth_bound=1)
+        assert (recovered, grand * rho) == (cls, OrderElement.one(alg))
+        for pi, comp in state.split.items():
+            precision, v = start[pi]
+            assert comp.precision == (2 if v + 2 < precision
+                                      else precision - v)
+
+        for pi, (precision, v) in start.items():
+            if not v:
+                continue
+            peeled += 1
+            rng = random.Random(900 * q + trip)
+            state, _, _ = synthesize_random_adele(alg, rng, places,
+                                                  depth_bound=1)
+            comp = state.split[pi]
+            state.split[pi] = adelic.SplitComponent(comp.sp, comp.mat, v + 1)
+            with pytest.raises(FactorizationError, match="precision exhausted"):
+                factorize_adele(alg, state, depth_bound=1)
+    assert peeled
 
 
 def test_level_scaling_is_invisible():

@@ -347,6 +347,28 @@ def test_poly_kernels_match_references():
         assert a.divmod(Poly.t_power(F, 3)) == (Poly.zero(F), a)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_poly_mod_is_the_divmod_remainder(q):
+    # % builds no quotient; its remainder is divmod's, also for a divisor of
+    # higher degree, a constant divisor and a monic one
+    F = gf(q)
+    rng = random.Random(40 + q)
+    zero = Poly.zero(F)
+    for _ in range(150):
+        a, d = _rand_poly(F, rng, 9), _rand_poly(F, rng, 5)
+        for den in (d, d.monic(), Poly.t_power(F, 1 + rng.randrange(10))):
+            if den.is_zero():
+                continue
+            assert a % den == a.divmod(den)[1]
+            if a.degree < den.degree:
+                assert a % den is a
+        for x in (a, zero):
+            with pytest.raises(ZeroDivisionError):
+                x % zero
+            with pytest.raises(ZeroDivisionError):
+                x.divmod(zero)
+
+
 def test_poly_mul_by_constant_is_scale():
     rng = random.Random(32)
     for q in FAST_PATH_QS:

@@ -324,6 +324,41 @@ def test_shared_denominator_kernels_match_per_coordinate_formulas(q):
         assert (x * y).nrd() == x.nrd() * y.nrd()
 
 
+def _shared_denominator_mul(x, y):
+    """The product as OrderElement.__mul__ computed it before the fused
+    pass: one Poly formula per coordinate over D1*D2."""
+    eps = x.alg.eps
+    (a, b, c, d), D1 = quaternion._over_common_denominator(x)
+    (e, f, g, h), D2 = quaternion._over_common_denominator(y)
+    den = D1 * D2
+    return OrderElement(
+        x.alg,
+        RatFunc(a * e + (b * f).scale(eps)
+                + (c * g - (d * h).scale(eps)).shift(1), den),
+        RatFunc(a * f + b * e + (d * g - c * h).shift(1), den),
+        RatFunc(a * g + c * e + (b * h - d * f).scale(eps), den),
+        RatFunc(a * h + d * e + b * g - c * f, den),
+    )
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_fused_product_matches_the_per_coordinate_formula(q):
+    # t-power denominators (witnesses, j-powers), general ones, zero
+    # coordinates, and the sixteen basis products
+    alg = AlgebraParams(q)
+    rng = random.Random(700 + q)
+    basis = [OrderElement.one(alg), OrderElement.i(alg), OrderElement.j(alg),
+             OrderElement.ij(alg)]
+    elements = basis + [quaternion._j_power(alg, k) for k in (-3, -1, 2)]
+    for _ in range(40):
+        elements.append(random_element(alg, rng, deg=rng.randrange(4),
+                                       denom=rng.randrange(4)))
+        elements.append(_rational_element(alg, rng))
+    for x in elements:
+        for y in rng.sample(elements, 12) + basis:
+            assert x * y == _shared_denominator_mul(x, y)
+
+
 def _ref_reduce_at_zero(x):
     """v_t(nrd x), and the residue of j^{-k} x with its norm checked on a
     second full norm."""
