@@ -45,6 +45,7 @@ from .metacyclic import (
     IrrepLabel,
     character_inner,
     character_table,
+    chi_multiplicity,
     enumerate_irreps,
     enumerate_orbits,
     gamma,
@@ -151,16 +152,25 @@ def cmd_irreps(args) -> int:
     square_sum = sum(lb.dim ** 2 for lb in labels)
     # <b, a> is the conjugate of <a, b>, and both must be rational (else
     # NotRationalError), so the pairs i <= j decide orthonormality
-    ortho = True
+    failed = []
     for i, ra in enumerate(rows):
         for j in range(i, len(rows)):
             want = Fraction(1 if i == j else 0)
-            if character_inner(G, ra, rows[j], sizes) != want:
-                ortho = False
+            got = character_inner(G, ra, rows[j], sizes)
+            if got != want and not failed:
+                failed.append(f"orthonormality: <{labels[i]}, {labels[j]}> "
+                              f"is {got}, not {want}")
+    ortho = not failed  # only the pair check has run so far
     classes = G.conjugacy_classes()
     multiplicity = []
     for lb in labels:
-        support = sorted(lb.orbit)
+        # the restriction to the pairs (0, e) contains chi_c exactly for c
+        # in the orbit; chi_multiplicity certifies each c of Z/M
+        support = [c for c in range(G.M) if chi_multiplicity(G, lb, c)]
+        if support != list(lb.orbit):
+            raise FalsificationError(
+                f"the restriction of {lb} contains chi_c for c in {support}, "
+                f"not for its orbit {list(lb.orbit)}")
         multiplicity.append({"sigma": lb.to_json(), "support": support})
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -182,8 +192,13 @@ def cmd_irreps(args) -> int:
         "restriction_multiplicities": multiplicity,
     }
     _emit(_canonical_json(report), args.output)
-    ok = (square_sum == G.order and len(labels) == len(classes) and ortho)
-    return 0 if ok else 1
+    if square_sum != G.order:
+        failed.append(f"square sum: the irrep dimensions square-sum to "
+                      f"{square_sum}, not the group order {G.order}")
+    if len(labels) != len(classes):
+        failed.append(f"census: {len(labels)} irreps but {len(classes)} "
+                      f"conjugacy classes")
+    return _verdict(failed)
 
 
 def cmd_orbits(args) -> int:
@@ -208,7 +223,12 @@ def cmd_tame(args) -> int:
     report = tame_report(GroupParams(args.q, args.n, args.level))
     report = {"schema_version": SCHEMA_VERSION, **report}
     _emit(_canonical_json(report), args.output)
-    return 0 if report["all_sums_match"] else 1
+    if report["all_sums_match"]:
+        return 0
+    bad = [e["parameter"] for e in report["parameters"]
+           if not e["sum_matches"]]
+    return _verdict([f"all_sums_match: the r-sum over A_tame differs from "
+                     f"r for {_canonical_json(bad)}"])
 
 
 def cmd_brandt(args) -> int:
@@ -290,7 +310,9 @@ def cmd_verify(args) -> int:
         "all_claims_ok": all(r["claim_ok"] for r in sigma_reports),
     }
     _emit(_canonical_json(report), args.output)
-    return 0 if report["all_claims_ok"] else 1
+    return _verdict([f"all_claims_ok: the claim fails for sigma "
+                     f"{_canonical_json(r['sigma'])}"
+                     for r in sigma_reports if not r["claim_ok"]])
 
 
 def cmd_basis(args) -> int:
@@ -408,6 +430,14 @@ def run(argv=None) -> int:
         return _fail(1, "falsification", exc)
     except ValueError as exc:
         return _fail(2, "usage", exc)
+
+
+def _verdict(failed: list[str]) -> int:
+    """The exit code of a command whose report is already written: 0 when
+    no check failed, else 1, with the failed checks named on stderr."""
+    if not failed:
+        return 0
+    return _fail(1, "falsification", FalsificationError("; ".join(failed)))
 
 
 def _fail(code: int, error: str, exc: Exception, **extra) -> int:

@@ -21,9 +21,10 @@ Two fast paths keep the hot sums and quotients exact:
   coefficients with denominator 1 are returned as ints.
 
 No floating point is used anywhere.  Reduction modulo Phi_m is one pass over
-sparse rows x^k mod Phi_m: the rows have one to three nonzero entries on
-average, so the loop is short, and it is exact for ints of any size and for
-Fractions alike.
+sparse rows x^k mod Phi_m (_reduce): the rows have one to three nonzero
+entries on average, so the loop is short, and it is exact for ints of any
+size and for Fractions alike.  Cyc.reduced and inner_product both go through
+it; inner_product hands it a bare histogram and builds no Cyc.
 """
 
 from __future__ import annotations
@@ -206,6 +207,26 @@ def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in dense)
 
 
+def _reduce(m: int, terms) -> list[RationalLike]:
+    """The coefficients of sum v*zeta_m^e over the (e, v) pairs of terms,
+    0 <= e < m, on the basis 1, zeta, ..., zeta^(phi(m)-1): one pass over
+    the sparse rows x^e mod Phi_m.  Every reduction in this module runs
+    through it."""
+    rows = _reduction_rows(m)
+    acc: list[RationalLike] = [0] * (len(cyclotomic_polynomial(m)) - 1)
+    for e, v in terms:
+        for j, c in rows[e]:
+            acc[j] += v * c
+    return acc
+
+
+def _rational(red) -> Fraction:
+    """The rational value of reduced coefficients red, else NotRationalError."""
+    if any(c != 0 for c in red[1:]):
+        raise NotRationalError(f"not rational: reduced form {tuple(red)}")
+    return Fraction(red[0])
+
+
 class Cyc:
     """An element of Q(zeta_m), exact, with sparse group-ring storage.
 
@@ -256,6 +277,12 @@ class Cyc:
         for e, v in self._c.items():
             out[e] = v
         return tuple(out)
+
+    @property
+    def terms(self) -> frozenset[tuple[int, RationalLike]]:
+        """The sparse group-ring terms as (exponent, coefficient) pairs: a
+        hashable key, equal exactly when the representatives are."""
+        return frozenset(self._c.items())
 
     # -- ring operations -------------------------------------------------
 
@@ -350,13 +377,7 @@ class Cyc:
     def reduced(self) -> tuple[RationalLike, ...]:
         """Coefficients on the basis 1, zeta, ..., zeta^(phi(m)-1)."""
         if self._red is None:
-            m = self.order
-            rows = _reduction_rows(m)
-            acc: list[RationalLike] = [0] * (len(cyclotomic_polynomial(m)) - 1)
-            for e, v in self._c.items():
-                for j, c in rows[e]:
-                    acc[j] += v * c
-            self._red = tuple(acc)
+            self._red = tuple(_reduce(self.order, self._c.items()))
         return self._red
 
     def is_zero(self) -> bool:
@@ -379,10 +400,7 @@ class Cyc:
 
     def to_rational(self) -> Fraction:
         """Exact rational value; raises NotRationalError otherwise."""
-        red = self.reduced()
-        if any(c != 0 for c in red[1:]):
-            raise NotRationalError(f"not rational: reduced form {red}")
-        return Fraction(red[0]) if red else Fraction(0)
+        return _rational(self.reduced())
 
     def is_integral(self) -> bool:
         """Whether the scalar lies in Z[zeta_m] (integer reduced coefficients)."""
@@ -492,20 +510,28 @@ def inner_product(
 ) -> Fraction:
     """(1/|G|) * sum_c w_c * f(c) * conj(g(c)), which must be exactly rational.
 
-    The products are summed as one exponent histogram over Z/m and reduced
-    modulo Phi_m once."""
+    The products w*v1*v2 are added into one dense histogram over Z/m,
+    skipping the classes where f or g is zero, and the histogram goes
+    through the module's one reduction modulo Phi_m (_reduce) once; no Cyc
+    is built."""
     if not (len(f_values) == len(g_values) == len(weights)):
         raise ValueError("mismatched lengths")
     if not f_values:
         return Fraction(0)
     m = f_values[0].order
-    hist: dict[int, RationalLike] = {}
+    hist: list[RationalLike] = [0] * m
     for fv, gv, w in zip(f_values, g_values, weights):
         if fv.order != m or gv.order != m:
             raise OrderMismatchError(
                 f"orders differ: {m} vs {fv.order}, {gv.order}")
-        for e1, v1 in fv._c.items():
-            for e2, v2 in gv._c.items():
-                e = (e1 - e2) % m
-                hist[e] = hist.get(e, 0) + w * v1 * v2
-    return Cyc(m, hist).to_rational() / group_order
+        fc, gc = fv._c, gv._c
+        if not fc or not gc:
+            continue
+        for e1, v1 in fc.items():
+            wv1 = w * v1
+            for e2, v2 in gc.items():
+                # e1 - e2 lies in (-m, m), and a negative index counts
+                # from the end: hist[e1 - e2] is the slot of (e1 - e2) mod m
+                hist[e1 - e2] += wv1 * v2
+    return _rational(_reduce(m, [(e, v) for e, v in enumerate(hist) if v])
+                     ) / group_order

@@ -329,29 +329,48 @@ class Irrep:
         return f"Irrep({self.group!r}, orbit={self.label.orbit}, s={self.s})"
 
 
+# S_M(d) = sum over e in Z/M of zeta_M^(e d), keyed by (M, d mod M)
+_ROOT_SUMS: dict[tuple[int, int], Fraction | int] = {}
+
+
+def _root_sum(M: int, d: int) -> Fraction | int:
+    """S_M(d) = sum over e in Z/M of zeta_M^(e d), exactly: its exponent
+    histogram reduced modulo Phi_M once per (M, d mod M), then memoised.
+    It must be rational, else NotRationalError; an integer value is kept
+    as an int."""
+    key = (M, d % M)
+    value = _ROOT_SUMS.get(key)
+    if value is None:
+        value = Cyc(M, Counter(e * key[1] % M for e in range(M))).to_rational()
+        if value.denominator == 1:
+            value = value.numerator
+        _ROOT_SUMS[key] = value
+    return value
+
+
 def chi_multiplicity(group: Gamma, label: IrrepLabel, c_exp: int) -> int:
     """Multiplicity of the abelian character e -> zeta_M^(c_exp * e) in the
     restriction of the irrep to the normal subgroup of pairs (0, e).
 
     Computed two independent ways, which must agree: the count of basis tags
-    of the monomial model equal to c_exp, and the exact character inner
-    product (1/M) sum_e sum_{c in orbit} zeta_M^(e c) zeta_M^(-c_exp e),
-    summed as one exponent histogram.
+    of the monomial model (group.orbit_tags) equal to c_exp, and the exact
+    character inner product (1/M) sum_e sum_{c in orbit} zeta_M^(e c)
+    zeta_M^(-c_exp e) = (1/M) sum_{c in orbit} S_M(c - c_exp), a sum of f
+    memoised root sums (_root_sum).
     """
     M = group.M
     c_exp %= M
-    by_tags = Irrep(group, label).tags.count(c_exp)
+    by_tags = group.orbit_tags(label.orbit).count(c_exp)
 
-    hist = Counter(e * (c - c_exp) % M for e in range(M) for c in label.orbit)
-    value = Cyc(M, hist).to_rational() / M
-    if value.denominator != 1:
+    total = sum(_root_sum(M, c - c_exp) for c in label.orbit)
+    if total % M:
         raise FalsificationError(
-            f"multiplicity of chi_{c_exp} in {label} is {value}, not an "
-            f"integer")
-    if by_tags != value:
+            f"multiplicity of chi_{c_exp} in {label} is {Fraction(total, M)}, "
+            f"not an integer")
+    if by_tags * M != total:
         raise FalsificationError(
             f"multiplicity of chi_{c_exp} in {label}: {by_tags} basis tags "
-            f"but character sum {value}")
+            f"but character sum {Fraction(total, M)}")
     return by_tags
 
 
@@ -364,14 +383,14 @@ def character_table(group: Gamma):
         reps = tuple(cls[0] for cls in classes)
         sizes = tuple(len(cls) for cls in classes)
         # a table holds few distinct values (195 in the 3885 entries of the
-        # groups with q^n - 1 <= 26); the cache keeps one Cyc for each
-        distinct: dict[tuple, Cyc] = {}
+        # groups with q^n - 1 <= 26); the cache keeps one Cyc for each,
+        # keyed by its sparse terms (the dense coefficients have length m)
+        distinct: dict[frozenset, Cyc] = {}
         values = []
         for lab in labels:
             rep = Irrep(group, lab)
             row = [rep.character(g) for g in reps]
-            values.append(tuple(distinct.setdefault(v.coefficients, v)
-                                for v in row))
+            values.append(tuple(distinct.setdefault(v.terms, v) for v in row))
         group._table = labels, reps, sizes, tuple(values)
     return group._table
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -391,3 +392,96 @@ def test_division_by_zero_is_a_falsification(monkeypatch, capsys, error):
     payload = json.loads(err)
     assert payload["error"] == "falsification"
     assert payload["message"] == error.__name__
+
+
+def _stderr_falsification(err):
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert payload["message"]
+    return payload["message"]
+
+
+def test_failed_orthonormality_is_named_on_stderr(monkeypatch, capsys):
+    # the report still goes to stdout; stderr names the failed check
+    monkeypatch.setattr(cli, "character_inner", lambda *args: Fraction(0))
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1
+    assert json.loads(out)["orthonormal"] is False
+    assert "orthonormality" in _stderr_falsification(err)
+
+
+def test_failed_square_sum_is_named_on_stderr(monkeypatch, capsys):
+    real = cli.character_table
+
+    def short(G):
+        labels, reps, sizes, rows = real(G)
+        return labels[:-1], reps, sizes, rows[:-1]
+
+    monkeypatch.setattr(cli, "character_table", short)
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1
+    d = json.loads(out)
+    assert d["orthonormal"] is True and d["square_sum"] == 12
+    message = _stderr_falsification(err)
+    assert "square sum" in message and "census" in message
+
+
+def test_failed_tame_sums_are_named_on_stderr(monkeypatch, capsys):
+    real = cli.tame_report
+
+    def broken(params):
+        report = real(params)
+        report["parameters"][0]["sum_matches"] = False
+        report["all_sums_match"] = False
+        return report
+
+    monkeypatch.setattr(cli, "tame_report", broken)
+    code, out, err = invoke(capsys, "tame", "--q", "2", "--n", "3")
+    assert code == 1
+    d = json.loads(out)
+    assert d["all_sums_match"] is False
+    message = _stderr_falsification(err)
+    assert "all_sums_match" in message
+    assert json.dumps(d["parameters"][0]["parameter"], sort_keys=True,
+                      separators=(",", ":")) in message
+
+
+def test_failed_claim_is_named_on_stderr(monkeypatch, capsys):
+    real = cli.verify_claim
+
+    def broken(*args):
+        report = real(*args)
+        report.claim_ok = False
+        return report
+
+    monkeypatch.setattr(cli, "verify_claim", broken)
+    code, out, err = invoke(capsys, "verify", "--q", "3", "--degree-bound",
+                            "1", "--sigma", "trivial", "--round-trips", "0")
+    assert code == 1
+    assert json.loads(out)["all_claims_ok"] is False
+    message = _stderr_falsification(err)
+    assert "all_claims_ok" in message and '"orbit":[0]' in message
+
+
+def _shifted_tags(self, orbit):
+    return tuple((c + 1) % self.M for c in orbit)
+
+
+def test_irreps_certifies_the_restriction_support(monkeypatch, capsys):
+    # shifted basis tags disagree with the character sums
+    from tjl.metacyclic import Gamma
+
+    monkeypatch.setattr(Gamma, "orbit_tags", _shifted_tags)
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    assert "basis tags" in _stderr_falsification(err)
+
+
+def test_irreps_rejects_a_support_off_the_orbit(monkeypatch, capsys):
+    # a multiplicity that misses the last element of each orbit of size > 1
+    real = cli.chi_multiplicity
+    monkeypatch.setattr(cli, "chi_multiplicity", lambda G, lb, c: (
+        0 if c == lb.orbit[-1] and lb.dim > 1 else real(G, lb, c)))
+    code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
+    assert code == 1 and out == ""
+    assert "not for its orbit" in _stderr_falsification(err)

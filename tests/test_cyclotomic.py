@@ -233,6 +233,14 @@ def test_inexact_polynomial_division_is_a_falsification():
     assert cyclotomic._poly_exact_div([-1, 0, 1], (1, 1)) == [-1, 1]
 
 
+def _draws(rng):
+    return {
+        "int": lambda: rng.randint(-9, 9),
+        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        "big": lambda: rng.choice((1, -1)) * rng.randint(2**63, 2**80),
+    }
+
+
 @pytest.mark.parametrize("m", (1, 2, 12, 80, 168))
 def test_reduced_is_the_remainder_mod_phi(m):
     # one reduction route for ints, Fractions and ints past 2^63 alike;
@@ -240,12 +248,7 @@ def test_reduced_is_the_remainder_mod_phi(m):
     rng = random.Random(m)
     phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
     d = len(phi) - 1
-    draws = {
-        "int": lambda: rng.randint(-9, 9),
-        "fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-        "big": lambda: rng.choice((1, -1)) * rng.randint(2**63, 2**80),
-    }
-    for kind, draw in draws.items():
+    for kind, draw in _draws(rng).items():
         for nterms in (1, 3, m):
             a = Cyc(m, {rng.randrange(m): draw() for _ in range(nterms)})
             _, rem = cyclotomic._frac_poly_divmod(
@@ -260,3 +263,73 @@ def test_reduced_is_the_remainder_mod_phi(m):
                 c.numerator if c.denominator == 1 else [c.numerator, c.denominator]
                 for c in expected]
             assert a.is_integral() == all(c.denominator == 1 for c in expected)
+
+
+# 372 = lcm(124, 6), the cyclotomic order of the group at q=5, n=3, N=2
+SHARED_REDUCTION_ORDERS = (1, 2, 12, 80, 168, 372)
+
+
+@pytest.mark.parametrize("m", SHARED_REDUCTION_ORDERS)
+def test_shared_reduction_matches_cyc(m):
+    # _reduce is the one loop over the rows x^k mod Phi_m; it takes raw
+    # histogram pairs, with repeated and zero entries
+    rng = random.Random(4000 + m)
+    p = min(d for d in divisors(m) if d > 1) if m > 1 else 1
+    for kind, draw in _draws(rng).items():
+        for nterms in (1, 3, m):
+            pairs = [(rng.randrange(m), draw()) for _ in range(nterms)]
+            pairs.append((rng.randrange(m), 0))
+            hist = {}
+            for e, v in pairs:
+                hist[e] = hist.get(e, 0) + v
+            red = cyclotomic._reduce(m, pairs)
+            assert tuple(red) == Cyc(m, hist).reduced()
+            if kind != "fraction":
+                assert all(type(c) is int for c in red)
+            # r plus v times a coset of the p-th roots of unity, whose sum
+            # is 0 for p > 1 (and 1 for m = p = 1)
+            r, v, j = draw(), draw(), rng.randrange(m)
+            rational = {0: r}
+            for k in range(p):
+                e = (j + k * (m // p)) % m
+                rational[e] = rational.get(e, 0) + v
+            got = cyclotomic._rational(cyclotomic._reduce(m, rational.items()))
+            assert got == Cyc(m, rational).to_rational()
+            assert got == (r + v if m == 1 else r)
+
+
+def _ramanujan_sum(m, a, v):
+    """v times the sum of zeta_m^(k a) over k prime to m: a rational scalar
+    with up to phi(m) terms."""
+    return Cyc(m, {k * a: 1 for k in range(m) if gcd(k, m) == 1}) * v
+
+
+@pytest.mark.parametrize("m", SHARED_REDUCTION_ORDERS)
+def test_inner_product_matches_cyc_arithmetic(m):
+    # the histogram over Z/m against one Cyc per product, with zero values
+    # on either side, which inner_product skips
+    rng = random.Random(5000 + m)
+    zero = Cyc.zero(m)
+    for kind, draw in _draws(rng).items():
+        f = [_ramanujan_sum(m, rng.randrange(m), draw()) for _ in range(3)]
+        g = [_ramanujan_sum(m, rng.randrange(m), draw()) for _ in range(3)]
+        f, g = f + [zero, f[0]], g + [g[0], zero]
+        weights = [rng.randint(1, 9) for _ in f]
+        total = zero
+        for a, b, w in zip(f, g, weights):
+            total = total + a * b.conj() * w
+        assert inner_product(f, g, weights, 7) == total.to_rational() / 7
+        # monomials v*zeta^k against themselves: the sum of w*v^2
+        coeffs = [draw() for _ in range(4)]
+        mono = [Cyc(m, {rng.randrange(m): v}) for v in coeffs]
+        assert inner_product(mono, mono, weights[:4], 7) == Fraction(
+            sum(w * v * v for w, v in zip(weights, coeffs)), 7)
+
+
+@pytest.mark.parametrize("m", (3, 12, 80, 372))
+def test_inner_product_rejects_non_rational_and_mixed_orders(m):
+    one = Cyc.from_rational(m, 1)
+    with pytest.raises(NotRationalError):
+        inner_product([Cyc.zeta(m), one], [one, one], [1, 1], 2)
+    with pytest.raises(OrderMismatchError):
+        inner_product([one, one], [one, Cyc.zeta(2 * m)], [1, 1], 2)

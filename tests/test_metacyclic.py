@@ -339,3 +339,72 @@ def test_bad_orbit_arguments_raise_value_error():
     for bad in ((1, 2), (3, 1), (1, 3, 5)):
         with pytest.raises(ValueError, match="not a sorted Frobenius orbit"):
             G.orbit_tags(bad)
+
+
+# the orders M = q^n - 1 of the acceptance grid (q in 2..5, n in 1..3,
+# q^n - 1 <= 124)
+GRID_ORDERS = sorted({q**n - 1 for q in (2, 3, 4, 5) for n in (1, 2, 3)
+                      if q**n - 1 <= 124})
+
+
+@pytest.mark.parametrize("M", GRID_ORDERS)
+def test_root_sums_match_naive_sums(monkeypatch, M):
+    # S_M(d) from one reduced histogram, cold and then memoised, against
+    # one Cyc per term and the closed form M [d = 0 mod M]
+    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
+    for d in range(-1, 2 * M):
+        naive = Cyc.zero(M)
+        for e in range(M):
+            naive = naive + Cyc.zeta(M, e * d)
+        for _ in range(2):
+            value = metacyclic._root_sum(M, d)
+            assert type(value) is int
+            assert value == naive.to_rational() == (M if d % M == 0 else 0)
+    assert set(metacyclic._ROOT_SUMS) == {(M, d) for d in range(M)}
+
+
+@pytest.mark.parametrize("first, second", [(4, 8), (8, 4)])
+def test_root_sum_memo_is_keyed_by_order(monkeypatch, first, second):
+    # d = 4 is 0 mod 4 but not mod 8: S_4(4) = 4 and S_8(4) = 0
+    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
+    want = {4: 4, 8: 0}
+    assert metacyclic._root_sum(first, 4) == want[first]
+    assert metacyclic._root_sum(second, 4) == want[second]
+    assert metacyclic._root_sum(first, 4) == want[first]
+    # chi_multiplicity at the groups with M = 4 and M = 8, in that order
+    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
+    for M in (first, second):
+        G = gamma(*{4: (5, 1, 2), 8: (3, 2, 1)}[M])
+        for label in enumerate_irreps(G):
+            assert [chi_multiplicity(G, label, c) for c in range(G.M)] == [
+                int(c in label.orbit) for c in range(G.M)]
+
+
+@pytest.mark.parametrize("tampered, match", [(9, "not an integer"),
+                                              (16, "basis tags")])
+def test_tampered_root_sum_raises_falsification(monkeypatch, tampered,
+                                                match):
+    # S_8(0) = 8 enters the character side of every chi_c with c in the
+    # orbit; 9 breaks integrality, 16 the agreement with the tags
+    monkeypatch.setitem(metacyclic._ROOT_SUMS, (8, 0), tampered)
+    with pytest.raises(FalsificationError, match=match):
+        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)
+
+
+def test_tampered_root_sum_survives_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl import metacyclic\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.metacyclic import IrrepLabel, chi_multiplicity, gamma\n"
+        "for tampered in (9, 16):\n"
+        "    metacyclic._ROOT_SUMS[(8, 0)] = tampered\n"
+        "    try:\n"
+        "        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)\n"
+        "    except FalsificationError as exc:\n"
+        "        print(sys.flags.optimize, bool(str(exc)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True", "1", "True"]
