@@ -7,17 +7,26 @@ is determined by the reduction of its component at t, because every finitely
 supported modification is realized by a unique globally defined witness.
 Witnesses are normalized to be principal units at infinity; the search box
 at denominator depth m (gamma = t^{-m} w, coordinates of w of degree <= m
-with monic leading a-part) is exactly that normalization, so iterative
-deepening enumerates all witnesses, and per-coset uniqueness is a checked
-claim (FalsificationError), not an assumption.
+with monic leading a-part, nrd(w) = t^{2m - deg pi} pi) is exactly that
+normalization.  Every witness at pi has depth m0 = ceil(deg pi / 2).  Write
+w = a + bi + cj + dij, so nrd(w) = a^2 - eps b^2 - t(c^2 - eps d^2).  As
+x^2 - eps y^2 has only the zero (0, 0) over F_q, t | nrd(w) forces
+a(0) = b(0) = 0, and then t^2 | nrd(w) forces c(0) = d(0) = 0, that is
+t | w.  So each candidate of depth m > m0 is t times one of depth m - 1,
+and none of depth m0 is a t-multiple, as pi(0) != 0.  This is the
+ramification of the algebra at t: the local maximal order of the division
+algebra (eps, t) has a maximal ideal P with P^2 = tO (Vigneras,
+Arithmetique des algebres de quaternions, LNM 800, ch. II; Voight,
+Quaternion Algebras, GTM 288, ch. 13).  Each place scans depth m0 alone,
+with the anisotropy checked by brute force, and per-coset uniqueness is a
+checked claim (FalsificationError), not an assumption.
 
 The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
 (q, eps, m), so its q^{2m} values are encoded as base-q integers and
 hashed once into a dict shared by every place, and each place looks up its
-q^{2m} (a, d) values there.  Each depth of each place is scanned and
-embedded once; witness_set and verify_witness_uniqueness both read that
-scan.
+q^{2m} (a, d) values there.  Each place is scanned and embedded once;
+witness_set and verify_witness_uniqueness both read that scan.
 
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
 point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
@@ -51,6 +60,7 @@ from .quaternion import (
     _pi_infinity_power,
     reduce_at_infinity,
     reduce_at_zero,
+    require_anisotropic,
     residue_field_elements,
     split_certificate,
 )
@@ -419,7 +429,9 @@ class WitnessSet:
 # q^(2m) rows.  Building a table and its digit sums raises the peak RSS by
 # about 40 bytes a row (measured with CPython 3.11 on x86-64 Linux: 19 MiB
 # for the 531441 rows of q=9, m=3, 70 MiB for the 1771561 of q=11, m=3),
-# so the cap stands for about 170 MiB.
+# so the cap stands for about 170 MiB.  Only depth m0 = ceil(deg pi / 2) is
+# joined, so the cap bites only where q^(2 m0) > 2^22: at places of degree
+# >= 7 for q = 7 and 9, >= 9 for q = 5 and >= 13 for q = 3.
 TABLE_ROW_CAP = 1 << 22
 
 _NORM_TABLES: dict = {}
@@ -535,31 +547,36 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
 
 
 class _PlaceScan:
-    """The depth-by-depth witness scan at one place: every normalized
-    candidate of each depth, labeled by its cosets in the default model.
-    Each depth is scanned and embedded once, whichever caller asks first."""
+    """The witness scan at one place: every normalized candidate of depth
+    m0 = ceil(deg pi / 2), labeled by its cosets in the default model, and
+    certified once, whichever caller asks first."""
 
     def __init__(self, alg: AlgebraParams, pi: Poly):
         self.alg = alg
         self.pi = pi
+        self.depth = (pi.degree + 1) // 2
         self.split = SplitPlace(alg, pi)
-        self.depths: dict[int, list[Witness]] = {}
-        # depth bound -> its certified WitnessSet; a failed certification
-        # is not stored, so a bound too small raises on every call
-        self.certified: dict[int, WitnessSet] = {}
+        # a failed certification is not stored, so it raises on every call
+        self._certified: WitnessSet | None = None
 
-    def witnesses(self, m: int) -> list[Witness]:
-        found = self.depths.get(m)
-        if found is None:
-            found = self.depths[m] = self._scan(m)
-        return found
+    def certified(self, depth_bound: int) -> WitnessSet:
+        """The certified witnesses; none is shallower than m0, so a depth
+        bound below m0 finds none (SearchBoundExceededError)."""
+        if depth_bound < self.depth:
+            raise SearchBoundExceededError(
+                f"found 0 of {self.alg.field.q ** self.pi.degree + 1} "
+                f"witnesses at {format_poly(self.pi)} within depth "
+                f"{depth_bound}")
+        if self._certified is None:
+            self._certified = _certify(self.alg, self.pi, self._scan())
+        return self._certified
 
-    def _scan(self, m: int) -> list[Witness]:
-        alg, pi = self.alg, self.pi
+    def _scan(self) -> list[Witness]:
+        alg, pi, m = self.alg, self.pi, self.depth
+        # every deeper depth holds only t-multiples of these (module docstring)
+        require_anisotropic(alg.field, alg.eps)
         found = []
         for (a, b, c, d) in _box_candidates(alg, pi, m):
-            if all(p.is_zero() or p.t_valuation() >= 1 for p in (a, b, c, d)):
-                continue  # a t-multiple of a shallower witness
             gam = OrderElement.from_polys(alg, a, b, c, d,
                                           t_denominator_power=m)
             if not gam.in_K1_infinity():
@@ -582,28 +599,14 @@ def _place_scan(alg: AlgebraParams, pi: Poly) -> _PlaceScan:
     return scan
 
 
-def _witnesses_within(alg: AlgebraParams, pi: Poly, depth_bound: int,
-                      stop_when_complete: bool) -> list[Witness]:
-    scan = _place_scan(alg, pi)
-    want = alg.field.q ** pi.degree + 1
-    found: list[Witness] = []
-    for m in range((pi.degree + 1) // 2, depth_bound + 1):
-        found += scan.witnesses(m)
-        if stop_when_complete and len(found) >= want:
-            break
-    return found
-
-
-def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness],
-             depth_bound: int) -> WitnessSet:
-    """One witness in each right and left coset: a second one falsifies the
-    claim, a missing one means the depth bound is too small."""
+def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness]) -> WitnessSet:
+    """One witness in each right and left coset.  Every witness has depth
+    m0, so a second one or a missing one falsifies the claim."""
     ws = WitnessSet(alg, pi, found)
     want = alg.field.q ** pi.degree + 1
-    if len(found) != want:
-        raise SearchBoundExceededError(
-            f"found {len(found)} of {want} witnesses at {format_poly(pi)} "
-            f"within depth {depth_bound}")
+    require(len(found) == want,
+            f"found {len(found)} of {want} witnesses at {format_poly(pi)}, "
+            f"where depth {(pi.degree + 1) // 2} holds all of them")
     return ws
 
 
@@ -611,33 +614,28 @@ def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
                 split: SplitPlace | None = None) -> WitnessSet:
     """The canonical witnesses for the degree-one modification at pi:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
-    unit at infinity.  Exactly one witness per right coset and per left
-    coset; a collision at any depth raises.  With split, the cosets are
-    read off that model of the algebra at pi, and nothing is cached.
-    Otherwise the certified set is kept per place and depth bound; only a
-    successful certification is kept, so the depth bound holds whatever
-    was asked before."""
-    if split is not None:
-        found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
-        return _certify(alg, pi, [w.labeled_in(split) for w in found],
-                        depth_bound)
-    scan = _place_scan(alg, pi)
-    ws = scan.certified.get(depth_bound)
-    if ws is None:
-        found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=True)
-        ws = scan.certified[depth_bound] = _certify(alg, pi, found, depth_bound)
-    return ws
+    unit at infinity.  All of them have depth m0 = ceil(deg pi / 2), and a
+    depth bound below m0 raises SearchBoundExceededError.  Exactly one
+    witness per right coset and per left coset.  With split, the cosets are
+    read off that model of the algebra at pi and certified afresh.
+    Otherwise the certified set is kept per place; only a successful
+    certification is kept."""
+    ws = _place_scan(alg, pi).certified(depth_bound)
+    if split is None:
+        return ws
+    return _certify(alg, pi, [w.labeled_in(split) for w in ws.witnesses])
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
                               depth_bound: int = 3) -> dict:
-    """Exhaustively scan every depth up to depth_bound and certify that the
-    normalized witnesses hit each coset exactly once, with no extras at any
-    depth.  Witness norms have degree 2 * depth, so depth_bound 3 covers
-    all witnesses of norm degree up to 6."""
-    found = _witnesses_within(alg, pi, depth_bound, stop_when_complete=False)
-    _certify(alg, pi, found, depth_bound)
-    return {"cosets": alg.field.q ** pi.degree + 1, "witnesses": len(found),
+    """Certify that the normalized witnesses of norm degree up to
+    2 * depth_bound hit each coset exactly once.  The scan of depth m0 is
+    exhaustive, and the ramification at t proves every deeper depth free of
+    normalized witnesses (module docstring), so depth_bound 3 covers all
+    witnesses of norm degree up to 6."""
+    ws = _place_scan(alg, pi).certified(depth_bound)
+    return {"cosets": alg.field.q ** pi.degree + 1,
+            "witnesses": len(ws.witnesses),
             "norm_degree_bound": 2 * depth_bound}
 
 

@@ -230,10 +230,9 @@ def _rational(red) -> Fraction:
 class Cyc:
     """An element of Q(zeta_m), exact, with sparse group-ring storage.
 
-    Coefficients are ints or Fractions.  The dense length-m coefficient
-    sequence of the group-ring representative is available as .coefficients;
-    the canonical reduced form (length phi(m), basis 1, zeta, ..., zeta^(d-1))
-    as .reduced().
+    Coefficients are ints or Fractions.  The sparse terms of the group-ring
+    representative are available as .terms; the canonical reduced form
+    (length phi(m), basis 1, zeta, ..., zeta^(d-1)) as .reduced().
     """
 
     __slots__ = ("order", "_c", "_red")
@@ -269,14 +268,6 @@ class Cyc:
     @staticmethod
     def zeta(order: int, k: int = 1) -> Cyc:
         return Cyc(order, {k % order: 1})
-
-    @property
-    def coefficients(self) -> tuple[RationalLike, ...]:
-        """Dense group-ring coefficient sequence of length m."""
-        out = [0] * self.order
-        for e, v in self._c.items():
-            out[e] = v
-        return tuple(out)
 
     @property
     def terms(self) -> frozenset[tuple[int, RationalLike]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclotomic import FalsificationError, FrozenRecord
+from .cyclotomic import FalsificationError, FrozenRecord, require
 from .funcfield import (GF, Fq2, Fq2Element, Poly, RatFunc, format_poly, fq2, gf,
                         monic_irreducibles)
 
@@ -500,6 +500,17 @@ def split_certificate(alg: AlgebraParams, pi: Poly) -> tuple[Poly, Poly] | None:
     return None
 
 
+def require_anisotropic(F: GF, eps: int) -> None:
+    """x^2 - eps y^2 has only the trivial zero over F_q, checked by brute
+    force over the q^2 pairs (FalsificationError naming the zeros
+    otherwise)."""
+    zeros = [(x, y) for x in range(F.q) for y in range(F.q)
+             if F.sub(F.mul(x, x), F.mul(eps, F.mul(y, y))) == 0]
+    require(zeros == [(0, 0)],
+            f"norm form must be anisotropic at the ramified places; "
+            f"its zeros are {zeros}")
+
+
 def ramification_certificate(alg: AlgebraParams, max_deg: int = 2) -> dict:
     """Split at every monic irreducible pi != t up to max_deg; division at t
     and at infinity because eps is a non-square (residue norm form
@@ -515,14 +526,8 @@ def ramification_certificate(alg: AlgebraParams, max_deg: int = 2) -> dict:
             raise FalsificationError(
                 f"unexpected ramification at {format_poly(pi)}")
         split_at.append((pi, point))
-    # anisotropy of x^2 - eps y^2 over the residue field at t (= F_q): only
-    # the trivial zero.  The same form controls the place at infinity.
-    zeros = [(x, y) for x in range(F.q) for y in range(F.q)
-             if F.sub(F.mul(x, x), F.mul(alg.eps, F.mul(y, y))) == 0]
-    if zeros != [(0, 0)]:
-        raise FalsificationError(
-            f"norm form must be anisotropic at the ramified places; "
-            f"its zeros are {zeros}")
+    # the residue field at t is F_q, and the same form controls infinity
+    require_anisotropic(F, alg.eps)
     return {
         "split_places": [p for p, _ in split_at],
         "split_points": {p: pt for p, pt in split_at},

@@ -1,5 +1,6 @@
 """Split places, canonical witnesses, Hecke matrices, and adele round trips."""
 
+import json
 import random
 import re
 import subprocess
@@ -10,10 +11,11 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tjl import adelic
-from tjl.funcfield import Poly, RatFunc, parse_poly
+from tjl import adelic, cli
+from tjl.funcfield import Poly, RatFunc, gf, parse_poly
 from tjl.metacyclic import IrrepLabel, gamma
-from tjl.quaternion import AlgebraParams, OrderElement, reduce_at_zero
+from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
+                            require_anisotropic)
 from tjl.adelic import (
     AdeleDescription,
     FactorizationError,
@@ -633,6 +635,61 @@ def test_box_candidates_match_brute_force(q, depths, max_places):
                 assert OrderElement.from_polys(alg, a, b, c, d).nrd() == target
 
 
+@pytest.mark.parametrize("q, top", [(3, 3), (5, 3), (7, 3), (9, 2)])
+def test_deeper_depths_hold_only_t_multiples(q, top):
+    # the lemma behind the one-depth scan: past m0 = ceil(deg pi / 2) the
+    # join finds exactly t times the candidates of the depth above
+    alg = AlgebraParams(q)
+    t = Poly.t(alg.field)
+    for pi in default_places(alg, 2):
+        m0 = (pi.degree + 1) // 2
+        above = list(adelic._box_candidates(alg, pi, m0))
+        assert len(above) == q ** pi.degree + 1
+        assert not any(all((p % t).is_zero() for p in cand) for cand in above)
+        for m in range(m0 + 1, top + 1):
+            deeper = list(adelic._box_candidates(alg, pi, m))
+            assert len(deeper) == len(above), (pi, m)
+            assert set(deeper) == {tuple(t * p for p in cand)
+                                   for cand in above}, (pi, m)
+            above = deeper
+
+
+def test_isotropic_norm_form_is_a_falsification(monkeypatch):
+    with pytest.raises(FalsificationError,
+                       match="its zeros are \\[\\(0, 0\\), \\(1, 1\\)"):
+        require_anisotropic(gf(3), 1)
+    # the scan checks the lemma's one premise before it trusts one depth
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(adelic, "require_anisotropic",
+                        lambda F, eps: require_anisotropic(F, 1))
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t^2+1")
+    with pytest.raises(FalsificationError, match="anisotropic"):
+        verify_witness_uniqueness(alg, pi)
+    with pytest.raises(FalsificationError, match="anisotropic"):
+        witness_set(alg, pi)
+
+
+def test_isotropic_norm_form_fails_under_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl import adelic\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.funcfield import parse_poly\n"
+        "from tjl.quaternion import AlgebraParams, require_anisotropic\n"
+        "alg = AlgebraParams(5)\n"
+        "adelic.require_anisotropic = lambda F, eps: require_anisotropic(F, 4)\n"
+        "try:\n"
+        "    adelic.witness_set(alg, parse_poly(alg.field, 't+1'))\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'anisotropic' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
 def _key(p):
     """The base-q key of p: t^k has weight q^k."""
     return sum(c * p.field.q ** k for k, c in enumerate(p.coeffs))
@@ -715,24 +772,25 @@ def test_witness_set_depth_bound_ignores_cache_state(monkeypatch):
         witness_set(alg, pi, depth_bound=0)
 
 
-def test_witness_set_is_certified_once_per_depth_bound(monkeypatch):
+def test_witness_set_is_certified_once_per_place(monkeypatch):
     _fresh_caches(monkeypatch)
     certify = adelic._certify
     calls = []
     monkeypatch.setattr(adelic, "_certify",
-                        lambda *a: calls.append(a[3]) or certify(*a))
+                        lambda *a: calls.append(a[1]) or certify(*a))
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t^2+1")
     ws = witness_set(alg, pi)
     assert witness_set(alg, pi) is ws
-    assert calls == [3]
-    assert witness_set(alg, pi, depth_bound=4).witnesses == ws.witnesses
-    assert calls == [3, 4]
+    assert calls == [pi]
+    assert witness_set(alg, pi, depth_bound=4) is ws
+    assert verify_witness_uniqueness(alg, pi, depth_bound=4)["witnesses"] == 10
+    assert calls == [pi]
     # a model passed as split is read afresh on every call
     split = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
     assert witness_set(alg, pi, split=split) is not witness_set(alg, pi,
                                                                split=split)
-    assert calls == [3, 4, 3, 3]
+    assert calls == [pi, pi, pi]
     # the shifts are read once per group; a caller's list is its own
     G = group_of(alg)
     shifts = ws.shifts(G)
@@ -775,6 +833,39 @@ def test_uniqueness_reports_missing_cosets_as_a_search_bound():
     with pytest.raises(SearchBoundExceededError,
                        match="found 0 of 10 witnesses at t\\^2\\+1"):
         verify_witness_uniqueness(alg, pi, depth_bound=0)
+    # a cubic place has its witnesses at depth 2
+    pi = parse_poly(alg.field, "t^3+2t+1")
+    with pytest.raises(SearchBoundExceededError,
+                       match="found 0 of 28 witnesses at t\\^3\\+2t\\+1 "
+                             "within depth 1"):
+        verify_witness_uniqueness(alg, pi, depth_bound=1)
+    assert verify_witness_uniqueness(alg, pi, depth_bound=2)["witnesses"] == 28
+
+
+def test_missing_witness_at_m0_is_a_falsification(monkeypatch, capsys):
+    # every witness lies at depth m0, so a short count is no search bound
+    box = adelic._box_candidates
+
+    def dropped(alg, pi, m):
+        cands = box(alg, pi, m)
+        next(cands)
+        yield from cands
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(adelic, "_box_candidates", dropped)
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t^2+1")
+    with pytest.raises(FalsificationError,
+                       match="found 9 of 10 witnesses at t\\^2\\+1"):
+        verify_witness_uniqueness(alg, pi, depth_bound=3)
+    with pytest.raises(FalsificationError, match="found 9 of 10"):
+        witness_set(alg, pi)
+    assert cli.run(["verify", "--q", "3", "--degree-bound", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert "found 3 of 4 witnesses" in payload["message"]
 
 
 def test_depth_bound_reaches_every_witness_lookup():
