@@ -19,7 +19,8 @@ algebra (eps, t) has a maximal ideal P with P^2 = tO (Vigneras,
 Arithmetique des algebres de quaternions, LNM 800, ch. II; Voight,
 Quaternion Algebras, GTM 288, ch. 13).  Each place scans depth m0 alone,
 with the anisotropy checked by brute force, and per-coset uniqueness is a
-checked claim (FalsificationError), not an assumption.
+checked claim (FalsificationError), not an assumption.  A depth bound
+thus bounds no search; verify_witness_uniqueness alone checks one.
 
 The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
@@ -89,13 +90,15 @@ class SplitPlace:
     mod pi^P; its arithmetic works mod pi^k for the precision k <= P that
     each caller passes."""
 
-    def __init__(self, alg: AlgebraParams, pi: Poly, precision: int = 8,
+    precision = 8  # P
+
+    def __init__(self, alg: AlgebraParams, pi: Poly,
                  conjugator: Mat | None = None):
         if pi == Poly.t(alg.field):
             raise ValueError("the algebra does not split at t")
         self.alg = alg
         self.pi = pi
-        self.precision = P = precision
+        P = self.precision
         F = alg.field
         self._pi_powers = [Poly.one(F)]
         self.modulus = self.pi_power(P)
@@ -559,14 +562,7 @@ class _PlaceScan:
         # a failed certification is not stored, so it raises on every call
         self._certified: WitnessSet | None = None
 
-    def certified(self, depth_bound: int) -> WitnessSet:
-        """The certified witnesses; none is shallower than m0, so a depth
-        bound below m0 finds none (SearchBoundExceededError)."""
-        if depth_bound < self.depth:
-            raise SearchBoundExceededError(
-                f"found 0 of {self.alg.field.q ** self.pi.degree + 1} "
-                f"witnesses at {format_poly(self.pi)} within depth "
-                f"{depth_bound}")
+    def certified(self) -> WitnessSet:
         if self._certified is None:
             self._certified = _certify(self.alg, self.pi, self._scan())
         return self._certified
@@ -610,17 +606,16 @@ def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness]) -> WitnessSet:
     return ws
 
 
-def witness_set(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
+def witness_set(alg: AlgebraParams, pi: Poly,
                 split: SplitPlace | None = None) -> WitnessSet:
     """The canonical witnesses for the degree-one modification at pi:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
-    unit at infinity.  All of them have depth m0 = ceil(deg pi / 2), and a
-    depth bound below m0 raises SearchBoundExceededError.  Exactly one
-    witness per right coset and per left coset.  With split, the cosets are
-    read off that model of the algebra at pi and certified afresh.
-    Otherwise the certified set is kept per place; only a successful
-    certification is kept."""
-    ws = _place_scan(alg, pi).certified(depth_bound)
+    unit at infinity, all of depth m0 = ceil(deg pi / 2), so no depth bound
+    applies (verify_witness_uniqueness checks one).  Exactly one witness
+    per right coset and per left coset.  With split, the cosets are read
+    off that model and certified afresh; else the set is kept per place,
+    once certified."""
+    ws = _place_scan(alg, pi).certified()
     if split is None:
         return ws
     return _certify(alg, pi, [w.labeled_in(split) for w in ws.witnesses])
@@ -630,12 +625,17 @@ def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
                               depth_bound: int = 3) -> dict:
     """Certify that the normalized witnesses of norm degree up to
     2 * depth_bound hit each coset exactly once.  The scan of depth m0 is
-    exhaustive, and the ramification at t proves every deeper depth free of
-    normalized witnesses (module docstring), so depth_bound 3 covers all
-    witnesses of norm degree up to 6."""
-    ws = _place_scan(alg, pi).certified(depth_bound)
-    return {"cosets": alg.field.q ** pi.degree + 1,
-            "witnesses": len(ws.witnesses),
+    exhaustive, and the ramification at t proves every deeper depth empty
+    (module docstring).  tjl checks a depth bound here alone: one below m0
+    finds no witness (SearchBoundExceededError)."""
+    scan = _place_scan(alg, pi)
+    cosets = alg.field.q ** pi.degree + 1
+    if depth_bound < scan.depth:
+        raise SearchBoundExceededError(
+            f"found 0 of {cosets} witnesses at {format_poly(pi)} within "
+            f"depth {depth_bound}")
+    return {"cosets": cosets,
+            "witnesses": len(scan.certified().witnesses),
             "norm_degree_bound": 2 * depth_bound}
 
 
@@ -667,12 +667,12 @@ def right_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
     return out
 
 
-def hecke_matrix(alg: AlgebraParams, pi: Poly, depth_bound: int = 3,
+def hecke_matrix(alg: AlgebraParams, pi: Poly,
                  split: SplitPlace | None = None) -> np.ndarray:
     """Sum of the right translations by the witness reductions at pi: a
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
     with every left translation."""
-    ws = witness_set(alg, pi, depth_bound=depth_bound, split=split)
+    ws = witness_set(alg, pi, split=split)
     return sum(right_translation_matrix(alg, g)
                for g in ws.shifts(group_of(alg)))
 
@@ -745,8 +745,8 @@ class FactorizationResult(FrozenRecord):
         self._set(witness, shift, reduction)
 
 
-def factorize(alg: AlgebraParams, desc: AdeleDescription,
-              depth_bound: int = 3) -> FactorizationResult:
+def factorize(alg: AlgebraParams,
+              desc: AdeleDescription) -> FactorizationResult:
     """The unique global witness undoing the described modification, and
     the right-translation shift it induces on the class set."""
     G = group_of(alg)
@@ -765,7 +765,7 @@ def factorize(alg: AlgebraParams, desc: AdeleDescription,
     elif desc.kind == "hecke":
         if desc.place is None or desc.coset is None:
             raise FactorizationError("hecke modification needs place and coset")
-        ws = witness_set(alg, desc.place, depth_bound=depth_bound)
+        ws = witness_set(alg, desc.place)
         if desc.coset not in ws.by_right:
             raise FactorizationError(f"unknown coset label {desc.coset}")
         w = ws.by_right[desc.coset].element
@@ -877,8 +877,10 @@ class AdeleState:
         return inv
 
 
-def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
-                            max_mods: int = 2, depth_bound: int = 3
+MAX_HECKE_MODS = 2  # Hecke modifications per synthesized adele, at most
+
+
+def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly]
                             ) -> tuple[AdeleState, Element, OrderElement]:
     """A random adele assembled from a known class, random local units, and
     a random product of elementary global factors; returns the state, the
@@ -914,9 +916,9 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly],
             f"synthesized infinity unit {kinf} is not principal")
 
     factors: list[OrderElement] = []
-    for _ in range(rng.randrange(max_mods + 1)):
+    for _ in range(rng.randrange(MAX_HECKE_MODS + 1)):
         pi = places[rng.randrange(len(places))]
-        ws = witness_set(alg, pi, depth_bound=depth_bound)
+        ws = witness_set(alg, pi)
         factors.append(ws.witnesses[rng.randrange(len(ws.witnesses))].element)
     factors.append(OrderElement.teichmuller(
         alg, K.from_dlog(rng.randrange(G.M))))
@@ -955,8 +957,8 @@ def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
             return mat
 
 
-def factorize_adele(alg: AlgebraParams, state: AdeleState,
-                    depth_bound: int = 3) -> tuple[Element, OrderElement]:
+def factorize_adele(alg: AlgebraParams, state: AdeleState
+                    ) -> tuple[Element, OrderElement]:
     """Recover the class of an adele by peeling split-place valuations with
     canonical witnesses, then balancing infinity.  Returns the class and
     the accumulated global factor rho applied on the right (the state ends
@@ -983,7 +985,7 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState,
     rho = OrderElement.one(alg)
     for pi in sorted(state.split.keys(), key=lambda p: (p.degree, p.coeffs)):
         comp = state.split[pi]
-        ws = witness_set(alg, pi, depth_bound=depth_bound)
+        ws = witness_set(alg, pi)
         guard = 0
         while comp.det_valuation() > 0:
             guard += 1

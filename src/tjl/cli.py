@@ -133,6 +133,15 @@ def _parse_sigma(text: str, group) -> IrrepLabel:
     return label
 
 
+def _certify_places(alg: AlgebraParams, places: list[Poly],
+                    depth_bound: int) -> list[dict]:
+    """Each place's uniqueness certificate, in order: the one check of
+    --depth-bound, made before any other adelic work."""
+    return [{"place": format_poly(pi),
+             **verify_witness_uniqueness(alg, pi, depth_bound=depth_bound)}
+            for pi in places]
+
+
 def _parse_place(alg: AlgebraParams, text: str) -> Poly:
     pi = parse_poly(alg.field, text)
     if not pi.is_monic() or not is_irreducible(pi):
@@ -235,7 +244,8 @@ def cmd_brandt(args) -> int:
     _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     pi = _parse_place(alg, args.place)
-    T = hecke_matrix(alg, pi, depth_bound=args.depth_bound)
+    _certify_places(alg, [pi], args.depth_bound)
+    T = hecke_matrix(alg, pi)
     G = group_of(alg)
     if args.format == "tsv":
         lines = [
@@ -260,9 +270,8 @@ def cmd_brandt(args) -> int:
     return 0
 
 
-def _verify_one(alg, label, places, depth_bound):
-    report = verify_claim(alg, label, places, depth_bound)
-    return report.to_json()
+def _verify_one(alg, label, places):
+    return verify_claim(alg, label, places).to_json()
 
 
 def cmd_verify(args) -> int:
@@ -274,20 +283,14 @@ def cmd_verify(args) -> int:
     if args.sigma:
         labels = [_parse_sigma(args.sigma, G)]
 
-    uniqueness = [
-        {"place": format_poly(pi),
-         **verify_witness_uniqueness(alg, pi, depth_bound=args.depth_bound)}
-        for pi in places
-    ]
+    uniqueness = _certify_places(alg, places, args.depth_bound)
 
     import random
     rng = random.Random(args.seed)
     trips = 0
     for _ in range(args.round_trips):
-        state, cls, grand = synthesize_random_adele(
-            alg, rng, places, depth_bound=args.depth_bound)
-        recovered, rho = factorize_adele(alg, state,
-                                         depth_bound=args.depth_bound)
+        state, cls, grand = synthesize_random_adele(alg, rng, places)
+        recovered, rho = factorize_adele(alg, state)
         if recovered != cls:
             raise FalsificationError(
                 f"round trip recovered class {recovered}, not {cls}")
@@ -296,8 +299,7 @@ def cmd_verify(args) -> int:
                 "the peeled global factor does not cancel the synthesized one")
         trips += 1
 
-    sigma_reports = [_verify_one(alg, lb, places, args.depth_bound)
-                     for lb in labels]
+    sigma_reports = [_verify_one(alg, lb, places) for lb in labels]
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -321,7 +323,8 @@ def cmd_basis(args) -> int:
     G = group_of(alg)
     label = _parse_sigma(args.sigma, G)
     places = default_places(alg, args.degree_bound)
-    pb = projective_basis(alg, label, places, args.depth_bound)
+    _certify_places(alg, places, args.depth_bound)
+    pb = projective_basis(alg, label, places)
     report = {
         "schema_version": SCHEMA_VERSION,
         "q": args.q,

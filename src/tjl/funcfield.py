@@ -788,5 +788,9 @@ class Fq2:
 
 
 @lru_cache(maxsize=None)
-def fq2(q: int) -> Fq2:
-    return Fq2(gf(q))
+def fq2(q: int, eps: int | None = None) -> Fq2:
+    """The shared F_q(i), i^2 = eps (default the smallest non-square): one
+    per (q, eps), so its generator and dlog table are built once."""
+    if eps is None:
+        return fq2(q, gf(q).smallest_nonsquare)
+    return Fq2(gf(q), eps)

@@ -69,9 +69,7 @@ class AlgebraParams(FrozenRecord):
 
     @property
     def residue(self) -> Fq2:
-        if self.eps == self.field.smallest_nonsquare:
-            return fq2(self.q)
-        return Fq2(self.field, self.eps)
+        return fq2(self.q, self.eps)
 
     def to_json(self) -> dict:
         return {"q": self.q, "N": self.level, "eps": self.eps}

@@ -13,7 +13,7 @@ import pytest
 
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, gf, parse_poly
-from tjl.metacyclic import IrrepLabel, gamma
+from tjl.metacyclic import gamma
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
                             require_anisotropic)
 from tjl.adelic import (
@@ -36,7 +36,6 @@ from tjl.adelic import (
     verify_witness_uniqueness,
     witness_set,
 )
-from tjl.spectral import verify_claim
 
 
 def _random_element(alg, rng, deg=2):
@@ -238,7 +237,7 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
 
         # the unit part of a norm: every witness norm, a central pi and
         # elements prime to pi; the second call reads the memo
-        ws = witness_set(alg, pi, depth_bound=4)
+        ws = witness_set(alg, pi)
         norms = [w.element.nrd() for w in ws.witnesses]
         norms += [RatFunc(pi * pi), elt.nrd(), RatFunc(poly(2 * D), den)]
         for n in norms:
@@ -551,11 +550,10 @@ def test_factorize_adele_cuts_each_component_to_v_plus_two_digits(q):
     peeled = 0
     for trip in range(10):
         rng = random.Random(900 * q + trip)
-        state, cls, grand = synthesize_random_adele(alg, rng, places,
-                                                    depth_bound=1)
+        state, cls, grand = synthesize_random_adele(alg, rng, places)
         start = {pi: (comp.precision, comp.det_valuation())
                  for pi, comp in state.split.items()}
-        recovered, rho = factorize_adele(alg, state, depth_bound=1)
+        recovered, rho = factorize_adele(alg, state)
         assert (recovered, grand * rho) == (cls, OrderElement.one(alg))
         for pi, comp in state.split.items():
             precision, v = start[pi]
@@ -567,12 +565,11 @@ def test_factorize_adele_cuts_each_component_to_v_plus_two_digits(q):
                 continue
             peeled += 1
             rng = random.Random(900 * q + trip)
-            state, _, _ = synthesize_random_adele(alg, rng, places,
-                                                  depth_bound=1)
+            state, _, _ = synthesize_random_adele(alg, rng, places)
             comp = state.split[pi]
             state.split[pi] = adelic.SplitComponent(comp.sp, comp.mat, v + 1)
             with pytest.raises(FactorizationError, match="precision exhausted"):
-                factorize_adele(alg, state, depth_bound=1)
+                factorize_adele(alg, state)
     assert peeled
 
 
@@ -754,22 +751,24 @@ def _fresh_caches(monkeypatch):
     monkeypatch.setattr(adelic, "_SCANS", {})
 
 
-def test_witness_set_depth_bound_ignores_cache_state(monkeypatch):
+def test_uniqueness_depth_bound_ignores_cache_state(monkeypatch):
     alg = AlgebraParams(3)
     for pi in default_places(alg, 2):
-        ws = witness_set(alg, pi, depth_bound=3)
+        ws = witness_set(alg, pi)
         depth = max(w.depth for w in ws.witnesses)
         for bound in range(depth):
             with pytest.raises(SearchBoundExceededError):
-                witness_set(alg, pi, depth_bound=bound)
-        assert witness_set(alg, pi, depth_bound=depth).witnesses == ws.witnesses
+                verify_witness_uniqueness(alg, pi, depth_bound=bound)
+        cert = verify_witness_uniqueness(alg, pi, depth_bound=depth)
+        assert cert["witnesses"] == len(ws.witnesses)
+        assert witness_set(alg, pi).witnesses == ws.witnesses
     _fresh_caches(monkeypatch)
     pi = parse_poly(alg.field, "t^2+2t+2")
     with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
-        witness_set(alg, pi, depth_bound=0)
-    witness_set(alg, pi, depth_bound=3)
+        verify_witness_uniqueness(alg, pi, depth_bound=0)
+    verify_witness_uniqueness(alg, pi, depth_bound=3)
     with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
-        witness_set(alg, pi, depth_bound=0)
+        verify_witness_uniqueness(alg, pi, depth_bound=0)
 
 
 def test_witness_set_is_certified_once_per_place(monkeypatch):
@@ -783,7 +782,6 @@ def test_witness_set_is_certified_once_per_place(monkeypatch):
     ws = witness_set(alg, pi)
     assert witness_set(alg, pi) is ws
     assert calls == [pi]
-    assert witness_set(alg, pi, depth_bound=4) is ws
     assert verify_witness_uniqueness(alg, pi, depth_bound=4)["witnesses"] == 10
     assert calls == [pi]
     # a model passed as split is read afresh on every call
@@ -866,16 +864,3 @@ def test_missing_witness_at_m0_is_a_falsification(monkeypatch, capsys):
     payload = json.loads(err)
     assert payload["error"] == "falsification"
     assert "found 3 of 4 witnesses" in payload["message"]
-
-
-def test_depth_bound_reaches_every_witness_lookup():
-    alg = AlgebraParams(3)
-    places = default_places(alg, 1)
-    state, _, _ = synthesize_random_adele(alg, random.Random(5), places)
-    with pytest.raises(SearchBoundExceededError):
-        factorize_adele(alg, state, depth_bound=0)
-    # seed 1 draws one Hecke modification, so it needs a witness set
-    with pytest.raises(SearchBoundExceededError):
-        synthesize_random_adele(alg, random.Random(1), places, depth_bound=0)
-    with pytest.raises(SearchBoundExceededError):
-        verify_claim(alg, IrrepLabel((0,), 0), places, depth_bound=0)

@@ -317,18 +317,28 @@ def test_start_up_loads_no_dataclasses_or_inspect():
     assert got == {"import": [], "run": [], "code": 0}
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_depth_bound_too_small_exits_3(flags):
-    # the missing-witness check is no assert, so -O cannot remove it
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize("argv, message", [
+    ("verify --q 3 --depth-bound 0",
+     "found 0 of 4 witnesses at t+1 within depth 0"),
+    ("brandt --q 3 --place t^2+1 --depth-bound 0",
+     "found 0 of 10 witnesses at t^2+1 within depth 0"),
+    ("basis --q 5 --sigma 1:0 --depth-bound 0",
+     "found 0 of 6 witnesses at t+1 within depth 0"),
+    ("verify --q 3 --degree-bound 3 --depth-bound 1 --round-trips 0",
+     "found 0 of 28 witnesses at t^3+2t^2+1 within depth 1"),
+], ids=["verify", "brandt", "basis", "verify-cubic"])
+def test_depth_bound_too_small_exits_3(flags, argv, message):
+    # each adelic command checks --depth-bound once per place, in place
+    # order, before any other work; the check is no assert, so -O keeps it
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "tjl.cli", "verify", "--q", "3",
-         "--depth-bound", "0"],
-        capture_output=True)
+        [sys.executable, *flags, "-m", "tjl.cli", *argv.split()],
+        capture_output=True, text=True)
     assert proc.returncode == 3
-    payload = json.loads(proc.stderr)
-    assert payload["error"] == "resource"
-    assert "found 0 of" in payload["message"]
-    assert proc.stdout == b""
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        '{"error":"resource","hint":"raise --degree-bound/--depth-bound",'
+        f'"message":"{message}","schema_version":"1"}}\n')
 
 
 @pytest.mark.parametrize("error", [NotRationalError, InconsistentSystemError,

@@ -8,7 +8,8 @@ import pytest
 
 import tjl.quaternion as quaternion
 from tjl.cyclotomic import FalsificationError
-from tjl.funcfield import Poly, RatFunc, gf, monic_irreducibles, parse_poly
+from tjl.funcfield import (Fq2, Poly, RatFunc, fq2, gf, monic_irreducibles,
+                           parse_poly)
 from tjl.quaternion import (
     AlgebraParams,
     LocalReduction,
@@ -405,6 +406,28 @@ def test_reduce_at_zero_at_odd_and_negative_valuations():
                 assert red == _ref_reduce_at_zero(z)
                 seen.add((red.k < 0, red.k % 2))
         assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_residue_field_is_shared_per_eps():
+    # one cached F_q(i) per (q, eps): its generator search and dlog table
+    # are built once, whichever non-square eps the algebra takes
+    for eps in (2, 3):
+        K = AlgebraParams(5, eps=eps).residue
+        assert K is AlgebraParams(5, eps=eps).residue
+        assert K.eps == eps
+    assert AlgebraParams(5).residue is fq2(5)
+    assert AlgebraParams(5, eps=3).residue is not fq2(5)
+    # the shared field reduces as a private one does
+    alg = AlgebraParams(5, eps=3)
+    private = Fq2(gf(5), 3)
+    rng = random.Random(5)
+    for _ in range(20):
+        x = _rational_element(alg, rng)
+        if x.is_zero():
+            continue
+        red = reduce_at_zero(x)
+        assert red == _ref_reduce_at_zero(x)
+        assert red.exponent == private.dlog(red.residue)
 
 
 def test_reduce_at_zero_rejects_a_wrong_residue_norm(monkeypatch):
