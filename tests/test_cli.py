@@ -473,6 +473,30 @@ def test_failed_claim_is_named_on_stderr(monkeypatch, capsys):
     assert "all_claims_ok" in message and '"orbit":[0]' in message
 
 
+def test_wrong_eigensystem_count_fails_only_its_sigma(monkeypatch, capsys):
+    # one extra predicted extension with r = 0 keeps the tame r-sum at n
+    from tjl import spectral
+
+    real = spectral.enumerate_A_tame
+    monkeypatch.setattr(spectral, "enumerate_A_tame", lambda p, params: (
+        real(p, params) + [(None, None, 0)]))
+    code, out, err = invoke(capsys, "verify", "--q", "3", "--degree-bound",
+                            "1", "--round-trips", "0")
+    assert code == 1
+    d = json.loads(out)
+    assert d["all_claims_ok"] is False
+    assert len(d["sigma_reports"]) == 7
+    failed = [r["sigma"] for r in d["sigma_reports"] if not r["claim_ok"]]
+    assert failed == [r["sigma"] for r in d["sigma_reports"]
+                      if r["sigma"]["dim"] == 2]
+    assert len(failed) == 3
+    message = _stderr_falsification(err)
+    assert message == "; ".join(
+        "all_claims_ok: the claim fails for sigma "
+        + json.dumps(s, sort_keys=True, separators=(",", ":"))
+        for s in failed)
+
+
 def _shifted_tags(self, orbit):
     return tuple((c + 1) % self.M for c in orbit)
 

@@ -15,6 +15,8 @@ from tjl.metacyclic import (
     GroupParams,
     Irrep,
     IrrepLabel,
+    character_row_index,
+    character_table,
     enumerate_irreps,
     gamma,
 )
@@ -27,7 +29,6 @@ from tjl.spectral import (
     NeedsMorePlacesError,
     decompose,
     eigenvalue_table,
-    hom_space,
     projective_basis,
     verify_all,
     verify_bimodule,
@@ -64,27 +65,32 @@ def _rational(v):
     return v.to_rational()
 
 
-def test_hom_space_dimensions():
-    G = gamma(3, 2, 1)
-    for label in enumerate_irreps(G):
-        hs = hom_space(G, label)
-        assert hs.f == label.dim
-        # basis intertwiner i takes its values in row i of each monomial
-        assert all(len(perm) == label.dim for perm, _ in hs.basis)
-
-
 def test_hom_space_operator_realization():
-    G = gamma(3, 2, 1)
-    label = next(l for l in enumerate_irreps(G) if l.dim == 2)
-    hs = hom_space(G, label)
-    for g in ((1, 0), (0, 1), (1, 5), (0, 3)):
-        hs.verify_operator_realization(g)
+    # the old per-element checks, kept as an oracle: sigma built on normal
+    # forms is the closed-form monomial everywhere, and R_g realizes the
+    # right translation of every basis function
+    for q in (3, 5):
+        for level in (1, 2):
+            G = gamma(q, 2, level)
+            m = G.cyc_order
+            for label in enumerate_irreps(G):
+                hs = HomSpace(G, label)
+                rep = Irrep(G, label)
+                assert hs.f == label.dim
+                for x in G.elements():
+                    assert hs.sigma(x) == rep.monomial(x)
+                for g in ((1, 0), (0, 1)):
+                    C = spectral._transpose(hs.op_right(g))
+                    for x in G.elements():
+                        assert spectral._compose(
+                            C, rep.monomial(G.inv(x)), m) \
+                            == rep.monomial(G.inv(G.mul(x, g)))
 
 
 def test_right_operators_form_a_homomorphism():
     G = gamma(3, 2, 1)
     label = next(l for l in enumerate_irreps(G) if l.dim == 2)
-    hs = hom_space(G, label)
+    hs = HomSpace(G, label)
     rep = Irrep(G, label)
     import random
     rng = random.Random(11)
@@ -264,10 +270,12 @@ def _extra_shifts(monkeypatch, extra):
 
 
 def _tamper_table(monkeypatch, edit):
-    """character_table(G) returns edit(labels, reps, sizes, rows)."""
-    real = spectral.character_table
-    monkeypatch.setattr(spectral, "character_table",
-                        lambda G: edit(*real(G)))
+    """The cached table of Gamma(3, 2, 1) becomes edit(labels, reps, sizes,
+    rows), and its row index is rebuilt from it; both revert after the
+    test."""
+    G = gamma(3, 2, 1)
+    monkeypatch.setattr(G, "_table", edit(*character_table(G)))
+    monkeypatch.setattr(G, "_row_index", None)
 
 
 def _decompose_q3(level=1):
@@ -367,8 +375,29 @@ def test_tamper_block_matches_two_labels(monkeypatch):
         return (*labels, IrrepLabel((9, 9), 0)), reps, sizes, (*rows, row)
 
     _tamper_table(monkeypatch, edit)
-    with pytest.raises(FalsificationError, match="matches 2 labels"):
+    # two equal rows are caught while the index is built, before any block
+    with pytest.raises(FalsificationError, match="character rows of "
+                       r"IrrepLabel\(orbit=\(5, 7\), s=0\) and "
+                       r"IrrepLabel\(orbit=\(9, 9\), s=0\) are equal"):
+        character_row_index(gamma(3, 2, 1))
+    with pytest.raises(FalsificationError, match="are equal"):
         _decompose_q3()
+
+
+def test_row_index_keys_values_not_terms(monkeypatch):
+    # zeta_8^0 + zeta_8^4 = 0: the entry's terms change, its value does not
+    zero = Cyc(8, {0: 1, 4: 1})
+    assert zero.terms and zero == 0
+
+    def edit(labels, reps, sizes, rows):
+        i = labels.index(BLOCK_LABEL)
+        row = (rows[i][0] + zero,) + tuple(rows[i][1:])
+        assert row[0].terms != rows[i][0].terms and row[0] == rows[i][0]
+        return labels, reps, sizes, rows[:i] + (row,) + rows[i + 1:]
+
+    _tamper_table(monkeypatch, edit)
+    blocks = _decompose_q3()
+    assert [b.infinity_label for b in blocks] == [BLOCK_LABEL]
 
 
 def test_tamper_block_label_dimension(monkeypatch):
@@ -381,27 +410,83 @@ def test_tamper_block_label_dimension(monkeypatch):
         _decompose_q3()
 
 
-def test_tamper_intertwining(monkeypatch):
+def _bend_generator(monkeypatch, gen, bend):
+    """Irrep.monomial(gen) returns (perm, bend(exps)); other elements keep
+    the closed form."""
     real = Irrep.monomial
 
     def bent(self, g):
         perm, exps = real(self, g)
-        if g == (1, 5):
-            exps = ((exps[0] + 1) % self.m,) + exps[1:]
-        return perm, exps
+        return (perm, bend(exps)) if g == gen else (perm, exps)
 
     monkeypatch.setattr(Irrep, "monomial", bent)
-    with pytest.raises(FalsificationError, match="intertwining"):
-        hom_space(gamma(3, 2, 1), SIGMA)
 
 
-def test_tamper_operator_realization(monkeypatch):
-    hs = hom_space(gamma(3, 2, 1), SIGMA)
-    hs.verify_operator_realization((1, 1))
-    perm, exps = hs.op_right((1, 1))
-    hs._ops[(1, 1)] = (perm, (exps[0], (exps[1] + 4) % 8))
-    with pytest.raises(FalsificationError, match="realization"):
-        hs.verify_operator_realization((1, 1))
+def test_tamper_relator_u_power(monkeypatch):
+    # at level 3 the cyclotomic order is 24 = 3 M, so zeta_24 is no M-th
+    # root of unity
+    _bend_generator(monkeypatch, (0, 1), lambda e: ((e[0] + 1) % 24, e[1]))
+    with pytest.raises(FalsificationError, match="relator U\\^M = 1"):
+        HomSpace(gamma(3, 2, 3), SIGMA)
+
+
+def test_tamper_relator_f_power(monkeypatch):
+    _bend_generator(monkeypatch, (1, 0), lambda e: ((e[0] + 1) % 8, e[1]))
+    with pytest.raises(FalsificationError, match="relator F\\^R = 1"):
+        HomSpace(gamma(3, 2, 1), SIGMA)
+
+
+def test_tamper_relator_frobenius(monkeypatch):
+    # U = diag(zeta^7, zeta^7) still has order dividing M, but F no longer
+    # conjugates it to U^q = diag(zeta^5, zeta^5)
+    _bend_generator(monkeypatch, (0, 1), lambda e: (e[0], e[0]))
+    with pytest.raises(FalsificationError,
+                       match="relator U F = F U\\^q"):
+        HomSpace(gamma(3, 2, 1), SIGMA)
+
+
+def test_tamper_relators_under_python_O():
+    # each relator broken in turn, as in the three tests above
+    script = (
+        "from tjl import spectral\n"
+        "from tjl.metacyclic import Irrep, IrrepLabel, gamma\n"
+        "real = Irrep.monomial\n"
+        "bends = [(3, (0, 1), lambda e: ((e[0] + 1) % 24, e[1])),\n"
+        "         (1, (1, 0), lambda e: ((e[0] + 1) % 8, e[1])),\n"
+        "         (1, (0, 1), lambda e: (e[0], e[0]))]\n"
+        "for level, gen, bend in bends:\n"
+        "    Irrep.monomial = lambda self, g: (\n"
+        "        (real(self, g)[0], bend(real(self, g)[1])) if g == gen\n"
+        "        else real(self, g))\n"
+        "    try:\n"
+        "        spectral.HomSpace(gamma(3, 2, level), IrrepLabel((1, 3), 0))\n"
+        "    except spectral.FalsificationError as exc:\n"
+        "        print('tripped:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(
+        f"tripped: the generator images break the relator {r}\n"
+        for r in ("U^M = 1", "F^R = 1", "U F = F U^q"))
+
+
+def test_duplicate_table_row_trips_under_python_O():
+    script = (
+        "from tjl.metacyclic import (FalsificationError, Gamma, IrrepLabel,\n"
+        "                            character_row_index, character_table)\n"
+        "G = Gamma(3, 2, 1)\n"
+        "labels, reps, sizes, rows = character_table(G)\n"
+        "G._table = ((*labels, IrrepLabel((9, 9), 0)), reps, sizes,\n"
+        "            (*rows, rows[0]))\n"
+        "try:\n"
+        "    character_row_index(G)\n"
+        "except FalsificationError as exc:\n"
+        "    print('tripped:', exc)\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("tripped: the character rows of ")
+    assert proc.stdout.endswith(" are equal\n")
 
 
 def test_tamper_bimodule_commutation():
