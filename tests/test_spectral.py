@@ -65,6 +65,18 @@ def _rational(v):
     return v.to_rational()
 
 
+def test_hom_space_dimensions():
+    G = gamma(3, 2, 1)
+    for label in enumerate_irreps(G):
+        hs = HomSpace(G, label)
+        assert hs.f == label.dim
+        # basis intertwiner i takes its values in row i of each sigma(x)
+        for x in G.elements():
+            perm, exps = hs.sigma(x)
+            assert sorted(perm) == list(range(label.dim))
+            assert len(exps) == label.dim
+
+
 def test_hom_space_operator_realization():
     # the old per-element checks, kept as an oracle: sigma built on normal
     # forms is the closed-form monomial everywhere, and R_g realizes the
