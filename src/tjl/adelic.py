@@ -1,6 +1,6 @@
 """Adelic factorization for the quaternion algebra: split-place models,
-canonical witness sets, Hecke and infinity-action matrices, and round-trip
-recovery of double-coset classes.
+canonical witness sets, Hecke matrices, the action at infinity, and
+round-trip recovery of double-coset classes.
 
 The class set at level N is the finite group Gamma(q, 2, N): an adele class
 is determined by the reduction of its component at t, because every finitely
@@ -32,9 +32,9 @@ witness_set and verify_witness_uniqueness both read that scan.
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
 point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
 (and left) cosets of the degree-one elementary double coset by line-matching
-mod pi.  Hecke matrices sum the right-translation action of the witness
-reductions; the infinity action sends the uniformizer and the Teichmueller
-units to right translations as well, reversing products.
+mod pi.  A Hecke matrix, as int rows, counts the right translations by the
+witness reductions; the infinity action sends the uniformizer and the
+Teichmueller units to group elements acting by right translation too.
 
 The model is built mod pi^P (P = 8), but its arithmetic works mod pi^k for
 the precision k each caller passes: the multiply-reduce kernel folds high
@@ -69,8 +69,6 @@ from .quaternion import (
 TYPE_CHECKING = False  # typing is not imported at run time
 if TYPE_CHECKING:
     from array import array
-
-    import numpy as np
 
 Element = tuple[int, int]
 
@@ -639,82 +637,84 @@ def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
             "norm_degree_bound": 2 * depth_bound}
 
 
-# -- translation, Hecke, and infinity-action matrices ------------------
+# -- translation and Hecke matrices, the action at infinity ------------
+
+
+Rows = tuple[tuple[int, ...], ...]  # a |Gamma| x |Gamma| int matrix
 
 
 def group_of(alg: AlgebraParams) -> Gamma:
     return gamma(alg.q, 2, alg.level)
 
 
-def left_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
-    import numpy as np
+def _count_rows(G: Gamma, images) -> Rows:
+    """Row x counts the group elements images(x) by their columns."""
+    rows = []
+    for x in G.elements():
+        row = [0] * G.order
+        for y in images(x):
+            row[G.element_index(y)] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
+
+def left_translation_matrix(alg: AlgebraParams, g: Element) -> Rows:
     G = group_of(alg)
-    out = np.zeros((G.order, G.order), dtype=np.int64)
     ginv = G.inv(g)
-    for xi, x in enumerate(G.elements()):
-        out[xi][G.element_index(G.mul(ginv, x))] = 1
-    return out
+    return _count_rows(G, lambda x: (G.mul(ginv, x),))
 
 
-def right_translation_matrix(alg: AlgebraParams, g: Element) -> np.ndarray:
-    import numpy as np
-
+def right_translation_matrix(alg: AlgebraParams, g: Element) -> Rows:
     G = group_of(alg)
-    out = np.zeros((G.order, G.order), dtype=np.int64)
-    for xi, x in enumerate(G.elements()):
-        out[xi][G.element_index(G.mul(x, g))] = 1
-    return out
+    return _count_rows(G, lambda x: (G.mul(x, g),))
 
 
 def hecke_matrix(alg: AlgebraParams, pi: Poly,
-                 split: SplitPlace | None = None) -> np.ndarray:
+                 split: SplitPlace | None = None) -> Rows:
     """Sum of the right translations by the witness reductions at pi: a
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
     with every left translation."""
-    ws = witness_set(alg, pi, split=split)
-    return sum(right_translation_matrix(alg, g)
-               for g in ws.shifts(group_of(alg)))
-
-
-def infinity_action_matrices(alg: AlgebraParams) -> dict:
-    """Right action of the local group at infinity on the class set: the
-    uniformizer goes to right translation by the reduction of its witness j,
-    the Teichmueller unit of exponent e to right translation by (0, -e).
-    Products are reversed: act(h) act(h') = act(h' h)."""
     G = group_of(alg)
-    r = reduce_at_zero(OrderElement.j(alg))
-    uniformizer = right_translation_matrix(alg, r.to_gamma(G.R, G.M))
-    units = []
-    for e in range(G.M):
-        w = OrderElement.teichmuller(alg, alg.residue.from_dlog((-e) % G.M))
-        units.append(right_translation_matrix(
-            alg, reduce_at_zero(w).to_gamma(G.R, G.M)))
-    return {"uniformizer": uniformizer, "units": units}
+    shifts = witness_set(alg, pi, split=split).shifts(G)
+    return _count_rows(G, lambda x: [G.mul(x, g) for g in shifts])
+
+
+def infinity_action(alg: AlgebraParams) -> dict:
+    """Right action of the local group at infinity on the class set, by
+    right translation: the uniformizer by p, the reduction of its witness
+    j, and the Teichmueller unit of exponent e by g_e, the reduction of the
+    Teichmueller lift of u^{-e}.  Products are reversed:
+    act(h) act(h') = act(h' h)."""
+    G = group_of(alg)
+
+    def image(w: OrderElement) -> Element:
+        return reduce_at_zero(w).to_gamma(G.R, G.M)
+
+    return {"uniformizer": image(OrderElement.j(alg)),
+            "units": [image(OrderElement.teichmuller(
+                alg, alg.residue.from_dlog((-e) % G.M)))
+                for e in range(G.M)]}
 
 
 def verify_action_relations(alg: AlgebraParams) -> None:
     """The infinity action reverses products and satisfies the local
     commutation rule (uniformizer) u = u^q (uniformizer); its square is
-    the central scalar t."""
-    import numpy as np
-
+    the central scalar t.  Right translation is faithful and
+    R_a R_b = R_(ab), so each matrix relation is a group identity."""
     G = group_of(alg)
-    act = infinity_action_matrices(alg)
-    P, U = act["uniformizer"], act["units"]
+    act = infinity_action(alg)
+    p, g = act["uniformizer"], act["units"]
 
-    require((U[0] == np.eye(G.order, dtype=np.int64)).all(),
-            "the infinity action breaks act(1) = 1")
+    require(g[0] == G.identity, "the infinity action breaks act(1) = 1")
     for e in range(G.M):
         for e2 in range(G.M):
-            require((U[e] @ U[e2] == U[(e + e2) % G.M]).all(),
+            require(G.mul(g[e], g[e2]) == g[(e + e2) % G.M],
                     f"the infinity action breaks act(u^{e}) act(u^{e2}) "
                     f"= act(u^{e + e2})")
         # act(u) act(P) = act(P u) = act(u^q P) = act(P) act(u^q)
-        require((U[e] @ P == P @ U[(e * alg.q) % G.M]).all(),
+        require(G.mul(g[e], p) == G.mul(p, g[(e * alg.q) % G.M]),
                 f"the infinity action breaks P u^{e} = u^{e * alg.q} P")
-    sq = right_translation_matrix(alg, (2 % G.R, 0))
-    require((P @ P == sq).all(), "the infinity action breaks P^2 = t")
+    require(G.mul(p, p) == (2 % G.R, 0), "the infinity action breaks P^2 = t")
 
 
 def default_places(alg: AlgebraParams, max_deg: int = 2) -> list[Poly]:

@@ -254,7 +254,7 @@ def cmd_brandt(args) -> int:
             f"# group_order={G.order} coset_count={args.q ** pi.degree + 1}",
         ]
         for row in T:
-            lines.append("\t".join(str(int(v)) for v in row))
+            lines.append("\t".join(map(str, row)))
         _emit("\n".join(lines), args.output)
     else:
         report = {
@@ -264,7 +264,7 @@ def cmd_brandt(args) -> int:
             "place": format_poly(pi),
             "group_order": G.order,
             "coset_count": args.q ** pi.degree + 1,
-            "matrix": [[int(v) for v in row] for row in T],
+            "matrix": T,
         }
         _emit(_canonical_json(report), args.output)
     return 0

@@ -8,9 +8,9 @@ import sys
 from collections import Counter
 from itertools import product
 
-import numpy as np
 import pytest
 
+from int_rows import matmul
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, gf, parse_poly
 from tjl.metacyclic import gamma
@@ -27,7 +27,7 @@ from tjl.adelic import (
     factorize_adele,
     group_of,
     hecke_matrix,
-    infinity_action_matrices,
+    infinity_action,
     left_translation_matrix,
     right_translation_matrix,
     standard_conjugator,
@@ -359,27 +359,28 @@ def test_hecke_matrices_structure():
     mats = {name: hecke_matrix(alg, parse_poly(F, name))
             for name in ("t-1", "t+1", "t^2+1")}
     for name, T in mats.items():
-        assert T.shape == (16, 16)
-        assert T.dtype == np.int64
-        assert (T >= 0).all()
+        assert len(T) == 16 and all(len(row) == 16 for row in T)
+        assert all(type(v) is int for row in T for v in row)
+        assert all(v >= 0 for row in T for v in row)
         want = 4 if name != "t^2+1" else 10
-        assert (T.sum(axis=1) == want).all()
-        assert (T.sum(axis=0) == want).all()
+        assert all(sum(row) == want for row in T)
+        assert all(sum(col) == want for col in zip(*T))
     pairs = list(mats.values())
     for A in pairs:
         for B in pairs:
-            assert (A @ B == B @ A).all()
+            assert matmul(A, B) == matmul(B, A)
     for g in G.elements():
         L = left_translation_matrix(alg, g)
         for T in pairs:
-            assert (L @ T == T @ L).all()
+            assert matmul(L, T) == matmul(T, L)
 
 
 def test_hecke_matrix_is_sum_of_right_translations():
     alg = AlgebraParams(3)
     T = hecke_matrix(alg, parse_poly(alg.field, "t-1"))
-    S = sum(right_translation_matrix(alg, (1, e)) for e in (0, 2, 4, 6))
-    assert (T == S).all()
+    mats = [right_translation_matrix(alg, (1, e)) for e in (0, 2, 4, 6)]
+    S = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
+    assert T == S
 
 
 def test_hecke_independent_of_splitting():
@@ -388,32 +389,78 @@ def test_hecke_independent_of_splitting():
         pi = parse_poly(alg.field, name)
         T = hecke_matrix(alg, pi)
         conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
-        assert (T == hecke_matrix(alg, pi, split=conj)).all()
+        assert T == hecke_matrix(alg, pi, split=conj)
+
+
+def _dense_action_failures(alg, act):
+    """The oracle for verify_action_relations: the messages of the
+    relations that the right-translation matrices of act break, in the
+    order the group check tries them."""
+    G = group_of(alg)
+    P = right_translation_matrix(alg, act["uniformizer"])
+    U = [right_translation_matrix(alg, g) for g in act["units"]]
+    broken = []
+    if U[0] != right_translation_matrix(alg, G.identity):
+        broken.append("the infinity action breaks act(1) = 1")
+    for e in range(G.M):
+        for e2 in range(G.M):
+            if matmul(U[e], U[e2]) != U[(e + e2) % G.M]:
+                broken.append(f"the infinity action breaks act(u^{e}) "
+                              f"act(u^{e2}) = act(u^{e + e2})")
+        if matmul(U[e], P) != matmul(P, U[(e * alg.q) % G.M]):
+            broken.append(f"the infinity action breaks "
+                          f"P u^{e} = u^{e * alg.q} P")
+    if matmul(P, P) != right_translation_matrix(alg, (2 % G.R, 0)):
+        broken.append("the infinity action breaks P^2 = t")
+    return broken
 
 
 def test_infinity_action_relations():
-    for q in (3, 5):
-        verify_action_relations(AlgebraParams(q))
-    verify_action_relations(AlgebraParams(3, level=2))
+    # the group check passes where the dense matrices break no relation
+    for alg in (AlgebraParams(3), AlgebraParams(5), AlgebraParams(3, level=2)):
+        assert _dense_action_failures(alg, infinity_action(alg)) == []
+        verify_action_relations(alg)
 
 
 def test_broken_infinity_action_is_a_falsification(monkeypatch):
-    # each relation raises FalsificationError, which python -O keeps
+    # each relation raises FalsificationError, which python -O keeps; the
+    # group check fails on the first relation the dense matrices break
     alg = AlgebraParams(3)
-    real = adelic.infinity_action_matrices(alg)
-    G = group_of(alg)
+    real = infinity_action(alg)
+    units = real["units"]
     tampered = [
-        {**real, "units": [real["units"][1]] + real["units"][1:]},
-        {**real, "units": real["units"][:1] + real["units"][2:] + [
-            real["units"][1]]},
-        {**real, "uniformizer": np.eye(G.order, dtype=np.int64)},
-        {**real, "uniformizer": right_translation_matrix(alg, (1, 1))},
+        ({**real, "units": [units[1]] + units[1:]}, "act(1) = 1"),
+        ({**real, "units": units[:1] + units[2:] + [units[1]]}, "act(u^"),
+        ({**real, "uniformizer": group_of(alg).identity}, "P u^"),
+        ({**real, "uniformizer": (1, 1)}, "P^2"),
     ]
-    for act, claim in zip(tampered, ("act(1) = 1", "act(u^", "P u^", "P^2")):
-        monkeypatch.setattr(adelic, "infinity_action_matrices",
+    for act, claim in tampered:
+        monkeypatch.setattr(adelic, "infinity_action",
                             lambda alg, act=act: act)
-        with pytest.raises(FalsificationError, match=re.escape(claim)):
+        with pytest.raises(FalsificationError,
+                           match=re.escape(claim)) as err:
             verify_action_relations(alg)
+        assert _dense_action_failures(alg, act)[:1] == [str(err.value)]
+
+
+def test_broken_infinity_action_fails_under_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl import adelic\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.quaternion import AlgebraParams\n"
+        "real = adelic.infinity_action\n"
+        "adelic.infinity_action = lambda alg: {**real(alg), "
+        "'uniformizer': (1, 1)}\n"
+        "try:\n"
+        "    adelic.verify_action_relations(AlgebraParams(3))\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'P^2 = t' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
 
 
 def test_coset_reader_on_coset_representatives():
@@ -439,12 +486,13 @@ def test_coset_reader_on_coset_representatives():
 
 def test_infinity_action_commutes_with_hecke():
     alg = AlgebraParams(3)
-    act = infinity_action_matrices(alg)
-    mats = [act["uniformizer"]] + act["units"]
+    act = infinity_action(alg)
+    mats = [right_translation_matrix(alg, g)
+            for g in [act["uniformizer"]] + act["units"]]
     for name in ("t-1", "t+1", "t^2+1"):
         T = hecke_matrix(alg, parse_poly(alg.field, name))
         for A in mats:
-            assert (A @ T == T @ A).all()
+            assert matmul(A, T) == matmul(T, A)
 
 
 def test_elementary_factorizations_frozen():
