@@ -36,13 +36,16 @@ mod pi.  A Hecke matrix, as int rows, counts the right translations by the
 witness reductions; the infinity action sends the uniformizer and the
 Teichmueller units to group elements acting by right translation too.
 
-The model is built mod pi^P (P = 8), but its arithmetic works mod pi^k for
-the precision k each caller passes: the multiply-reduce kernel folds high
-coefficients back along rows t^e mod pi^k kept per k, and an embedding
-entry is one kernel call over the coordinate numerators and the basis
-matrices scaled by each inverse denominator.  An adele component computes
-at its own precision, which a division by norm valuation v lowers by v.
-A synthesized adele starts at P digits; factorize_adele cuts each component
+The model is built mod pi^P (P = MAX_HECKE_MODS + 2 = 4, the most digits
+a peeling reads), but its arithmetic works mod pi^k for the precision k
+each caller passes: the multiply-reduce kernel folds high coefficients back
+along rows t^e mod pi^k kept per k, and an embedding entry is one kernel
+call over the coordinate numerators and the basis matrices scaled by each
+inverse denominator.  Coset labels read a witness at 2 digits.  An adele
+component computes at its own precision, which a division by norm valuation
+v lowers by v; each divisor's image, embed(conj x) times the inverse of the
+unit part of nrd x, is computed once per model and precision.  A
+synthesized adele starts at P digits; factorize_adele cuts each component
 to the v + 2 digits its peeling uses (the proof is in its docstring).
 """
 
@@ -83,12 +86,19 @@ class FactorizationError(ValueError):
     pass
 
 
+MAX_HECKE_MODS = 2  # Hecke modifications per synthesized adele, at most
+
+
 class SplitPlace:
     """Matrix model of the algebra at a split place pi.  The model is built
     mod pi^P; its arithmetic works mod pi^k for the precision k <= P that
     each caller passes."""
 
-    precision = 8  # P
+    # P: a synthesized component is ks embed(gamma_rand) with ks a unit, so
+    # its determinant has valuation v = v_pi(nrd gamma_rand) <= MAX_HECKE_MODS
+    # (each witness factor adds 1, every other factor 0), and peeling it
+    # reads v + 2 digits (factorize_adele)
+    precision = MAX_HECKE_MODS + 2
 
     def __init__(self, alg: AlgebraParams, pi: Poly,
                  conjugator: Mat | None = None):
@@ -113,6 +123,13 @@ class SplitPlace:
         # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
         # repeat (witness norms, pi^2)
         self._num_inverses: dict[Poly, Poly] = {}
+        # residue r mod pi -> r^{-1} mod pi, for the coset labels
+        self._residue_inverses: dict[Poly, Poly] = {}
+        # (divisor x, k) -> (v_pi(nrd x), embed(conj x) times the inverse of
+        # the unit part of nrd x, mod pi^k): the divisors are the witnesses
+        # and the central pi's, and right_divide reads each one again
+        self._divisor_images: dict[tuple[OrderElement, int],
+                                   tuple[int, Mat]] = {}
         x, y = self._hensel_point()
         self.x, self.y = x, y
         zero, one = Poly.zero(F), Poly.one(F)
@@ -180,11 +197,13 @@ class SplitPlace:
         return powers[k]
 
     def inv_mod(self, a: Poly) -> Poly:
+        """a^{-1} mod pi^P."""
         a = a % self.modulus
         g, u, _ = a.xgcd(self.modulus)
         if not g.is_one():
             raise ZeroDivisionError(
-                f"{a} is not a unit mod {self.pi}^{self.precision}")
+                f"{format_poly(a)} is not a unit mod pi^{self.precision} at "
+                f"{format_poly(self.pi)}")
         return u % self.modulus
 
     def _mulsum(self, pairs, k: int) -> Poly:
@@ -265,6 +284,25 @@ class SplitPlace:
             inv = self._num_inverses[r.num] = self.inv_mod(unit)
         return self._mulsum(((r.den, inv),), k)
 
+    def divisor_image(self, elt: OrderElement, k: int,
+                      norm: RatFunc | None = None) -> tuple[int, Mat]:
+        """(v, D) with v = v_pi(nrd elt) and D = embed(conj elt) times the
+        inverse of the unit part of nrd elt, mod pi^k: A elt^{-1} is
+        (A D mod pi^k) / pi^v, mod pi^(k - v).  Computed once per divisor
+        and precision; a caller that holds nrd(elt) passes it as norm."""
+        key = (elt, k)
+        image = self._divisor_images.get(key)
+        if image is None:
+            n = elt.nrd() if norm is None else norm
+            v = n.valuation(self.pi)
+            if v < 0:
+                raise FactorizationError(
+                    f"cannot divide by an element whose norm has valuation "
+                    f"{v} at {format_poly(self.pi)}")
+            image = self._divisor_images[key] = (v, self.scale_mat(
+                self.embed(elt.conj(), k), self.unit_inverse(n, k), k))
+        return image
+
     def scalar_mat(self, c: Poly) -> Mat:
         z = Poly.zero(self.alg.field)
         c = c % self.modulus
@@ -313,9 +351,11 @@ class SplitPlace:
 
     def coset_labels(self, elt: OrderElement) -> tuple[tuple, tuple]:
         """The right and left cosets of the degree-one double coset that
-        contain the witness elt."""
-        mat = self.embed(elt, self.precision)
-        v = self.det(mat, self.precision).valuation(self.pi)
+        contain the witness elt.  Two digits decide both: det mod pi^2 shows
+        v_pi(det) = 1, and the lines are read mod pi."""
+        mat = self.embed(elt, 2)
+        det = self.det(mat, 2)
+        v = det.valuation(self.pi) if det.coeffs else ">= 2"
         if v != 1:
             raise FalsificationError(
                 f"witness {elt} has determinant valuation {v} at "
@@ -335,6 +375,7 @@ class SplitPlace:
         nonzero mod pi span: ("diag",) for the line of (1, 0), else
         (kind, v0/v1 mod pi)."""
         pi = self.pi
+        inverses = self._residue_inverses
         labels = set()
         for v0, v1 in vectors:
             v0, v1 = v0 % pi, v1 % pi
@@ -342,10 +383,14 @@ class SplitPlace:
                 if not v0.is_zero():
                     labels.add(("diag",))
                 continue
-            g, u, _ = v1.xgcd(pi)
-            if not g.is_one():
-                raise FalsificationError(
-                    f"{format_poly(v1)} is not a unit mod {format_poly(pi)}")
+            u = inverses.get(v1)
+            if u is None:
+                g, u, _ = v1.xgcd(pi)
+                if not g.is_one():
+                    raise FalsificationError(
+                        f"{format_poly(v1)} is not a unit mod "
+                        f"{format_poly(pi)}")
+                inverses[v1] = u
             labels.add((kind, ((v0 * u) % pi).coeffs))
         if not labels:
             raise FalsificationError(f"matrix vanishes mod {format_poly(pi)}")
@@ -811,25 +856,17 @@ class SplitComponent:
     def is_unit(self) -> bool:
         return self.det_valuation() == 0
 
-    def right_multiply(self, elt: OrderElement) -> None:
-        sp, k = self.sp, self.precision
-        self.mat = sp.matmul(self.mat, sp.embed(elt, k), k)
-
     def right_divide(self, elt: OrderElement, norm: RatFunc | None = None) -> None:
         """Multiply by elt^{-1} on the right; pi-valuation v of nrd(elt)
         costs v digits of precision.  A caller that holds nrd(elt) passes
         it as norm."""
         sp, k = self.sp, self.precision
-        n = elt.nrd() if norm is None else norm
-        v = n.valuation(sp.pi)
-        if v < 0:
-            raise FactorizationError(
-                f"cannot divide by an element whose norm has valuation {v} "
-                f"at {format_poly(sp.pi)}")
-        num = sp.matmul(self.mat, sp.embed(elt.conj(), k), k)
+        v, image = sp.divisor_image(elt, k, norm)
+        num = sp.matmul(self.mat, image, k)
         if v:
             # entries of degree < deg pi^k: the quotients by pi^v are
-            # reduced mod pi^(k - v) already
+            # reduced mod pi^(k - v) already; the image's unit factor is a
+            # unit mod pi^v, so it leaves the remainder test unchanged
             piv = sp.pi_power(v)
             shifted = []
             for e in num:
@@ -840,12 +877,12 @@ class SplitComponent:
                         f"structure")
                 shifted.append(quo)
             num = tuple(shifted)
-            self.precision = k = k - v
-            if k < 2:
+            self.precision = k - v
+            if k - v < 2:
                 raise FactorizationError(
                     f"component precision exhausted at {format_poly(sp.pi)}: "
-                    f"{k} digits left")
-        self.mat = sp.scale_mat(num, sp.unit_inverse(n, k), k)
+                    f"{k - v} digits left")
+        self.mat = num
 
 
 class AdeleState:
@@ -859,12 +896,6 @@ class AdeleState:
         self.infinity = infinity
         self.split = split
 
-    def right_multiply(self, elt: OrderElement) -> None:
-        self.zero = self.zero * elt
-        self.infinity = self.infinity * elt
-        for comp in self.split.values():
-            comp.right_multiply(elt)
-
     def right_divide(self, elt: OrderElement) -> OrderElement:
         """Multiply by elt^{-1} on the right and return elt^{-1}; nrd(elt)
         is computed once for every component."""
@@ -875,9 +906,6 @@ class AdeleState:
         for comp in self.split.values():
             comp.right_divide(elt, n)
         return inv
-
-
-MAX_HECKE_MODS = 2  # Hecke modifications per synthesized adele, at most
 
 
 def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly]
@@ -961,9 +989,13 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
                     ) -> tuple[Element, OrderElement]:
     """Recover the class of an adele by peeling split-place valuations with
     canonical witnesses, then balancing infinity.  Returns the class and
-    the accumulated global factor rho applied on the right (the state ends
-    multiplied by rho, unit at every tracked place and principal at
-    infinity).
+    the accumulated global factor rho applied on the right.  The
+    components at t and infinity end multiplied by rho, the one at infinity
+    a principal unit; each split component ends a unit, multiplied by the
+    peeled divisors but not by the infinity balance gamma_f.  As
+    det(A embed(gamma_f)) = det(A) nrd(gamma_f) mod pi^k, that product
+    would be a unit exactly when nrd(gamma_f) is one at pi, which is
+    checked instead.
 
     Each component is first cut down to v + 2 digits, v the pi-valuation of
     its determinant, when it holds more.  That is all the peeling needs:
@@ -971,10 +1003,9 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
     precision and v by exactly w (det(A x^{-1}) = det(A) / nrd(x)), so
     precision - v stays 2.  A witness at pi costs 1 digit, a central pi
     costs 2, and a division at another place costs 0, its norm being a unit
-    at pi; multiplying by the infinity balance costs nothing.  Peeling ends
-    at v = 0 with the 2 digits that right_divide's precision check asks
-    for; when v > 0, one digit fewer makes the last division at pi fail
-    that check.
+    at pi.  Peeling ends at v = 0 with the 2 digits that right_divide's
+    precision check asks for; when v > 0, one digit fewer makes the last
+    division at pi fail that check.
     Every decision reads the matrix mod pi or its determinant's valuation
     below the precision, so the cut changes no choice."""
     G = group_of(alg)
@@ -1003,8 +1034,16 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
     K = alg.residue
     gamma_f = OrderElement.teichmuller(alg, K.inv(r.residue)) \
         * _pi_infinity_power(alg, -r.k)
-    state.right_multiply(gamma_f)
+    state.zero = state.zero * gamma_f
+    state.infinity = state.infinity * gamma_f
     rho = rho * gamma_f
+    n = gamma_f.nrd()
+    for pi in state.split:
+        v = n.valuation(pi)
+        if v:
+            raise FactorizationError(
+                f"the infinity balance has norm valuation {v} at "
+                f"{format_poly(pi)}, where the component must stay a unit")
     if not state.infinity.in_K1_infinity():
         raise FactorizationError(
             "the balanced component at infinity is not a principal unit")

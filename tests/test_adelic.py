@@ -12,7 +12,7 @@ import pytest
 
 from int_rows import matmul
 from tjl import adelic, cli
-from tjl.funcfield import Poly, RatFunc, gf, parse_poly
+from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
 from tjl.metacyclic import gamma
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
                             require_anisotropic)
@@ -249,25 +249,57 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
             assert n.num in sp._num_inverses
             assert sp.unit_inverse(n, P) == want
 
-        # a component at precision 2 cuts every kernel result down to pi^2;
-        # at full precision, dividing by a witness costs one digit
+        # division through the divisor memo at every k in 2..P: a witness
+        # (1 digit), a central pi (2 digits) and a unit at pi (none), each
+        # dividing a product by itself, against the per-entry formulas
         by = OrderElement.zero(alg)
         while by.is_zero() or by.nrd().valuation(pi):
             by = OrderElement(alg, *(RatFunc(poly(D)) for _ in range(4)))
         w = ws.witnesses[0].element
+        for x in (w, OrderElement.scalar(alg, RatFunc(pi)), by):
+            v = x.nrd().valuation(pi)
+            inv = _ref_unit_inverse(sp, x.nrd())
+            for k in range(2, P + 1):
+                m = sp.pi_power(k)
+                prod = _cut(_ref_matmul(sp, A, _ref_embed(sp, x)), m)
+                comp = adelic.SplitComponent(sp, sp.matmul(A, sp.embed(x, k),
+                                                           k), k)
+                assert comp.mat == prod
+                if k - v < 2:
+                    with pytest.raises(FactorizationError,
+                                       match="precision exhausted"):
+                        comp.right_divide(x)
+                else:
+                    comp.right_divide(x)
+                    mk = sp.pi_power(k - v)
+                    quo = [e.divmod(sp.pi_power(v)) for e in
+                           _ref_matmul(sp, prod, _ref_embed(sp, x.conj()), m)]
+                    assert all(r.is_zero() for _, r in quo)
+                    assert (comp.mat, comp.precision) == (
+                        tuple((e * inv) % mk for e, _ in quo), k - v)
+                # one memo entry per (divisor, precision): the same divisor
+                # at two precisions is two entries
+                assert {key for key in sp._divisor_images if key[0] == x} \
+                    == {(x, j) for j in range(2, k + 1)}
+                assert sp.divisor_image(x, k) is sp._divisor_images[(x, k)]
+
+        # a component at precision 2 cuts every kernel result down to pi^2;
+        # at full precision, dividing by a witness costs one digit
         for precision in (2, P):
             m = sp.pi_power(precision)
             comp = adelic.SplitComponent(sp, A, precision=precision)
-            mat = comp.mat
-            comp.right_multiply(elt)
-            mat = _cut(_ref_matmul(sp, mat, _ref_embed(sp, elt)), m)
+            mat = _cut(_ref_matmul(sp, comp.mat, _ref_embed(sp, elt)), m)
+            comp = adelic.SplitComponent(
+                sp, sp.matmul(comp.mat, sp.embed(elt, precision), precision),
+                precision)
             assert comp.mat == mat
             comp.right_divide(by)
             inv = _ref_unit_inverse(sp, by.nrd())
             mat = tuple((e * inv) % m for e in
                         _ref_matmul(sp, mat, _ref_embed(sp, by.conj())))
             assert (comp.mat, comp.precision) == (mat, precision)
-        comp.right_multiply(w)
+        comp = adelic.SplitComponent(sp, sp.matmul(comp.mat, sp.embed(w, P),
+                                                   P), P)
         comp.right_divide(w)
         assert (comp.mat, comp.precision) == (
             _cut(mat, sp.pi_power(P - 1)), P - 1)
@@ -296,6 +328,16 @@ def test_exhausted_component_precision_survives_dash_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+def test_inv_mod_names_the_place_and_the_precision():
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t+1")
+    sp = SplitPlace(alg, pi)
+    P = sp.precision
+    with pytest.raises(ZeroDivisionError,
+                       match=rf"^t\^2\+t is not a unit mod pi\^{P} at t\+1$"):
+        sp.inv_mod(pi * Poly.t(alg.field))
 
 
 def test_split_place_rejects_t():
@@ -484,6 +526,84 @@ def test_coset_reader_on_coset_representatives():
         sp.identify_right_coset((pi, pi, zero, pi))
 
 
+def _ref_coset_label(pi, vectors, kind):
+    """The one line mod pi of the vectors, by xgcd per vector."""
+    labels = set()
+    for v0, v1 in vectors:
+        v0, v1 = v0 % pi, v1 % pi
+        if not v1.is_zero():
+            labels.add((kind, ((v0 * _ref_inv(v1, pi)) % pi).coeffs))
+        elif not v0.is_zero():
+            labels.add(("diag",))
+    assert len(labels) == 1
+    return labels.pop()
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
+    # v_pi(det) = 1 needs two digits and the line one: the labels of every
+    # witness equal those read off its P-digit embedding, in the default
+    # model and in a conjugated one
+    alg = AlgebraParams(q)
+    for pi in default_places(alg, 2):
+        scan = adelic._place_scan(alg, pi)
+        ws = witness_set(alg, pi)
+        conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
+        for sp in (scan.split, conj):
+            P = sp.precision
+            for w in ws.witnesses:
+                A = sp.embed(w.element, P)
+                assert sp.det(A, P).valuation(pi) == 1
+                want = (_ref_coset_label(pi, [(A[0], A[2]), (A[1], A[3])],
+                                         "upper"),
+                        _ref_coset_label(pi, [(A[0], A[1]), (A[2], A[3])],
+                                         "lower"))
+                assert sp.coset_labels(w.element) == want
+                if sp is scan.split:
+                    assert (w.right_label, w.left_label) == want
+            # one residue inverse per residue met, nothing else
+            assert all(((r * u) % pi).is_one()
+                       for r, u in sp._residue_inverses.items())
+
+
+def test_coset_labels_reject_determinant_valuation_two():
+    # pi times a witness has det valuation 3, which two digits see as 0
+    # mod pi^2; a unit has det valuation 0
+    alg = AlgebraParams(3)
+    for name in ("t+1", "t^2+1"):
+        pi = parse_poly(alg.field, name)
+        sp = SplitPlace(alg, pi)
+        w = witness_set(alg, pi).witnesses[0].element
+        with pytest.raises(FalsificationError,
+                           match=rf"determinant valuation >= 2 at "
+                                 rf"{re.escape(name)}$"):
+            sp.coset_labels(OrderElement.scalar(alg, RatFunc(pi)) * w)
+        with pytest.raises(FalsificationError,
+                           match="determinant valuation 0"):
+            sp.coset_labels(OrderElement.one(alg))
+
+
+def test_coset_labels_reject_determinant_valuation_two_under_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl.adelic import FalsificationError, SplitPlace, witness_set\n"
+        "from tjl.funcfield import RatFunc, parse_poly\n"
+        "from tjl.quaternion import AlgebraParams, OrderElement\n"
+        "alg = AlgebraParams(3)\n"
+        "pi = parse_poly(alg.field, 't+1')\n"
+        "w = witness_set(alg, pi).witnesses[0].element\n"
+        "try:\n"
+        "    SplitPlace(alg, pi).coset_labels(\n"
+        "        OrderElement.scalar(alg, RatFunc(pi)) * w)\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'valuation >= 2' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
 def test_infinity_action_commutes_with_hecke():
     alg = AlgebraParams(3)
     act = infinity_action(alg)
@@ -566,16 +686,28 @@ def test_round_trips_q5():
         assert grand * rho == one
 
 
+def _right_multiply(state, elt):
+    """state times elt on the right, in every component."""
+    state.zero, state.infinity = state.zero * elt, state.infinity * elt
+    for p, c in state.split.items():
+        k = c.precision
+        state.split[p] = adelic.SplitComponent(
+            c.sp, c.sp.matmul(c.mat, c.sp.embed(elt, k), k), k)
+
+
 def test_adele_right_divide_returns_the_inverse():
-    # one norm serves every component: each ends as if divided on its own
+    # one norm serves every component: each ends as if divided on its own.
+    # Each divisor gets a fresh state: at P = MAX_HECKE_MODS + 2 digits a
+    # synthesized component has room for a witness or a central pi, not
+    # for both
     alg = AlgebraParams(5)
     places = default_places(alg, 1)
     rng = random.Random(104)
     for pi in places[:3]:
-        state, _, _ = synthesize_random_adele(alg, rng, places)
         for elt in (witness_set(alg, pi).witnesses[0].element,
                     OrderElement.scalar(alg, RatFunc(pi))):
-            state.right_multiply(elt)  # so that elt divides every component
+            state, _, _ = synthesize_random_adele(alg, rng, places)
+            _right_multiply(state, elt)  # so that elt divides every component
             zero, infinity = state.zero, state.infinity
             alone = {p: adelic.SplitComponent(c.sp, c.mat, c.precision)
                      for p, c in state.split.items()}
@@ -619,6 +751,60 @@ def test_factorize_adele_cuts_each_component_to_v_plus_two_digits(q):
             with pytest.raises(FactorizationError, match="precision exhausted"):
                 factorize_adele(alg, state)
     assert peeled
+
+
+def test_split_precision_is_tight_for_max_hecke_mods():
+    # P = MAX_HECKE_MODS + 2: the product of MAX_HECKE_MODS witnesses at one
+    # place peels at P digits and runs out of them at P - 1
+    assert SplitPlace.precision == adelic.MAX_HECKE_MODS + 2
+    alg = AlgebraParams(3)
+    G = group_of(alg)
+    one = OrderElement.one(alg)
+    for name in ("t+1", "t^2+1"):
+        pi = parse_poly(alg.field, name)
+        sp = adelic._place_scan(alg, pi).split
+        P = sp.precision
+        ws = [w.element for w in witness_set(alg, pi).witnesses]
+        for factors in product(ws[:3], repeat=adelic.MAX_HECKE_MODS):
+            gam = one
+            for w in factors:
+                gam = gam * w
+
+            def state(k):
+                comp = adelic.SplitComponent(sp, sp.embed(gam, k), k)
+                assert comp.det_valuation() == adelic.MAX_HECKE_MODS
+                return adelic.AdeleState(alg, gam, gam, {pi: comp})
+
+            s = state(P)
+            recovered, rho = factorize_adele(alg, s)
+            assert (recovered, gam * rho) == (G.identity, one)
+            assert s.split[pi].precision == 2
+            with pytest.raises(FactorizationError, match="precision exhausted"):
+                factorize_adele(alg, state(P - 1))
+
+
+def test_factorize_adele_checks_the_infinity_balance(monkeypatch):
+    # the split components end as units without the infinity balance
+    # gamma_f, which is checked to be a unit there: a gamma_f that picks up
+    # pi / t^deg pi, a principal unit at infinity, must fail
+    alg = AlgebraParams(3)
+    places = default_places(alg, 1)
+    for seed in range(4):
+        state, cls, _ = synthesize_random_adele(alg, random.Random(seed),
+                                                places)
+        assert factorize_adele(alg, state)[0] == cls
+        assert all(comp.is_unit() for comp in state.split.values())
+    pi = places[1]
+    bad = OrderElement.scalar(
+        alg, RatFunc(pi, Poly.t_power(alg.field, pi.degree)))
+    real = adelic._pi_infinity_power
+    monkeypatch.setattr(adelic, "_pi_infinity_power",
+                        lambda alg, k: real(alg, k) * bad)
+    state, _, _ = synthesize_random_adele(alg, random.Random(0), places)
+    with pytest.raises(FactorizationError,
+                       match=rf"infinity balance has norm valuation 2 at "
+                             rf"{re.escape(format_poly(pi))},"):
+        factorize_adele(alg, state)
 
 
 def test_level_scaling_is_invisible():
