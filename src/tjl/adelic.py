@@ -331,10 +331,12 @@ class SplitPlace:
 
     def embed(self, elt: OrderElement, k: int) -> Mat:
         """The matrix of elt mod pi^k; denominators must be prime to pi.
-        Entry e is one _mulsum over the four pairs (numerator of coordinate
-        idx, den^{-1} times entry e of basis matrix idx)."""
-        cols = [(r.num, self._scaled(r.den, idx))
-                for idx, r in enumerate(elt.coords()) if r.num.coeffs]
+        Entry e is one _mulsum over the four pairs (numerator idx of elt,
+        den^{-1} times entry e of basis matrix idx), den the one
+        denominator of elt."""
+        den = elt.den
+        cols = [(num, self._scaled(den, idx))
+                for idx, num in enumerate(elt.nums) if num.coeffs]
         return tuple(self._mulsum([(num, s[e]) for num, s in cols], k)
                      for e in range(4))
 

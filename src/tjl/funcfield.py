@@ -16,8 +16,10 @@ same result as the general code:
   returns it as is);
 - divmod by a divisor of higher degree is (0, self) with no division, and
   `%` computes the remainder alone, building no quotient;
-- a RatFunc with denominator 1 needs no gcd; with denominator c*t^k the gcd
-  is t^min(k, v_t(num)), so normalising is a shift and a scaling;
+- normal_form, which RatFunc and the quaternions share, needs no gcd for a
+  denominator 1; for c*t^k the gcd is t^min(k, v_t of each numerator), so
+  normalising is a shift and a scaling; any other denominator takes one
+  gcd chain that stops at the first constant;
 - a sum of two RatFuncs with equal denominators adds the numerators over
   that denominator, and the result is normalised as usual.
 Numerator and denominator are unique once the denominator is monic and
@@ -493,6 +495,44 @@ def monic_irreducibles(field: GF, max_deg: int) -> list[Poly]:
     return [g for g in _monic_irreducibles_cached(field.q, max_deg)]
 
 
+def normal_form(nums: tuple[Poly, ...], den: Poly
+                ) -> tuple[tuple[Poly, ...], Poly]:
+    """The numerators nums over den rewritten in normal form: den monic
+    and gcd(den, *nums) = 1, with den 1 when every numerator is zero.
+    A denominator c*t^k is cancelled by a shift by the least t-valuation of
+    a numerator; any other by one gcd chain through the numerators that
+    stops as soon as it reaches a constant."""
+    field = den.field
+    d = den.coeffs
+    if not d:
+        raise ZeroDivisionError("zero denominator")
+    live = [n for n in nums if n.coeffs]
+    if not live:
+        return nums, Poly.one(field)
+    if d.count(0) == len(d) - 1:
+        # den = c*t^k: the gcd is t^s, s = min(k, v_t of each numerator)
+        k = len(d) - 1
+        s = min(k, min(n.t_valuation() for n in live)) if k else 0
+        c = field._inv[d[-1]]
+        if s or c != 1:
+            nums = tuple(Poly(field, n.coeffs[s:]).scale(c) for n in nums)
+            den = Poly.t_power(field, k - s)
+        return nums, den
+    g = den
+    for n in live:
+        g = g.gcd(n)
+        if not g.degree:
+            break
+    if g.degree:
+        den = den // g
+        nums = tuple(n // g for n in nums)
+    c = field._inv[den.coeffs[-1]]
+    if c != 1:
+        nums = tuple(n.scale(c) for n in nums)
+        den = den.scale(c)
+    return nums, den
+
+
 INF = float("inf")
 
 
@@ -502,32 +542,9 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
-        field = num.field
         if den is None:
-            den = Poly.one(field)
-        d = den.coeffs
-        if not d:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Poly.one(field)
-        elif d == (1,):
-            pass
-        elif d.count(0) == len(d) - 1:
-            # den = c*t^k: the gcd is t^min(k, v_t(num))
-            s = min(len(d) - 1, num.t_valuation())
-            c = field._inv[d[-1]]
-            num = Poly(field, num.coeffs[s:]).scale(c)
-            den = Poly.t_power(field, len(d) - 1 - s)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
-            c = field.inv(den.lead)
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
+            den = Poly.one(num.field)
+        (self.num,), self.den = normal_form((num,), den)
 
     @staticmethod
     def zero(field: GF) -> RatFunc:

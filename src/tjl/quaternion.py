@@ -13,19 +13,20 @@ Reduction at a ramified place sends x to (k, u): k the valuation of nrd(x)
 and u the residue after dividing out the k-th uniformizer power on the left
 (uniformizer j at t, j/t at infinity).
 
-Products, norms and inverses run over one shared denominator.  Each
-operand's four coordinates are written as polynomials over the monic lcm D
-of their denominators (no work when the denominators are equal, and a shift
-when all are powers of t).  A product is then one table-driven pass: each
-of the 16 products of basis elements is c t^s e_(x XOR y) with c = +-1 or
-+-eps and s = 0 or 1, so every coordinate product is added, scaled by c and
-shifted by s, straight into the coefficient list of its output coordinate.
-Norms and inverses are plain F_q[t] products; eps is a scaling and t a
-shift.  Each output coordinate is one RatFunc(numerator, D1*D2),
-normalised once.  This is exact: xy has exactly
-these numerators over D1*D2, and a RatFunc's normal form (monic denominator
-coprime to the numerator) is unique, so every coordinate, hash and
-certificate is the same as with per-coordinate RatFunc arithmetic.
+Elements are stored as four numerator polynomials over one monic
+denominator, in the normal form that OrderElement describes, and every
+operation normalises its result once, through funcfield.normal_form: over
+a denominator c t^k that is a shift by the least t-valuation of the
+numerators, over any other one gcd chain through the numerators that stops
+as soon as it reaches a constant.
+A product is one table-driven pass over the numerators, with denominator
+D1*D2: each of the 16 products of basis elements is c t^s e_(x XOR y) with
+c = +-1 or +-eps and s = 0 or 1, so every numerator product is added,
+scaled by c and shifted by s, straight into the coefficient list of its
+output numerator.  Norms and inverses are plain F_q[t] products; eps is a
+scaling and t a shift.  This is exact: the normal form is unique, so every
+coordinate, hash and certificate is the same as with per-coordinate
+RatFunc arithmetic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import product
 
 from .cyclotomic import FalsificationError, FrozenRecord, require
 from .funcfield import (GF, Fq2, Fq2Element, Poly, RatFunc, format_poly, fq2, gf,
-                        monic_irreducibles)
+                        monic_irreducibles, normal_form)
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -91,110 +92,124 @@ class LocalReduction(FrozenRecord):
 
 
 class OrderElement:
-    """Quaternion a + b i + c j + d ij with exact RatFunc coordinates.
+    """Quaternion (A + B i + C j + D ij) / den with A, B, C, D and den in
+    F_q[t], held as the numerators `nums` = (A, B, C, D) and `den`.
 
-    Instances with polynomial coordinates are order elements proper; general
+    The stored form is normal: den is monic and gcd(den, A, B, C, D) = 1
+    (zero is 0/1).  It is unique.  If N/M = N'/M' are both normal, then
+    N M' = N' M entry by entry, so M divides every entry of N M'; as M is
+    coprime to the gcd of N's entries, M | M'.  Likewise M' | M, and both
+    are monic, so M = M' and then N = N'.  Equality, hashing and every
+    certificate therefore compare (nums, den) exactly.
+
+    OrderElement(alg, a, b, c, d) takes RatFunc coordinates and writes them
+    over the monic lcm of their denominators, which is already normal: at
+    a prime p of the lcm, the coordinate whose denominator holds the
+    highest power of p keeps a numerator prime to p.  coords() and .a to
+    .d read the coordinates back as RatFuncs.
+
+    Instances with denominator 1 are order elements proper; general
     rational coordinates appear in witness products and local computations.
     """
 
-    __slots__ = ("alg", "a", "b", "c", "d")
+    __slots__ = ("alg", "nums", "den")
 
     def __init__(self, alg: AlgebraParams, a: RatFunc, b: RatFunc, c: RatFunc, d: RatFunc):
+        D = a.den
+        for r in (b, c, d):
+            D = _lcm(D, r.den)
         self.alg = alg
-        self.a = a
-        self.b = b
-        self.c = c
-        self.d = d
+        self.nums = tuple(_lift((r.num,), r.den, D)[0] for r in (a, b, c, d))
+        self.den = D
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def from_polys(alg: AlgebraParams, a: Poly, b: Poly, c: Poly, d: Poly,
                    t_denominator_power: int = 0) -> OrderElement:
-        den = RatFunc.t_power(a.field, -t_denominator_power)
-        return OrderElement(
-            alg,
-            RatFunc(a) * den,
-            RatFunc(b) * den,
-            RatFunc(c) * den,
-            RatFunc(d) * den,
-        )
+        return _normal(alg, (a, b, c, d),
+                       Poly.t_power(a.field, t_denominator_power))
 
     @staticmethod
     def zero(alg: AlgebraParams) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, z, z, z, z)
+        F = alg.field
+        z = Poly.zero(F)
+        return _element(alg, (z, z, z, z), Poly.one(F))
 
     @staticmethod
     def one(alg: AlgebraParams) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, RatFunc.one(alg.field), z, z, z)
+        return _basis_element(alg, 0)
 
     @staticmethod
     def i(alg: AlgebraParams) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, z, RatFunc.one(alg.field), z, z)
+        return _basis_element(alg, 1)
 
     @staticmethod
     def j(alg: AlgebraParams) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, z, z, RatFunc.one(alg.field), z)
+        return _basis_element(alg, 2)
 
     @staticmethod
     def ij(alg: AlgebraParams) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, z, z, z, RatFunc.one(alg.field))
+        return _basis_element(alg, 3)
 
     @staticmethod
     def scalar(alg: AlgebraParams, r: RatFunc) -> OrderElement:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, r, z, z, z)
+        z = Poly.zero(alg.field)
+        return _element(alg, (r.num, z, z, z), r.den)
 
     @staticmethod
     def teichmuller(alg: AlgebraParams, u: Fq2Element) -> OrderElement:
         """The constant a + b i realizing u = a + b sqrt(eps) globally."""
         F = alg.field
-        z = RatFunc.zero(F)
-        return OrderElement(
-            alg,
-            RatFunc.constant(F, u.a),
-            RatFunc.constant(F, u.b),
-            z,
-            z,
-        )
+        z = Poly.zero(F)
+        return _element(alg, (Poly.constant(F, u.a), Poly.constant(F, u.b),
+                              z, z), Poly.one(F))
+
+    @property
+    def a(self) -> RatFunc:
+        return RatFunc(self.nums[0], self.den)
+
+    @property
+    def b(self) -> RatFunc:
+        return RatFunc(self.nums[1], self.den)
+
+    @property
+    def c(self) -> RatFunc:
+        return RatFunc(self.nums[2], self.den)
+
+    @property
+    def d(self) -> RatFunc:
+        return RatFunc(self.nums[3], self.den)
 
     def coords(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(RatFunc(n, self.den) for n in self.nums)
 
     # -- ring structure ------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrderElement):
             return NotImplemented
-        return self.coords() == other.coords()
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coords())
+        return hash((self.nums, self.den))
 
     def __add__(self, other: OrderElement) -> OrderElement:
-        return OrderElement(self.alg, self.a + other.a, self.b + other.b,
-                            self.c + other.c, self.d + other.d)
+        return _sum(self, other.nums, other.den)
 
     def __sub__(self, other: OrderElement) -> OrderElement:
-        return OrderElement(self.alg, self.a - other.a, self.b - other.b,
-                            self.c - other.c, self.d - other.d)
+        return _sum(self, tuple(-n for n in other.nums), other.den)
 
     def __neg__(self) -> OrderElement:
-        return OrderElement(self.alg, -self.a, -self.b, -self.c, -self.d)
+        return _element(self.alg, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other: OrderElement) -> OrderElement:
         F = self.alg.field
         add, mul = F._add, F._mul
-        xs, D1 = _over_common_denominator(self)
-        ys, D2 = _over_common_denominator(other)
+        ys = other.nums
         table = _basis_products(self.alg)
         out: tuple[list[int], ...] = ([], [], [], [])
-        for x, p in enumerate(xs):
+        for x, p in enumerate(self.nums):
             p = p.coeffs
             if not p:
                 continue
@@ -214,67 +229,71 @@ class OrderElement:
                         for ca in a:
                             acc[i] = add[acc[i]][row[ca]]
                             i += 1
-        den = D1 * D2
-        return OrderElement(self.alg, *(RatFunc(Poly(F, tuple(c)), den)
-                                        for c in out))
+        return _normal(self.alg, tuple(Poly(F, tuple(c)) for c in out),
+                       self.den * other.den)
 
     def scale(self, r: RatFunc) -> OrderElement:
-        return OrderElement(self.alg, self.a * r, self.b * r, self.c * r, self.d * r)
+        return _normal(self.alg, tuple(n * r.num for n in self.nums),
+                       self.den * r.den)
 
     def conj(self) -> OrderElement:
-        return OrderElement(self.alg, self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self.nums
+        return _element(self.alg, (a, -b, -c, -d), self.den)
 
     def nrd(self) -> RatFunc:
         eps = self.alg.eps
-        (a, b, c, d), D = _over_common_denominator(self)
+        a, b, c, d = self.nums
+        D = self.den
         return RatFunc(a * a - (b * b).scale(eps)
                        - (c * c - (d * d).scale(eps)).shift(1), D * D)
 
     def trd(self) -> RatFunc:
-        return self.a + self.a
+        a = self.nums[0]
+        return RatFunc(a + a, self.den)
 
     def is_zero(self) -> bool:
-        return all(x.is_zero() for x in self.coords())
+        return not any(n.coeffs for n in self.nums)
 
     def inverse(self, norm: RatFunc | None = None) -> OrderElement:
         """conj(x) / nrd(x); a caller that holds nrd(x) passes it as norm."""
         n = self.nrd() if norm is None else norm
         if n.is_zero():
             raise NotInvertibleError("zero has no inverse in a division algebra")
-        (a, b, c, d), D = _over_common_denominator(self)
-        # conj(x) = (a, -b, -c, -d)/D and 1/nrd(x) = n.den/n.num
-        den = D * n.num
+        a, b, c, d = self.nums
+        # conj(x) = (a, -b, -c, -d)/den and 1/nrd(x) = n.den/n.num
         up = n.den
         down = -up
-        return OrderElement(self.alg, RatFunc(a * up, den), RatFunc(b * down, den),
-                            RatFunc(c * down, den), RatFunc(d * down, den))
+        return _normal(self.alg, (a * up, b * down, c * down, d * down),
+                       self.den * n.num)
 
     def __repr__(self) -> str:
         return f"OrderElement({self.a}, {self.b}, {self.c}, {self.d})"
 
     # -- integrality and unit-group membership -------------------------
+    # Each reads the normal form.  A coordinate's valuation at infinity is
+    # deg den - deg numerator whether or not the two share a factor; and
+    # as no prime divides den and every numerator, x is integral at t
+    # exactly when t does not divide den.
 
     def coords_polynomial(self) -> bool:
-        return all(x.is_polynomial() for x in self.coords())
+        return self.den.is_one()
 
     def t_integral(self) -> bool:
-        return all(x.t_valuation() >= 0 for x in self.coords())
+        return self.den.coeffs[0] != 0
 
     def infinity_integral(self) -> bool:
         """Membership in the maximal order at infinity: in the unramified
         coordinate frame (a, b, tc, td) every entry is integral there."""
-        return (self.a.valuation_at_infinity() >= 0
-                and self.b.valuation_at_infinity() >= 0
-                and self.c.valuation_at_infinity() >= 1
-                and self.d.valuation_at_infinity() >= 1)
+        e = self.den.degree
+        a, b, c, d = self.nums
+        return a.degree <= e and b.degree <= e and c.degree < e and d.degree < e
 
     def in_K1_infinity(self) -> bool:
         """Principal unit at infinity: congruent to 1 mod the maximal ideal."""
-        one = RatFunc.one(self.alg.field)
-        return ((self.a - one).valuation_at_infinity() >= 1
-                and self.b.valuation_at_infinity() >= 1
-                and self.c.valuation_at_infinity() >= 1
-                and self.d.valuation_at_infinity() >= 1)
+        e = self.den.degree
+        a, b, c, d = self.nums
+        return ((a - self.den).degree < e and b.degree < e and c.degree < e
+                and d.degree < e)
 
 
 def nrd(x: OrderElement) -> RatFunc:
@@ -329,24 +348,42 @@ def _lcm(p: Poly, r: Poly) -> Poly:
     return p * (r // p.gcd(r))
 
 
-def _over_common_denominator(x: OrderElement
-                             ) -> tuple[tuple[Poly, Poly, Poly, Poly], Poly]:
-    """Numerators of x's coordinates over D, the monic lcm of their
-    denominators, and D itself."""
-    coords = (x.a, x.b, x.c, x.d)
-    D = x.a.den
-    for r in coords[1:]:
-        D = _lcm(D, r.den)
-    shift = _is_t_power(D)
-    nums = []
-    for r in coords:
-        if r.den.coeffs == D.coeffs or r.num.is_zero():
-            nums.append(r.num)
-        elif shift:  # a monic divisor of t^k is a smaller power of t
-            nums.append(r.num.shift(D.degree - r.den.degree))
-        else:
-            nums.append(r.num * (D // r.den))
-    return tuple(nums), D
+def _lift(nums: tuple[Poly, ...], den: Poly, D: Poly) -> tuple[Poly, ...]:
+    """Numerators over den rewritten over D, a monic multiple of den."""
+    if den.coeffs == D.coeffs:
+        return nums
+    if _is_t_power(D):  # a monic divisor of t^k is a smaller power of t
+        k = D.degree - den.degree
+        return tuple(n.shift(k) for n in nums)
+    f = D // den
+    return tuple(n * f for n in nums)
+
+
+def _element(alg: AlgebraParams, nums: tuple[Poly, ...], den: Poly
+             ) -> OrderElement:
+    """The element nums/den, given in normal form."""
+    x = object.__new__(OrderElement)
+    x.alg, x.nums, x.den = alg, nums, den
+    return x
+
+
+def _basis_element(alg: AlgebraParams, idx: int) -> OrderElement:
+    F = alg.field
+    one, z = Poly.one(F), Poly.zero(F)
+    return _element(alg, tuple(one if k == idx else z for k in range(4)), one)
+
+
+def _normal(alg: AlgebraParams, nums: tuple[Poly, ...], den: Poly
+            ) -> OrderElement:
+    """The element nums/den (den nonzero) brought to normal form."""
+    return _element(alg, *normal_form(nums, den))
+
+
+def _sum(x: OrderElement, nums: tuple[Poly, ...], den: Poly) -> OrderElement:
+    """x + nums/den, over the lcm of the two denominators."""
+    D = _lcm(x.den, den)
+    return _normal(x.alg, tuple(a + b for a, b in zip(_lift(x.nums, x.den, D),
+                                                      _lift(nums, den, D))), D)
 
 
 # -- local reductions at the two ramified places -----------------------

@@ -329,8 +329,8 @@ def _shared_denominator_mul(x, y):
     """The product as OrderElement.__mul__ computed it before the fused
     pass: one Poly formula per coordinate over D1*D2."""
     eps = x.alg.eps
-    (a, b, c, d), D1 = quaternion._over_common_denominator(x)
-    (e, f, g, h), D2 = quaternion._over_common_denominator(y)
+    (a, b, c, d), D1 = x.nums, x.den
+    (e, f, g, h), D2 = y.nums, y.den
     den = D1 * D2
     return OrderElement(
         x.alg,
@@ -358,6 +358,76 @@ def test_fused_product_matches_the_per_coordinate_formula(q):
     for x in elements:
         for y in rng.sample(elements, 12) + basis:
             assert x * y == _shared_denominator_mul(x, y)
+
+
+def _assert_normal_form(x):
+    """den monic and coprime to the numerators, and the RatFunc view
+    rebuilds the same element."""
+    assert x.den.is_monic()
+    g = x.den
+    for n in x.nums:
+        g = g.gcd(n)
+    assert g.is_one()
+    again = OrderElement(x.alg, *x.coords())
+    assert again == x
+    assert hash(again) == hash(x)
+
+
+def _ref_t_integral(x):
+    return all(r.t_valuation() >= 0 for r in x.coords())
+
+
+def _ref_infinity_integral(x):
+    a, b, c, d = (r.valuation_at_infinity() for r in x.coords())
+    return a >= 0 and b >= 0 and c >= 1 and d >= 1
+
+
+def _ref_in_K1_infinity(x):
+    a, b, c, d = x.coords()
+    return ((a - RatFunc.one(x.alg.field)).valuation_at_infinity() >= 1
+            and all(r.valuation_at_infinity() >= 1 for r in (b, c, d)))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_elements_are_stored_in_normal_form(q):
+    alg = AlgebraParams(q)
+    rng = random.Random(900 + q)
+    F = alg.field
+    places = [p for p in monic_irreducibles(F, 2) if p != Poly.t(F)]
+    pi = places[0]
+    for _ in range(40):
+        x, y = _rational_element(alg, rng), _rational_element(alg, rng)
+        num = Poly.zero(F)
+        while num.is_zero():
+            num = Poly(F, tuple(rng.randrange(F.q) for _ in range(3)))
+        # a general denominator and c t^k, so both normalisations run
+        rs = [RatFunc(num, _random_den(F, rng, places)),
+              RatFunc(num, Poly.t_power(F, rng.randrange(1, 4)).scale(
+                  rng.randrange(1, F.q)))]
+        results = [x, y, x * y, y * x, x + y, x - y, x - x, -x, x.conj()]
+        results += [x.scale(r) for r in rs]
+        results += [z.inverse() for z in (x, y, x * y) if not z.is_zero()]
+        for z in results:
+            _assert_normal_form(z)
+            assert z.t_integral() == _ref_t_integral(z)
+            assert z.infinity_integral() == _ref_infinity_integral(z)
+            assert z.in_K1_infinity() == _ref_in_K1_infinity(z)
+            assert z.coords_polynomial() == all(
+                r.is_polynomial() for r in z.coords())
+        # one element built two ways is one normal form
+        pairs = [(x.scale(r).scale(r.inverse()), x) for r in rs]
+        pairs.append(((x + y) - y, x))
+        # a factor pi common to every numerator and the denominator
+        central = OrderElement.scalar(alg, RatFunc(pi))
+        pairs.append(((x * central).scale(RatFunc(Poly.one(F), pi)), x))
+        if not y.is_zero():
+            pairs.append(((x * y) * y.inverse(), x))
+        for u, v in pairs:
+            assert u == v
+            assert hash(u) == hash(v)
+            assert (u.nums, u.den) == (v.nums, v.den)
+    _assert_normal_form(OrderElement.zero(alg))
+    assert OrderElement.zero(alg).den.is_one()
 
 
 def _ref_reduce_at_zero(x):
