@@ -211,7 +211,7 @@ class SplitPlace:
         product lands in one coefficient list (a constant factor is one
         scaled pass), each coefficient of degree e >= D = deg pi^k is folded
         back along the row t^e mod pi^k, and one Poly is built at the end."""
-        add, mul = self.alg.field._add, self.alg.field._mul
+        add, mul = (field := self.alg.field)._add, field._mul
         out: list[int] = []
         for a, b in pairs:
             a, b = a.coeffs, b.coeffs
@@ -238,7 +238,7 @@ class SplitPlace:
                     for j, r in rows[e - D]:
                         out[j] = add[out[j]][row[r]]
             del out[D:]
-        return Poly(self.alg.field, tuple(out))
+        return Poly(field, tuple(out))
 
     def _rows_to(self, k: int, top: int) -> list[list[tuple[int, int]]]:
         """The fold rows t^e mod pi^k for D = deg pi^k <= e <= top, built

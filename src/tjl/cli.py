@@ -10,8 +10,9 @@ still read and validated (a positive integer, else exit 2) but changes
 nothing, so the bytes do not depend on it.  Exit codes: 0 success, 1
 falsified invariant (including an internal inconsistency such as a
 non-rational inner product, a scalar order mismatch or a failed inverse),
-2 usage error, 3 resource or search bound exceeded.  Every failure writes
-one JSON line with a non-empty message to stderr.
+2 usage error (including an --output path that cannot be written), 3
+resource or search bound exceeded.  Every failure writes one JSON line
+with a non-empty message to stderr.
 
 Start-up is kept lean: beyond tjl's own modules, importing this module
 loads only argparse, json and fractions from the standard library (with
@@ -421,7 +422,8 @@ def run(argv=None) -> int:
         if getattr(args, "format", "json") == "tsv" and args.command != "brandt":
             raise UsageError("tsv output is only available for brandt")
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
+        # an OSError here is an --output path that cannot be written
         return _fail(2, "usage", exc)
     except (NeedsMorePlacesError, SearchBoundExceededError) as exc:
         return _fail(3, "resource", exc,

@@ -4,21 +4,14 @@ A scalar of order m is a Z-linear (or Q-linear) combination of the m-th roots
 of unity, stored as a sparse exponent -> coefficient map.  Addition and
 multiplication happen in the group ring Z[Z/m] (exponents add mod m) and are
 therefore cheap; the m-th cyclotomic polynomial enters only when a question
-about the underlying complex number is asked (equality, rationality,
-inversion).  Two scalars are equal iff the difference of their coefficient
-vectors is divisible by Phi_m.
+about the underlying complex number is asked (equality, rationality).  Two
+scalars are equal iff the difference of their coefficient vectors is
+divisible by Phi_m.
 
-Two fast paths keep the hot sums and quotients exact:
-
-- A sum of many roots of unity (a character sum) is best built as an
-  exponent histogram, a dict or Counter from exponent mod m to count, and
-  passed to Cyc(m, hist) once: one scalar and one reduction modulo Phi_m,
-  not one Cyc per term.
-- inverse() inverts a monomial v*zeta^e in closed form as (1/v)*zeta^(-e).
-  Any other scalar is divided by its least-exponent monomial, a unit; the
-  quotient u has a zeta^0 coefficient of 1, and its inverse comes from the
-  extended Euclidean algorithm against Phi_m, memoised on (m, u).  Inverse
-  coefficients with denominator 1 are returned as ints.
+A sum of many roots of unity (a character sum) is best built as an exponent
+histogram, a dict or Counter from exponent mod m to count, and passed to
+Cyc(m, hist) once: one scalar and one reduction modulo Phi_m, not one Cyc
+per term.
 
 No floating point is used anywhere.  Reduction modulo Phi_m is one pass over
 sparse rows x^k mod Phi_m (_reduce): the rows have one to three nonzero
@@ -31,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import gcd
 from operator import attrgetter
 
@@ -144,17 +136,6 @@ def euler_phi(m: int) -> int:
     return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def _poly_mul(a, b) -> tuple:
-    """The product of two dense coefficient sequences (ints or Fractions)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    return tuple(out)
-
-
 def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Divide num by the monic integer polynomial den; a nonzero remainder
     falsifies the caller's divisibility claim."""
@@ -230,7 +211,9 @@ def _rational(red) -> Fraction:
 class Cyc:
     """An element of Q(zeta_m), exact, with sparse group-ring storage.
 
-    Coefficients are ints or Fractions.  The sparse terms of the group-ring
+    Coefficients are ints or Fractions.  The operations are those of the
+    ring: +, -, *, conj and ==; a scalar is scaled by an int or a Fraction,
+    never divided by another scalar.  The sparse terms of the group-ring
     representative are available as .terms; the canonical reduced form
     (length phi(m), basis 1, zeta, ..., zeta^(d-1)) as .reduced().
     """
@@ -345,18 +328,6 @@ class Cyc:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Cyc.from_rational(self.order, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def conj(self) -> Cyc:
         """Complex conjugation: exponent negation mod m."""
         out = Cyc(self.order)
@@ -397,31 +368,6 @@ class Cyc:
         """Whether the scalar lies in Z[zeta_m] (integer reduced coefficients)."""
         return all(c.denominator == 1 for c in self.reduced())
 
-    def inverse(self) -> Cyc:
-        """Multiplicative inverse in Q(zeta_m).
-
-        A monomial v*zeta^e inverts to (1/v)*zeta^(-e).  Otherwise the
-        scalar is v0*zeta^e0 * u for its least-exponent term v0*zeta^e0,
-        and u, whose terms are exact and sorted, is inverted once per
-        (m, u) by xgcd with Phi_m over Q[x]."""
-        m = self.order
-        if not self._c:
-            raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        e0 = min(self._c)
-        v0 = Fraction(self._c[e0])
-        if len(self._c) == 1:
-            return Cyc(m, {-e0: _exact(1 / v0)})
-        u = tuple(sorted((e - e0, _exact(v / v0)) for e, v in self._c.items()))
-        return Cyc(m, {e - e0: _exact(v / v0) for e, v in _unit_inverse(m, u)})
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * Fraction(1, 1) / Cyc.from_rational(self.order, other)
-        if not isinstance(other, Cyc):
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
-
     def sort_key(self) -> tuple:
         """Deterministic total order key (reduced coefficients as num/den pairs)."""
         return tuple((c.numerator, c.denominator) for c in self.reduced())
@@ -437,25 +383,9 @@ class Cyc:
         return f"Cyc({self.order}, {{{terms}}})"
 
 
-def _exact(x: Fraction) -> RationalLike:
-    """x as an int when it is one, so reduced coefficients stay ints."""
-    return x.numerator if x.denominator == 1 else x
-
-
-@lru_cache(maxsize=4096)
-def _unit_inverse(m: int, u: tuple[tuple[int, RationalLike], ...]
-                  ) -> tuple[tuple[int, RationalLike], ...]:
-    """Inverse of the scalar with sparse terms u, as (exponent, coefficient)
-    pairs on the basis 1, zeta, ..., zeta^(phi(m)-1)."""
-    red = [Fraction(c) for c in Cyc(m, dict(u)).reduced()]
-    if not any(red):
-        raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-    phi = [Fraction(c) for c in cyclotomic_polynomial(m)]
-    inv = _modular_inverse_poly(red, phi)
-    return tuple((e, _exact(v)) for e, v in enumerate(inv) if v)
-
-
 def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
+    """Quotient and remainder of num by den over Q, dense and constant
+    first: the long-division reference that _reduce is checked against."""
     num = list(num)
     while num and num[-1] == 0:
         num.pop()
@@ -471,26 +401,6 @@ def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
     while num and num[-1] == 0:
         num.pop()
     return quot, num
-
-
-def _modular_inverse_poly(u: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of u modulo the irreducible polynomial mod, over Q."""
-    # extended Euclid: keep r = s*u + t*mod, return s/r0 when r is constant
-    r0, r1 = list(mod), list(u)
-    s0: list[Fraction] = [Fraction(0)]
-    s1: list[Fraction] = [Fraction(1)]
-    while True:
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        if len(r1) == 0:
-            raise ZeroDivisionError("element not invertible modulo Phi_m")
-        if len(r1) == 1:
-            c = r1[0]
-            return [x / c for x in s1]
-        q, rem = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, [a - b for a, b in
-                      zip_longest(s0, _poly_mul(q, s1), fillvalue=0)]
 
 
 def inner_product(

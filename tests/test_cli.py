@@ -214,6 +214,22 @@ def test_output_file(tmp_path, capsys):
         d, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("argv, target", [
+    (("orbits", "--q", "3", "--n", "2"), "."),
+    (("brandt", "--q", "3", "--place", "t+1"), os.path.join("missing", "x")),
+], ids=["directory", "missing-parent"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, target):
+    # a directory, or a path whose parent does not exist: exit 2 with one
+    # JSON line on stderr, not a traceback and not the exit 1 of a false claim
+    code, out, err = invoke(capsys, *argv, "--output", str(tmp_path / target))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["error"] == "usage"
+    assert payload["message"]
+
+
 def test_main_raises_systemexit():
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--q", "3", "--n", "2", "--output", os.devnull])
@@ -412,7 +428,7 @@ def test_order_mismatch_is_a_falsification(monkeypatch, capsys):
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, NotInvertibleError])
 def test_division_by_zero_is_a_falsification(monkeypatch, capsys, error):
-    # a failed inverse mod pi^P, of a quaternion or of a Cyc is an internal
+    # a failed inverse mod pi^P or of a quaternion is an internal
     # inconsistency: one JSON line and exit 1, not a traceback
     def broken(*args, **kwargs):
         raise error()

@@ -446,6 +446,22 @@ def _ref_reduce_at_zero(x):
     return LocalReduction("zero", k, u, K.dlog(u))
 
 
+def _ref_reduce_at_infinity(x):
+    """v_inf(nrd x), and the residue of (j/t)^{-k} x with its norm checked
+    on a second full norm; (j/t)^{-1} = j."""
+    alg = x.alg
+    k = _ref_nrd(x).valuation_at_infinity()
+    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
+    j_over_t = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
+    for _ in range(abs(k)):
+        y = _ref_mul(y, OrderElement.j(alg) if k > 0 else j_over_t)
+    y = _ref_mul(y, x)
+    K = alg.residue
+    u = K.element(y.a.value_at_infinity(), y.b.value_at_infinity())
+    assert K.norm(u) == _ref_nrd(y).value_at_infinity()
+    return LocalReduction("infinity", k, u, K.dlog(u))
+
+
 def test_j_power_is_the_repeated_product():
     for q in (3, 5, 9):
         alg = AlgebraParams(q)
@@ -459,10 +475,12 @@ def test_j_power_is_the_repeated_product():
             assert quaternion._j_power(alg, k) == want
 
 
-def test_reduce_at_zero_at_odd_and_negative_valuations():
+def _assert_reduction_matches_reference(reduce, ref, seed):
+    """reduce against ref on elements shifted by j, j^-1 and j^-3, with
+    valuations of both signs and parities seen."""
     for q in (3, 5, 7):
         alg = AlgebraParams(q)
-        rng = random.Random(600 + q)
+        rng = random.Random(seed + q)
         seen = set()
         j = OrderElement.j(alg)
         jinv = j.inverse()
@@ -472,10 +490,19 @@ def test_reduce_at_zero_at_odd_and_negative_valuations():
                 continue
             for shift in (j, jinv, jinv * jinv * jinv):
                 z = shift * x
-                red = reduce_at_zero(z)
-                assert red == _ref_reduce_at_zero(z)
+                red = reduce(z)
+                assert red == ref(z)
                 seen.add((red.k < 0, red.k % 2))
         assert seen == {(False, 0), (False, 1), (True, 0), (True, 1)}
+
+
+def test_reduce_at_zero_at_odd_and_negative_valuations():
+    _assert_reduction_matches_reference(reduce_at_zero, _ref_reduce_at_zero, 600)
+
+
+def test_reduce_at_infinity_at_odd_and_negative_valuations():
+    _assert_reduction_matches_reference(reduce_at_infinity,
+                                        _ref_reduce_at_infinity, 800)
 
 
 def test_residue_field_is_shared_per_eps():
