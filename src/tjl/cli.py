@@ -52,12 +52,7 @@ from .metacyclic import (
     gamma,
 )
 from .quaternion import AlgebraParams, OrderElement, ReductionError
-from .spectral import (
-    InconsistentSystemError,
-    NeedsMorePlacesError,
-    projective_basis,
-    verify_claim,
-)
+from .spectral import projective_basis, verify_claim
 from .tame import tame_report
 
 SCHEMA_VERSION = "1"
@@ -425,12 +420,11 @@ def run(argv=None) -> int:
     except (UsageError, OSError) as exc:
         # an OSError here is an --output path that cannot be written
         return _fail(2, "usage", exc)
-    except (NeedsMorePlacesError, SearchBoundExceededError) as exc:
+    except SearchBoundExceededError as exc:
         return _fail(3, "resource", exc,
                      hint="raise --degree-bound/--depth-bound")
     except (FalsificationError, NotRationalError, OrderMismatchError,
-            ZeroDivisionError, InconsistentSystemError, ReductionError,
-            FactorizationError) as exc:
+            ZeroDivisionError, ReductionError, FactorizationError) as exc:
         # an exact computation contradicted itself: not the caller's fault
         return _fail(1, "falsification", exc)
     except ValueError as exc:

@@ -99,7 +99,6 @@ class Gamma:
         self._index: dict[Element, int] | None = None
         self._classes: list[tuple[Element, ...]] | None = None
         self._table: tuple | None = None
-        self._row_index: dict[tuple, IrrepLabel] | None = None
 
     # -- group law -------------------------------------------------------
 
@@ -394,25 +393,6 @@ def character_table(group: Gamma):
             values.append(tuple(distinct.setdefault(v.terms, v) for v in row))
         group._table = labels, reps, sizes, tuple(values)
     return group._table
-
-
-def character_row_index(group: Gamma) -> dict[tuple, IrrepLabel]:
-    """The label of each character-table row, keyed by the reduced
-    coefficients of its values, computed once per group.  The key is
-    canonical, unlike the sparse terms (zeta_8^0 + zeta_8^4 = 0 has two).
-    Distinct irreducible characters are orthonormal (Serre, Linear
-    Representations of Finite Groups, section 2.3), so two equal rows are
-    a falsification."""
-    if group._row_index is None:
-        labels, _, _, rows = character_table(group)
-        index: dict[tuple, IrrepLabel] = {}
-        for label, row in zip(labels, rows):
-            other = index.setdefault(tuple(v.reduced() for v in row), label)
-            if other is not label:
-                raise FalsificationError(
-                    f"the character rows of {other} and {label} are equal")
-        group._row_index = index
-    return group._row_index
 
 
 def character_inner(

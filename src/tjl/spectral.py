@@ -20,14 +20,21 @@ on the two images are the whole intertwining proof: sigma is built on
 normal forms from them, and no group element is checked on its own.
 
 The unit group at infinity acts diagonally in the tag basis, so its lines
-are coordinate lines.  A Hecke operator is a sum of right translations
-over witness reductions; its action on a line is one exponent histogram
-per target coordinate, and every off-diagonal histogram must vanish.  The
-lines group into blocks by their exact Hecke eigensystems, and each block
-must carry an irreducible representation of the group at infinity, found
-by one lookup of its character row in the table's row index; at level
-zero a single block per sigma is expected, with orbit negated relative to
-sigma.
+are coordinate lines, and the Frobenius step of the action permutes them
+in one cycle.  A Hecke operator is the sum h_pi of the right translations
+over the multiset S_pi of witness shifts at pi.  S_pi is invariant under
+conjugation by F and by U, checked once per (algebra, place), so h_pi is
+central in Z[Gamma].  Then sigma(h_pi) commutes with sigma(U), diagonal
+with simple spectrum, and so is diagonal; and it commutes with sigma(F),
+which cycles the lines, so its diagonal entries are equal.  By Schur's
+lemma T_pi acts on the sigma-isotypic part by one scalar: one diagonal
+entry, a histogram over the shifts whose Frobenius part f = dim(sigma)
+divides.  The whole part is one block, labelled by Clifford theory (Serre,
+Linear Representations of Finite Groups, section 8.2, Proposition 25): an
+irreducible representation of Gamma = Z/M x| Z/R is fixed by the Frobenius
+orbit of its characters of Z/M, here the lines, and by the scalar through
+which F^f acts on them, a twist zeta_m^((m/sm) s) with sm = R/f.  The
+lines are sigma's basis tags negated, and so is the orbit at infinity.
 """
 
 from __future__ import annotations
@@ -49,9 +56,6 @@ from .metacyclic import (
     GroupParams,
     Irrep,
     IrrepLabel,
-    character_inner,
-    character_row_index,
-    character_table,
     enumerate_irreps,
 )
 from .quaternion import AlgebraParams
@@ -60,14 +64,6 @@ from .tame import enumerate_A_tame, infinity_prediction, TameParam
 Element = tuple[int, int]
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 Vector = list[Cyc]
-
-
-class NeedsMorePlacesError(RuntimeError):
-    """The supplied places do not separate the eigensystems."""
-
-
-class InconsistentSystemError(ValueError):
-    """An operator does not keep a subspace it must keep."""
 
 
 def _compose(a: Monomial, b: Monomial, m: int) -> Monomial:
@@ -224,20 +220,43 @@ def _unit_vector(f: int, j: int, order: int) -> Vector:
     return [Cyc.from_rational(order, 1 if i == j else 0) for i in range(f)]
 
 
+# S_pi as a histogram of shifts, once its invariance under conjugation by
+# both generators holds, keyed by (alg, pi)
+_CENTRAL: dict = {}
+
+
+def _central_shifts(alg: AlgebraParams, pi: Poly) -> tuple:
+    """The witness shifts at pi as (shift, multiplicity) pairs, certified
+    invariant under conjugation by F = (1, 0) and U = (0, 1), so that the
+    Hecke operator at pi is central in Z[Gamma]."""
+    found = _CENTRAL.get((alg, pi))
+    if found is None:
+        G = group_of(alg)
+        hist = Counter(witness_set(alg, pi).shifts(G))
+        for gen in ((1, 0), (0, 1)):
+            require(Counter({G.conjugate(gen, g): n for g, n in hist.items()})
+                    == hist,
+                    f"the Hecke operator at {format_poly(pi)} is not "
+                    f"central: its witness shifts change under conjugation "
+                    f"by {gen}")
+        found = _CENTRAL[(alg, pi)] = tuple(hist.items())
+    return found
+
+
 def decompose(alg: AlgebraParams, label: IrrepLabel,
               places: list[Poly] | None = None) -> list[EigensystemBlock]:
-    """Simultaneous eigenspace decomposition of the Hecke action on the
-    sigma-isotypic intertwiner space, with each block identified as an
-    irreducible representation of the group at infinity.
+    """The Hecke eigensystem of the sigma-isotypic intertwiner space, as
+    one block labelled by an irreducible representation of the group at
+    infinity (module docstring).
 
-    With places=None, starts from all places of degree <= 2 and extends to
-    degree 3 if eigensystems stay inseparable; explicitly supplied places
-    are used as-is and separation failure raises NeedsMorePlacesError."""
+    The unit group at infinity must act diagonally with simple spectrum,
+    and its lines must form one Frobenius orbit under the Frobenius step.
+    At each place the Hecke operator must be central; its eigenvalue is
+    then the diagonal entry at one line.  F^f must act on the lines by one
+    scalar that is a twist, which with the orbit names the block's label.
+    With places=None, the places of degree <= 2 are used."""
     if places is None:
-        try:
-            return decompose(alg, label, default_places(alg, 2))
-        except NeedsMorePlacesError:
-            return decompose(alg, label, default_places(alg, 3))
+        places = default_places(alg, 2)
     G = group_of(alg)
     hs = HomSpace(G, label)
     f = hs.f
@@ -250,35 +269,22 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     perm, exps = hs.op_right((0, 1))
     require(perm == tuple(range(f)),
             "the unit group at infinity does not act diagonally")
-    lines: dict[int, int] = {}
-    for c in range(M):
-        on_c = [j for j, x in enumerate(exps) if x == (order // M) * c]
-        if len(on_c) > 1:
+    step = order // M
+    on: dict[int, list[int]] = {}
+    for j, x in enumerate(exps):
+        if x % step == 0:
+            on.setdefault(x // step, []).append(j)
+    for c in sorted(on):
+        if len(on[c]) > 1:
             raise FalsificationError(
-                f"unit character {c} occurs with multiplicity {len(on_c)}")
-        if on_c:
-            lines[c] = on_c[0]
+                f"unit character {c} occurs with multiplicity {len(on[c])}")
+    lines = {c: on_c[0] for c, on_c in on.items()}
     if len(lines) != f:
         raise FalsificationError(
             f"unit characters cover {len(lines)} of {f} dimensions")
 
-    # exact Hecke eigenvalue of every line at every place: the image of
-    # line j, summed over the witness shifts as one histogram per row
-    eigen: dict[int, list[Cyc]] = {c: [] for c in lines}
-    for pi in places:
-        ops = [hs.op_right(g) for g in witness_set(alg, pi).shifts(G)]
-        for c, j in lines.items():
-            rows = [Counter() for _ in range(f)]
-            for op_perm, op_exps in ops:
-                rows[op_perm[j]][op_exps[j]] += 1
-            if any(not Cyc(order, hist).is_zero()
-                   for i, hist in enumerate(rows) if i != j):
-                raise FalsificationError(
-                    "Hecke operator does not preserve a unit line")
-            eigen[c].append(Cyc(order, rows[j]))
-
-    # the Frobenius part of the infinity action permutes lines c -> cq
-    keys = {c: tuple(e.sort_key() for e in evs) for c, evs in eigen.items()}
+    # the Frobenius part of the infinity action permutes lines c -> cq, in
+    # one cycle
     perm, _ = hs.op_right((1, 0))
     for c, j in lines.items():
         target = (c * alg.q) % M
@@ -286,51 +292,44 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
             raise FalsificationError("Frobenius step leaves the line set")
         if perm[j] != lines[target]:
             raise FalsificationError("Frobenius step mixes unit lines")
-        if keys[c] != keys[target]:
-            raise NeedsMorePlacesError(
-                "Frobenius-conjugate lines carry different eigensystems")
+    orbit = tuple(sorted(lines))
+    require(G.frobenius_orbit(orbit[0]) == orbit,
+            f"the unit lines {orbit} are not one Frobenius orbit")
 
-    # group lines into blocks by their eigensystems, in canonical order
-    by_system: dict[tuple, list[int]] = {}
-    for c in sorted(lines):
-        by_system.setdefault(keys[c], []).append(c)
-    _, reps, sizes, _ = character_table(G)
-    row_index = character_row_index(G)
-    blocks: list[EigensystemBlock] = []
-    for a, key in enumerate(sorted(by_system)):
-        chis = by_system[key]
-        block = {lines[c] for c in chis}
-        char_row = []
-        for rep in reps:
-            op_perm, op_exps = hs.op_right(_phi(rep, R))
-            if any(op_perm[j] not in block for j in block):
-                raise InconsistentSystemError(
-                    f"the infinity action at {rep} does not keep the "
-                    f"block of unit characters {chis}")
-            char_row.append(Cyc(order, Counter(
-                op_exps[j] for j in block if op_perm[j] == j)))
-        inf_label = row_index.get(tuple(v.reduced() for v in char_row))
-        if inf_label is None:
-            norm = character_inner(G, char_row, char_row, sizes)
-            if norm > 1:
-                raise NeedsMorePlacesError(
-                    f"block of dimension {len(chis)} is reducible at "
-                    f"infinity (character norm {norm})")
-            raise FalsificationError(
-                "block character is irreducible but matches no label")
-        if inf_label.dim != len(chis):
-            raise FalsificationError(
-                f"block of dimension {len(chis)} matches {inf_label} of "
-                f"dimension {inf_label.dim}")
-        blocks.append(EigensystemBlock(
-            a=a,
-            places=list(places),
-            hecke_eigenvalues=[eigen[chis[0]][i] for i in range(len(places))],
-            lines=[SpectralLine(c, _unit_vector(f, lines[c], order), eigen[c])
-                   for c in chis],
-            infinity_label=inf_label,
-        ))
-    return blocks
+    # one eigenvalue per place: the diagonal entry at line j0 of the
+    # central Hecke operator, from the shifts whose Frobenius part f divides
+    j0 = lines[orbit[0]]
+    eigenvalues = []
+    for pi in places:
+        hist: Counter = Counter()
+        for g, n in _central_shifts(alg, pi):
+            if g[0] % f == 0:
+                hist[hs.op_right(g)[1][j0]] += n
+        eigenvalues.append(Cyc(order, hist))
+
+    # the label: F^f keeps every line and acts on them by zeta_m^x, which
+    # must be the twist zeta_m^((m/sm) s) of the irreducible with this orbit
+    # and some s mod sm
+    sm = R // f
+    perm, exps = hs.op_right(_phi((f, 0), R))
+    require(all(perm[j] == j for j in lines.values()),
+            f"F^{f} does not keep every unit line of {orbit}")
+    xs = {exps[j] for j in lines.values()}
+    require(len(xs) == 1,
+            f"F^{f} acts on the unit lines of {orbit} by the exponents "
+            f"{sorted(xs)}, not by one scalar")
+    x, = xs
+    require(x % (order // sm) == 0,
+            f"F^{f} acts on the unit lines of {orbit} by zeta_{order}^{x}, "
+            f"not by a twist zeta_{order}^({order // sm} s)")
+    return [EigensystemBlock(
+        a=0,
+        places=list(places),
+        hecke_eigenvalues=eigenvalues,
+        lines=[SpectralLine(c, _unit_vector(f, lines[c], order), eigenvalues)
+               for c in orbit],
+        infinity_label=IrrepLabel(orbit, x // (order // sm)),
+    )]
 
 
 def verify_claim(alg: AlgebraParams, label: IrrepLabel,

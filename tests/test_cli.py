@@ -17,7 +17,6 @@ from tjl.adelic import FactorizationError
 from tjl.cli import run, main
 from tjl.cyclotomic import NotRationalError, OrderMismatchError
 from tjl.quaternion import NotInvertibleError, ReductionError
-from tjl.spectral import InconsistentSystemError
 
 
 def invoke(capsys, *argv):
@@ -378,8 +377,8 @@ def test_depth_bound_too_small_exits_3(flags, argv, message):
         f'"message":"{message}","schema_version":"1"}}\n')
 
 
-@pytest.mark.parametrize("error", [NotRationalError, InconsistentSystemError,
-                                   ReductionError, FactorizationError])
+@pytest.mark.parametrize("error", [NotRationalError, ReductionError,
+                                   FactorizationError])
 def test_internal_errors_exit_1(monkeypatch, capsys, error):
     # an internal inconsistency is a falsification, not a usage error, and
     # an exception without a message still reports a non-empty one

@@ -1,32 +1,35 @@
 """Spectral decomposition: intertwiner spaces, Hecke eigensystems, blocks,
 infinity labels, and the projective basis of eigenlines."""
 
+import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tjl.funcfield import parse_poly
 from tjl.cyclotomic import Cyc
-from tjl import spectral
+from tjl import adelic, cli, spectral
 from tjl.metacyclic import (
     Gamma,
     GroupParams,
     Irrep,
     IrrepLabel,
-    character_row_index,
+    character_inner,
     character_table,
     enumerate_irreps,
     gamma,
 )
 from tjl.quaternion import AlgebraParams
-from tjl.adelic import default_places, group_of
+from tjl.adelic import default_places, group_of, witness_set
 from tjl.spectral import (
+    EigensystemBlock,
     FalsificationError,
     HomSpace,
-    InconsistentSystemError,
-    NeedsMorePlacesError,
+    SpectralLine,
     decompose,
     eigenvalue_table,
     projective_basis,
@@ -63,6 +66,133 @@ def _mat_mul(a, b):
 def _rational(v):
     assert v.is_rational()
     return v.to_rational()
+
+
+# -- the per-line decomposition, kept as an oracle for decompose ---------
+
+# the row index of each group's character table, keyed by the group
+_ROW_INDEX: dict = {}
+
+
+def character_row_index(group):
+    """The label of each character-table row, keyed by the reduced
+    coefficients of its values.  The key is canonical, unlike the sparse
+    terms (zeta_8^0 + zeta_8^4 = 0 has two).  Distinct irreducible
+    characters are orthonormal (Serre, Linear Representations of Finite
+    Groups, section 2.3), so two equal rows are a falsification."""
+    index = _ROW_INDEX.get(group)
+    if index is None:
+        labels, _, _, rows = character_table(group)
+        index = {}
+        for label, row in zip(labels, rows):
+            other = index.setdefault(tuple(v.reduced() for v in row), label)
+            if other is not label:
+                raise FalsificationError(
+                    f"the character rows of {other} and {label} are equal")
+        _ROW_INDEX[group] = index
+    return index
+
+
+def oracle_decompose(alg, label, places):
+    """Blocks found without centrality: every line's image under every
+    Hecke operator as one histogram per row, the off-diagonal ones zero;
+    lines grouped by their eigensystems; each block's character on every
+    class representative, looked up in the row index."""
+    G = group_of(alg)
+    hs = HomSpace(G, label)
+    f, M, R, order = hs.f, G.M, G.R, G.cyc_order
+    _, exps = hs.op_right((0, 1))
+    lines = {x // (order // M): j for j, x in enumerate(exps)}
+    eigen = {c: [] for c in lines}
+    for pi in places:
+        ops = [hs.op_right(g) for g in witness_set(alg, pi).shifts(G)]
+        for c, j in lines.items():
+            rows = [Counter() for _ in range(f)]
+            for op_perm, op_exps in ops:
+                rows[op_perm[j]][op_exps[j]] += 1
+            if any(not Cyc(order, hist).is_zero()
+                   for i, hist in enumerate(rows) if i != j):
+                raise FalsificationError(
+                    "Hecke operator does not preserve a unit line")
+            eigen[c].append(Cyc(order, rows[j]))
+    keys = {c: tuple(e.sort_key() for e in evs) for c, evs in eigen.items()}
+    by_system = {}
+    for c in sorted(lines):
+        by_system.setdefault(keys[c], []).append(c)
+    _, reps, sizes, _ = character_table(G)
+    row_index = character_row_index(G)
+    blocks = []
+    for a, key in enumerate(sorted(by_system)):
+        chis = by_system[key]
+        block = {lines[c] for c in chis}
+        char_row = []
+        for rep in reps:
+            op_perm, op_exps = hs.op_right(spectral._phi(rep, R))
+            if any(op_perm[j] not in block for j in block):
+                raise FalsificationError(
+                    f"the infinity action at {rep} does not keep the "
+                    f"block of unit characters {chis}")
+            char_row.append(Cyc(order, Counter(
+                op_exps[j] for j in block if op_perm[j] == j)))
+        inf_label = row_index.get(tuple(v.reduced() for v in char_row))
+        if inf_label is None:
+            norm = character_inner(G, char_row, char_row, sizes)
+            if norm > 1:
+                raise FalsificationError(
+                    f"block of dimension {len(chis)} is reducible at "
+                    f"infinity (character norm {norm})")
+            raise FalsificationError(
+                "block character is irreducible but matches no label")
+        if inf_label.dim != len(chis):
+            raise FalsificationError(
+                f"block of dimension {len(chis)} matches {inf_label} of "
+                f"dimension {inf_label.dim}")
+        blocks.append(EigensystemBlock(
+            a=a,
+            places=list(places),
+            hecke_eigenvalues=eigen[chis[0]],
+            lines=[SpectralLine(c, spectral._unit_vector(f, lines[c], order),
+                                eigen[c]) for c in chis],
+            infinity_label=inf_label,
+        ))
+    return blocks
+
+
+@pytest.mark.parametrize("q, level", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_decompose_matches_per_line_oracle(q, level):
+    # the same blocks: eigenvalues at every default place, lines and
+    # infinity labels
+    alg = AlgebraParams(q, level=level)
+    places = default_places(alg, 2)
+    for label in enumerate_irreps(group_of(alg)):
+        assert decompose(alg, label, places) \
+            == oracle_decompose(alg, label, places)
+
+
+def test_centrality_cache_keyed_by_algebra_and_place(monkeypatch):
+    # levels 1 and 2 share q = 3 and their places; each order runs from
+    # empty caches and again over the other order's entries
+    def run(levels):
+        out = {}
+        for level in levels:
+            alg = AlgebraParams(3, level=level)
+            places = default_places(alg, 2)
+            out[level] = [decompose(alg, label, places)
+                          for label in enumerate_irreps(group_of(alg))]
+        return out
+
+    def clear():
+        monkeypatch.setattr(spectral, "_CENTRAL", {})
+        monkeypatch.setattr(adelic, "_SCANS", {})
+
+    clear()
+    first = run((1, 2))
+    assert {alg.level for alg, _ in spectral._CENTRAL} == {1, 2}
+    warm = run((2, 1))
+    clear()
+    second = run((2, 1))
+    again = run((1, 2))
+    assert first == warm == second == again
 
 
 def test_hom_space_dimensions():
@@ -267,7 +397,8 @@ def _tamper_ops(monkeypatch, fakes):
 
 
 def _extra_shifts(monkeypatch, extra):
-    """Every witness set gains the given shifts."""
+    """Every witness set gains the given shifts, and the centrality of no
+    place is cached yet."""
     real = spectral.witness_set
 
     class Shifted:
@@ -279,22 +410,38 @@ def _extra_shifts(monkeypatch, extra):
 
     monkeypatch.setattr(spectral, "witness_set",
                         lambda *a, **k: Shifted(real(*a, **k)))
+    monkeypatch.setattr(spectral, "_CENTRAL", {})
 
 
 def _tamper_table(monkeypatch, edit):
     """The cached table of Gamma(3, 2, 1) becomes edit(labels, reps, sizes,
-    rows), and its row index is rebuilt from it; both revert after the
-    test."""
+    rows), and the oracle's row index is rebuilt from it; both revert after
+    the test."""
     G = gamma(3, 2, 1)
     monkeypatch.setattr(G, "_table", edit(*character_table(G)))
-    monkeypatch.setattr(G, "_row_index", None)
+    monkeypatch.setattr(sys.modules[__name__], "_ROW_INDEX", {})
 
 
-def _decompose_q3(level=1):
+def _decompose_q3(level=1, decompose=decompose):
     # every witness shift at t^2+1 lies in the abelian part, so tampering
     # with R_(1,0) leaves the Hecke operator alone
     alg = AlgebraParams(3, level=level)
     return decompose(alg, SIGMA, [parse_poly(alg.field, "t^2+1")])
+
+
+def _oracle_q3():
+    return _decompose_q3(decompose=oracle_decompose)
+
+
+def _basis_exits_1(capsys, match):
+    """basis --q 3 --sigma 1:0, whose sigma is SIGMA, reports a
+    falsification on stderr and exits 1."""
+    code = cli.run(["basis", "--q", "3", "--sigma", "1:0"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "falsification"
+    assert match in payload["message"]
 
 
 def test_tamper_unit_group_not_diagonal(monkeypatch):
@@ -318,9 +465,11 @@ def test_tamper_unit_character_coverage(monkeypatch):
 
 
 def test_tamper_hecke_leaves_a_line(monkeypatch):
-    # R_(1,0) swaps the two coordinate lines
+    # R_(1,0) would swap the two coordinate lines; conjugation by U takes
+    # the shift (1, 0) to (1, 2), so the Hecke operator is not central
     _extra_shifts(monkeypatch, [(1, 0)])
-    with pytest.raises(FalsificationError, match="does not preserve"):
+    with pytest.raises(FalsificationError,
+                       match=r"at t\^2\+1 is not central: .* by \(0, 1\)"):
         _decompose_q3()
 
 
@@ -337,23 +486,81 @@ def test_tamper_frobenius_mixes_lines(monkeypatch):
         _decompose_q3()
 
 
-def test_tamper_conjugate_lines_split(monkeypatch):
-    # R_(0,1) adds zeta^7 to line 7 and zeta^5 to line 5
-    _extra_shifts(monkeypatch, [(0, 1)])
-    with pytest.raises(NeedsMorePlacesError, match="Frobenius-conjugate"):
+def test_tamper_lines_two_frobenius_orbits(monkeypatch):
+    # lines 0 and 4 are Frobenius-fixed, and a fixed Frobenius step keeps
+    # each: the line set is closed under c -> cq but is two orbits
+    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (0, 4)),
+                              (1, 0): ((0, 1), (0, 0))})
+    with pytest.raises(FalsificationError,
+                       match=r"\(0, 4\) are not one Frobenius orbit"):
         _decompose_q3()
+
+
+def test_tamper_conjugate_lines_split(monkeypatch):
+    # R_(0,1) would add zeta^7 to line 7 and zeta^5 to line 5; conjugation
+    # by F takes the shift (0, 1) to (0, 3), so the Hecke operator is not
+    # central
+    _extra_shifts(monkeypatch, [(0, 1)])
+    with pytest.raises(FalsificationError,
+                       match=r"at t\^2\+1 is not central: .* by \(1, 0\)"):
+        _decompose_q3()
+
+
+def test_tamper_hecke_not_central_exits_1(monkeypatch, capsys):
+    _extra_shifts(monkeypatch, [(0, 1)])
+    _basis_exits_1(capsys, "is not central")
+
+
+def test_tamper_hecke_not_central_under_python_O():
+    script = (
+        "from tjl import cli, spectral\n"
+        "real = spectral.witness_set\n"
+        "class Shifted:\n"
+        "    def __init__(self, ws):\n"
+        "        self.ws = ws\n"
+        "    def shifts(self, group):\n"
+        "        return self.ws.shifts(group) + [(0, 1)]\n"
+        "spectral.witness_set = lambda *a, **k: Shifted(real(*a, **k))\n"
+        "print('exit', cli.run(['basis', '--q', '3', '--sigma', '1:0']))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.stdout == "exit 1\n", proc.stderr
+    assert proc.stderr == (
+        '{"error":"falsification","message":"the Hecke operator at t+1 is '
+        'not central: its witness shifts change under conjugation by '
+        '(1, 0)","schema_version":"1"}\n')
+
+
+# at level 1, F^f = F^2 is the identity element and _phi((2, 0)) = (0, 0),
+# so R_(0,0) is the operator whose scalar gives the twist of SIGMA's block
 
 
 def test_tamper_block_not_invariant(monkeypatch):
-    # lines 0 and 4 are Frobenius-fixed, a fixed Frobenius step keeps them,
-    # and an extra shift separates their eigenvalues: two one-line blocks,
-    # which R_(1,1) swaps
-    _tamper_ops(monkeypatch, {(0, 1): ((0, 1), (0, 4)),
-                              (1, 0): ((0, 1), (0, 0))})
-    _extra_shifts(monkeypatch, [(0, 1)])
-    with pytest.raises(InconsistentSystemError, match="does not keep"):
+    # F^f swaps the two lines of the block
+    _tamper_ops(monkeypatch, {(0, 0): ((1, 0), (0, 0))})
+    with pytest.raises(FalsificationError,
+                       match=r"F\^2 does not keep every unit line"):
         _decompose_q3()
 
+
+def test_tamper_frobenius_power_not_scalar(monkeypatch, capsys):
+    _tamper_ops(monkeypatch, {(0, 0): ((0, 1), (0, 4))})
+    with pytest.raises(FalsificationError,
+                       match=r"by the exponents \[0, 4\], not by one scalar"):
+        _decompose_q3()
+    _basis_exits_1(capsys, "not by one scalar")
+
+
+def test_tamper_frobenius_power_no_twist(monkeypatch, capsys):
+    # with f = R = 2 the twist is zeta_8^(8 s) = 1, and zeta_8 is none
+    _tamper_ops(monkeypatch, {(0, 0): ((0, 1), (1, 1))})
+    with pytest.raises(FalsificationError,
+                       match=r"by zeta_8\^1, not by a twist zeta_8\^\(8 s\)"):
+        _decompose_q3()
+    _basis_exits_1(capsys, "not by a twist")
+
+
+# the row-index lookup of the oracle, tampered through the character table
 
 BLOCK_LABEL = IrrepLabel((5, 7), 0)
 
@@ -366,7 +573,7 @@ def _without_block_label(labels, reps, sizes, rows):
 def test_tamper_block_matches_no_label(monkeypatch):
     _tamper_table(monkeypatch, _without_block_label)
     with pytest.raises(FalsificationError, match="matches no label"):
-        _decompose_q3()
+        _oracle_q3()
 
 
 def test_tamper_block_reducible(monkeypatch):
@@ -377,8 +584,8 @@ def test_tamper_block_reducible(monkeypatch):
         return labels, reps, [2 * s for s in sizes], rows
 
     _tamper_table(monkeypatch, edit)
-    with pytest.raises(NeedsMorePlacesError, match="reducible at infinity"):
-        _decompose_q3()
+    with pytest.raises(FalsificationError, match="reducible at infinity"):
+        _oracle_q3()
 
 
 def test_tamper_block_matches_two_labels(monkeypatch):
@@ -393,7 +600,7 @@ def test_tamper_block_matches_two_labels(monkeypatch):
                        r"IrrepLabel\(orbit=\(9, 9\), s=0\) are equal"):
         character_row_index(gamma(3, 2, 1))
     with pytest.raises(FalsificationError, match="are equal"):
-        _decompose_q3()
+        _oracle_q3()
 
 
 def test_row_index_keys_values_not_terms(monkeypatch):
@@ -408,7 +615,7 @@ def test_row_index_keys_values_not_terms(monkeypatch):
         return labels, reps, sizes, rows[:i] + (row,) + rows[i + 1:]
 
     _tamper_table(monkeypatch, edit)
-    blocks = _decompose_q3()
+    blocks = _oracle_q3()
     assert [b.infinity_label for b in blocks] == [BLOCK_LABEL]
 
 
@@ -419,7 +626,7 @@ def test_tamper_block_label_dimension(monkeypatch):
 
     _tamper_table(monkeypatch, edit)
     with pytest.raises(FalsificationError, match="of dimension 1"):
-        _decompose_q3()
+        _oracle_q3()
 
 
 def _bend_generator(monkeypatch, gen, bend):
@@ -483,9 +690,12 @@ def test_tamper_relators_under_python_O():
 
 
 def test_duplicate_table_row_trips_under_python_O():
+    # the oracle's row index raises, not asserts, so -O keeps the check
     script = (
-        "from tjl.metacyclic import (FalsificationError, Gamma, IrrepLabel,\n"
-        "                            character_row_index, character_table)\n"
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_spectral import FalsificationError, character_row_index\n"
+        "from tjl.metacyclic import Gamma, IrrepLabel, character_table\n"
         "G = Gamma(3, 2, 1)\n"
         "labels, reps, sizes, rows = character_table(G)\n"
         "G._table = ((*labels, IrrepLabel((9, 9), 0)), reps, sizes,\n"
