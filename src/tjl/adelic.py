@@ -54,7 +54,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import FalsificationError, FrozenRecord, require
-from .funcfield import Fq2Element, Poly, RatFunc, format_poly, monic_irreducibles
+from .funcfield import Poly, RatFunc, format_poly, monic_irreducibles
 from .metacyclic import Gamma, gamma
 from .quaternion import (
     AlgebraParams,
@@ -65,7 +65,6 @@ from .quaternion import (
     reduce_at_infinity,
     reduce_at_zero,
     require_anisotropic,
-    residue_field_elements,
     split_certificate,
 )
 
@@ -364,14 +363,6 @@ class SplitPlace:
                 f"{format_poly(self.pi)}")
         return self.identify_right_coset(mat), self.identify_left_coset(mat)
 
-    def right_coset_labels(self) -> list[tuple]:
-        return [("diag",)] + [("upper", r.coeffs)
-                              for r in residue_field_elements(self.pi)]
-
-    def left_coset_labels(self) -> list[tuple]:
-        return [("diag",)] + [("lower", r.coeffs)
-                              for r in residue_field_elements(self.pi)]
-
     def _coset_label(self, vectors, what: str, kind: str) -> tuple:
         """The coset named by the one line over O/pi that the vectors
         nonzero mod pi span: ("diag",) for the line of (1, 0), else
@@ -412,15 +403,6 @@ class SplitPlace:
         return self._coset_label([(A[0], A[1]), (A[2], A[3])], "rows", "lower")
 
 
-def standard_conjugator(alg: AlgebraParams) -> Mat:
-    """A fixed determinant-one constant matrix, a unit at every finite
-    place, used to cross-check splitting-independence of derived data."""
-    F = alg.field
-    one = Poly.one(F)
-    two = Poly.constant(F, F.embed_int(2))
-    return (one, one, one, two)
-
-
 # -- canonical witness sets -------------------------------------------
 
 
@@ -430,11 +412,6 @@ class Witness(FrozenRecord):
     def __init__(self, element: OrderElement, depth: int, right_label: tuple,
                  left_label: tuple, reduction: LocalReduction):
         self._set(element, depth, right_label, left_label, reduction)
-
-    def labeled_in(self, split: SplitPlace) -> Witness:
-        """The same witness with its cosets read off another model."""
-        right, left = split.coset_labels(self.element)
-        return Witness(self.element, self.depth, right, left, self.reduction)
 
 
 class WitnessSet:
@@ -651,19 +628,14 @@ def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness]) -> WitnessSet:
     return ws
 
 
-def witness_set(alg: AlgebraParams, pi: Poly,
-                split: SplitPlace | None = None) -> WitnessSet:
+def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
     """The canonical witnesses for the degree-one modification at pi:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity, all of depth m0 = ceil(deg pi / 2), so no depth bound
     applies (verify_witness_uniqueness checks one).  Exactly one witness
-    per right coset and per left coset.  With split, the cosets are read
-    off that model and certified afresh; else the set is kept per place,
-    once certified."""
-    ws = _place_scan(alg, pi).certified()
-    if split is None:
-        return ws
-    return _certify(alg, pi, [w.labeled_in(split) for w in ws.witnesses])
+    per right coset and per left coset of the default model; the set is
+    kept per place, once certified."""
+    return _place_scan(alg, pi).certified()
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
@@ -716,13 +688,12 @@ def right_translation_matrix(alg: AlgebraParams, g: Element) -> Rows:
     return _count_rows(G, lambda x: (G.mul(x, g),))
 
 
-def hecke_matrix(alg: AlgebraParams, pi: Poly,
-                 split: SplitPlace | None = None) -> Rows:
+def hecke_matrix(alg: AlgebraParams, pi: Poly) -> Rows:
     """Sum of the right translations by the witness reductions at pi: a
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
     with every left translation."""
     G = group_of(alg)
-    shifts = witness_set(alg, pi, split=split).shifts(G)
+    shifts = witness_set(alg, pi).shifts(G)
     return _count_rows(G, lambda x: [G.mul(x, g) for g in shifts])
 
 
@@ -767,65 +738,6 @@ def verify_action_relations(alg: AlgebraParams) -> None:
 def default_places(alg: AlgebraParams, max_deg: int = 2) -> list[Poly]:
     t = Poly.t(alg.field)
     return [p for p in monic_irreducibles(alg.field, max_deg) if p != t]
-
-
-# -- elementary factorizations ----------------------------------------
-
-
-class AdeleDescription(FrozenRecord):
-    """A finitely supported modification: a Hecke coset at a split place,
-    the uniformizer at infinity, or a Teichmueller unit at infinity."""
-
-    __slots__ = ("kind", "place", "coset", "unit")
-
-    def __init__(self, kind: str, place: Poly | None = None,
-                 coset: tuple | None = None, unit: Fq2Element | None = None):
-        # kind is "hecke", "uniformizer" or "teichmuller"
-        self._set(kind, place, coset, unit)
-
-
-class FactorizationResult(FrozenRecord):
-    __slots__ = ("witness", "shift", "reduction")
-
-    def __init__(self, witness: OrderElement, shift: Element,
-                 reduction: LocalReduction):
-        self._set(witness, shift, reduction)
-
-
-def factorize(alg: AlgebraParams,
-              desc: AdeleDescription) -> FactorizationResult:
-    """The unique global witness undoing the described modification, and
-    the right-translation shift it induces on the class set."""
-    G = group_of(alg)
-    if desc.kind == "uniformizer":
-        w = OrderElement.j(alg)
-        if _pi_infinity_power(alg, 1) * w != OrderElement.one(alg):
-            raise FactorizationError("j does not undo the uniformizer j/t")
-    elif desc.kind == "teichmuller":
-        if desc.unit is None or desc.unit == alg.residue.zero:
-            raise FactorizationError("need a nonzero Teichmueller unit")
-        K = alg.residue
-        w = OrderElement.teichmuller(alg, K.inv(desc.unit))
-        if OrderElement.teichmuller(alg, desc.unit) * w != OrderElement.one(alg):
-            raise FactorizationError(
-                f"the Teichmueller unit {desc.unit} is not undone")
-    elif desc.kind == "hecke":
-        if desc.place is None or desc.coset is None:
-            raise FactorizationError("hecke modification needs place and coset")
-        ws = witness_set(alg, desc.place)
-        if desc.coset not in ws.by_right:
-            raise FactorizationError(f"unknown coset label {desc.coset}")
-        w = ws.by_right[desc.coset].element
-        n = w.nrd()
-        if not (w.in_K1_infinity() and n.valuation(desc.place) == 1
-                and n.valuation_at_infinity() == 0):
-            raise FactorizationError(
-                f"witness {w} is not a principal unit at infinity of norm "
-                f"valuation 1 at {format_poly(desc.place)}")
-    else:
-        raise FactorizationError(f"unknown modification kind {desc.kind!r}")
-    red = reduce_at_zero(w)
-    return FactorizationResult(w, red.to_gamma(G.R, G.M), red)
 
 
 # -- adele states and round-trip recovery ------------------------------

@@ -4,9 +4,9 @@ A scalar of order m is a Z-linear (or Q-linear) combination of the m-th roots
 of unity, stored as a sparse exponent -> coefficient map.  Addition and
 multiplication happen in the group ring Z[Z/m] (exponents add mod m) and are
 therefore cheap; the m-th cyclotomic polynomial enters only when a question
-about the underlying complex number is asked (equality, rationality).  Two
-scalars are equal iff the difference of their coefficient vectors is
-divisible by Phi_m.
+about the underlying complex number is asked (equality, zero, the value of a
+rational scalar).  Two scalars are equal iff the difference of their
+coefficient vectors is divisible by Phi_m.
 
 A sum of many roots of unity (a character sum) is best built as an exponent
 histogram, a dict or Counter from exponent mod m to count, and passed to
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from operator import attrgetter
 
 RationalLike = int | Fraction
@@ -132,10 +131,6 @@ def divisors(m: int) -> list[int]:
     return out
 
 
-def euler_phi(m: int) -> int:
-    return sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
-
-
 def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     """Divide num by the monic integer polynomial den; a nonzero remainder
     falsifies the caller's divisibility claim."""
@@ -215,7 +210,9 @@ class Cyc:
     ring: +, -, *, conj and ==; a scalar is scaled by an int or a Fraction,
     never divided by another scalar.  The sparse terms of the group-ring
     representative are available as .terms; the canonical reduced form
-    (length phi(m), basis 1, zeta, ..., zeta^(d-1)) as .reduced().
+    (length phi(m), basis 1, zeta, ..., zeta^(d-1)) as .reduced(), which
+    is_zero, ==, to_rational and to_json read.  A root of unity zeta_m^k is
+    Cyc(m, {k: 1}).
     """
 
     __slots__ = ("order", "_c", "_red")
@@ -247,10 +244,6 @@ class Cyc:
     @staticmethod
     def from_rational(order: int, v: RationalLike) -> Cyc:
         return Cyc(order, {0: v})
-
-    @staticmethod
-    def zeta(order: int, k: int = 1) -> Cyc:
-        return Cyc(order, {k % order: 1})
 
     @property
     def terms(self) -> frozenset[tuple[int, RationalLike]]:
@@ -356,21 +349,9 @@ class Cyc:
             return True
         return (self - other).is_zero()
 
-    def is_rational(self) -> bool:
-        red = self.reduced()
-        return all(c == 0 for c in red[1:])
-
     def to_rational(self) -> Fraction:
         """Exact rational value; raises NotRationalError otherwise."""
         return _rational(self.reduced())
-
-    def is_integral(self) -> bool:
-        """Whether the scalar lies in Z[zeta_m] (integer reduced coefficients)."""
-        return all(c.denominator == 1 for c in self.reduced())
-
-    def sort_key(self) -> tuple:
-        """Deterministic total order key (reduced coefficients as num/den pairs)."""
-        return tuple((c.numerator, c.denominator) for c in self.reduced())
 
     def to_json(self) -> dict:
         """Canonical JSON shape: order plus reduced coefficients."""
@@ -381,26 +362,6 @@ class Cyc:
     def __repr__(self):
         terms = ", ".join(f"{e}: {v}" for e, v in sorted(self._c.items()))
         return f"Cyc({self.order}, {{{terms}}})"
-
-
-def _frac_poly_divmod(num: list[Fraction], den: list[Fraction]):
-    """Quotient and remainder of num by den over Q, dense and constant
-    first: the long-division reference that _reduce is checked against."""
-    num = list(num)
-    while num and num[-1] == 0:
-        num.pop()
-    dd = len(den) - 1
-    quot = [Fraction(0)] * max(len(num) - dd, 0)
-    lead = den[-1]
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k] / lead
-        if c:
-            quot[k - dd] = c
-            for j, cd in enumerate(den):
-                num[k - dd + j] -= c * cd
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
 
 
 def inner_product(

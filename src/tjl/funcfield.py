@@ -139,17 +139,6 @@ class GF:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(a), -k)
-        out, base = 1, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def embed_int(self, n: int) -> int:
         """Image of the rational integer n in the prime field."""
         return n % self.p
@@ -166,22 +155,6 @@ class GF:
             if not self.is_square(a):
                 return a
         raise FalsificationError(f"GF({self.q}) has no non-square unit")
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        k, x = 1, a
-        while x != 1:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
-    @property
-    def generator(self) -> int:
-        for a in range(1, self.q):
-            if self.multiplicative_order(a) == self.q - 1:
-                return a
-        raise FalsificationError(f"GF({self.q}) has no generator")
 
     def __repr__(self):
         return f"GF({self.q})"
@@ -382,13 +355,6 @@ class Poly:
         c = F.inv(r0.lead)
         return r0.scale(c), s0.scale(c), t0.scale(c)
 
-    def evaluate(self, x: int) -> int:
-        F = self.field
-        out = 0
-        for c in reversed(self.coeffs):
-            out = F.add(F.mul(out, x), c)
-        return out
-
     def valuation(self, pi: Poly) -> int:
         """Exact pi-adic valuation; raises on the zero polynomial."""
         if self.is_zero():
@@ -571,9 +537,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_one()
-
     def __eq__(self, other):
         return (
             isinstance(other, RatFunc)
@@ -645,19 +608,6 @@ class RatFunc:
         if v < 0:
             raise ValueError("pole at infinity")
         return self.field.div(self.num.lead, self.den.lead)
-
-    def reduce_mod(self, pi: Poly, power: Poly) -> Poly:
-        """Image in F_q[t]/power (power = pi^k); den must be a unit at pi."""
-        if self.is_zero():
-            return Poly.zero(self.field)
-        if not (self.den.valuation(pi) == 0):
-            raise ValueError("denominator not a unit at the place")
-        g, u, _ = self.den.xgcd(power)
-        if not g.is_one():
-            raise FalsificationError(
-                f"denominator {format_poly(self.den)} is not invertible "
-                f"modulo {format_poly(power)}")
-        return (self.num * u) % power
 
     def __repr__(self):
         if self.den.is_one():
@@ -743,17 +693,6 @@ class Fq2:
         F = self.base
         return Fq2Element(F.mul(c, xb.a), F.mul(c, xb.b))
 
-    def power(self, x: Fq2Element, k: int) -> Fq2Element:
-        if k < 0:
-            return self.power(self.inv(x), -k)
-        out, base = self.one, x
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     def multiplicative_order(self, x: Fq2Element) -> int:
         if x == self.zero:
             raise ValueError("0 has no multiplicative order")
@@ -762,12 +701,6 @@ class Fq2:
             y = self.mul(y, x)
             k += 1
         return k
-
-    @property
-    def generator(self) -> Fq2Element:
-        """Smallest generator of the unit group in the index enumeration."""
-        self._ensure_dlog()
-        return self._powers[1]
 
     def _ensure_dlog(self):
         if self._dlog is not None:

@@ -121,17 +121,6 @@ class Gamma:
         k, e = g
         return ((-k) % self.R, (-e * self.frob_power(-k)) % self.M)
 
-    def power(self, g: Element, m: int) -> Element:
-        if m < 0:
-            return self.power(self.inv(g), -m)
-        out, base = self.identity, g
-        while m:
-            if m & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return out
-
     def conjugate(self, g: Element, x: Element) -> Element:
         """g x g^{-1}."""
         return self.mul(self.mul(g, x), self.inv(g))
@@ -245,10 +234,6 @@ class IrrepLabel(OrderedRecord):
     def to_json(self) -> dict:
         return {"orbit": list(self.orbit), "s": self.s, "dim": self.dim}
 
-    @staticmethod
-    def from_json(data: dict) -> IrrepLabel:
-        return IrrepLabel(tuple(data["orbit"]), data["s"])
-
 
 def enumerate_irreps(group: Gamma) -> list[IrrepLabel]:
     """All irrep labels, sorted by (orbit, s); one of dimension f per orbit
@@ -302,18 +287,8 @@ class Irrep:
                      for j in range(f))
         return perm, exps
 
-    def matrix(self, g: Element) -> list[list[Cyc]]:
-        """The dense expansion of monomial(g), rows indexed like columns by
-        basis tags."""
-        perm, exps = self.monomial(g)
-        zero = Cyc.zero(self.m)
-        out = [[zero] * self.f for _ in range(self.f)]
-        for j, (i, x) in enumerate(zip(perm, exps)):
-            out[i][j] = Cyc.zeta(self.m, x)
-        return out
-
     def character(self, g: Element) -> Cyc:
-        """Trace of matrix(g), by the closed formula: zero unless f divides
+        """Trace of monomial(g), by the closed formula: zero unless f divides
         k, else the twist times the sum of zeta_M^(e c) over the orbit."""
         k, e = g
         k %= self.group.R

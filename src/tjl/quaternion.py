@@ -105,7 +105,7 @@ class OrderElement:
     OrderElement(alg, a, b, c, d) takes RatFunc coordinates and writes them
     over the monic lcm of their denominators, which is already normal: at
     a prime p of the lcm, the coordinate whose denominator holds the
-    highest power of p keeps a numerator prime to p.  coords() and .a to
+    highest power of p keeps a numerator prime to p.  The properties .a to
     .d read the coordinates back as RatFuncs.
 
     Instances with denominator 1 are order elements proper; general
@@ -180,9 +180,6 @@ class OrderElement:
     @property
     def d(self) -> RatFunc:
         return RatFunc(self.nums[3], self.den)
-
-    def coords(self) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-        return tuple(RatFunc(n, self.den) for n in self.nums)
 
     # -- ring structure ------------------------------------------------
 
@@ -274,9 +271,6 @@ class OrderElement:
     # deg den - deg numerator whether or not the two share a factor; and
     # as no prime divides den and every numerator, x is integral at t
     # exactly when t does not divide den.
-
-    def coords_polynomial(self) -> bool:
-        return self.den.is_one()
 
     def t_integral(self) -> bool:
         return self.den.coeffs[0] != 0
@@ -454,24 +448,6 @@ def _pi_infinity_power(alg: AlgebraParams, k: int) -> OrderElement:
     """(j/t)^k exactly: j^k scaled by t^{-k} on the j-side pairing."""
     # (j/t)^2 = j^2/t^2 = 1/t, so (j/t)^k = j^k * t^{-k}
     return _j_power(alg, k).scale(RatFunc.t_power(alg.field, -k))
-
-
-def reduce_homomorphism_check(alg: AlgebraParams, pairs) -> None:
-    """reduce_at_zero is a homomorphism to Z x F_{q^2}^* twisted by the
-    Frobenius: residue(xy) = residue(x)^{q^{k(y)}} * residue(y) and the
-    valuations add.  Verified exactly on the supplied element pairs."""
-    K = alg.residue
-    for x, y in pairs:
-        rx, ry, rxy = reduce_at_zero(x), reduce_at_zero(y), reduce_at_zero(x * y)
-        if rxy.k != rx.k + ry.k:
-            raise FalsificationError(
-                f"valuations at t do not add: {rxy.k} != {rx.k} + {ry.k} "
-                f"for x = {x}, y = {y}")
-        twisted = K.power(rx.residue, pow(alg.q, ry.k % 2, alg.q * alg.q - 1))
-        if rxy.residue != K.mul(twisted, ry.residue):
-            raise FalsificationError(
-                f"residues at t do not compose by the Frobenius twist "
-                f"for x = {x}, y = {y}")
 
 
 # -- maximality and ramification certificates --------------------------

@@ -43,10 +43,8 @@ from collections import Counter
 
 from .adelic import (
     FalsificationError,
-    SplitPlace,
     default_places,
     group_of,
-    standard_conjugator,
     witness_set,
 )
 from .cyclotomic import Cyc, Record, require
@@ -398,64 +396,3 @@ def projective_basis(alg: AlgebraParams, label: IrrepLabel,
             and all(len(s) == 1 for s in supports),
             "projective lines do not span")
     return ProjectiveBasis(label, lines)
-
-
-def eigenvalue_table(alg: AlgebraParams, label: IrrepLabel,
-                     places: list[Poly] | None = None) -> list[dict]:
-    """Exact Hecke eigenvalues per block and place; re-derived under a
-    conjugated splitting to certify independence of the matrix model."""
-    if places is None:
-        places = default_places(alg, 2)
-    blocks = decompose(alg, label, places)
-    G = group_of(alg)
-    for pi in places:
-        base = sorted(witness_set(alg, pi).shifts(G))
-        conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
-        again = sorted(witness_set(alg, pi, split=conj).shifts(G))
-        require(base == again, f"witness reductions at {format_poly(pi)} "
-                f"depend on the splitting")
-    out = []
-    for b in blocks:
-        for pi, v in zip(b.places, b.hecke_eigenvalues):
-            out.append({"a": b.a, "place": format_poly(pi),
-                        "value": v.to_json()})
-    return out
-
-
-def verify_bimodule(group: Gamma) -> dict:
-    """Left and right translations commute elementwise, and the commutant
-    of the left action has dimension equal to the group order: the count
-    of diagonal orbits on Gamma x Gamma, free hence |Gamma| of them.
-    Both actions are generated by the two generators, so commuting on
-    every pair of generators at every x is commuting everywhere."""
-    els = group.elements()
-    gens = ((1 % group.R, 0), (0, 1 % group.M))
-    for g in gens:
-        for h in gens:
-            for x in els:
-                lhs = group.mul(group.mul(group.inv(g), x), h)
-                rhs = group.mul(group.inv(g), group.mul(x, h))
-                if lhs != rhs:
-                    raise FalsificationError(
-                        f"left translation by {g} and right translation "
-                        f"by {h} do not commute at {x}")
-    seen = set()
-    orbits = 0
-    for x in els:
-        for y in els:
-            if (x, y) in seen:
-                continue
-            orbits += 1
-            size = 0
-            for g in els:
-                pair = (group.mul(g, x), group.mul(g, y))
-                if pair not in seen:
-                    seen.add(pair)
-                    size += 1
-            require(size == group.order, "diagonal action is not free")
-    require(orbits == group.order,
-            f"{orbits} diagonal orbits, not |Gamma| = {group.order}")
-    total = sum(lb.dim ** 2 for lb in enumerate_irreps(group))
-    require(total == group.order,
-            f"irrep dimensions square-sum to {total}, not {group.order}")
-    return {"commutant_dimension": orbits, "square_sum": total}

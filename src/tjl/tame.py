@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from .cyclotomic import OrderedRecord, require
 from .metacyclic import (
-    Gamma,
     GroupParams,
     IrrepLabel,
     enumerate_orbits,

@@ -12,31 +12,39 @@ from itertools import product
 import pytest
 
 from int_rows import matmul
+from oracles import coords, reduce_mod
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
 from tjl.metacyclic import gamma
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
-                            require_anisotropic)
+                            require_anisotropic, residue_field_elements)
 from tjl.adelic import (
-    AdeleDescription,
     FactorizationError,
     FalsificationError,
     SearchBoundExceededError,
     SplitPlace,
+    Witness,
     default_places,
-    factorize,
     factorize_adele,
     group_of,
     hecke_matrix,
     infinity_action,
     left_translation_matrix,
     right_translation_matrix,
-    standard_conjugator,
     synthesize_random_adele,
     verify_action_relations,
     verify_witness_uniqueness,
     witness_set,
 )
+
+
+def standard_conjugator(alg):
+    """A fixed determinant-one constant matrix, a unit at every finite
+    place: the conjugator of a second split model, against which
+    splitting-independence is checked."""
+    F = alg.field
+    one = Poly.one(F)
+    return (one, one, one, Poly.constant(F, F.embed_int(2)))
 
 
 def _random_element(alg, rng, deg=2):
@@ -61,7 +69,7 @@ def test_split_place_determinant_is_norm():
                 mx, my = sp.embed(x, P), sp.embed(y, P)
                 assert sp.matmul(mx, my, P) == sp.embed(x * y, P)
                 lhs = sp.det(mx, P)
-                rhs = x.nrd().reduce_mod(sp.pi, sp.modulus)
+                rhs = reduce_mod(x.nrd(), sp.pi, sp.modulus)
                 assert lhs == rhs
 
 
@@ -89,7 +97,7 @@ def test_split_place_reduce_matches_reduce_mod():
                 for _ in range(3):
                     num = Poly(F, [rng.randrange(q) for _ in range(6)])
                     r = RatFunc(num, den)
-                    want = r.reduce_mod(pi, sp.modulus)
+                    want = reduce_mod(r, pi, sp.modulus)
                     if r.den in sp._den_inverses:
                         hits += 1
                     else:
@@ -104,7 +112,7 @@ def test_split_place_reduce_matches_reduce_mod():
                 with pytest.raises(ValueError):
                     reduce(r)
                 with pytest.raises(ValueError):
-                    r.reduce_mod(pi, sp.modulus)
+                    reduce_mod(r, pi, sp.modulus)
                 assert r.den not in sp._den_inverses
 
 
@@ -136,11 +144,11 @@ def _ref_det(sp, A, m=None):
 
 
 def _ref_embed(sp, elt, m=None):
-    coords = [_ref_reduce(sp, c) for c in elt.coords()]
+    reduced = [_ref_reduce(sp, c) for c in coords(elt)]
     out = []
     for idx in range(4):
         acc = Poly.zero(sp.alg.field)
-        for coeff, mat in zip(coords, (sp.mat_one, sp.mat_i, sp.mat_j,
+        for coeff, mat in zip(reduced, (sp.mat_one, sp.mat_i, sp.mat_j,
                                        sp.mat_k)):
             acc = acc + coeff * mat[idx]
         out.append(acc % (sp.modulus if m is None else m))
@@ -375,14 +383,19 @@ def test_witness_counts_and_normalization():
                 assert n.t_valuation() == -pi.degree
 
 
+def _coset_labels(pi, kind):
+    """The labels of the q^deg(pi) + 1 right ("upper") or left ("lower")
+    cosets of the degree-one double coset at pi."""
+    return [("diag",)] + [(kind, r.coeffs) for r in residue_field_elements(pi)]
+
+
 def test_witness_cosets_cover_exactly():
     alg = AlgebraParams(3)
     for name in ("t-1", "t^2+1"):
         pi = parse_poly(alg.field, name)
-        sp = SplitPlace(alg, pi)
         ws = witness_set(alg, pi)
-        assert set(ws.by_right) == set(sp.right_coset_labels())
-        assert set(ws.by_left) == set(sp.left_coset_labels())
+        assert set(ws.by_right) == set(_coset_labels(pi, "upper"))
+        assert set(ws.by_left) == set(_coset_labels(pi, "lower"))
 
 
 def test_witness_uniqueness_certificates():
@@ -427,12 +440,25 @@ def test_hecke_matrix_is_sum_of_right_translations():
 
 
 def test_hecke_independent_of_splitting():
+    # the witnesses relabeled in a conjugated model again fill every coset
+    # once, and their shifts give the same Hecke matrix
     alg = AlgebraParams(3)
+    G = group_of(alg)
+    moved_a_label = False
     for name in ("t-1", "t^2+1"):
         pi = parse_poly(alg.field, name)
-        T = hecke_matrix(alg, pi)
+        ws = witness_set(alg, pi)
         conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
-        assert T == hecke_matrix(alg, pi, split=conj)
+        moved = [Witness(w.element, w.depth, *conj.coset_labels(w.element),
+                         w.reduction) for w in ws.witnesses]
+        moved_a_label |= any(m.right_label != w.right_label
+                             for m, w in zip(moved, ws.witnesses))
+        again = adelic._certify(alg, pi, moved)
+        assert set(again.by_right) == set(ws.by_right)
+        mats = [right_translation_matrix(alg, g) for g in again.shifts(G)]
+        S = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
+        assert hecke_matrix(alg, pi) == S
+    assert moved_a_label
 
 
 def _dense_action_failures(alg, act):
@@ -617,32 +643,23 @@ def test_infinity_action_commutes_with_hecke():
 
 
 def test_elementary_factorizations_frozen():
+    # the shifts that undo the uniformizer, the Teichmueller unit u^d
+    # (g_d, the reduction of the lift of u^(-d)) and each Hecke coset at t-1
     alg = AlgebraParams(3)
-    K = alg.residue
-    res = factorize(alg, AdeleDescription("uniformizer"))
-    assert res.shift == (1, 0)
+    G = group_of(alg)
+    act = infinity_action(alg)
+    assert act["uniformizer"] == (1, 0)
     for d in range(1, 8):
-        res = factorize(alg, AdeleDescription("teichmuller", unit=K.from_dlog(d)))
-        assert res.shift == (0, (-d) % 8)
+        assert act["units"][d] == (0, (-d) % 8)
     pi = parse_poly(alg.field, "t-1")
+    ws = witness_set(alg, pi)
     shifts = {}
-    for lab in SplitPlace(alg, pi).right_coset_labels():
-        r = factorize(alg, AdeleDescription("hecke", place=pi, coset=lab))
-        assert r.witness.in_K1_infinity()
-        shifts[lab] = r.shift
+    for lab in _coset_labels(pi, "upper"):
+        w = ws.by_right[lab]
+        assert w.element.in_K1_infinity()
+        shifts[lab] = w.reduction.to_gamma(G.R, G.M)
     assert shifts == {("diag",): (1, 2), ("upper", ()): (1, 6),
                       ("upper", (1,)): (1, 4), ("upper", (2,)): (1, 0)}
-
-
-def test_factorize_rejects_bad_descriptions():
-    alg = AlgebraParams(3)
-    with pytest.raises(FactorizationError):
-        factorize(alg, AdeleDescription("frobenius"))
-    with pytest.raises(FactorizationError):
-        factorize(alg, AdeleDescription("teichmuller", unit=alg.residue.zero))
-    with pytest.raises(FactorizationError):
-        factorize(alg, AdeleDescription(
-            "hecke", place=parse_poly(alg.field, "t-1"), coset=("upper", (7,))))
 
 
 def test_round_trips_recover_class():
@@ -1046,11 +1063,6 @@ def test_witness_set_is_certified_once_per_place(monkeypatch):
     assert calls == [pi]
     assert verify_witness_uniqueness(alg, pi, depth_bound=4)["witnesses"] == 10
     assert calls == [pi]
-    # a model passed as split is read afresh on every call
-    split = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
-    assert witness_set(alg, pi, split=split) is not witness_set(alg, pi,
-                                                               split=split)
-    assert calls == [pi, pi, pi]
     # the shifts are read once per group; a caller's list is its own
     G = group_of(alg)
     shifts = ws.shifts(G)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -293,6 +294,55 @@ def test_reused_parser_gives_the_bytes_of_fresh_processes(capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                     fresh.stderr)
     assert cli._PARSER is not None
+
+
+# Commands that share the process caches: the witness scans and their split
+# models with every memo on them (adelic._SCANS), the norm tables and digit
+# sums of the join, the central Hecke shifts, the root sums of the census
+# and the quaternion basis products.  One command exceeds its search bound,
+# so a failed run is interleaved too.
+CALL_ORDER_COMMANDS = (
+    "verify --q 3 --degree-bound 1",
+    "verify --q 3 --depth-bound 3 --round-trips 5",
+    "verify --q 5 --degree-bound 1 --depth-bound 1 --round-trips 20 --seed 7",
+    "verify --q 3 --N 2 --degree-bound 1",
+    "basis --q 3 --sigma 1:0",
+    "basis --q 5 --sigma 1:0 --degree-bound 1",
+    "brandt --q 3 --place t^2+1",
+    "brandt --q 5 --place t+1 --format tsv",
+    "brandt --q 5 --place t^2+2 --depth-bound 0",
+    "irreps --q 3",
+    "irreps --q 4 --n 2 --N 2",
+    "tame --q 3 --n 2",
+    "orbits --q 5 --n 2",
+)
+
+
+def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
+                                                            capsys):
+    # three orders in one process, the first from empty caches, each run
+    # against a fresh interpreter's exit code, stdout and stderr
+    from tjl import adelic, metacyclic, quaternion, spectral
+
+    fresh = {}
+    for command in CALL_ORDER_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tjl.cli", *command.split()],
+            capture_output=True, text=True)
+        fresh[command] = (proc.returncode, proc.stdout, proc.stderr)
+    assert {code for code, _, _ in fresh.values()} == {0, 3}
+    for module, cache in ((adelic, "_SCANS"), (adelic, "_NORM_TABLES"),
+                          (adelic, "_DIGIT_SUMS"), (spectral, "_CENTRAL"),
+                          (metacyclic, "_ROOT_SUMS"),
+                          (quaternion, "_BASIS_PRODUCTS")):
+        monkeypatch.setattr(module, cache, {})
+    for seed in (1, 2, 3):
+        order = list(CALL_ORDER_COMMANDS)
+        random.Random(seed).shuffle(order)
+        for command in order:
+            assert invoke(capsys, *command.split()) == fresh[command], (
+                seed, command)
+    assert adelic._SCANS and spectral._CENTRAL and metacyclic._ROOT_SUMS
 
 
 def _modules_loaded(argv: list[str], modules: list[str]) -> dict:

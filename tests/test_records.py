@@ -8,15 +8,7 @@ import pickle
 
 import pytest
 
-from tjl.adelic import (
-    AdeleDescription,
-    SplitPlace,
-    Witness,
-    default_places,
-    factorize,
-    standard_conjugator,
-    witness_set,
-)
+from tjl.adelic import default_places, witness_set
 from tjl.funcfield import Fq2Element, gf
 from tjl.metacyclic import GroupParams, IrrepLabel
 from tjl.quaternion import AlgebraParams, LocalReduction
@@ -34,10 +26,8 @@ def _hashed_records():
     alg = AlgebraParams(3)
     pi = default_places(alg, 1)[0]
     w = witness_set(alg, pi).witnesses[0]
-    res = factorize(alg, AdeleDescription("uniformizer"))
     unit = Fq2Element(1, 2)
     red = LocalReduction("zero", 1, unit, 5)
-    desc = AdeleDescription("hecke", place=pi, coset=("diag",))
     return [
         (unit, (1, 2), "Fq2Element(a=1, b=2)"),
         (GroupParams(3, 2), (3, 2, 1), "GroupParams(q=3, n=2, level=1)"),
@@ -54,12 +44,6 @@ def _hashed_records():
          f"Witness(element={w.element!r}, depth={w.depth!r}, "
          f"right_label={w.right_label!r}, left_label={w.left_label!r}, "
          f"reduction={w.reduction!r})"),
-        (desc, ("hecke", pi, ("diag",), None),
-         f"AdeleDescription(kind='hecke', place={pi!r}, coset=('diag',), "
-         f"unit=None)"),
-        (res, (res.witness, res.shift, res.reduction),
-         f"FactorizationResult(witness={res.witness!r}, "
-         f"shift={res.shift!r}, reduction={res.reduction!r})"),
     ]
 
 
@@ -148,15 +132,3 @@ def test_params_validation_still_fires():
         assert AlgebraParams(q).eps == gf(q).smallest_nonsquare
         assert AlgebraParams(q) == AlgebraParams(q, 1,
                                                  gf(q).smallest_nonsquare)
-
-
-def test_labeled_in_builds_a_witness_with_the_labels_of_the_model():
-    alg = AlgebraParams(3)
-    pi = default_places(alg, 1)[0]
-    sp = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
-    w = witness_set(alg, pi).witnesses[0]
-    moved = w.labeled_in(sp)
-    assert type(moved) is Witness
-    assert (moved.right_label, moved.left_label) == sp.coset_labels(w.element)
-    assert ((moved.element, moved.depth, moved.reduction)
-            == (w.element, w.depth, w.reduction))
