@@ -99,8 +99,7 @@ class SplitPlace:
     # reads v + 2 digits (factorize_adele)
     precision = MAX_HECKE_MODS + 2
 
-    def __init__(self, alg: AlgebraParams, pi: Poly,
-                 conjugator: Mat | None = None):
+    def __init__(self, alg: AlgebraParams, pi: Poly):
         if pi == Poly.t(alg.field):
             raise ValueError("the algebra does not split at t")
         self.alg = alg
@@ -137,12 +136,6 @@ class SplitPlace:
         self.mat_j: Mat = (x, y.scale(alg.eps) % self.modulus,
                            (-y) % self.modulus, (-x) % self.modulus)
         self.mat_k: Mat = self.matmul(self.mat_i, self.mat_j, P)
-        if conjugator is not None:
-            g = conjugator
-            ginv = self._inverse_unit_matrix(g)
-            self.mat_i = self.matmul(self.matmul(g, self.mat_i, P), ginv, P)
-            self.mat_j = self.matmul(self.matmul(g, self.mat_j, P), ginv, P)
-            self.mat_k = self.matmul(self.matmul(g, self.mat_k, P), ginv, P)
         # the basis matrices of 1, i, j, ij, in coordinate order
         self._basis = (self.mat_one, self.mat_i, self.mat_j, self.mat_k)
         # model sanity: the defining relations hold mod pi^P
@@ -284,22 +277,21 @@ class SplitPlace:
         return self._mulsum(((r.den, inv),), k)
 
     def divisor_image(self, elt: OrderElement, k: int,
-                      norm: RatFunc | None = None) -> tuple[int, Mat]:
+                      norm: RatFunc) -> tuple[int, Mat]:
         """(v, D) with v = v_pi(nrd elt) and D = embed(conj elt) times the
-        inverse of the unit part of nrd elt, mod pi^k: A elt^{-1} is
+        inverse of the unit part of norm = nrd elt, mod pi^k: A elt^{-1} is
         (A D mod pi^k) / pi^v, mod pi^(k - v).  Computed once per divisor
-        and precision; a caller that holds nrd(elt) passes it as norm."""
+        and precision."""
         key = (elt, k)
         image = self._divisor_images.get(key)
         if image is None:
-            n = elt.nrd() if norm is None else norm
-            v = n.valuation(self.pi)
+            v = norm.valuation(self.pi)
             if v < 0:
                 raise FactorizationError(
                     f"cannot divide by an element whose norm has valuation "
                     f"{v} at {format_poly(self.pi)}")
             image = self._divisor_images[key] = (v, self.scale_mat(
-                self.embed(elt.conj(), k), self.unit_inverse(n, k), k))
+                self.embed(elt.conj(), k), self.unit_inverse(norm, k), k))
         return image
 
     def scalar_mat(self, c: Poly) -> Mat:
@@ -322,11 +314,6 @@ class SplitPlace:
     def det(self, A: Mat, k: int) -> Poly:
         """det A mod pi^k."""
         return self._mulsum(((A[0], A[3]), (-A[1], A[2])), k)
-
-    def _inverse_unit_matrix(self, A: Mat) -> Mat:
-        P = self.precision
-        return self.scale_mat((A[3], -A[1], -A[2], A[0]),
-                              self.inv_mod(self.det(A, P)), P)
 
     def embed(self, elt: OrderElement, k: int) -> Mat:
         """The matrix of elt mod pi^k; denominators must be prime to pi.
@@ -429,16 +416,10 @@ class WitnessSet:
                         f"second witness in {side} coset {label} at "
                         f"{format_poly(pi)}")
                 index[label] = w
-        self._shifts: dict[tuple[int, int], tuple[Element, ...]] = {}
-
-    def shifts(self, group: Gamma) -> list[Element]:
-        """The witness reductions in group; read once per (R, M)."""
-        key = (group.R, group.M)
-        found = self._shifts.get(key)
-        if found is None:
-            found = self._shifts[key] = tuple(
-                w.reduction.to_gamma(group.R, group.M) for w in self.witnesses)
-        return list(found)
+        # the witness reductions in group_of(alg), the one group that reads
+        # them
+        G = group_of(alg)
+        self.shifts = tuple(w.reduction.to_gamma(G.R, G.M) for w in witnesses)
 
 
 # -- the shared norm-form join ------------------------------------------
@@ -573,8 +554,8 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
 
 class _PlaceScan:
     """The witness scan at one place: every normalized candidate of depth
-    m0 = ceil(deg pi / 2), labeled by its cosets in the default model, and
-    certified once, whichever caller asks first."""
+    m0 = ceil(deg pi / 2), labeled by its cosets in the split model at pi,
+    and certified once, whichever caller asks first."""
 
     def __init__(self, alg: AlgebraParams, pi: Poly):
         self.alg = alg
@@ -610,7 +591,7 @@ _SCANS: dict = {}
 
 
 def _place_scan(alg: AlgebraParams, pi: Poly) -> _PlaceScan:
-    """The one scan, and with it the one default split model, per place."""
+    """The one scan, and with it the one split model, per place."""
     scan = _SCANS.get((alg, pi))
     if scan is None:
         scan = _SCANS[(alg, pi)] = _PlaceScan(alg, pi)
@@ -633,7 +614,7 @@ def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity, all of depth m0 = ceil(deg pi / 2), so no depth bound
     applies (verify_witness_uniqueness checks one).  Exactly one witness
-    per right coset and per left coset of the default model; the set is
+    per right coset and per left coset of the split model; the set is
     kept per place, once certified."""
     return _place_scan(alg, pi).certified()
 
@@ -693,7 +674,7 @@ def hecke_matrix(alg: AlgebraParams, pi: Poly) -> Rows:
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
     with every left translation."""
     G = group_of(alg)
-    shifts = witness_set(alg, pi).shifts(G)
+    shifts = witness_set(alg, pi).shifts
     return _count_rows(G, lambda x: [G.mul(x, g) for g in shifts])
 
 
@@ -770,10 +751,9 @@ class SplitComponent:
     def is_unit(self) -> bool:
         return self.det_valuation() == 0
 
-    def right_divide(self, elt: OrderElement, norm: RatFunc | None = None) -> None:
-        """Multiply by elt^{-1} on the right; pi-valuation v of nrd(elt)
-        costs v digits of precision.  A caller that holds nrd(elt) passes
-        it as norm."""
+    def right_divide(self, elt: OrderElement, norm: RatFunc) -> None:
+        """Multiply by elt^{-1} on the right, norm = nrd(elt); pi-valuation
+        v of the norm costs v digits of precision."""
         sp, k = self.sp, self.precision
         v, image = sp.divisor_image(elt, k, norm)
         num = sp.matmul(self.mat, image, k)

@@ -378,7 +378,7 @@ class Poly:
         return f"Poly[{self.field.q}]({format_poly(self)})"
 
 
-def format_poly(poly: Poly, var: str = "t") -> str:
+def format_poly(poly: Poly) -> str:
     if poly.is_zero():
         return "0"
     parts = []
@@ -390,11 +390,11 @@ def format_poly(poly: Poly, var: str = "t") -> str:
             parts.append(str(c))
         else:
             head = "" if c == 1 else str(c)
-            parts.append(f"{head}{var}" + (f"^{e}" if e > 1 else ""))
+            parts.append(f"{head}t" + (f"^{e}" if e > 1 else ""))
     return "+".join(parts)
 
 
-def parse_poly(field: GF, text: str, var: str = "t") -> Poly:
+def parse_poly(field: GF, text: str) -> Poly:
     """Parse expressions like 't^2+2t+1' or 't-1' over the given field."""
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
@@ -417,8 +417,8 @@ def parse_poly(field: GF, text: str, var: str = "t") -> Poly:
             raise ValueError(f"bad polynomial syntax: {text!r}")
         sign = -1 if term.startswith("-") else 1
         body = term.lstrip("+-")
-        if var in body:
-            cpart, _, epart = body.partition(var)
+        if "t" in body:
+            cpart, _, epart = body.partition("t")
             coeff = int(cpart) if cpart else 1
             exp = int(epart.lstrip("^")) if epart else 1
         else:
@@ -628,15 +628,12 @@ class Fq2Element(FrozenRecord):
 
 
 class Fq2:
-    """The quadratic extension F_q(i), i^2 = eps a fixed non-square; odd q."""
+    """The quadratic extension F_q(i), i^2 = eps the smallest non-square;
+    odd q (smallest_nonsquare refuses characteristic 2)."""
 
-    def __init__(self, base: GF, eps: int | None = None):
-        if base.p == 2:
-            raise ValueError("quadratic extension by a nonsquare needs odd q")
+    def __init__(self, base: GF):
         self.base = base
-        self.eps = base.smallest_nonsquare if eps is None else eps
-        if base.is_square(self.eps):
-            raise ValueError(f"eps = {self.eps} is a square in GF({base.q})")
+        self.eps = base.smallest_nonsquare
         self.q = base.q
         self._dlog: dict[Fq2Element, int] | None = None
         self._powers: list[Fq2Element] | None = None
@@ -738,9 +735,7 @@ class Fq2:
 
 
 @lru_cache(maxsize=None)
-def fq2(q: int, eps: int | None = None) -> Fq2:
-    """The shared F_q(i), i^2 = eps (default the smallest non-square): one
-    per (q, eps), so its generator and dlog table are built once."""
-    if eps is None:
-        return fq2(q, gf(q).smallest_nonsquare)
-    return Fq2(gf(q), eps)
+def fq2(q: int) -> Fq2:
+    """The shared F_q(i), i^2 = eps the smallest non-square: one per q, so
+    its generator and dlog table are built once."""
+    return Fq2(gf(q))

@@ -52,17 +52,17 @@ class AlgebraParams(FrozenRecord):
 
     __slots__ = ("q", "level", "eps")
 
-    def __init__(self, q: int, level: int = 1, eps: int | None = None):
+    def __init__(self, q: int, level: int = 1):
         F = gf(q)
         if F.p == 2:
             raise ValueError("the algebra needs odd characteristic")
         if level < 1:
             raise ValueError("level must be positive")
-        if eps is None:
-            eps = F.smallest_nonsquare
-        elif F.is_square(eps):
-            raise ValueError(f"eps = {eps} is a square in F_{q}")
-        self._set(q, level, eps)
+        self._set(q, level, F.smallest_nonsquare)
+
+    def __reduce__(self):
+        # eps is derived from q, so copy and pickle rebuild from (q, level)
+        return AlgebraParams, (self.q, self.level)
 
     @property
     def field(self) -> GF:
@@ -70,10 +70,7 @@ class AlgebraParams(FrozenRecord):
 
     @property
     def residue(self) -> Fq2:
-        return fq2(self.q, self.eps)
-
-    def to_json(self) -> dict:
-        return {"q": self.q, "N": self.level, "eps": self.eps}
+        return fq2(self.q)
 
 
 class LocalReduction(FrozenRecord):

@@ -7,9 +7,9 @@ space Hom(V_sigma, C(Gamma)); its canonical basis A^(i) sends v to the
 function x -> (sigma(x^{-1}) v)_i, so every right translation R_h acts on
 the basis through sigma(h^{-1})^T.  Every sigma(g) is a monomial matrix,
 held as (perm, exps): column j holds zeta_m^exps[j] in row perm[j].
-Products and transposes of such matrices compose permutations and add
-exponents, so the whole stage runs on integers and builds a Cyc only for
-a finished sum.
+Products of such matrices compose permutations and add exponents, and
+conjugates negate exponents, so the whole stage runs on integers and
+builds a Cyc only for a finished sum.
 
 Gamma = <F, U | U^M, F^R, U F = F U^q> with F = (1, 0) and U = (0, 1), and
 F^k U^e = (k, e) is a normal form.  By von Dyck's theorem (Magnus, Karrass
@@ -72,14 +72,6 @@ def _compose(a: Monomial, b: Monomial, m: int) -> Monomial:
             tuple((ea[i] + x) % m for i, x in zip(pb, eb)))
 
 
-def _transpose(a: Monomial) -> Monomial:
-    perm, exps = a
-    tp, te = [0] * len(perm), [0] * len(perm)
-    for j, (i, x) in enumerate(zip(perm, exps)):
-        tp[i], te[i] = j, x
-    return tuple(tp), tuple(te)
-
-
 # -- the intertwiner space --------------------------------------------
 
 
@@ -111,7 +103,6 @@ class HomSpace:
         require(_compose((perm, self._u), F, m)
                 == _compose(F, self.sigma((0, group.q)), m),
                 "the generator images break the relator U F = F U^q")
-        self._ops: dict[Element, Monomial] = {}
 
     def sigma(self, g: Element) -> Monomial:
         """sigma(k, e) = F^k U^e: U^e is diagonal, so it adds e times U's
@@ -123,11 +114,14 @@ class HomSpace:
 
     def op_right(self, g: Element) -> Monomial:
         """Matrix of the right translation R_g on the basis: the function
-        x -> F(xg) corresponds to sigma(g^{-1})^T acting on coefficients."""
-        g = (g[0] % self.group.R, g[1] % self.group.M)
-        if g not in self._ops:
-            self._ops[g] = _transpose(self.sigma(self.group.inv(g)))
-        return self._ops[g]
+        x -> F(xg) corresponds to sigma(g^{-1})^T acting on coefficients.
+        sigma is a homomorphism into monomial matrices with roots of unity
+        as entries, so sigma(g^{-1}) = sigma(g)^{-1} is the conjugate
+        transpose of sigma(g), and sigma(g^{-1})^T its entrywise
+        conjugate."""
+        perm, exps = self.sigma(g)
+        m = self.order
+        return perm, tuple(-x % m for x in exps)
 
 
 # -- lines, blocks, reports -------------------------------------------
@@ -230,7 +224,7 @@ def _central_shifts(alg: AlgebraParams, pi: Poly) -> tuple:
     found = _CENTRAL.get((alg, pi))
     if found is None:
         G = group_of(alg)
-        hist = Counter(witness_set(alg, pi).shifts(G))
+        hist = Counter(witness_set(alg, pi).shifts)
         for gen in ((1, 0), (0, 1)):
             require(Counter({G.conjugate(gen, g): n for g, n in hist.items()})
                     == hist,
@@ -242,7 +236,7 @@ def _central_shifts(alg: AlgebraParams, pi: Poly) -> tuple:
 
 
 def decompose(alg: AlgebraParams, label: IrrepLabel,
-              places: list[Poly] | None = None) -> list[EigensystemBlock]:
+              places: list[Poly]) -> list[EigensystemBlock]:
     """The Hecke eigensystem of the sigma-isotypic intertwiner space, as
     one block labelled by an irreducible representation of the group at
     infinity (module docstring).
@@ -251,10 +245,7 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     and its lines must form one Frobenius orbit under the Frobenius step.
     At each place the Hecke operator must be central; its eigenvalue is
     then the diagonal entry at one line.  F^f must act on the lines by one
-    scalar that is a twist, which with the orbit names the block's label.
-    With places=None, the places of degree <= 2 are used."""
-    if places is None:
-        places = default_places(alg, 2)
+    scalar that is a twist, which with the orbit names the block's label."""
     G = group_of(alg)
     hs = HomSpace(G, label)
     f = hs.f
@@ -331,7 +322,7 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
 
 
 def verify_claim(alg: AlgebraParams, label: IrrepLabel,
-                 places: list[Poly] | None = None) -> SpectralReport:
+                 places: list[Poly]) -> SpectralReport:
     """The dimension count: blocks of the sigma-decomposition carry
     irreducible representations at infinity whose dimensions sum to
     dim(sigma); cross-validated against the tame dictionary (predicted
@@ -373,13 +364,16 @@ def verify_claim(alg: AlgebraParams, label: IrrepLabel,
 
 def verify_all(alg: AlgebraParams,
                places: list[Poly] | None = None) -> list[SpectralReport]:
-    G = group_of(alg)
+    """verify_claim for every irrep of the class group; with places=None,
+    the places of degree <= 2."""
+    if places is None:
+        places = default_places(alg, 2)
     return [verify_claim(alg, label, places)
-            for label in enumerate_irreps(G)]
+            for label in enumerate_irreps(group_of(alg))]
 
 
 def projective_basis(alg: AlgebraParams, label: IrrepLabel,
-                     places: list[Poly] | None = None) -> ProjectiveBasis:
+                     places: list[Poly]) -> ProjectiveBasis:
     """Within each block, the eigenlines of the unit group at infinity:
     all one-dimensional, labeled (block, chi), jointly spanning."""
     blocks = decompose(alg, label, places)

@@ -15,7 +15,6 @@ from int_rows import matmul
 from oracles import coords, reduce_mod
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
-from tjl.metacyclic import gamma
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
                             require_anisotropic, residue_field_elements)
 from tjl.adelic import (
@@ -193,6 +192,30 @@ def _cut(mat, m):
     return tuple(e % m for e in mat)
 
 
+def _conjugated_model(alg, pi):
+    """A second split model at pi: a fresh default model whose basis
+    matrices are conjugated by standard_conjugator, with the defining
+    relations checked again mod pi^P."""
+    sp = SplitPlace(alg, pi)
+    F, P = alg.field, sp.precision
+    # nothing memoised yet depends on the basis matrices
+    assert not sp._scaled_basis and not sp._divisor_images
+    g = standard_conjugator(alg)
+    ginv = sp.scale_mat((g[3], -g[1], -g[2], g[0]),
+                        sp.inv_mod(sp.det(g, P)), P)
+    sp.mat_i, sp.mat_j, sp.mat_k = (sp.matmul(sp.matmul(g, m, P), ginv, P)
+                                    for m in (sp.mat_i, sp.mat_j, sp.mat_k))
+    sp._basis = (sp.mat_one, sp.mat_i, sp.mat_j, sp.mat_k)
+    ij = sp.matmul(sp.mat_i, sp.mat_j, P)
+    assert ij == sp.mat_k
+    assert sp.matmul(sp.mat_i, sp.mat_i, P) == sp.scalar_mat(
+        Poly.constant(F, alg.eps))
+    assert sp.matmul(sp.mat_j, sp.mat_j, P) == sp.scalar_mat(Poly.t(F))
+    assert sp.matmul(sp.mat_j, sp.mat_i, P) == tuple(
+        (-e) % sp.modulus for e in ij)
+    return sp
+
+
 def _kernel_models(q):
     """Split models at the first places of degree 1 and 2, and the
     conjugated model at the first place."""
@@ -200,7 +223,7 @@ def _kernel_models(q):
     places = default_places(alg, 2)
     for deg in (1, 2):
         yield SplitPlace(alg, next(p for p in places if p.degree == deg))
-    yield SplitPlace(alg, places[0], conjugator=standard_conjugator(alg))
+    yield _conjugated_model(alg, places[0])
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
@@ -277,9 +300,9 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
                 if k - v < 2:
                     with pytest.raises(FactorizationError,
                                        match="precision exhausted"):
-                        comp.right_divide(x)
+                        comp.right_divide(x, x.nrd())
                 else:
-                    comp.right_divide(x)
+                    comp.right_divide(x, x.nrd())
                     mk = sp.pi_power(k - v)
                     quo = [e.divmod(sp.pi_power(v)) for e in
                            _ref_matmul(sp, prod, _ref_embed(sp, x.conj()), m)]
@@ -290,7 +313,8 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
                 # at two precisions is two entries
                 assert {key for key in sp._divisor_images if key[0] == x} \
                     == {(x, j) for j in range(2, k + 1)}
-                assert sp.divisor_image(x, k) is sp._divisor_images[(x, k)]
+                assert (sp.divisor_image(x, k, x.nrd())
+                        is sp._divisor_images[(x, k)])
 
         # a component at precision 2 cuts every kernel result down to pi^2;
         # at full precision, dividing by a witness costs one digit
@@ -302,14 +326,14 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
                 sp, sp.matmul(comp.mat, sp.embed(elt, precision), precision),
                 precision)
             assert comp.mat == mat
-            comp.right_divide(by)
+            comp.right_divide(by, by.nrd())
             inv = _ref_unit_inverse(sp, by.nrd())
             mat = tuple((e * inv) % m for e in
                         _ref_matmul(sp, mat, _ref_embed(sp, by.conj())))
             assert (comp.mat, comp.precision) == (mat, precision)
         comp = adelic.SplitComponent(sp, sp.matmul(comp.mat, sp.embed(w, P),
                                                    P), P)
-        comp.right_divide(w)
+        comp.right_divide(w, w.nrd())
         assert (comp.mat, comp.precision) == (
             _cut(mat, sp.pi_power(P - 1)), P - 1)
 
@@ -329,7 +353,7 @@ def test_exhausted_component_precision_survives_dash_O():
         "w = witness_set(alg, pi).witnesses[0].element\n"
         "comp = SplitComponent(sp, sp.embed(w, 2), precision=2)\n"
         "try:\n"
-        "    comp.right_divide(w)\n"
+        "    comp.right_divide(w, w.nrd())\n"
         "except FactorizationError as exc:\n"
         "    print(sys.flags.optimize, 'precision exhausted' in str(exc))\n"
     )
@@ -358,13 +382,12 @@ def test_split_place_rejects_t():
 def test_witness_shifts_frozen_q3():
     alg = AlgebraParams(3)
     F = alg.field
-    G = group_of(alg)
     ws = witness_set(alg, parse_poly(F, "t-1"))
-    assert sorted(ws.shifts(G)) == [(1, 0), (1, 2), (1, 4), (1, 6)]
+    assert sorted(ws.shifts) == [(1, 0), (1, 2), (1, 4), (1, 6)]
     ws = witness_set(alg, parse_poly(F, "t+1"))
-    assert sorted(ws.shifts(G)) == [(1, 1), (1, 3), (1, 5), (1, 7)]
+    assert sorted(ws.shifts) == [(1, 1), (1, 3), (1, 5), (1, 7)]
     ws = witness_set(alg, parse_poly(F, "t^2+1"))
-    assert Counter(ws.shifts(G)) == Counter(
+    assert Counter(ws.shifts) == Counter(
         {(0, 0): 4, (0, 4): 4, (0, 2): 1, (0, 6): 1})
 
 
@@ -443,19 +466,18 @@ def test_hecke_independent_of_splitting():
     # the witnesses relabeled in a conjugated model again fill every coset
     # once, and their shifts give the same Hecke matrix
     alg = AlgebraParams(3)
-    G = group_of(alg)
     moved_a_label = False
     for name in ("t-1", "t^2+1"):
         pi = parse_poly(alg.field, name)
         ws = witness_set(alg, pi)
-        conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
+        conj = _conjugated_model(alg, pi)
         moved = [Witness(w.element, w.depth, *conj.coset_labels(w.element),
                          w.reduction) for w in ws.witnesses]
         moved_a_label |= any(m.right_label != w.right_label
                              for m, w in zip(moved, ws.witnesses))
         again = adelic._certify(alg, pi, moved)
         assert set(again.by_right) == set(ws.by_right)
-        mats = [right_translation_matrix(alg, g) for g in again.shifts(G)]
+        mats = [right_translation_matrix(alg, g) for g in again.shifts]
         S = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
         assert hecke_matrix(alg, pi) == S
     assert moved_a_label
@@ -575,7 +597,7 @@ def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
     for pi in default_places(alg, 2):
         scan = adelic._place_scan(alg, pi)
         ws = witness_set(alg, pi)
-        conj = SplitPlace(alg, pi, conjugator=standard_conjugator(alg))
+        conj = _conjugated_model(alg, pi)
         for sp in (scan.split, conj):
             P = sp.precision
             for w in ws.witnesses:
@@ -760,7 +782,7 @@ def test_adele_right_divide_returns_the_inverse():
             assert inv == elt.inverse()
             assert (state.zero, state.infinity) == (zero * inv, infinity * inv)
             for p, comp in alone.items():
-                comp.right_divide(elt)
+                comp.right_divide(elt, elt.nrd())
                 assert (comp.mat, comp.precision) == (
                     state.split[p].mat, state.split[p].precision)
 
@@ -1063,12 +1085,10 @@ def test_witness_set_is_certified_once_per_place(monkeypatch):
     assert calls == [pi]
     assert verify_witness_uniqueness(alg, pi, depth_bound=4)["witnesses"] == 10
     assert calls == [pi]
-    # the shifts are read once per group; a caller's list is its own
+    # the shifts are one tuple of reductions in the group of the algebra
     G = group_of(alg)
-    shifts = ws.shifts(G)
-    shifts.append((0, 0))
-    assert ws.shifts(G) == shifts[:-1]
-    assert ws.shifts(G) is not ws.shifts(G)
+    assert ws.shifts == tuple(w.reduction.to_gamma(G.R, G.M)
+                              for w in ws.witnesses)
 
 
 def test_witness_set_cache_is_keyed_by_level():

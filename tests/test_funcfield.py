@@ -115,7 +115,7 @@ def test_poly_xgcd_identity():
         assert u * a + v * b == g
         if not (a.is_zero() and b.is_zero()):
             assert g.is_monic()
-            assert g.divides(a) is False or True  # g divides both
+            assert g.divides(a) and g.divides(b)
             assert (a % g).is_zero() and (b % g).is_zero()
 
 
@@ -461,8 +461,8 @@ def test_ratfunc_same_denominator_sum_is_the_cross_multiplied_sum():
 
 
 def test_bad_field_arguments_raise_value_error():
-    with pytest.raises(ValueError, match="is a square"):
-        Fq2(gf(3), eps=1)
+    with pytest.raises(ValueError, match="characteristic-2"):
+        Fq2(gf(4))
     K = fq2(3)
     with pytest.raises(ValueError, match="no multiplicative order"):
         K.multiplicative_order(K.zero)

@@ -51,7 +51,9 @@ def test_hashed_records_hash_compare_and_print_as_field_tuples():
     for rec, fields, text in _hashed_records():
         assert hash(rec) == hash(fields)
         assert repr(rec) == text
-        twin = type(rec)(*fields)
+        # AlgebraParams derives eps from q: it is built from (q, level)
+        args = fields[:2] if isinstance(rec, AlgebraParams) else fields
+        twin = type(rec)(*args)
         assert twin == rec and not twin != rec and hash(twin) == hash(rec)
         assert rec != fields
         assert copy.copy(rec) == rec
@@ -124,11 +126,14 @@ def test_params_validation_still_fires():
         GroupParams(3, 2, 0)
     with pytest.raises(ValueError, match="odd characteristic"):
         AlgebraParams(4)
-    with pytest.raises(ValueError, match="square"):
-        AlgebraParams(3, eps=1)
     with pytest.raises(ValueError, match="positive"):
         AlgebraParams(5, level=0)
+    # eps is the canonical non-square, and copy and pickle keep it, with
+    # the level, through the rebuild from (q, level)
     for q in (3, 5, 7, 9):
-        assert AlgebraParams(q).eps == gf(q).smallest_nonsquare
-        assert AlgebraParams(q) == AlgebraParams(q, 1,
-                                                 gf(q).smallest_nonsquare)
+        alg = AlgebraParams(q, 2)
+        assert alg.eps == gf(q).smallest_nonsquare
+        for twin in (copy.copy(alg), copy.deepcopy(alg),
+                     pickle.loads(pickle.dumps(alg))):
+            assert twin == alg
+            assert (twin.eps, twin.level) == (alg.eps, 2)
