@@ -24,9 +24,9 @@ thus bounds no search; verify_witness_uniqueness alone checks one.
 
 The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
-(q, eps, m), so its q^{2m} values are encoded as base-q integers and
-hashed once into a dict shared by every place, and each place looks up its
-q^{2m} (a, d) values there.  Each place is scanned and embedded once;
+(q, m), as q fixes eps, so its q^{2m} values are encoded as base-q integers
+and hashed once into a dict shared by every place, and each place looks up
+its q^{2m} (a, d) values there.  Each place is scanned and embedded once;
 witness_set and verify_witness_uniqueness both read that scan.
 
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
@@ -41,17 +41,18 @@ a peeling reads), but its arithmetic works mod pi^k for the precision k
 each caller passes: the multiply-reduce kernel folds high coefficients back
 along rows t^e mod pi^k kept per k, and an embedding entry is one kernel
 call over the coordinate numerators and the basis matrices scaled by each
-inverse denominator.  Coset labels read a witness at 2 digits.  An adele
-component computes at its own precision, which a division by norm valuation
-v lowers by v; each divisor's image, embed(conj x) times the inverse of the
-unit part of nrd x, is computed once per model and precision.  A
-synthesized adele starts at P digits; factorize_adele cuts each component
-to the v + 2 digits its peeling uses (the proof is in its docstring).
+inverse denominator.  Coset labels read a witness's numerators at 1 digit
+and its norm at 2.  An adele component computes at its own precision,
+which a division by norm valuation v lowers by v; each divisor's image,
+embed(conj x) times the inverse of the unit part of nrd x, is computed
+once per model and precision.  A synthesized adele starts at P digits;
+factorize_adele cuts each component to the v + 2 digits its peeling uses
+(the proof is in its docstring).
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .cyclotomic import FalsificationError, FrozenRecord, require
 from .funcfield import Poly, RatFunc, format_poly, monic_irreducibles
@@ -61,7 +62,6 @@ from .quaternion import (
     LocalReduction,
     OrderElement,
     _j_power,
-    _pi_infinity_power,
     reduce_at_infinity,
     reduce_at_zero,
     require_anisotropic,
@@ -121,8 +121,9 @@ class SplitPlace:
         # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
         # repeat (witness norms, pi^2)
         self._num_inverses: dict[Poly, Poly] = {}
-        # residue r mod pi -> r^{-1} mod pi, for the coset labels
+        # residue inverses and basis matrices mod pi, for the coset labels
         self._residue_inverses: dict[Poly, Poly] = {}
+        self._basis_mod_pi: tuple[Mat, ...] | None = None
         # (divisor x, k) -> (v_pi(nrd x), embed(conj x) times the inverse of
         # the unit part of nrd x, mod pi^k): the divisors are the witnesses
         # and the central pi's, and right_divide reads each one again
@@ -141,11 +142,10 @@ class SplitPlace:
         # model sanity: the defining relations hold mod pi^P
         t = Poly.t(F)
         anti = self.matmul(self.mat_j, self.mat_i, P)
-        ij = self.matmul(self.mat_i, self.mat_j, P)
         if (self.matmul(self.mat_i, self.mat_i, P)
                 != self.scalar_mat(Poly.constant(F, alg.eps))
                 or self.matmul(self.mat_j, self.mat_j, P) != self.scalar_mat(t)
-                or anti != tuple((-e) % self.modulus for e in ij)):
+                or anti != tuple((-e) % self.modulus for e in self.mat_k)):
             raise FalsificationError(
                 f"the matrix model at {format_poly(pi)} breaks the relations "
                 f"i^2 = eps, j^2 = t, ji = -ij")
@@ -339,16 +339,40 @@ class SplitPlace:
 
     def coset_labels(self, elt: OrderElement) -> tuple[tuple, tuple]:
         """The right and left cosets of the degree-one double coset that
-        contain the witness elt.  Two digits decide both: det mod pi^2 shows
-        v_pi(det) = 1, and the lines are read mod pi."""
-        mat = self.embed(elt, 2)
-        det = self.det(mat, 2)
-        v = det.valuation(self.pi) if det.coeffs else ">= 2"
+        contain the witness elt = (A + Bi + Cj + Dij) / den (den a unit at
+        pi): its lines mod pi are those of den embed(elt) = A B_1 + B B_i +
+        C B_j + D B_ij, and nrd(elt) is det embed(elt) mod pi^2."""
+        r = elt.nrd().num % self.pi_power(2)
+        v = r.valuation(self.pi) if r.coeffs else ">= 2"
         if v != 1:
             raise FalsificationError(
                 f"witness {elt} has determinant valuation {v} at "
                 f"{format_poly(self.pi)}")
+        cols = list(zip(elt.nums, self._label_basis()))
+        mat = tuple(self._mulsum([(n, B[e]) for n, B in cols], 1)
+                    for e in range(4))
         return self.identify_right_coset(mat), self.identify_left_coset(mat)
+
+    def _label_basis(self) -> tuple[Mat, ...]:
+        """The basis matrices mod pi, once per model, after checking that
+        det(a B_1 + b B_i + c B_j + d B_ij) = a^2 - eps b^2 - t c^2
+        + eps t d^2 mod pi^2, 10 coefficients of quadratic forms."""
+        if self._basis_mod_pi is None:
+            F, B, eps, pi = self.alg.field, self._basis, self.alg.eps, self.pi
+            diag = ((1,), (F.neg(eps),), (0, F.neg(1)), (0, eps))
+            for x, y in combinations_with_replacement(range(4), 2):
+                X, Y = B[x], B[y]
+                # the coefficient of a_x a_y: det X, or its polarisation
+                pairs = [(X[0], Y[3]), (-X[1], Y[2])]
+                if x != y:
+                    pairs += [(Y[0], X[3]), (-Y[1], X[2])]
+                want = diag[x] if x == y else ()
+                if self._mulsum(pairs, 2).coeffs != want:
+                    raise FalsificationError(
+                        f"the matrix model at {format_poly(pi)} breaks "
+                        f"det embed = nrd mod pi^2")
+            self._basis_mod_pi = tuple(tuple(e % pi for e in M) for M in B)
+        return self._basis_mod_pi
 
     def _coset_label(self, vectors, what: str, kind: str) -> tuple:
         """The coset named by the one line over O/pi that the vectors
@@ -478,20 +502,21 @@ def _half_keys(polys, m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _norm_table(F, eps: int, m: int) -> dict[int, array]:
+def _norm_table(F, m: int) -> dict[int, array]:
     """The key of eps*b^2 + t*c^2 -> the pair indices b * q^m + c behind it,
-    over all pairs (b, c) of degree < m, in increasing order; shared by
-    every place.  An array of C longs holds the indices of a key, so the
-    q^(2m) indices make no int objects."""
-    table = _NORM_TABLES.get((F.q, eps, m))
+    over all pairs (b, c) of degree < m, in increasing order, for F's eps;
+    shared by every place.  An array of C longs holds the indices of a key,
+    so the q^(2m) indices make no int objects."""
+    table = _NORM_TABLES.get((F.q, m))
     if table is None:
-        table = _NORM_TABLES[(F.q, eps, m)] = _build_norm_table(F, eps, m)
+        table = _NORM_TABLES[(F.q, m)] = _build_norm_table(F, m)
     return table
 
 
-def _build_norm_table(F, eps: int, m: int) -> dict[int, array]:
+def _build_norm_table(F, m: int) -> dict[int, array]:
     from array import array  # loaded by a join, not by importing tjl
 
+    eps = F.smallest_nonsquare
     Q = F.q ** m
     sums = _digit_sums(F, m)
     lows = [Poly(F, cs) for cs in product(range(F.q), repeat=m)]
@@ -529,7 +554,7 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
         raise SearchBoundExceededError(
             f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
             f"more than the cap {TABLE_ROW_CAP}")
-    table = _norm_table(F, alg.eps, m)
+    table = _norm_table(F, m)
     get = table.get
     Q = q ** m
     sums = _digit_sums(F, m)
@@ -734,8 +759,11 @@ class SplitComponent:
         self.precision = sp.precision if precision is None else precision
         modulus = sp.pi_power(self.precision)
         self.mat = tuple(e % modulus for e in mat)
+        self._valuation: int | None = None  # v_pi(det mat), once per mat
 
     def det_valuation(self) -> int:
+        if self._valuation is not None:
+            return self._valuation
         d = self.sp.det(self.mat, self.precision)
         if d.is_zero():
             raise FactorizationError(
@@ -746,6 +774,7 @@ class SplitComponent:
             raise FactorizationError(
                 f"determinant valuation {v} at {format_poly(self.sp.pi)} "
                 f"exceeds the precision {self.precision}")
+        self._valuation = v
         return v
 
     def is_unit(self) -> bool:
@@ -776,7 +805,12 @@ class SplitComponent:
                 raise FactorizationError(
                     f"component precision exhausted at {format_poly(sp.pi)}: "
                     f"{k - v} digits left")
-        self.mat = num
+        self.mat, self._valuation = num, None
+
+
+# (alg, x) -> (nrd x, x^{-1}) for AdeleState.right_divide, whose divisors in
+# factorize_adele are the witnesses and the central pi's of the places
+_DIVISORS: dict = {}
 
 
 class AdeleState:
@@ -792,9 +826,12 @@ class AdeleState:
 
     def right_divide(self, elt: OrderElement) -> OrderElement:
         """Multiply by elt^{-1} on the right and return elt^{-1}; nrd(elt)
-        is computed once for every component."""
-        n = elt.nrd()
-        inv = elt.inverse(n)
+        and elt^{-1} are computed once per divisor, for every component."""
+        key = (elt.alg, elt)
+        if key not in _DIVISORS:
+            n = elt.nrd()
+            _DIVISORS[key] = (n, elt.inverse(n))
+        n, inv = _DIVISORS[key]
         self.zero = self.zero * inv
         self.infinity = self.infinity * inv
         for comp in self.split.values():
@@ -866,16 +903,13 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly]
 
 def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
     """A random matrix mod pi^P whose determinant is a unit.  Only det mod
-    pi decides that, so it is taken of the entries reduced mod pi."""
+    pi decides that, so it is taken at one digit."""
     F = sp.alg.field
     span = sp.modulus.degree
-    pi = sp.pi
     while True:
-        mat = tuple(
-            Poly(F, tuple(rng.randrange(F.q) for _ in range(span)))
-            for _ in range(4))
-        a, b, c, d = (e % pi for e in mat)
-        if not ((a * d - b * c) % pi).is_zero():
+        mat = tuple(Poly(F, [rng.randrange(F.q) for _ in range(span)])
+                    for _ in range(4))
+        if sp.det(mat, 1).coeffs:
             return mat
 
 
@@ -904,9 +938,10 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
     below the precision, so the cut changes no choice."""
     G = group_of(alg)
     for pi, comp in state.split.items():
-        cut = comp.det_valuation() + 2
-        if cut < comp.precision:
-            state.split[pi] = SplitComponent(comp.sp, comp.mat, cut)
+        v = comp.det_valuation()
+        if v + 2 < comp.precision:
+            state.split[pi] = cut = SplitComponent(comp.sp, comp.mat, v + 2)
+            cut._valuation = v  # det mod pi^(v + 2) has valuation v too
     rho = OrderElement.one(alg)
     for pi in sorted(state.split.keys(), key=lambda p: (p.degree, p.coeffs)):
         comp = state.split[pi]
@@ -923,11 +958,12 @@ def factorize_adele(alg: AlgebraParams, state: AdeleState
             label = comp.sp.identify_left_coset(comp.mat)
             w = ws.by_left[label].element
             rho = rho * state.right_divide(w)
-    # balance infinity with a global Teichmueller times a j-power
+    # balance infinity with a global Teichmueller times (j/t)^(-k) = j^k,
+    # as j/t = j^(-1)
     r = reduce_at_infinity(state.infinity)
     K = alg.residue
     gamma_f = OrderElement.teichmuller(alg, K.inv(r.residue)) \
-        * _pi_infinity_power(alg, -r.k)
+        * _j_power(alg, r.k)
     state.zero = state.zero * gamma_f
     state.infinity = state.infinity * gamma_f
     rho = rho * gamma_f

@@ -589,26 +589,6 @@ class RatFunc:
             return INF
         return self.num.t_valuation() - self.den.t_valuation()
 
-    def value_at_zero(self) -> int:
-        """Residue at t=0 (requires t-valuation >= 0)."""
-        v = self.t_valuation()
-        if v == INF or v > 0:
-            return 0
-        if v < 0:
-            raise ValueError("pole at t=0")
-        F = self.field
-        a = self.num.coeffs[self.num.t_valuation()]
-        b = self.den.coeffs[self.den.t_valuation()]
-        return F.div(a, b)
-
-    def value_at_infinity(self) -> int:
-        v = self.valuation_at_infinity()
-        if v == INF or v > 0:
-            return 0
-        if v < 0:
-            raise ValueError("pole at infinity")
-        return self.field.div(self.num.lead, self.den.lead)
-
     def __repr__(self):
         if self.den.is_one():
             return f"RatFunc({format_poly(self.num)})"

@@ -7,11 +7,10 @@ place the conic x^2 - eps y^2 = t has a smooth point, certified by brute
 force over the residue field).  The standard order spanned by 1, i, j, ij
 over F_q[t] is maximal: its reduced discriminant is (t).
 
-Elements carry exact rational-function coordinates, so local reductions at
-t and at infinity are computed from valuations with no precision tracking.
 Reduction at a ramified place sends x to (k, u): k the valuation of nrd(x)
 and u the residue after dividing out the k-th uniformizer power on the left
-(uniformizer j at t, j/t at infinity).
+(j at t, j/t at infinity), read off the numerators of x with one norm and
+no quaternion product (_reduce).
 
 Elements are stored as four numerator polynomials over one monic
 denominator, in the normal form that OrderElement describes, and every
@@ -263,21 +262,8 @@ class OrderElement:
     def __repr__(self) -> str:
         return f"OrderElement({self.a}, {self.b}, {self.c}, {self.d})"
 
-    # -- integrality and unit-group membership -------------------------
-    # Each reads the normal form.  A coordinate's valuation at infinity is
-    # deg den - deg numerator whether or not the two share a factor; and
-    # as no prime divides den and every numerator, x is integral at t
-    # exactly when t does not divide den.
-
-    def t_integral(self) -> bool:
-        return self.den.coeffs[0] != 0
-
-    def infinity_integral(self) -> bool:
-        """Membership in the maximal order at infinity: in the unramified
-        coordinate frame (a, b, tc, td) every entry is integral there."""
-        e = self.den.degree
-        a, b, c, d = self.nums
-        return a.degree <= e and b.degree <= e and c.degree < e and d.degree < e
+    # -- unit-group membership -----------------------------------------
+    # v_inf of a coordinate is deg den - deg numerator, common factor or not
 
     def in_K1_infinity(self) -> bool:
         """Principal unit at infinity: congruent to 1 mod the maximal ideal."""
@@ -306,9 +292,8 @@ _BASIS_PRODUCTS: dict = {}
 
 def _basis_products(alg: AlgebraParams) -> tuple:
     """Row x holds, for each y, (x XOR y, s, c): e_x e_y = c t^s e_(x XOR y)
-    with c = +-1 or +-eps in F_q; built once per (q, eps)."""
-    key = (alg.q, alg.eps)
-    table = _BASIS_PRODUCTS.get(key)
+    with c = +-1 or +-eps in F_q; built once per q, which fixes eps."""
+    table = _BASIS_PRODUCTS.get(alg.q)
     if table is None:
         F = alg.field
         rows = []
@@ -318,7 +303,7 @@ def _basis_products(alg: AlgebraParams) -> tuple:
                 c = alg.eps if a else 1
                 row.append((x ^ y, s, F.neg(c) if sign < 0 else c))
             rows.append(tuple(row))
-        table = _BASIS_PRODUCTS[key] = tuple(rows)
+        table = _BASIS_PRODUCTS[alg.q] = tuple(rows)
     return table
 
 
@@ -384,67 +369,63 @@ def _j_power(alg: AlgebraParams, k: int) -> OrderElement:
     """j^k for any integer k: t^h for k = 2h and t^h j for k = 2h + 1,
     since j^2 = t (so j^{-1} = j/t)."""
     half, odd = divmod(k, 2)  # floor division keeps odd in {0, 1}
-    th = RatFunc.t_power(alg.field, half)
-    if odd:
-        z = RatFunc.zero(alg.field)
-        return OrderElement(alg, z, z, th, z)
-    return OrderElement.scalar(alg, th)
+    th, z = RatFunc.t_power(alg.field, half), RatFunc.zero(alg.field)
+    return OrderElement(alg, *((z, z, th, z) if odd else (th, z, z, z)))
 
 
 def reduce_at_zero(x: OrderElement) -> LocalReduction:
     """Valuation and unit residue of x in the completed algebra at t."""
-    if x.is_zero():
-        raise ReductionError("cannot reduce zero")
-    n = x.nrd()
-    k = n.t_valuation()
-    # left division: with x = j^k y the unit residues compose by
-    # (k,e)(k',e') = (k+k', e q^{k'} + e'), matching the finite model
-    y = _j_power(x.alg, -k) * x
-    if not y.t_integral():
-        raise ReductionError("reduced element fails integrality at t")
-    K = x.alg.residue
-    u = K.element(y.a.value_at_zero(), y.b.value_at_zero())
-    if u == K.zero:
-        raise ReductionError("unit residue vanished at t")
-    # the residue norm of y's coordinates matches the unit part of nrd(x):
-    # nrd is multiplicative and nrd(j) = -t, so nrd(y) = (-t)^(-k) nrd(x)
-    unit = (n * RatFunc.t_power(x.alg.field, -k)).value_at_zero()
-    if k % 2:
-        unit = x.alg.field.neg(unit)
-    if K.norm(u) != unit:
-        raise ReductionError(
-            "the unit part at t has a norm that is not the residue norm")
-    return LocalReduction("zero", k, u, K.dlog(u))
+    return _reduce(x, "zero")
 
 
 def reduce_at_infinity(x: OrderElement) -> LocalReduction:
     """Valuation and unit residue at infinity, uniformizer j/t."""
+    return _reduce(x, "infinity")
+
+
+def _reduce(x: OrderElement, place: str) -> LocalReduction:
+    """k = v(nrd x) and the residue u of y = P^(-k) x, P = j at t and j/t
+    at infinity, read off x = (A + Bi + Cj + Dij) / den.  As j^(-2h) =
+    t^(-h), (j/t)^(-2h) = t^h and j x den = tC - tD i + Aj - B ij, with
+    k = 2h + s and (R0, R1, O0, O1) = (A, B, C, D), or (C, -D, A, -B) if
+    s = 1, y = (R0 + R1 i) / (den t^h) + (O0 j + O1 ij) / (den t^(h+s)) at t
+    and (R0 + R1 i) t^(h+s) / den + (O0 j + O1 ij) t^h / den at infinity:
+    u is R0 + R1 i at t^e over den's coefficient there, e = v_t(den) + h or
+    deg den - h - s, and integrality (in the frame (a, b, tc, td) at
+    infinity) bounds the valuations or degrees of the four numerators."""
     if x.is_zero():
         raise ReductionError("cannot reduce zero")
+    F, K = x.alg.field, x.alg.residue
     n = x.nrd()
-    k = n.valuation_at_infinity()
-    y = _pi_infinity_power(x.alg, -k) * x
-    if not y.infinity_integral():
-        raise ReductionError("reduced element fails integrality at infinity")
-    K = x.alg.residue
-    u = K.element(y.a.value_at_infinity(), y.b.value_at_infinity())
+    at_t, where = (True, "t") if place == "zero" else (False, "infinity")
+    k = n.t_valuation() if at_t else n.valuation_at_infinity()
+    h, s = divmod(k, 2)  # floor division keeps s in {0, 1}
+    nums = x.nums[2:] + x.nums[:2] if s else x.nums  # (C, D, A, B): sign in u
+    if at_t:
+        v = x.den.t_valuation()
+        idx, c, j_idx = v + h, x.den.coeffs[v], v + h + s
+        unit = F.div(n.num.coeffs[n.num.t_valuation()],  # (nrd(x) t^-k)(0)
+                     n.den.coeffs[n.den.t_valuation()])
+    else:
+        idx, c = x.den.degree - h - s, 1  # den is monic
+        j_idx = idx + s - 1
+        unit = n.num.lead  # (nrd(x) t^k)(infinity), as n.den is monic
+    bounds = zip(nums, (idx, idx, j_idx, j_idx))
+    integral = (all(p.t_valuation() >= b for p, b in bounds if p.coeffs)
+                if at_t else all(p.degree <= b for p, b in bounds))
+    if not integral:
+        raise ReductionError(f"reduced element fails integrality at {where}")
+    r0, r1 = (F.div(p.coeffs[idx], c) if 0 <= idx < len(p.coeffs) else 0
+              for p in nums[:2])
+    u = K.element(r0, F.neg(r1) if s else r1)
     if u == K.zero:
-        raise ReductionError("unit residue vanished at infinity")
-    # nrd(j/t) = -1/t, so nrd(y) = (-t)^k nrd(x); c and d of y vanish at
-    # infinity, so nrd(y) takes the value K.norm(u) there
-    unit = (n * RatFunc.t_power(x.alg.field, k)).value_at_infinity()
-    if k % 2:
-        unit = x.alg.field.neg(unit)
-    if K.norm(u) != unit:
-        raise ReductionError(
-            "the unit part at infinity has a norm that is not the residue norm")
-    return LocalReduction("infinity", k, u, K.dlog(u))
-
-
-def _pi_infinity_power(alg: AlgebraParams, k: int) -> OrderElement:
-    """(j/t)^k exactly: j^k scaled by t^{-k} on the j-side pairing."""
-    # (j/t)^2 = j^2/t^2 = 1/t, so (j/t)^k = j^k * t^{-k}
-    return _j_power(alg, k).scale(RatFunc.t_power(alg.field, -k))
+        raise ReductionError(f"unit residue vanished at {where}")
+    # nrd(j) = -t and nrd(j/t) = -1/t, so nrd(y) is (-1)^k times the unit
+    # part of nrd(x); it takes the value K.norm(u) at the place
+    if K.norm(u) != (F.neg(unit) if s else unit):
+        raise ReductionError(f"the unit part at {where} has a norm that is "
+                             f"not the residue norm")
+    return LocalReduction(place, k, u, K.dlog(u))
 
 
 # -- maximality and ramification certificates --------------------------

@@ -1,7 +1,8 @@
 """Reference computations that several test files check tjl against."""
 
 from tjl.cyclotomic import FalsificationError
-from tjl.funcfield import Poly, RatFunc, format_poly
+from tjl.funcfield import INF, Poly, RatFunc, format_poly
+from tjl.quaternion import LocalReduction, OrderElement
 
 
 def reduce_mod(r, pi, power):
@@ -22,3 +23,101 @@ def reduce_mod(r, pi, power):
 def coords(x):
     """The four coordinates of the OrderElement x as RatFuncs."""
     return tuple(RatFunc(n, x.den) for n in x.nums)
+
+
+def value_at_zero(r):
+    """The value of the RatFunc r at t = 0 (ValueError at a pole)."""
+    v = r.t_valuation()
+    if v == INF or v > 0:
+        return 0
+    if v < 0:
+        raise ValueError("pole at t=0")
+    a = r.num.coeffs[r.num.t_valuation()]
+    b = r.den.coeffs[r.den.t_valuation()]
+    return r.field.div(a, b)
+
+
+def value_at_infinity(r):
+    """The value of the RatFunc r at infinity (ValueError at a pole)."""
+    v = r.valuation_at_infinity()
+    if v == INF or v > 0:
+        return 0
+    if v < 0:
+        raise ValueError("pole at infinity")
+    return r.field.div(r.num.lead, r.den.lead)
+
+
+def t_integral(x):
+    """Whether the OrderElement x is integral at t.  No prime divides the
+    denominator and every numerator of the normal form, so this is
+    whether t does not divide the denominator."""
+    return x.den.coeffs[0] != 0
+
+
+def infinity_integral(x):
+    """Membership of x in the maximal order at infinity: every entry of
+    the unramified coordinate frame (a, b, tc, td) is integral there.  A
+    coordinate's valuation at infinity is deg den - deg numerator."""
+    e = x.den.degree
+    a, b, c, d = x.nums
+    return a.degree <= e and b.degree <= e and c.degree < e and d.degree < e
+
+
+def ref_mul(x, y):
+    """The quaternion product by per-coordinate RatFunc formulas."""
+    F = x.alg.field
+    eps = RatFunc.constant(F, x.alg.eps)
+    t = RatFunc.t_power(F, 1)
+    a, b, c, d = coords(x)
+    e, f, g, h = coords(y)
+    return OrderElement(
+        x.alg,
+        a * e + eps * b * f + t * c * g - eps * t * d * h,
+        a * f + b * e - t * c * h + t * d * g,
+        a * g + c * e + eps * b * h - eps * d * f,
+        a * h + d * e + b * g - c * f,
+    )
+
+
+def ref_nrd(x):
+    """The reduced norm by a per-coordinate RatFunc formula."""
+    F = x.alg.field
+    eps = RatFunc.constant(F, x.alg.eps)
+    t = RatFunc.t_power(F, 1)
+    a, b, c, d = coords(x)
+    return a * a - eps * b * b - t * c * c + eps * t * d * d
+
+
+def ref_reduce_at_zero(x):
+    """v_t(nrd x), and the residue of j^{-k} x, built by k products, with
+    its integrality and its norm checked on a second full norm."""
+    alg = x.alg
+    k = ref_nrd(x).t_valuation()
+    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
+    jinv = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
+    for _ in range(abs(k)):
+        y = ref_mul(y, jinv if k > 0 else OrderElement.j(alg))
+    y = ref_mul(y, x)
+    assert t_integral(y)
+    K = alg.residue
+    u = K.element(value_at_zero(y.a), value_at_zero(y.b))
+    assert K.norm(u) == value_at_zero(ref_nrd(y))
+    return LocalReduction("zero", k, u, K.dlog(u))
+
+
+def ref_reduce_at_infinity(x):
+    """v_inf(nrd x), and the residue of (j/t)^{-k} x, built by k products,
+    with its integrality and its norm checked on a second full norm;
+    (j/t)^{-1} = j."""
+    alg = x.alg
+    k = ref_nrd(x).valuation_at_infinity()
+    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
+    j_over_t = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
+    for _ in range(abs(k)):
+        y = ref_mul(y, OrderElement.j(alg) if k > 0 else j_over_t)
+    y = ref_mul(y, x)
+    assert infinity_integral(y)
+    K = alg.residue
+    u = K.element(value_at_infinity(y.a), value_at_infinity(y.b))
+    assert K.norm(u) == value_at_infinity(ref_nrd(y))
+    return LocalReduction("infinity", k, u, K.dlog(u))

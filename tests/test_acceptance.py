@@ -15,8 +15,7 @@ import time
 from fractions import Fraction
 
 from int_rows import matmul
-from tjl.cyclotomic import Cyc
-from tjl.funcfield import gf, monic_irreducibles, parse_poly, Poly
+from tjl.funcfield import monic_irreducibles, parse_poly, Poly
 from tjl.metacyclic import (
     GroupParams,
     character_inner,

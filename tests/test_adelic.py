@@ -12,11 +12,13 @@ from itertools import product
 import pytest
 
 from int_rows import matmul
-from oracles import coords, reduce_mod
+from oracles import (coords, reduce_mod, ref_reduce_at_infinity,
+                     ref_reduce_at_zero)
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
-from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_zero,
-                            require_anisotropic, residue_field_elements)
+from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_infinity,
+                            reduce_at_zero, require_anisotropic,
+                            residue_field_elements)
 from tjl.adelic import (
     FactorizationError,
     FalsificationError,
@@ -200,6 +202,7 @@ def _conjugated_model(alg, pi):
     F, P = alg.field, sp.precision
     # nothing memoised yet depends on the basis matrices
     assert not sp._scaled_basis and not sp._divisor_images
+    assert sp._basis_mod_pi is None
     g = standard_conjugator(alg)
     ginv = sp.scale_mat((g[3], -g[1], -g[2], g[0]),
                         sp.inv_mod(sp.det(g, P)), P)
@@ -590,9 +593,10 @@ def _ref_coset_label(pi, vectors, kind):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9])
 def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
-    # v_pi(det) = 1 needs two digits and the line one: the labels of every
-    # witness equal those read off its P-digit embedding, in the default
-    # model and in a conjugated one
+    # v_pi(nrd) = 1 needs two digits and the line one: the labels that
+    # coset_labels reads off the numerator matrix mod pi equal those read
+    # off the P-digit embedding, at every witness, in the default model and
+    # in a conjugated one
     alg = AlgebraParams(q)
     for pi in default_places(alg, 2):
         scan = adelic._place_scan(alg, pi)
@@ -603,6 +607,11 @@ def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
             for w in ws.witnesses:
                 A = sp.embed(w.element, P)
                 assert sp.det(A, P).valuation(pi) == 1
+                # the numerator matrix is den times the embedding
+                M = [sum((n * B[e] for n, B in zip(w.element.nums,
+                                                   sp._basis)),
+                         Poly.zero(alg.field)) % pi for e in range(4)]
+                assert M == [(w.element.den * e) % pi for e in A]
                 want = (_ref_coset_label(pi, [(A[0], A[2]), (A[1], A[3])],
                                          "upper"),
                         _ref_coset_label(pi, [(A[0], A[1]), (A[2], A[3])],
@@ -651,6 +660,72 @@ def test_coset_labels_reject_determinant_valuation_two_under_dash_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+def _tamper_mat_j(sp):
+    """Negate the entry eps y of mat_j, nonzero mod pi, after the model's
+    relations were checked; nothing read the basis matrices yet."""
+    assert sp._basis_mod_pi is None
+    a, b, c, d = sp.mat_j
+    assert not (b % sp.pi).is_zero()
+    sp.mat_j = (a, (-b) % sp.modulus, c, d)
+    sp._basis = (sp.mat_one, sp.mat_i, sp.mat_j, sp.mat_k)
+
+
+def test_a_model_breaking_det_equals_nrd_is_a_falsification():
+    # the coset labels read v_pi(nrd) for v_pi(det embed); a model whose
+    # determinant is not the norm mod pi^2 is refused, naming the place
+    alg = AlgebraParams(3)
+    for name in ("t+1", "t^2+1"):
+        pi = parse_poly(alg.field, name)
+        w = witness_set(alg, pi).witnesses[0].element
+        assert SplitPlace(alg, pi).coset_labels(w)
+        sp = SplitPlace(alg, pi)
+        _tamper_mat_j(sp)
+        with pytest.raises(FalsificationError,
+                           match=rf"model at {re.escape(name)} breaks det "
+                                 rf"embed = nrd mod pi\^2"):
+            sp.coset_labels(w)
+        assert sp._basis_mod_pi is None
+
+
+def test_a_model_breaking_det_equals_nrd_fails_under_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl.adelic import FalsificationError, SplitPlace, witness_set\n"
+        "from tjl.funcfield import parse_poly\n"
+        "from tjl.quaternion import AlgebraParams\n"
+        "alg = AlgebraParams(3)\n"
+        "pi = parse_poly(alg.field, 't+1')\n"
+        "sp = SplitPlace(alg, pi)\n"
+        "a, b, c, d = sp.mat_j\n"
+        "sp.mat_j = (a, (-b) % sp.modulus, c, d)\n"
+        "sp._basis = (sp.mat_one, sp.mat_i, sp.mat_j, sp.mat_k)\n"
+        "try:\n"
+        "    sp.coset_labels(witness_set(alg, pi).witnesses[0].element)\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'det embed = nrd' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_witness_reductions_match_the_reference_products(q):
+    # the closed forms against k products by j or j/t, at every witness of
+    # every place of degree <= 2; k = -deg pi at t and 0 at infinity
+    alg = AlgebraParams(q)
+    for pi in default_places(alg, 2):
+        for w in witness_set(alg, pi).witnesses:
+            gam = w.element
+            assert w.reduction == reduce_at_zero(gam) \
+                == ref_reduce_at_zero(gam)
+            assert w.reduction.k == -pi.degree
+            red = reduce_at_infinity(gam)
+            assert red == ref_reduce_at_infinity(gam)
+            assert (red.k, red.exponent) == (0, 0)
 
 
 def test_infinity_action_commutes_with_hecke():
@@ -751,6 +826,34 @@ def test_round_trip_arithmetic_is_pinned(q, level, degree_bound, seed):
         digest.update(repr((grand, cls, recovered, rho)).encode())
     assert digest.hexdigest() == ROUND_TRIP_DIGESTS[q, level, degree_bound,
                                                     seed]
+
+
+@pytest.mark.parametrize("q, level, degree_bound, seed",
+                         sorted(ROUND_TRIP_DIGESTS))
+def test_round_trip_reductions_match_the_reference_products(
+        monkeypatch, q, level, degree_bound, seed):
+    # every component at t and infinity that the pinned round trips reduce,
+    # and the final one at infinity, against k products by j or j/t
+    reduced = []
+    for name in ("reduce_at_zero", "reduce_at_infinity"):
+        real = getattr(adelic, name)
+        monkeypatch.setattr(adelic, name, lambda x, real=real: (
+            reduced.append((real, x)) or real(x)))
+    alg = AlgebraParams(q, level=level)
+    places = default_places(alg, degree_bound)
+    rng = random.Random(seed)
+    for _ in range(20):
+        state, _, _ = synthesize_random_adele(alg, rng, places)
+        factorize_adele(alg, state)
+        reduced.append((reduce_at_infinity, state.infinity))
+    ref = {reduce_at_zero: ref_reduce_at_zero,
+           reduce_at_infinity: ref_reduce_at_infinity}
+    parities = set()
+    for red, x in reduced:
+        got = red(x)
+        assert got == ref[red](x)
+        parities.add(got.k % 2)
+    assert parities == {0, 1}
 
 
 def _right_multiply(state, elt):
@@ -864,10 +967,9 @@ def test_factorize_adele_checks_the_infinity_balance(monkeypatch):
     pi = places[1]
     bad = OrderElement.scalar(
         alg, RatFunc(pi, Poly.t_power(alg.field, pi.degree)))
-    real = adelic._pi_infinity_power
-    monkeypatch.setattr(adelic, "_pi_infinity_power",
-                        lambda alg, k: real(alg, k) * bad)
     state, _, _ = synthesize_random_adele(alg, random.Random(0), places)
+    real = adelic._j_power  # gamma_f's uniformizer power, (j/t)^(-k) = j^k
+    monkeypatch.setattr(adelic, "_j_power", lambda alg, k: real(alg, k) * bad)
     with pytest.raises(FactorizationError,
                        match=rf"infinity balance has norm valuation 2 at "
                              rf"{re.escape(format_poly(pi))},"):
@@ -1017,7 +1119,7 @@ def test_norm_table_files_each_pair_under_its_norm(q, m):
         for ic, c in enumerate(lows):
             key = _key(eps * b * b + t * c * c)
             want.setdefault(key, []).append(ib * len(lows) + ic)
-    table = adelic._build_norm_table(F, alg.eps, m)
+    table = adelic._build_norm_table(F, m)
     assert {key: list(pairs) for key, pairs in table.items()} == want
 
 
@@ -1025,9 +1127,9 @@ def test_norm_table_is_built_once_per_q_eps_depth(monkeypatch):
     builds = []
     build = adelic._build_norm_table
 
-    def counting(F, eps, m):
-        builds.append((F.q, eps, m))
-        return build(F, eps, m)
+    def counting(F, m):
+        builds.append((F.q, m))
+        return build(F, m)
 
     monkeypatch.setattr(adelic, "_NORM_TABLES", {})
     monkeypatch.setattr(adelic, "_build_norm_table", counting)
@@ -1035,9 +1137,9 @@ def test_norm_table_is_built_once_per_q_eps_depth(monkeypatch):
     places = default_places(alg, 2)
     for pi in places:
         list(adelic._box_candidates(alg, pi, 2))
-    assert builds == [(3, alg.eps, 2)]
+    assert builds == [(3, 2)]
     list(adelic._box_candidates(alg, places[0], 1))
-    assert builds == [(3, alg.eps, 2), (3, alg.eps, 1)]
+    assert builds == [(3, 2), (3, 1)]
 
 
 def test_norm_table_past_the_row_cap_is_a_search_bound():

@@ -332,6 +332,7 @@ def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
         fresh[command] = (proc.returncode, proc.stdout, proc.stderr)
     assert {code for code, _, _ in fresh.values()} == {0, 3}
     for module, cache in ((adelic, "_SCANS"), (adelic, "_NORM_TABLES"),
+                          (adelic, "_DIVISORS"),
                           (adelic, "_DIGIT_SUMS"), (spectral, "_CENTRAL"),
                           (metacyclic, "_ROOT_SUMS"),
                           (quaternion, "_BASIS_PRODUCTS")):

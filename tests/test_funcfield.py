@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import reduce_mod
+from oracles import reduce_mod, value_at_infinity, value_at_zero
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (
     GF,
@@ -234,12 +234,12 @@ def test_ratfunc_valuations():
 def test_ratfunc_values():
     F = gf(3)
     x = RatFunc(parse_poly(F, "t+1"), parse_poly(F, "t+2"))
-    assert x.value_at_zero() == F.div(1, 2)
-    assert x.value_at_infinity() == 1
+    assert value_at_zero(x) == F.div(1, 2)
+    assert value_at_infinity(x) == 1
     y = RatFunc(parse_poly(F, "2t^2+1"), parse_poly(F, "t^2+t"))
-    assert y.value_at_infinity() == 2
+    assert value_at_infinity(y) == 2
     z = RatFunc(parse_poly(F, "t"), parse_poly(F, "t^2+1"))
-    assert z.value_at_zero() == 0 and z.value_at_infinity() == 0
+    assert value_at_zero(z) == 0 and value_at_infinity(z) == 0
 
 
 def test_ratfunc_reduce_mod():

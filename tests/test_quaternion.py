@@ -7,13 +7,13 @@ import sys
 import pytest
 
 import tjl.quaternion as quaternion
-from oracles import coords
+from oracles import (coords, infinity_integral, ref_mul, ref_nrd,
+                     ref_reduce_at_infinity, ref_reduce_at_zero, t_integral)
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (Fq2, Poly, RatFunc, fq2, gf, monic_irreducibles,
                            parse_poly)
 from tjl.quaternion import (
     AlgebraParams,
-    LocalReduction,
     OrderElement,
     ReductionError,
     gram_determinant,
@@ -254,31 +254,8 @@ def test_parse_place_compatibility():
 # -- the shared-denominator kernels against per-coordinate RatFunc formulas --
 
 
-def _ref_mul(x, y):
-    F = x.alg.field
-    eps = RatFunc.constant(F, x.alg.eps)
-    t = RatFunc.t_power(F, 1)
-    a, b, c, d = coords(x)
-    e, f, g, h = coords(y)
-    return OrderElement(
-        x.alg,
-        a * e + eps * b * f + t * c * g - eps * t * d * h,
-        a * f + b * e - t * c * h + t * d * g,
-        a * g + c * e + eps * b * h - eps * d * f,
-        a * h + d * e + b * g - c * f,
-    )
-
-
-def _ref_nrd(x):
-    F = x.alg.field
-    eps = RatFunc.constant(F, x.alg.eps)
-    t = RatFunc.t_power(F, 1)
-    a, b, c, d = coords(x)
-    return a * a - eps * b * b - t * c * c + eps * t * d * d
-
-
 def _ref_inverse(x):
-    return x.conj().scale(_ref_nrd(x).inverse())
+    return x.conj().scale(ref_nrd(x).inverse())
 
 
 def _random_den(F, rng, places):
@@ -321,10 +298,10 @@ def test_shared_denominator_kernels_match_per_coordinate_formulas(q):
         same = x.scale(t2)
         for u, v in ((x, y), (y, x), (same, y), (x, same),
                      (random_element(alg, rng, denom=1), random_element(alg, rng))):
-            assert u * v == _ref_mul(u, v)
+            assert u * v == ref_mul(u, v)
         for u in (x, y, same):
             n = u.nrd()
-            assert n == _ref_nrd(u)
+            assert n == ref_nrd(u)
             if u.is_zero():
                 continue
             assert u.inverse() == _ref_inverse(u)
@@ -416,8 +393,8 @@ def test_elements_are_stored_in_normal_form(q):
         results += [z.inverse() for z in (x, y, x * y) if not z.is_zero()]
         for z in results:
             _assert_normal_form(z)
-            assert z.t_integral() == _ref_t_integral(z)
-            assert z.infinity_integral() == _ref_infinity_integral(z)
+            assert t_integral(z) == _ref_t_integral(z)
+            assert infinity_integral(z) == _ref_infinity_integral(z)
             assert z.in_K1_infinity() == _ref_in_K1_infinity(z)
         # one element built two ways is one normal form
         pairs = [(x.scale(r).scale(r.inverse()), x) for r in rs]
@@ -433,38 +410,6 @@ def test_elements_are_stored_in_normal_form(q):
             assert (u.nums, u.den) == (v.nums, v.den)
     _assert_normal_form(OrderElement.zero(alg))
     assert OrderElement.zero(alg).den.is_one()
-
-
-def _ref_reduce_at_zero(x):
-    """v_t(nrd x), and the residue of j^{-k} x with its norm checked on a
-    second full norm."""
-    alg = x.alg
-    k = _ref_nrd(x).t_valuation()
-    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
-    jinv = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
-    for _ in range(abs(k)):
-        y = _ref_mul(y, jinv if k > 0 else OrderElement.j(alg))
-    y = _ref_mul(y, x)
-    K = alg.residue
-    u = K.element(y.a.value_at_zero(), y.b.value_at_zero())
-    assert K.norm(u) == _ref_nrd(y).value_at_zero()
-    return LocalReduction("zero", k, u, K.dlog(u))
-
-
-def _ref_reduce_at_infinity(x):
-    """v_inf(nrd x), and the residue of (j/t)^{-k} x with its norm checked
-    on a second full norm; (j/t)^{-1} = j."""
-    alg = x.alg
-    k = _ref_nrd(x).valuation_at_infinity()
-    y = OrderElement.scalar(alg, RatFunc.one(alg.field))
-    j_over_t = OrderElement.j(alg).scale(RatFunc.t_power(alg.field, -1))
-    for _ in range(abs(k)):
-        y = _ref_mul(y, OrderElement.j(alg) if k > 0 else j_over_t)
-    y = _ref_mul(y, x)
-    K = alg.residue
-    u = K.element(y.a.value_at_infinity(), y.b.value_at_infinity())
-    assert K.norm(u) == _ref_nrd(y).value_at_infinity()
-    return LocalReduction("infinity", k, u, K.dlog(u))
 
 
 def test_j_power_is_the_repeated_product():
@@ -502,12 +447,25 @@ def _assert_reduction_matches_reference(reduce, ref, seed):
 
 
 def test_reduce_at_zero_at_odd_and_negative_valuations():
-    _assert_reduction_matches_reference(reduce_at_zero, _ref_reduce_at_zero, 600)
+    _assert_reduction_matches_reference(reduce_at_zero, ref_reduce_at_zero, 600)
 
 
 def test_reduce_at_infinity_at_odd_and_negative_valuations():
     _assert_reduction_matches_reference(reduce_at_infinity,
-                                        _ref_reduce_at_infinity, 800)
+                                        ref_reduce_at_infinity, 800)
+
+
+def test_reductions_reject_a_norm_off_by_a_square(monkeypatch):
+    # a norm t^2 (t^-2) for x = 1 asks for the residue of 1/t (of t) at the
+    # place, which the integrality bounds on the numerators refuse
+    alg = AlgebraParams(3)
+    for reduce, where, k in ((reduce_at_zero, "t", 2),
+                             (reduce_at_infinity, "infinity", -2)):
+        monkeypatch.setattr(OrderElement, "nrd",
+                            lambda self, k=k: RatFunc.t_power(alg.field, k))
+        with pytest.raises(ReductionError,
+                           match=f"fails integrality at {where}$"):
+            reduce(OrderElement.one(alg))
 
 
 def test_residue_field_is_shared_per_q():
@@ -523,7 +481,7 @@ def test_residue_field_is_shared_per_q():
         if x.is_zero():
             continue
         red = reduce_at_zero(x)
-        assert red == _ref_reduce_at_zero(x)
+        assert red == ref_reduce_at_zero(x)
         assert red.exponent == private.dlog(red.residue)
 
 
