@@ -24,10 +24,11 @@ thus bounds no search; verify_witness_uniqueness alone checks one.
 
 The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
-(q, m), as q fixes eps, so its q^{2m} values are encoded as base-q integers
-and hashed once into a dict shared by every place, and each place looks up
-its q^{2m} (a, d) values there.  Each place is scanned and embedded once;
-witness_set and verify_witness_uniqueness both read that scan.
+(q, m), as q fixes eps, so its q^{2m} values are hashed once, keyed by
+their coefficient tuples, into a dict shared by every place, and each place
+looks up its q^{2m} (a, d) values there.  Each place is scanned, labelled in
+its one split model and certified once, into one WitnessSet, which
+witness_set keeps and verify_witness_uniqueness reads.
 
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
 point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
@@ -67,10 +68,6 @@ from .quaternion import (
     require_anisotropic,
     split_certificate,
 )
-
-TYPE_CHECKING = False  # typing is not imported at run time
-if TYPE_CHECKING:
-    from array import array
 
 Element = tuple[int, int]
 
@@ -426,9 +423,14 @@ class Witness(FrozenRecord):
 
 
 class WitnessSet:
-    def __init__(self, alg: AlgebraParams, pi: Poly, witnesses: list[Witness]):
-        self.alg = alg
-        self.pi = pi
+    """The certified witnesses at the place of a split model: one in each
+    right and one in each left coset.  Every witness has depth
+    m0 = ceil(deg pi / 2), so a second one or a missing one falsifies the
+    claim."""
+
+    def __init__(self, split: SplitPlace, witnesses: list[Witness]):
+        alg, pi = split.alg, split.pi
+        self.split = split
         self.witnesses = witnesses
         self.by_right: dict[tuple, Witness] = {}
         self.by_left: dict[tuple, Witness] = {}
@@ -440,102 +442,52 @@ class WitnessSet:
                         f"second witness in {side} coset {label} at "
                         f"{format_poly(pi)}")
                 index[label] = w
+        want = alg.field.q ** pi.degree + 1
+        require(len(witnesses) == want,
+                f"found {len(witnesses)} of {want} witnesses at "
+                f"{format_poly(pi)}, where depth {(pi.degree + 1) // 2} holds "
+                f"all of them")
         # the witness reductions in group_of(alg), the one group that reads
         # them
         G = group_of(alg)
         self.shifts = tuple(w.reduction.to_gamma(G.R, G.M) for w in witnesses)
 
 
-# -- the shared norm-form join ------------------------------------------
+# -- the norm-form join -------------------------------------------------
 #
-# A polynomial of degree < 2m is keyed by the base-q integer of its
-# coefficients (t^k has weight q^k), held as two half-keys of m digits:
-# key = lo + q^m * hi.  Keys are added through the digit-sum table of
-# _digit_sums, one lookup per half, so GF(9) goes the same way as prime q.
-# A polynomial of degree < m is also named by the index of its coefficient
-# tuple in product(range(q), repeat=m), whose first coordinate, the constant
-# term, varies slowest.
+# A polynomial of degree < m is named by the index of its coefficient tuple
+# in product(range(q), repeat=m), whose first coordinate, the constant term,
+# varies slowest.
 
-# q^(2m) rows.  Building a table and its digit sums raises the peak RSS by
-# about 40 bytes a row (measured with CPython 3.11 on x86-64 Linux: 19 MiB
-# for the 531441 rows of q=9, m=3, 70 MiB for the 1771561 of q=11, m=3),
-# so the cap stands for about 170 MiB.  Only depth m0 = ceil(deg pi / 2) is
-# joined, so the cap bites only where q^(2 m0) > 2^22: at places of degree
-# >= 7 for q = 7 and 9, >= 9 for q = 5 and >= 13 for q = 3.
+# q^(2m) rows.  Building a table raises the peak RSS by about 120 bytes a
+# row, a tuple of two indices in a list under one key (measured with CPython
+# 3.11 on x86-64 Linux: 61 MiB for the 531441 rows of q=9, m=3, built in
+# 2.1 s; 12 MiB for the 117649 of q=7, m=3), so the cap stands for about
+# 480 MiB.  For odd q <= 9 the largest table under it has 531441 rows (q=9,
+# m=3, and q=3, m=6).  Only depth m0 = ceil(deg pi / 2) is joined, so the
+# cap bites only where q^(2 m0) > 2^22: at places of degree >= 7 for q = 7
+# and 9, >= 9 for q = 5 and >= 13 for q = 3.
 TABLE_ROW_CAP = 1 << 22
 
 _NORM_TABLES: dict = {}
-_DIGIT_SUMS: dict = {}
 
 
-def _digit_sums(F, m: int) -> list[list[int]]:
-    """s[u][v] is the key of the sum of the polynomials of degree < m keyed
-    u and v.  For m > 1 every entry is an element of one list(range(q^m)),
-    so the q^(2m) entries share q^m int objects."""
-    sums = _DIGIT_SUMS.get((F.q, m))
-    if sums is None:
-        q = F.q
-        if m == 1:
-            sums = F._add
-        else:
-            keys = list(range(q ** m))
-            rest = _digit_sums(F, m - 1)
-            # u = u0 + q * u', and the digits of v run low digit fastest
-            sums = [[keys[lo + q * hi] for hi in rest[u // q]
-                     for lo in F._add[u % q]] for u in range(q ** m)]
-        _DIGIT_SUMS[(F.q, m)] = sums
-    return sums
-
-
-def _half_keys(polys, m: int) -> list[tuple[int, int]]:
-    """The (lo, hi) half-keys of polynomials of degree < 2m."""
-    out = []
-    for p in polys:
-        cs = p.coeffs
-        q = p.field.q
-        lo = hi = 0
-        for c in reversed(cs[:m]):
-            lo = lo * q + c
-        for c in reversed(cs[m:]):
-            hi = hi * q + c
-        out.append((lo, hi))
-    return out
-
-
-def _norm_table(F, m: int) -> dict[int, array]:
-    """The key of eps*b^2 + t*c^2 -> the pair indices b * q^m + c behind it,
-    over all pairs (b, c) of degree < m, in increasing order, for F's eps;
-    shared by every place.  An array of C longs holds the indices of a key,
-    so the q^(2m) indices make no int objects."""
+def _norm_table(F, m: int) -> dict[tuple, list[tuple[int, int]]]:
+    """The coefficients of eps*b^2 + t*c^2 -> the index pairs (ib, ic) of
+    the (b, c) of degree < m behind them, in increasing order, for F's eps;
+    built once per (q, m) and shared by every place."""
     table = _NORM_TABLES.get((F.q, m))
     if table is None:
-        table = _NORM_TABLES[(F.q, m)] = _build_norm_table(F, m)
-    return table
-
-
-def _build_norm_table(F, m: int) -> dict[int, array]:
-    from array import array  # loaded by a join, not by importing tjl
-
-    eps = F.smallest_nonsquare
-    Q = F.q ** m
-    sums = _digit_sums(F, m)
-    lows = [Poly(F, cs) for cs in product(range(F.q), repeat=m)]
-    squares = [p * p for p in lows]
-    ebs = _half_keys((p.scale(eps) for p in squares), m)
-    tcs = _half_keys((p.shift(1) for p in squares), m)
-    table: dict[int, array] = {}
-    get = table.get
-    bc = 0
-    for blo, bhi in ebs:
-        slo, shi = sums[blo], sums[bhi]
-        for clo, chi in tcs:
-            key = slo[clo] + Q * shi[chi]
-            pairs = get(key)
-            if pairs is None:
-                table[key] = array("l", (bc,))
-            else:
-                pairs.append(bc)
-            bc += 1
+        eps = F.smallest_nonsquare
+        lows = (Poly(F, cs) for cs in product(range(F.q), repeat=m))
+        squares = [p * p for p in lows]
+        tcs = [p.shift(1) for p in squares]
+        table = {}
+        for ib, b2 in enumerate(squares):
+            eb = b2.scale(eps)
+            for ic, tc in enumerate(tcs):
+                table.setdefault((eb + tc).coeffs, []).append((ib, ic))
+        _NORM_TABLES[(F.q, m)] = table
     return table
 
 
@@ -554,84 +506,44 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
         raise SearchBoundExceededError(
             f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
             f"more than the cap {TABLE_ROW_CAP}")
-    table = _norm_table(F, m)
-    get = table.get
-    Q = q ** m
-    sums = _digit_sums(F, m)
+    get = _norm_table(F, m).get
     lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
     tm = Poly.t_power(F, m)
     tops = [tm + p for p in lows]
     target = Poly.t_power(F, e0) * pi  # monic of degree 2m
-    # a^2 - target: the t^{2m} terms cancel
-    lhs = _half_keys((a * a - target for a in tops), m)
-    etd2 = _half_keys(((p * p).scale(alg.eps).shift(1) for p in lows), m)
+    etd2 = [(p * p).scale(alg.eps).shift(1) for p in lows]
     hits = []
-    for ia, (alo, ahi) in enumerate(lhs):
-        slo, shi = sums[alo], sums[ahi]
-        for id_, (dlo, dhi) in enumerate(etd2):
-            pairs = get(slo[dlo] + Q * shi[dhi])
-            if pairs is not None:
-                for bc in pairs:
-                    hits.append((ia, *divmod(bc, Q), id_))
+    for ia, a in enumerate(tops):
+        lhs = a * a - target  # the t^{2m} terms cancel
+        for id_, d in enumerate(etd2):
+            for ib, ic in get((lhs + d).coeffs, ()):
+                hits.append((ia, ib, ic, id_))
     for ia, ib, ic, id_ in sorted(hits):
         yield tops[ia], lows[ib], lows[ic], lows[id_]
 
 
-class _PlaceScan:
-    """The witness scan at one place: every normalized candidate of depth
-    m0 = ceil(deg pi / 2), labeled by its cosets in the split model at pi,
-    and certified once, whichever caller asks first."""
-
-    def __init__(self, alg: AlgebraParams, pi: Poly):
-        self.alg = alg
-        self.pi = pi
-        self.depth = (pi.degree + 1) // 2
-        self.split = SplitPlace(alg, pi)
-        # a failed certification is not stored, so it raises on every call
-        self._certified: WitnessSet | None = None
-
-    def certified(self) -> WitnessSet:
-        if self._certified is None:
-            self._certified = _certify(self.alg, self.pi, self._scan())
-        return self._certified
-
-    def _scan(self) -> list[Witness]:
-        alg, pi, m = self.alg, self.pi, self.depth
-        # every deeper depth holds only t-multiples of these (module docstring)
-        require_anisotropic(alg.field, alg.eps)
-        found = []
-        for (a, b, c, d) in _box_candidates(alg, pi, m):
-            gam = OrderElement.from_polys(alg, a, b, c, d,
-                                          t_denominator_power=m)
-            if not gam.in_K1_infinity():
-                raise FalsificationError(
-                    f"witness {gam} at {format_poly(pi)} is not a principal "
-                    f"unit at infinity")
-            right, left = self.split.coset_labels(gam)
-            found.append(Witness(gam, m, right, left, reduce_at_zero(gam)))
-        return found
+def _scan(split: SplitPlace) -> list[Witness]:
+    """Every normalized candidate of depth m0 = ceil(deg pi / 2) at the
+    place of split, labeled by its cosets in split and reduced at t."""
+    alg, pi = split.alg, split.pi
+    m = (pi.degree + 1) // 2
+    # every deeper depth holds only t-multiples of these (module docstring)
+    require_anisotropic(alg.field, alg.eps)
+    found = []
+    for (a, b, c, d) in _box_candidates(alg, pi, m):
+        gam = OrderElement.from_polys(alg, a, b, c, d, t_denominator_power=m)
+        if not gam.in_K1_infinity():
+            raise FalsificationError(
+                f"witness {gam} at {format_poly(pi)} is not a principal "
+                f"unit at infinity")
+        right, left = split.coset_labels(gam)
+        found.append(Witness(gam, m, right, left, reduce_at_zero(gam)))
+    return found
 
 
+# (alg, pi) -> its WitnessSet; a failed certification is not stored, so it
+# raises on every call
 _SCANS: dict = {}
-
-
-def _place_scan(alg: AlgebraParams, pi: Poly) -> _PlaceScan:
-    """The one scan, and with it the one split model, per place."""
-    scan = _SCANS.get((alg, pi))
-    if scan is None:
-        scan = _SCANS[(alg, pi)] = _PlaceScan(alg, pi)
-    return scan
-
-
-def _certify(alg: AlgebraParams, pi: Poly, found: list[Witness]) -> WitnessSet:
-    """One witness in each right and left coset.  Every witness has depth
-    m0, so a second one or a missing one falsifies the claim."""
-    ws = WitnessSet(alg, pi, found)
-    want = alg.field.q ** pi.degree + 1
-    require(len(found) == want,
-            f"found {len(found)} of {want} witnesses at {format_poly(pi)}, "
-            f"where depth {(pi.degree + 1) // 2} holds all of them")
-    return ws
 
 
 def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
@@ -639,9 +551,13 @@ def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity, all of depth m0 = ceil(deg pi / 2), so no depth bound
     applies (verify_witness_uniqueness checks one).  Exactly one witness
-    per right coset and per left coset of the split model; the set is
-    kept per place, once certified."""
-    return _place_scan(alg, pi).certified()
+    per right coset and per left coset of the split model; the set and its
+    model, the one split model at pi, are kept per place once certified."""
+    ws = _SCANS.get((alg, pi))
+    if ws is None:
+        split = SplitPlace(alg, pi)
+        ws = _SCANS[(alg, pi)] = WitnessSet(split, _scan(split))
+    return ws
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
@@ -650,15 +566,14 @@ def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
     2 * depth_bound hit each coset exactly once.  The scan of depth m0 is
     exhaustive, and the ramification at t proves every deeper depth empty
     (module docstring).  tjl checks a depth bound here alone: one below m0
-    finds no witness (SearchBoundExceededError)."""
-    scan = _place_scan(alg, pi)
+    finds no witness (SearchBoundExceededError), before any scan."""
     cosets = alg.field.q ** pi.degree + 1
-    if depth_bound < scan.depth:
+    if depth_bound < (pi.degree + 1) // 2:
         raise SearchBoundExceededError(
             f"found 0 of {cosets} witnesses at {format_poly(pi)} within "
             f"depth {depth_bound}")
     return {"cosets": cosets,
-            "witnesses": len(scan.certified().witnesses),
+            "witnesses": len(witness_set(alg, pi).witnesses),
             "norm_degree_bound": 2 * depth_bound}
 
 
@@ -847,7 +762,7 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly]
     G = group_of(alg)
     F = alg.field
     K = alg.residue
-    splits = {pi: _place_scan(alg, pi).split for pi in places}
+    splits = {pi: witness_set(alg, pi).split for pi in places}
 
     k0 = rng.randrange(G.R)
     e0 = rng.randrange(G.M)

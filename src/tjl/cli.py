@@ -117,8 +117,8 @@ def _parse_sigma(text: str, group) -> IrrepLabel:
         return IrrepLabel((0,), 0)
     parts = text.split(":")
     try:
-        c = int(parts[0])
-        s = int(parts[1]) if len(parts) > 1 else 0
+        # s defaults to 0; a third part fails the unpacking, a ValueError too
+        c, s = map(int, parts + ["0"] * (2 - len(parts)))
     except ValueError:
         raise UsageError(
             f"--sigma takes 'trivial' or 'c[:s]' with integers, got {text!r}")

@@ -395,7 +395,9 @@ def format_poly(poly: Poly) -> str:
 
 
 def parse_poly(field: GF, text: str) -> Poly:
-    """Parse expressions like 't^2+2t+1' or 't-1' over the given field."""
+    """Parse expressions like 't^2+2t+1' or 't-1' over the given field, the
+    inverse of format_poly: a coefficient c with 0 <= c < q is the field
+    element of index c, negated by a leading minus (ValueError otherwise)."""
     s = text.replace(" ", "").replace("**", "^").replace("*", "")
     if not s:
         raise ValueError("empty polynomial")
@@ -423,7 +425,10 @@ def parse_poly(field: GF, text: str) -> Poly:
             exp = int(epart.lstrip("^")) if epart else 1
         else:
             coeff, exp = int(body), 0
-        val = field.embed_int(sign * coeff)
+        if not 0 <= coeff < field.q:
+            raise ValueError(f"coefficient {coeff} of {text!r} is not an "
+                             f"element index 0..{field.q - 1}")
+        val = field.neg(coeff) if sign < 0 else coeff
         coeffs[exp] = field.add(coeffs.get(exp, 0), val)
     out = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():

@@ -25,6 +25,7 @@ from tjl.adelic import (
     SearchBoundExceededError,
     SplitPlace,
     Witness,
+    WitnessSet,
     default_places,
     factorize_adele,
     group_of,
@@ -478,7 +479,7 @@ def test_hecke_independent_of_splitting():
                          w.reduction) for w in ws.witnesses]
         moved_a_label |= any(m.right_label != w.right_label
                              for m, w in zip(moved, ws.witnesses))
-        again = adelic._certify(alg, pi, moved)
+        again = WitnessSet(conj, moved)
         assert set(again.by_right) == set(ws.by_right)
         mats = [right_translation_matrix(alg, g) for g in again.shifts]
         S = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
@@ -599,10 +600,9 @@ def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
     # in a conjugated one
     alg = AlgebraParams(q)
     for pi in default_places(alg, 2):
-        scan = adelic._place_scan(alg, pi)
         ws = witness_set(alg, pi)
         conj = _conjugated_model(alg, pi)
-        for sp in (scan.split, conj):
+        for sp in (ws.split, conj):
             P = sp.precision
             for w in ws.witnesses:
                 A = sp.embed(w.element, P)
@@ -617,7 +617,7 @@ def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
                         _ref_coset_label(pi, [(A[0], A[1]), (A[2], A[3])],
                                          "lower"))
                 assert sp.coset_labels(w.element) == want
-                if sp is scan.split:
+                if sp is ws.split:
                     assert (w.right_label, w.left_label) == want
             # one residue inverse per residue met, nothing else
             assert all(((r * u) % pi).is_one()
@@ -774,7 +774,7 @@ def test_round_trips_recover_class():
         for pi, comp in state.split.items():
             assert comp.is_unit()
             # one split model per place, shared with the witness scan
-            assert comp.sp is adelic._place_scan(alg, pi).split
+            assert comp.sp is witness_set(alg, pi).split
 
 
 def test_round_trips_level_two():
@@ -932,7 +932,7 @@ def test_split_precision_is_tight_for_max_hecke_mods():
     one = OrderElement.one(alg)
     for name in ("t+1", "t^2+1"):
         pi = parse_poly(alg.field, name)
-        sp = adelic._place_scan(alg, pi).split
+        sp = witness_set(alg, pi).split
         P = sp.precision
         ws = [w.element for w in witness_set(alg, pi).witnesses]
         for factors in product(ws[:3], repeat=adelic.MAX_HECKE_MODS):
@@ -1090,23 +1090,6 @@ def test_isotropic_norm_form_fails_under_dash_O():
     assert proc.stdout.split() == ["1", "True"]
 
 
-def _key(p):
-    """The base-q key of p: t^k has weight q^k."""
-    return sum(c * p.field.q ** k for k, c in enumerate(p.coeffs))
-
-
-@pytest.mark.parametrize("q", [3, 5, 9])
-@pytest.mark.parametrize("m", [1, 2])
-def test_digit_sums_are_poly_addition(q, m):
-    F = AlgebraParams(q).field
-    polys = [Poly(F, cs[::-1]) for cs in product(range(q), repeat=m)]
-    assert [_key(p) for p in polys] == list(range(q ** m))
-    sums = adelic._digit_sums(F, m)
-    assert len(sums) == q ** m
-    for u, pu in enumerate(polys):
-        assert sums[u] == [_key(pu + pv) for pv in polys], (u, pu)
-
-
 @pytest.mark.parametrize("q", [3, 5, 9])
 @pytest.mark.parametrize("m", [1, 2])
 def test_norm_table_files_each_pair_under_its_norm(q, m):
@@ -1114,32 +1097,36 @@ def test_norm_table_files_each_pair_under_its_norm(q, m):
     F = alg.field
     eps, t = Poly.constant(F, alg.eps), Poly.t(F)
     lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
-    want: dict[int, list[int]] = {}
+    want: dict[tuple, list[tuple[int, int]]] = {}
     for ib, b in enumerate(lows):
         for ic, c in enumerate(lows):
-            key = _key(eps * b * b + t * c * c)
-            want.setdefault(key, []).append(ib * len(lows) + ic)
-    table = adelic._build_norm_table(F, m)
-    assert {key: list(pairs) for key, pairs in table.items()} == want
+            key = (eps * b * b + t * c * c).coeffs
+            want.setdefault(key, []).append((ib, ic))
+    assert adelic._norm_table(F, m) == want
 
 
-def test_norm_table_is_built_once_per_q_eps_depth(monkeypatch):
-    builds = []
-    build = adelic._build_norm_table
+class _RecordingDict(dict):
+    """A dict that lists the keys stored in it, in order."""
 
-    def counting(F, m):
-        builds.append((F.q, m))
-        return build(F, m)
+    def __init__(self):
+        super().__init__()
+        self.stored = []
 
-    monkeypatch.setattr(adelic, "_NORM_TABLES", {})
-    monkeypatch.setattr(adelic, "_build_norm_table", counting)
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def test_norm_table_is_built_once_per_q_depth(monkeypatch):
+    tables = _RecordingDict()
+    monkeypatch.setattr(adelic, "_NORM_TABLES", tables)
     alg = AlgebraParams(3)
     places = default_places(alg, 2)
     for pi in places:
         list(adelic._box_candidates(alg, pi, 2))
-    assert builds == [(3, 2)]
+    assert tables.stored == [(3, 2)]
     list(adelic._box_candidates(alg, places[0], 1))
-    assert builds == [(3, 2), (3, 1)]
+    assert tables.stored == [(3, 2), (3, 1)]
 
 
 def test_norm_table_past_the_row_cap_is_a_search_bound():
@@ -1176,10 +1163,10 @@ def test_uniqueness_depth_bound_ignores_cache_state(monkeypatch):
 
 def test_witness_set_is_certified_once_per_place(monkeypatch):
     _fresh_caches(monkeypatch)
-    certify = adelic._certify
+    scan = adelic._scan
     calls = []
-    monkeypatch.setattr(adelic, "_certify",
-                        lambda *a: calls.append(a[1]) or certify(*a))
+    monkeypatch.setattr(adelic, "_scan",
+                        lambda split: calls.append(split.pi) or scan(split))
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t^2+1")
     ws = witness_set(alg, pi)
@@ -1198,9 +1185,9 @@ def test_witness_set_cache_is_keyed_by_level():
     ws1 = witness_set(AlgebraParams(3), pi)
     ws2 = witness_set(AlgebraParams(3, level=2), pi)
     assert ws2 is not ws1
-    assert ws1.alg == AlgebraParams(3)
-    assert ws2.alg == AlgebraParams(3, level=2)
-    assert all(w.element.alg == ws2.alg for w in ws2.witnesses)
+    assert ws1.split.alg == AlgebraParams(3)
+    assert ws2.split.alg == AlgebraParams(3, level=2)
+    assert all(w.element.alg == ws2.split.alg for w in ws2.witnesses)
 
 
 def test_second_witness_in_a_coset_is_a_falsification(monkeypatch):

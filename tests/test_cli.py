@@ -91,6 +91,15 @@ def test_brandt_json(capsys):
     assert all(v >= 0 for row in d["matrix"] for v in row)
 
 
+def test_brandt_place_is_read_as_verify_prints_it(capsys):
+    # t+4 over GF(9): the 4 is the element of index 4, not 4 mod 3
+    d = invoke_json(capsys, "brandt", "--q", "9", "--place", "t+4")
+    assert d["place"] == "t+4"
+    code, out, err = invoke(capsys, "brandt", "--q", "3", "--place", "t+5")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "usage"
+
+
 def test_brandt_tsv(capsys):
     code, out, err = invoke(capsys, "brandt", "--q", "3",
                             "--place", "t^2+1", "--format", "tsv")
@@ -192,6 +201,12 @@ def test_usage_errors_exit_2(capsys):
 
     code, _, _ = invoke(capsys, "verify", "--q", "3", "--sigma", "x:y")
     assert code == 2
+
+    # c:s takes two parts at most
+    code, out, err = invoke(capsys, "basis", "--q", "3", "--sigma", "1:0:junk")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "usage"
 
 
 def test_resource_cap_exit_3(capsys):
@@ -297,9 +312,9 @@ def test_reused_parser_gives_the_bytes_of_fresh_processes(capsys):
 
 
 # Commands that share the process caches: the witness scans and their split
-# models with every memo on them (adelic._SCANS), the norm tables and digit
-# sums of the join, the central Hecke shifts, the root sums of the census
-# and the quaternion basis products.  One command exceeds its search bound,
+# models with every memo on them (adelic._SCANS), the norm tables of the
+# join, the central Hecke shifts, the root sums of the census and the
+# quaternion basis products.  One command exceeds its search bound,
 # so a failed run is interleaved too.
 CALL_ORDER_COMMANDS = (
     "verify --q 3 --degree-bound 1",
@@ -332,8 +347,7 @@ def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
         fresh[command] = (proc.returncode, proc.stdout, proc.stderr)
     assert {code for code, _, _ in fresh.values()} == {0, 3}
     for module, cache in ((adelic, "_SCANS"), (adelic, "_NORM_TABLES"),
-                          (adelic, "_DIVISORS"),
-                          (adelic, "_DIGIT_SUMS"), (spectral, "_CENTRAL"),
+                          (adelic, "_DIVISORS"), (spectral, "_CENTRAL"),
                           (metacyclic, "_ROOT_SUMS"),
                           (quaternion, "_BASIS_PRODUCTS")):
         monkeypatch.setattr(module, cache, {})

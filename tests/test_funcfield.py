@@ -199,6 +199,24 @@ def test_parse_poly():
     assert parse_poly(F, "-t+1").coeffs == (1, 2)
 
 
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_parse_poly_reads_format_poly_back(q):
+    # a coefficient is a field-element index, as format_poly writes it
+    F = gf(q)
+    for p in monic_irreducibles(F, 2):
+        assert parse_poly(F, format_poly(p)) == p, format_poly(p)
+
+
+def test_parse_poly_reads_element_indices():
+    F = gf(9)
+    assert parse_poly(F, "t+4").coeffs == (4, 1)
+    assert parse_poly(F, "4t^2").coeffs == (0, 0, 4)
+    assert parse_poly(F, "t-4").coeffs == (F.neg(4), 1)
+    for text in ("t+9", "t-9", "10t+1"):
+        with pytest.raises(ValueError, match="not an element index 0..8"):
+            parse_poly(F, text)
+
+
 def test_ratfunc_field_axioms():
     rng = random.Random(14)
     F = gf(3)
