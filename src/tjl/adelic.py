@@ -26,9 +26,9 @@ The box is searched by one meet-in-the-middle join.  nrd(w) = target reads
 a^2 - target + eps t d^2 = eps b^2 + t c^2; the right side depends only on
 (q, m), as q fixes eps, so its q^{2m} values are hashed once, keyed by
 their coefficient tuples, into a dict shared by every place, and each place
-looks up its q^{2m} (a, d) values there.  Each place is scanned, labelled in
-its one split model and certified once, into one WitnessSet, which
-witness_set keeps and verify_witness_uniqueness reads.
+looks up its (a, d) values there, one d of each pair {d, -d}.  Each place
+is scanned, labelled in its one split model and certified once, into one
+WitnessSet, which witness_set keeps and verify_witness_uniqueness reads.
 
 At a split place the algebra maps to 2x2 matrices through a Hensel-lifted
 point of x^2 - eps y^2 = t; witnesses are sorted into the q^deg + 1 right
@@ -43,20 +43,23 @@ each caller passes: the multiply-reduce kernel folds high coefficients back
 along rows t^e mod pi^k kept per k, and an embedding entry is one kernel
 call over the coordinate numerators and the basis matrices scaled by each
 inverse denominator.  Coset labels read a witness's numerators at 1 digit
-and its norm at 2.  An adele component computes at its own precision,
-which a division by norm valuation v lowers by v; each divisor's image,
-embed(conj x) times the inverse of the unit part of nrd x, is computed
-once per model and precision.  A synthesized adele starts at P digits;
-factorize_adele cuts each component to the v + 2 digits its peeling uses
-(the proof is in its docstring).
+and its norm at 2, and name a line mod pi by its slope v0/v1, one quotient
+in the model's log-table field ResidueField(pi).  An adele component
+computes at its own precision, which a division by norm valuation v lowers
+by v; each divisor's image, embed(conj x) times the inverse of the unit
+part of nrd x, is computed once per model and precision.  A synthesized
+adele starts at P digits; factorize_adele cuts each component to the
+v + 2 digits its peeling uses (the proof is in its docstring).
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, product
+from operator import getitem
 
 from .cyclotomic import FalsificationError, FrozenRecord, require
-from .funcfield import Poly, RatFunc, format_poly, monic_irreducibles
+from .funcfield import (Poly, RatFunc, ResidueField, format_poly,
+                        monic_irreducibles)
 from .metacyclic import Gamma, gamma
 from .quaternion import (
     AlgebraParams,
@@ -102,7 +105,8 @@ class SplitPlace:
         self.alg = alg
         self.pi = pi
         P = self.precision
-        F = alg.field
+        self.field = F = alg.field
+        self.residue = ResidueField(pi)  # certifies F_q[t]/pi a field
         self._pi_powers = [Poly.one(F)]
         self.modulus = self.pi_power(P)
         # k -> its fold rows: row e - D holds t^e mod pi^k (D = deg pi^k <=
@@ -118,8 +122,7 @@ class SplitPlace:
         # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
         # repeat (witness norms, pi^2)
         self._num_inverses: dict[Poly, Poly] = {}
-        # residue inverses and basis matrices mod pi, for the coset labels
-        self._residue_inverses: dict[Poly, Poly] = {}
+        # the basis matrices mod pi, for the coset labels
         self._basis_mod_pi: tuple[Mat, ...] | None = None
         # (divisor x, k) -> (v_pi(nrd x), embed(conj x) times the inverse of
         # the unit part of nrd x, mod pi^k): the divisors are the witnesses
@@ -151,7 +154,7 @@ class SplitPlace:
 
     def _hensel_point(self) -> tuple[Poly, Poly]:
         alg, pi = self.alg, self.pi
-        F = alg.field
+        F = self.field
         base = split_certificate(alg, pi)
         if base is None:
             raise FalsificationError(
@@ -200,7 +203,7 @@ class SplitPlace:
         product lands in one coefficient list (a constant factor is one
         scaled pass), each coefficient of degree e >= D = deg pi^k is folded
         back along the row t^e mod pi^k, and one Poly is built at the end."""
-        add, mul = (field := self.alg.field)._add, field._mul
+        add, mul = (field := self.field)._add, field._mul
         out: list[int] = []
         for a, b in pairs:
             a, b = a.coeffs, b.coeffs
@@ -236,7 +239,7 @@ class SplitPlace:
         modulus = self.pi_power(k)
         D = modulus.degree
         if D + len(rows) <= top:
-            F = self.alg.field
+            F = self.field
             add, mul = F._add, F._mul
             low = [F._neg[c] for c in modulus.coeffs[:D]]  # t^D
             cur = [0] * D
@@ -292,7 +295,7 @@ class SplitPlace:
         return image
 
     def scalar_mat(self, c: Poly) -> Mat:
-        z = Poly.zero(self.alg.field)
+        z = Poly.zero(self.field)
         c = c % self.modulus
         return (c, z, z, c)
 
@@ -355,7 +358,7 @@ class SplitPlace:
         det(a B_1 + b B_i + c B_j + d B_ij) = a^2 - eps b^2 - t c^2
         + eps t d^2 mod pi^2, 10 coefficients of quadratic forms."""
         if self._basis_mod_pi is None:
-            F, B, eps, pi = self.alg.field, self._basis, self.alg.eps, self.pi
+            F, B, eps, pi = self.field, self._basis, self.alg.eps, self.pi
             diag = ((1,), (F.neg(eps),), (0, F.neg(1)), (0, eps))
             for x, y in combinations_with_replacement(range(4), 2):
                 X, Y = B[x], B[y]
@@ -374,25 +377,17 @@ class SplitPlace:
     def _coset_label(self, vectors, what: str, kind: str) -> tuple:
         """The coset named by the one line over O/pi that the vectors
         nonzero mod pi span: ("diag",) for the line of (1, 0), else
-        (kind, v0/v1 mod pi)."""
-        pi = self.pi
-        inverses = self._residue_inverses
+        (kind, the coefficients of v0/v1 mod pi), the quotient read in the
+        residue field."""
+        pi, R = self.pi, self.residue
         labels = set()
         for v0, v1 in vectors:
-            v0, v1 = v0 % pi, v1 % pi
-            if v1.is_zero():
-                if not v0.is_zero():
+            v0, v1 = R.index(v0 % pi), R.index(v1 % pi)
+            if not v1:
+                if v0:
                     labels.add(("diag",))
                 continue
-            u = inverses.get(v1)
-            if u is None:
-                g, u, _ = v1.xgcd(pi)
-                if not g.is_one():
-                    raise FalsificationError(
-                        f"{format_poly(v1)} is not a unit mod "
-                        f"{format_poly(pi)}")
-                inverses[v1] = u
-            labels.add((kind, ((v0 * u) % pi).coeffs))
+            labels.add((kind, R.coeffs(R.div(v0, v1))))
         if not labels:
             raise FalsificationError(f"matrix vanishes mod {format_poly(pi)}")
         if len(labels) > 1:
@@ -496,7 +491,10 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     nrd = t^{2m - deg pi} * pi, in product order of (a, b, c, d).
 
     Meet in the middle: a^2 - nrd + eps*t*d^2 = eps*b^2 + t*c^2, so every
-    pair (a, d) is looked up in the shared (b, c) table of _norm_table."""
+    pair (a, d) is looked up in the shared (b, c) table of _norm_table.
+    d and -d give one key, so each pair {d, -d} is probed once, and a probe
+    adds two coefficient tuples padded to the 2m coefficients below t^{2m}
+    and builds no Poly."""
     F = alg.field
     q = F.q
     e0 = 2 * m - pi.degree
@@ -511,13 +509,22 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     tm = Poly.t_power(F, m)
     tops = [tm + p for p in lows]
     target = Poly.t_power(F, e0) * pi  # monic of degree 2m
-    etd2 = [(p * p).scale(alg.eps).shift(1) for p in lows]
+    pad = (0,) * (2 * m)
+    # the coefficients of eps*t*d^2, padded to 2m -> the indices of d, -d
+    etd2: dict[tuple, list[int]] = {}
+    for id_, p in enumerate(lows):
+        key = ((p * p).scale(alg.eps).shift(1).coeffs + pad)[:2 * m]
+        etd2.setdefault(key, []).append(id_)
     hits = []
     for ia, a in enumerate(tops):
-        lhs = a * a - target  # the t^{2m} terms cancel
-        for id_, d in enumerate(etd2):
-            for ib, ic in get((lhs + d).coeffs, ()):
-                hits.append((ia, ib, ic, id_))
+        # the add rows of a^2 - target, whose t^{2m} terms cancel
+        rows = [F._add[x] for x in ((a * a - target).coeffs + pad)[:2 * m]]
+        for d, ids in etd2.items():
+            key = tuple(map(getitem, rows, d))
+            while key and not key[-1]:
+                key = key[:-1]
+            for ib, ic in get(key, ()):
+                hits += [(ia, ib, ic, id_) for id_ in ids]
     for ia, ib, ic, id_ in sorted(hits):
         yield tops[ia], lows[ib], lows[ic], lows[id_]
 
@@ -819,7 +826,7 @@ def synthesize_random_adele(alg: AlgebraParams, rng, places: list[Poly]
 def _random_unit_matrix(sp: SplitPlace, rng) -> Mat:
     """A random matrix mod pi^P whose determinant is a unit.  Only det mod
     pi decides that, so it is taken at one digit."""
-    F = sp.alg.field
+    F = sp.field
     span = sp.modulus.degree
     while True:
         mat = tuple(Poly(F, [rng.randrange(F.q) for _ in range(span)])

@@ -5,6 +5,12 @@ ints 0..q-1 whose base-p digits are the coefficients of the residue polynomial,
 and all arithmetic goes through precomputed tables.  The canonical modulus for
 non-prime q is the first monic irreducible in lexicographic coefficient order,
 and the canonical enumeration of field elements is by that integer encoding.
+GF, the coefficient field of every Poly, keeps full add and mul tables.  The
+local fields of the algebra, F_q(i) = F_q[x]/(x^2 - eps) at t and infinity
+and F_q[t]/pi at a split place, are one type, ResidueField: the element
+sum c_k x^k is the int sum c_k q^k, and products, quotients and discrete
+logs are lookups in log and antilog tables built by one walk of the powers
+of a generator (Lidl and Niederreiter, Finite Fields, ch. 2 and 9).
 
 Rational functions carry exact valuations at every place (monic irreducible of
 F_q[t], plus the degree valuation at infinity), so no truncated t-adic
@@ -32,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import FalsificationError, FrozenRecord, require
+from .cyclotomic import FalsificationError, require
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -600,127 +606,83 @@ class RatFunc:
         return f"RatFunc(({format_poly(self.num)})/({format_poly(self.den)}))"
 
 
-class Fq2Element(FrozenRecord):
-    """a + b*i with i^2 = eps, encoded over the base field."""
+class ResidueField:
+    """F_q[x]/(m), m monic irreducible of degree d over F_q.  The element
+    sum c_k x^k is the int sum c_k q^k (constant first, as in a Poly), so F_q
+    sits at 0..q-1 as in GF.  One walk of the powers of the generator, the
+    first element in index order of order q^d - 1, fills the antilog table
+    _exp and the log table _log, where products, quotients and discrete logs
+    are lookups.  A reducible m has no generator (FalsificationError)."""
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a: int, b: int):
-        self._set(a, b)
-
-    def index(self, q: int) -> int:
-        return self.a + q * self.b
-
-
-class Fq2:
-    """The quadratic extension F_q(i), i^2 = eps the smallest non-square;
-    odd q (smallest_nonsquare refuses characteristic 2)."""
-
-    def __init__(self, base: GF):
-        self.base = base
-        self.eps = base.smallest_nonsquare
-        self.q = base.q
-        self._dlog: dict[Fq2Element, int] | None = None
-        self._powers: list[Fq2Element] | None = None
-
-    def element(self, a: int, b: int) -> Fq2Element:
-        return Fq2Element(a, b)
-
-    @property
-    def zero(self) -> Fq2Element:
-        return Fq2Element(0, 0)
-
-    @property
-    def one(self) -> Fq2Element:
-        return Fq2Element(1, 0)
-
-    @property
-    def i(self) -> Fq2Element:
-        return Fq2Element(0, 1)
-
-    def elements(self):
-        for b in range(self.q):
-            for a in range(self.q):
-                yield Fq2Element(a, b)
-
-    def add(self, x: Fq2Element, y: Fq2Element) -> Fq2Element:
-        F = self.base
-        return Fq2Element(F.add(x.a, y.a), F.add(x.b, y.b))
-
-    def neg(self, x: Fq2Element) -> Fq2Element:
-        F = self.base
-        return Fq2Element(F.neg(x.a), F.neg(x.b))
-
-    def mul(self, x: Fq2Element, y: Fq2Element) -> Fq2Element:
-        F = self.base
-        a = F.add(F.mul(x.a, y.a), F.mul(self.eps, F.mul(x.b, y.b)))
-        b = F.add(F.mul(x.a, y.b), F.mul(x.b, y.a))
-        return Fq2Element(a, b)
-
-    def conj(self, x: Fq2Element) -> Fq2Element:
-        """The nontrivial automorphism a+bi -> a-bi, which is x -> x^q."""
-        return Fq2Element(x.a, self.base.neg(x.b))
-
-    def norm(self, x: Fq2Element) -> int:
-        """N(a+bi) = a^2 - eps b^2 in the base field."""
-        F = self.base
-        return F.sub(F.mul(x.a, x.a), F.mul(self.eps, F.mul(x.b, x.b)))
-
-    def inv(self, x: Fq2Element) -> Fq2Element:
-        n = self.norm(x)
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Fq2")
-        c = self.base.inv(n)
-        xb = self.conj(x)
-        F = self.base
-        return Fq2Element(F.mul(c, xb.a), F.mul(c, xb.b))
-
-    def multiplicative_order(self, x: Fq2Element) -> int:
-        if x == self.zero:
-            raise ValueError("0 has no multiplicative order")
-        k, y = 1, x
-        while y != self.one:
-            y = self.mul(y, x)
-            k += 1
-        return k
-
-    def _ensure_dlog(self):
-        if self._dlog is not None:
-            return
-        full = self.q * self.q - 1
-        best = None
-        for x in sorted(
-            (e for e in self.elements() if e != self.zero),
-            key=lambda e: e.index(self.q),
-        ):
-            if self.multiplicative_order(x) == full:
-                best = x
+    def __init__(self, modulus: Poly):
+        F = modulus.field
+        self.base, self.modulus, self.q = F, modulus, F.q
+        self.order = order = F.q ** modulus.degree - 1
+        exp = None
+        for g in range(1, order + 1):
+            gen = Poly(F, self.coeffs(g))
+            walk, x = [1], gen
+            while not x.is_one() and len(walk) < order:
+                walk.append(self.index(x))
+                x = x * gen % modulus
+            if x.is_one() and len(walk) == order:
+                exp = walk
                 break
-        require(best is not None, f"GF({self.q}^2) has no generator")
-        powers = [self.one]
-        table = {self.one: 0}
-        cur = self.one
-        for k in range(1, full):
-            cur = self.mul(cur, best)
-            powers.append(cur)
-            table[cur] = k
-        self._powers = powers
-        self._dlog = table
+        require(exp is not None,
+                f"GF({F.q})[x]/({format_poly(modulus)}) has no generator")
+        self._exp = exp
+        self._log = {x: k for k, x in enumerate(exp)}
 
-    def dlog(self, x: Fq2Element) -> int:
-        """Discrete log base the canonical generator; x must be a unit."""
-        if x == self.zero:
+    def index(self, r: Poly) -> int:
+        """The element of a residue r, deg r < deg m."""
+        return sum(c * self.q ** k for k, c in enumerate(r.coeffs))
+
+    def coeffs(self, x: int) -> tuple[int, ...]:
+        """The coefficients of x as the Poly it names holds them."""
+        out = []
+        while x:
+            x, c = divmod(x, self.q)
+            out.append(c)
+        return tuple(out)
+
+    def element(self, a: int, b: int) -> int:
+        """a + b x; in F_q(i), a + b i."""
+        return a + self.q * b
+
+    def mul(self, x: int, y: int) -> int:
+        return self.from_dlog(self._log[x] + self._log[y]) if x and y else 0
+
+    def inv(self, x: int) -> int:
+        if not x:
+            raise ZeroDivisionError("inverse of 0 in a residue field")
+        return self.from_dlog(-self._log[x])
+
+    def div(self, x: int, y: int) -> int:
+        return self.mul(x, self.inv(y))
+
+    def conj(self, x: int) -> int:
+        """The Frobenius x^q; in F_q(i) it sends a + bi to a - bi."""
+        return self.from_dlog(self._log[x] * self.q) if x else 0
+
+    def norm(self, x: int) -> int:
+        """x^((q^d - 1)/(q - 1)), in F_q; in F_q(i), a^2 - eps b^2."""
+        if not x:
+            return 0
+        return self.from_dlog(self._log[x] * (self.order // (self.q - 1)))
+
+    def dlog(self, x: int) -> int:
+        """Discrete log base the generator; x must be a unit."""
+        if not x:
             raise ZeroDivisionError("dlog of 0")
-        self._ensure_dlog()
-        return self._dlog[x]
+        return self._log[x]
 
-    def from_dlog(self, k: int) -> Fq2Element:
-        self._ensure_dlog()
-        return self._powers[k % (self.q * self.q - 1)]
+    def from_dlog(self, k: int) -> int:
+        return self._exp[k % self.order]
 
 
 @lru_cache(maxsize=None)
-def fq2(q: int) -> Fq2:
-    """The shared F_q(i), i^2 = eps the smallest non-square: one per q, so
-    its generator and dlog table are built once."""
-    return Fq2(gf(q))
+def fq2(q: int) -> ResidueField:
+    """The shared F_q(i) = F_q[x]/(x^2 - eps), eps the smallest non-square
+    (odd q: smallest_nonsquare refuses characteristic 2), one per q."""
+    F = gf(q)
+    return ResidueField(Poly(F, (F.neg(F.smallest_nonsquare), 0, 1)))

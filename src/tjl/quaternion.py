@@ -33,7 +33,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import FalsificationError, FrozenRecord, require
-from .funcfield import (GF, Fq2, Fq2Element, Poly, RatFunc, format_poly, fq2, gf,
+from .funcfield import (GF, Poly, RatFunc, ResidueField, format_poly, fq2, gf,
                         monic_irreducibles, normal_form)
 
 
@@ -68,18 +68,17 @@ class AlgebraParams(FrozenRecord):
         return gf(self.q)
 
     @property
-    def residue(self) -> Fq2:
+    def residue(self) -> ResidueField:
         return fq2(self.q)
 
 
 class LocalReduction(FrozenRecord):
     """Class of a local unit group coset: uniformizer power k and residue
-    unit u in F_{q^2}^* with its discrete log."""
+    unit u in F_{q^2}^*, an element of alg.residue, with its discrete log."""
 
     __slots__ = ("place", "k", "residue", "exponent")
 
-    def __init__(self, place: str, k: int, residue: Fq2Element,
-                 exponent: int):
+    def __init__(self, place: str, k: int, residue: int, exponent: int):
         # place is "zero" or "infinity"
         self._set(place, k, residue, exponent)
 
@@ -154,11 +153,12 @@ class OrderElement:
         return _element(alg, (r.num, z, z, z), r.den)
 
     @staticmethod
-    def teichmuller(alg: AlgebraParams, u: Fq2Element) -> OrderElement:
-        """The constant a + b i realizing u = a + b sqrt(eps) globally."""
+    def teichmuller(alg: AlgebraParams, u: int) -> OrderElement:
+        """The constant a + b i realizing u = a + q b of alg.residue."""
         F = alg.field
+        b, a = divmod(u, alg.q)
         z = Poly.zero(F)
-        return _element(alg, (Poly.constant(F, u.a), Poly.constant(F, u.b),
+        return _element(alg, (Poly.constant(F, a), Poly.constant(F, b),
                               z, z), Poly.one(F))
 
     @property
@@ -400,7 +400,7 @@ def _reduce(x: OrderElement, place: str) -> LocalReduction:
     at_t, where = (True, "t") if place == "zero" else (False, "infinity")
     k = n.t_valuation() if at_t else n.valuation_at_infinity()
     h, s = divmod(k, 2)  # floor division keeps s in {0, 1}
-    nums = x.nums[2:] + x.nums[:2] if s else x.nums  # (C, D, A, B): sign in u
+    nums = x.nums[2:] + x.nums[:2] if s else x.nums  # (C, D, A, B)
     if at_t:
         v = x.den.t_valuation()
         idx, c, j_idx = v + h, x.den.coeffs[v], v + h + s
@@ -417,8 +417,10 @@ def _reduce(x: OrderElement, place: str) -> LocalReduction:
         raise ReductionError(f"reduced element fails integrality at {where}")
     r0, r1 = (F.div(p.coeffs[idx], c) if 0 <= idx < len(p.coeffs) else 0
               for p in nums[:2])
-    u = K.element(r0, F.neg(r1) if s else r1)
-    if u == K.zero:
+    u = K.element(r0, r1)
+    if s:
+        u = K.conj(u)  # R0 + R1 i = C - D i
+    if not u:
         raise ReductionError(f"unit residue vanished at {where}")
     # nrd(j) = -t and nrd(j/t) = -1/t, so nrd(y) is (-1)^k times the unit
     # part of nrd(x); it takes the value K.norm(u) at the place
@@ -538,12 +540,9 @@ def unit_congruence_certificate(alg: AlgebraParams) -> bool:
             raise FalsificationError(
                 f"t^{k} has valuation {mono.valuation_at_infinity()} at "
                 f"infinity, not {-k}")
-    hits = []
-    for a in range(F.q):
-        for b in range(F.q):
-            delta = OrderElement.teichmuller(alg, alg.residue.element(a, b))
-            if delta.in_K1_infinity():
-                hits.append((a, b))
+    # the constant a + b i is u = a + q b, listed as (a, b)
+    hits = [divmod(u, F.q)[::-1] for u in range(F.q ** 2)
+            if OrderElement.teichmuller(alg, u).in_K1_infinity()]
     if hits != [(1, 0)]:
         raise FalsificationError(
             f"the principal units at infinity among the constants a + b i "

@@ -619,9 +619,9 @@ def test_two_digit_coset_labels_equal_labels_at_P_digits(q):
                 assert sp.coset_labels(w.element) == want
                 if sp is ws.split:
                     assert (w.right_label, w.left_label) == want
-            # one residue inverse per residue met, nothing else
-            assert all(((r * u) % pi).is_one()
-                       for r, u in sp._residue_inverses.items())
+            # the labels' quotients live in the model's F_q[t]/pi
+            assert sp.residue.modulus == pi
+            assert sp.residue.order == q ** pi.degree - 1
 
 
 def test_coset_labels_reject_determinant_valuation_two():

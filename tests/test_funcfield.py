@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
+from itertools import product
 
 import pytest
 
@@ -11,9 +14,9 @@ from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (
     GF,
     INF,
-    Fq2,
     Poly,
     RatFunc,
+    ResidueField,
     format_poly,
     fq2,
     gf,
@@ -271,42 +274,74 @@ def test_ratfunc_reduce_mod():
     assert prod.is_one()
 
 
+def _schoolbook_mul(F, x, y):
+    """(a + b i)(c + d i) = (ac + eps bd) + (ad + bc) i, on (a, b) pairs."""
+    (a, b), (c, d) = x, y
+    eps = F.smallest_nonsquare
+    return (F.add(F.mul(a, c), F.mul(eps, F.mul(b, d))),
+            F.add(F.mul(a, d), F.mul(b, c)))
+
+
 def _power(K, x, k):
     """x^k in K by k multiplications."""
-    out = K.one
+    out = 1
     for _ in range(k):
         out = K.mul(out, x)
     return out
+
+
+def test_fq2_arithmetic_is_schoolbook_on_a_plus_qb():
+    for q in (3, 5, 7):
+        K, F = fq2(q), gf(q)
+        for x in range(q * q):
+            for y in range(q * q):
+                want = _schoolbook_mul(F, divmod(x, q)[::-1],
+                                       divmod(y, q)[::-1])
+                assert K.mul(x, y) == K.element(*want)
 
 
 def test_fq2_norm_and_frobenius():
     for q in (3, 5, 7):
         K = fq2(q)
         F = K.base
-        for x in K.elements():
+        for x in range(K.order + 1):
             assert K.conj(x) == _power(K, x, q)  # conj is the Frobenius
-            if x != K.zero:
+            a, b = x % q, x // q
+            assert K.conj(x) == K.element(a, F.neg(b))
+            if x:
                 n = K.norm(x)
                 nx = _power(K, x, q + 1)
                 assert nx == K.element(n, 0)  # norm = x^(q+1)
-                assert K.mul(x, K.inv(x)) == K.one
-            for y in K.elements():
+                assert K.mul(x, K.inv(x)) == 1
+            for y in range(K.order + 1):
                 assert K.norm(K.mul(x, y)) == F.mul(K.norm(x), K.norm(y))
+
+
+def test_fq2_generator_is_the_first_of_full_order():
+    # the first element a + q b in index order whose powers, taken by
+    # schoolbook a + b i products, reach every unit before 1
+    for q in (3, 5, 7, 9):
+        F, full = gf(q), q * q - 1
+        for x in range(1, q * q):
+            g = (x % q, x // q)
+            power, order = g, 1
+            while power != (1, 0):
+                power, order = _schoolbook_mul(F, power, g), order + 1
+            if order == full:
+                break
+        assert fq2(q).from_dlog(1) == x
 
 
 def test_fq2_dlog():
     for q in (3, 5):
         K = fq2(q)
-        g = K.from_dlog(1)
         full = q * q - 1
-        assert K.multiplicative_order(g) == full
-        for x in K.elements():
-            if x == K.zero:
-                continue
+        assert len({K.from_dlog(k) for k in range(full)}) == full
+        for x in range(1, K.order + 1):
             k = K.dlog(x)
             assert K.from_dlog(k) == x
             assert 0 <= k < full
-        assert K.dlog(K.one) == 0
+        assert K.dlog(1) == 0
         # units of the base field sit at multiples of (q+1)
         for a in range(1, q):
             assert K.dlog(K.element(a, 0)) % (q + 1) == 0
@@ -316,8 +351,63 @@ def test_fq2_norm_surjective_onto_base_units():
     # the norm map F_{q^2}* -> F_q* is onto (kernel of size q+1)
     for q in (3, 5, 7):
         K = fq2(q)
-        norms = {K.norm(x) for x in K.elements() if x != K.zero}
+        norms = {K.norm(x) for x in range(1, K.order + 1)}
         assert norms == set(range(1, q))
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_residue_field_at_each_place_is_poly_arithmetic_mod_pi(q):
+    F, rng = gf(q), random.Random(q)
+    for pi in monic_irreducibles(F, 2):
+        R = ResidueField(pi)
+        size = q ** pi.degree
+        assert R.order == size - 1
+        residues = [Poly(F, cs) for cs in product(range(q),
+                                                   repeat=pi.degree)]
+        # the residue c_0 + c_1 t + ... is the int c_0 + c_1 q + ..., and
+        # decoding an int gives back the Poly's coefficients
+        assert sorted(R.index(r) for r in residues) == list(range(size))
+        for r in residues:
+            assert R.index(r) == sum(c * q ** k
+                                     for k, c in enumerate(r.coeffs))
+        for x in range(size):
+            assert R.index(Poly(F, R.coeffs(x))) == x
+            assert R.coeffs(x) == Poly(F, R.coeffs(x)).coeffs
+        assert len({R.from_dlog(k) for k in range(R.order)}) == R.order
+        # r / s read back as a Poly times s is r mod pi: for every unit s
+        # over r = 1, for every r over the generator, and at random pairs
+        gen = Poly(F, R.coeffs(R.from_dlog(1)))
+        units = residues[1:]
+        pairs = ([(Poly.one(F), s) for s in units]
+                 + [(r, gen) for r in residues]
+                 + [(rng.choice(residues), rng.choice(units))
+                    for _ in range(100)])
+        for r, s in pairs:
+            quot = Poly(F, R.coeffs(R.div(R.index(r), R.index(s))))
+            assert (quot * s) % pi == r
+            assert R.mul(R.index(quot), R.index(s)) == R.index(r)
+
+
+def test_reducible_modulus_has_no_generator():
+    F = gf(3)
+    with pytest.raises(FalsificationError, match="has no generator"):
+        ResidueField(parse_poly(F, "t^2+2"))
+
+
+def test_reducible_modulus_fails_under_dash_O():
+    script = (
+        "import sys\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.funcfield import ResidueField, gf, parse_poly\n"
+        "try:\n"
+        "    ResidueField(parse_poly(gf(3), 't^2+2'))\n"
+        "except FalsificationError as exc:\n"
+        "    print(sys.flags.optimize, 'no generator' in str(exc))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
 
 
 # -- the fast paths against plain references ---------------------------
@@ -480,10 +570,7 @@ def test_ratfunc_same_denominator_sum_is_the_cross_multiplied_sum():
 
 def test_bad_field_arguments_raise_value_error():
     with pytest.raises(ValueError, match="characteristic-2"):
-        Fq2(gf(4))
-    K = fq2(3)
-    with pytest.raises(ValueError, match="no multiplicative order"):
-        K.multiplicative_order(K.zero)
+        fq2(4)
 
 
 def _no_negatives(F):
@@ -497,9 +584,9 @@ def _only_squares(F):
 
 
 def _no_generator_fq2(F):
-    K = Fq2(F)   # a private instance: the cached fq2(5) stays intact
-    K.multiplicative_order = lambda x: 1
-    return K.dlog(K.one)
+    # 1 passes for the non-square eps, and x^2 - 1 is reducible
+    F.is_square = lambda a: a != 1
+    return ResidueField(Poly(F, (F.neg(F.smallest_nonsquare), 0, 1)))
 
 
 @pytest.mark.parametrize("tamper", [_no_negatives, _only_squares,

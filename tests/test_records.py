@@ -9,7 +9,7 @@ import pickle
 import pytest
 
 from tjl.adelic import default_places, witness_set
-from tjl.funcfield import Fq2Element, gf
+from tjl.funcfield import gf
 from tjl.metacyclic import GroupParams, IrrepLabel
 from tjl.quaternion import AlgebraParams, LocalReduction
 from tjl.spectral import (
@@ -26,16 +26,13 @@ def _hashed_records():
     alg = AlgebraParams(3)
     pi = default_places(alg, 1)[0]
     w = witness_set(alg, pi).witnesses[0]
-    unit = Fq2Element(1, 2)
-    red = LocalReduction("zero", 1, unit, 5)
+    red = LocalReduction("zero", 1, 7, 5)
     return [
-        (unit, (1, 2), "Fq2Element(a=1, b=2)"),
         (GroupParams(3, 2), (3, 2, 1), "GroupParams(q=3, n=2, level=1)"),
         (IrrepLabel((1, 3), 0), ((1, 3), 0), "IrrepLabel(orbit=(1, 3), s=0)"),
         (alg, (3, 1, 2), "AlgebraParams(q=3, level=1, eps=2)"),
-        (red, ("zero", 1, unit, 5),
-         "LocalReduction(place='zero', k=1, "
-         "residue=Fq2Element(a=1, b=2), exponent=5)"),
+        (red, ("zero", 1, 7, 5),
+         "LocalReduction(place='zero', k=1, residue=7, exponent=5)"),
         (TameParam((1, 3), 1, 0), ((1, 3), 1, 0),
          "TameParam(orbit=(1, 3), d=1, s=0)"),
         (GlobalTameParam((1, 3), 0), ((1, 3), 0),
@@ -68,7 +65,7 @@ def test_hashed_records_hash_compare_and_print_as_field_tuples():
 
 def test_records_of_plain_values_survive_pickle():
     # records that hold Polys do not: a Poly compares its field by identity
-    for rec in (Fq2Element(1, 2), GroupParams(4, 2, 2), AlgebraParams(5),
+    for rec in (GroupParams(4, 2, 2), AlgebraParams(5),
                 IrrepLabel((1, 3), 1), TameParam((1, 3), 1, 0)):
         assert pickle.loads(pickle.dumps(rec)) == rec
 
@@ -83,7 +80,7 @@ def test_equality_holds_only_within_one_class():
         IrrepLabel(orbit, s) < GlobalTameParam(orbit, 1)
     # the records without order=True compare for equality only
     with pytest.raises(TypeError):
-        Fq2Element(0, 1) < Fq2Element(1, 0)
+        GroupParams(3, 2) < GroupParams(5, 2)
 
 
 @pytest.mark.parametrize("cls, values", [
