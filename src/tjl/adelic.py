@@ -42,14 +42,16 @@ a peeling reads), but its arithmetic works mod pi^k for the precision k
 each caller passes: the multiply-reduce kernel folds high coefficients back
 along rows t^e mod pi^k kept per k, and an embedding entry is one kernel
 call over the coordinate numerators and the basis matrices scaled by each
-inverse denominator.  Coset labels read a witness's numerators at 1 digit
-and its norm at 2, and name a line mod pi by its slope v0/v1, one quotient
-in the model's log-table field ResidueField(pi).  An adele component
-computes at its own precision, which a division by norm valuation v lowers
-by v; each divisor's image, embed(conj x) times the inverse of the unit
-part of nrd x, is computed once per model and precision.  A synthesized
-adele starts at P digits; factorize_adele cuts each component to the
-v + 2 digits its peeling uses (the proof is in its docstring).
+inverse denominator.  The model's log-table field ResidueField(pi) holds
+every residue fact: the point's residue, the inverses mod pi that Newton
+steps lift to pi^P, and the slope v0/v1 that names a line mod pi.  Coset
+labels read a witness's numerators at 1 digit and its norm at 2.  An adele
+component computes at its own precision, which a division by norm
+valuation v lowers by v; each divisor's image, embed(conj x) times the
+inverse of the unit part of nrd x, is computed once per model and
+precision.  A synthesized adele starts at P digits; factorize_adele cuts
+each component to the v + 2 digits its peeling uses (the proof is in its
+docstring).
 """
 
 from __future__ import annotations
@@ -113,12 +115,10 @@ class SplitPlace:
         # e) as its nonzero (j, c) pairs; _mulsum folds each high
         # coefficient along its row
         self._fold_rows: dict[int, list[list[tuple[int, int]]]] = {}
-        # den -> den^{-1} mod pi^P; the denominators met are few (powers of
-        # t, mostly), and a SplitPlace fixes every other input
-        self._den_inverses: dict[Poly, Poly] = {}
-        # (den, idx) -> den^{-1} times the entries of basis matrix idx, mod
-        # pi^P: one embedding entry is one _mulsum over these
-        self._scaled_basis: dict[tuple[Poly, int], Mat] = {}
+        # den -> den^{-1} times the four basis matrices, mod pi^P: one
+        # embedding entry is one _mulsum over these; the denominators met
+        # are few (powers of t, mostly)
+        self._scaled_basis: dict[Poly, tuple[Mat, ...]] = {}
         # num -> (num / pi^v_pi(num))^{-1} mod pi^P; the norms divided by
         # repeat (witness norms, pi^2)
         self._num_inverses: dict[Poly, Poly] = {}
@@ -130,7 +130,6 @@ class SplitPlace:
         self._divisor_images: dict[tuple[OrderElement, int],
                                    tuple[int, Mat]] = {}
         x, y = self._hensel_point()
-        self.x, self.y = x, y
         zero, one = Poly.zero(F), Poly.one(F)
         self.mat_one: Mat = (one, zero, zero, one)
         self.mat_i: Mat = (zero, Poly.constant(F, alg.eps), one, zero)
@@ -153,33 +152,26 @@ class SplitPlace:
     # -- ring helpers --------------------------------------------------
 
     def _hensel_point(self) -> tuple[Poly, Poly]:
-        alg, pi = self.alg, self.pi
-        F = self.field
-        base = split_certificate(alg, pi)
+        """The residue point of split_certificate lifted mod pi^P by Newton
+        steps in x, or in y when x is 0 mod pi."""
+        alg, F, m = self.alg, self.field, self.modulus
+        base = split_certificate(alg, self.residue)
         if base is None:
             raise FalsificationError(
-                f"the algebra is ramified at {format_poly(pi)}")
+                f"the algebra is ramified at {format_poly(self.pi)}")
         x, y = base
-        t = Poly.t(F)
         eps = Poly.constant(F, alg.eps)
         two = Poly.constant(F, F.embed_int(2))
-
-        def f(x: Poly, y: Poly) -> Poly:
-            return (x * x - eps * y * y - t) % self.modulus
-
-        lift_x = not (x % pi).is_zero()
         for _ in range(self.precision + 2):
-            err = f(x, y)
+            err = (x * x - eps * y * y - Poly.t(F)) % m
             if err.is_zero():
-                break
-            if lift_x:
-                x = (x - err * self.inv_mod(two * x)) % self.modulus
+                return x, y
+            if base[0].coeffs:
+                x = (x - err * self.inv_mod(two * x)) % m
             else:
-                y = (y + err * self.inv_mod(two * eps * y)) % self.modulus
-        if not f(x, y).is_zero():
-            raise FalsificationError(
-                f"the Hensel lift at {format_poly(pi)} did not converge")
-        return x, y
+                y = (y + err * self.inv_mod(two * eps * y)) % m
+        raise FalsificationError(
+            f"the Hensel lift at {format_poly(self.pi)} did not converge")
 
     def pi_power(self, k: int) -> Poly:
         """pi^k, each power built once."""
@@ -189,14 +181,20 @@ class SplitPlace:
         return powers[k]
 
     def inv_mod(self, a: Poly) -> Poly:
-        """a^{-1} mod pi^P."""
+        """a^{-1} mod pi^P: its inverse mod pi, lifted by Newton steps
+        w <- w (2 - a w), each of which doubles the digits."""
         a = a % self.modulus
-        g, u, _ = a.xgcd(self.modulus)
-        if not g.is_one():
+        R, P = self.residue, self.precision
+        u = R.index(a % self.pi)
+        if not u:
             raise ZeroDivisionError(
-                f"{format_poly(a)} is not a unit mod pi^{self.precision} at "
+                f"{format_poly(a)} is not a unit mod pi^{P} at "
                 f"{format_poly(self.pi)}")
-        return u % self.modulus
+        w = Poly(self.field, R.coeffs(R.inv(u)))
+        two = Poly.constant(self.field, self.field.embed_int(2))
+        for _ in range((P - 1).bit_length()):
+            w = self._mulsum(((w, two - self._mulsum(((a, w),), P)),), P)
+        return w
 
     def _mulsum(self, pairs, k: int) -> Poly:
         """The sum of a*b mod pi^k over the pairs (a, b) of Polys.  Every
@@ -254,16 +252,6 @@ class SplitPlace:
                 rows.append([(j, c) for j, c in enumerate(cur) if c])
         return rows
 
-    def _den_inverse(self, den: Poly) -> Poly:
-        """den^{-1} mod pi^P for a denominator that is a unit at pi
-        (ValueError otherwise), computed once per model."""
-        inv = self._den_inverses.get(den)
-        if inv is None:
-            if (den % self.pi).is_zero():
-                raise ValueError("denominator not a unit at the place")
-            inv = self._den_inverses[den] = self.inv_mod(den)
-        return inv
-
     def unit_inverse(self, r: RatFunc, k: int) -> Poly:
         """The inverse mod pi^k of the unit part r / pi^v, v = v_pi(r), of r
         whose denominator is a unit at pi (ValueError otherwise).  The
@@ -317,22 +305,25 @@ class SplitPlace:
 
     def embed(self, elt: OrderElement, k: int) -> Mat:
         """The matrix of elt mod pi^k; denominators must be prime to pi.
-        Entry e is one _mulsum over the four pairs (numerator idx of elt,
-        den^{-1} times entry e of basis matrix idx), den the one
-        denominator of elt."""
-        den = elt.den
-        cols = [(num, self._scaled(den, idx))
-                for idx, num in enumerate(elt.nums) if num.coeffs]
+        Entry e is one _mulsum over the pairs (numerator idx of elt,
+        den^{-1} times entry e of basis matrix idx) of the nonzero
+        numerators, den the one denominator of elt."""
+        cols = [(num, s) for num, s in zip(elt.nums, self._scaled(elt.den))
+                if num.coeffs]
         return tuple(self._mulsum([(num, s[e]) for num, s in cols], k)
                      for e in range(4))
 
-    def _scaled(self, den: Poly, idx: int) -> Mat:
-        """den^{-1} times basis matrix idx, mod pi^P, computed once per
-        model."""
-        scaled = self._scaled_basis.get((den, idx))
+    def _scaled(self, den: Poly) -> tuple[Mat, ...]:
+        """den^{-1} times the four basis matrices, mod pi^P, for a
+        denominator that is a unit at pi (ValueError otherwise); computed
+        once per model."""
+        scaled = self._scaled_basis.get(den)
         if scaled is None:
-            scaled = self._scaled_basis[(den, idx)] = self.scale_mat(
-                self._basis[idx], self._den_inverse(den), self.precision)
+            if (den % self.pi).is_zero():
+                raise ValueError("denominator not a unit at the place")
+            inv = self.inv_mod(den)
+            scaled = self._scaled_basis[den] = tuple(
+                self.scale_mat(B, inv, self.precision) for B in self._basis)
         return scaled
 
     # -- coset structure of the degree-one double coset ----------------
@@ -486,6 +477,14 @@ def _norm_table(F, m: int) -> dict[tuple, list[tuple[int, int]]]:
     return table
 
 
+def _require_table_rows(q: int, m: int) -> None:
+    """The norm-form table at depth m fits under the row cap."""
+    if q ** (2 * m) > TABLE_ROW_CAP:
+        raise SearchBoundExceededError(
+            f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
+            f"more than the cap {TABLE_ROW_CAP}")
+
+
 def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     """All (a, b, c, d) with a = t^m + lower, deg b, c, d < m and
     nrd = t^{2m - deg pi} * pi, in product order of (a, b, c, d).
@@ -500,10 +499,7 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     e0 = 2 * m - pi.degree
     if e0 < 0:
         return
-    if q ** (2 * m) > TABLE_ROW_CAP:
-        raise SearchBoundExceededError(
-            f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
-            f"more than the cap {TABLE_ROW_CAP}")
+    _require_table_rows(q, m)
     get = _norm_table(F, m).get
     lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
     tm = Poly.t_power(F, m)
@@ -562,6 +558,7 @@ def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
     model, the one split model at pi, are kept per place once certified."""
     ws = _SCANS.get((alg, pi))
     if ws is None:
+        _require_table_rows(alg.field.q, (pi.degree + 1) // 2)
         split = SplitPlace(alg, pi)
         ws = _SCANS[(alg, pi)] = WitnessSet(split, _scan(split))
     return ws

@@ -10,7 +10,8 @@ local fields of the algebra, F_q(i) = F_q[x]/(x^2 - eps) at t and infinity
 and F_q[t]/pi at a split place, are one type, ResidueField: the element
 sum c_k x^k is the int sum c_k q^k, and products, quotients and discrete
 logs are lookups in log and antilog tables built by one walk of the powers
-of a generator (Lidl and Niederreiter, Finite Fields, ch. 2 and 9).
+of a generator (Lidl and Niederreiter, Finite Fields, ch. 2 and 9); it
+also gives the square roots and inverses that replace extended Euclid.
 
 Rational functions carry exact valuations at every place (monic irreducible of
 F_q[t], plus the degree valuation at infinity), so no truncated t-adic
@@ -344,22 +345,6 @@ class Poly:
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
-
-    def xgcd(self, other: Poly) -> tuple[Poly, Poly, Poly]:
-        """(g, u, v) with u*self + v*other = g monic (or zero)."""
-        F = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(F), Poly.zero(F)
-        t0, t1 = Poly.zero(F), Poly.one(F)
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.is_zero():
-            return r0, s0, t0
-        c = F.inv(r0.lead)
-        return r0.scale(c), s0.scale(c), t0.scale(c)
 
     def valuation(self, pi: Poly) -> int:
         """Exact pi-adic valuation; raises on the zero polynomial."""

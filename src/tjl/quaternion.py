@@ -3,9 +3,9 @@ over the rational function field F_q(t), q odd.
 
 The algebra is ramified exactly at the place t and at infinity (eps a
 non-square makes the residue norm form anisotropic there; at every other
-place the conic x^2 - eps y^2 = t has a smooth point, certified by brute
-force over the residue field).  The standard order spanned by 1, i, j, ij
-over F_q[t] is maximal: its reduced discriminant is (t).
+place the conic x^2 - eps y^2 = t has a smooth point, its y a square root
+read in the log table of the residue field).  The standard order spanned by
+1, i, j, ij over F_q[t] is maximal: its reduced discriminant is (t).
 
 Reduction at a ramified place sends x to (k, u): k the valuation of nrd(x)
 and u the residue after dividing out the k-th uniformizer power on the left
@@ -463,31 +463,28 @@ def maximality_certificate(alg: AlgebraParams) -> bool:
     return True
 
 
-def residue_field_elements(pi: Poly):
-    """All residues mod pi in canonical (constant-first lex) order."""
+def split_certificate(alg: AlgebraParams, R: ResidueField
+                      ) -> tuple[Poly, Poly] | None:
+    """The first (x, y) != (0, 0) in canonical (constant-first lex) order
+    with x^2 - eps y^2 = t in R = F_q[t]/pi, or None if anisotropic.  A
+    smooth point Hensel-lifts, so a hit certifies the algebra splits at pi.
+    Per x, y^2 = w / eps, w = x^2 - t: y = 0 if w = 0, else y = +-g^(l/2)
+    for l = dlog w - dlog eps even, g the generator of R's log table."""
+    pi = R.modulus
     F = pi.field
-    for coeffs in product(range(F.q), repeat=pi.degree):
-        yield Poly(F, coeffs)
-
-
-def split_certificate(alg: AlgebraParams, pi: Poly) -> tuple[Poly, Poly] | None:
-    """A point (x, y) with x^2 - eps y^2 = t mod pi, or None if anisotropic.
-
-    A smooth residue point Hensel-lifts, so a hit certifies the algebra
-    splits at pi.  The first hit in canonical order is returned, making the
-    downstream splitting matrices deterministic.
-    """
-    F = alg.field
-    eps = Poly.constant(F, alg.eps)
     t = Poly.t(F)
-    for x in residue_field_elements(pi):
-        xx = (x * x) % pi
-        for y in residue_field_elements(pi):
-            if x.is_zero() and y.is_zero():
-                continue  # only smooth points certify splitting
-            lhs = (xx - eps * y * y - t) % pi
-            if lhs.is_zero():
-                return (x, y)
+    for cs in product(range(F.q), repeat=pi.degree):
+        x = Poly(F, cs)
+        w = R.index((x * x - t) % pi)
+        if not w:
+            if x.coeffs:
+                return x, Poly.zero(F)
+            continue
+        l = R.dlog(w) - R.dlog(alg.eps)
+        if l % 2 == 0:
+            y = min(R.from_dlog(l // 2), R.from_dlog(l // 2 + R.order // 2),
+                    key=R.coeffs)
+            return x, Poly(F, R.coeffs(y))
     return None
 
 
@@ -512,7 +509,7 @@ def ramification_certificate(alg: AlgebraParams, max_deg: int = 2) -> dict:
     for pi in monic_irreducibles(F, max_deg):
         if pi == t:
             continue
-        point = split_certificate(alg, pi)
+        point = split_certificate(alg, ResidueField(pi))
         if point is None:
             raise FalsificationError(
                 f"unexpected ramification at {format_poly(pi)}")

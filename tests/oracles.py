@@ -1,8 +1,43 @@
 """Reference computations that several test files check tjl against."""
 
+from itertools import product
+
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import INF, Poly, RatFunc, format_poly
 from tjl.quaternion import LocalReduction, OrderElement
+
+
+def xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g monic (or zero), by extended Euclid."""
+    F = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(F), Poly.zero(F)
+    t0, t1 = Poly.zero(F), Poly.one(F)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.is_zero():
+        return r0, s0, t0
+    c = F.inv(r0.lead)
+    return r0.scale(c), s0.scale(c), t0.scale(c)
+
+
+def ref_split_point(alg, pi):
+    """The first (x, y) != (0, 0) in canonical (constant-first lex) order
+    with x^2 - eps y^2 = t mod pi, by trying all q^(2 deg pi) residue pairs,
+    or None."""
+    F = pi.field
+    eps = Poly.constant(F, alg.eps)
+    t = Poly.t(F)
+    residues = [Poly(F, cs) for cs in product(range(F.q), repeat=pi.degree)]
+    for x in residues:
+        for y in residues:
+            if x.coeffs or y.coeffs:  # only smooth points count
+                if ((x * x - eps * y * y - t) % pi).is_zero():
+                    return x, y
+    return None
 
 
 def reduce_mod(r, pi, power):
@@ -12,7 +47,7 @@ def reduce_mod(r, pi, power):
         return Poly.zero(r.field)
     if not (r.den.valuation(pi) == 0):
         raise ValueError("denominator not a unit at the place")
-    g, u, _ = r.den.xgcd(power)
+    g, u, _ = xgcd(r.den, power)
     if not g.is_one():
         raise FalsificationError(
             f"denominator {format_poly(r.den)} is not invertible "

@@ -13,12 +13,11 @@ import pytest
 
 from int_rows import matmul
 from oracles import (coords, reduce_mod, ref_reduce_at_infinity,
-                     ref_reduce_at_zero)
+                     ref_reduce_at_zero, xgcd)
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_infinity,
-                            reduce_at_zero, require_anisotropic,
-                            residue_field_elements)
+                            reduce_at_zero, require_anisotropic)
 from tjl.adelic import (
     FactorizationError,
     FalsificationError,
@@ -100,13 +99,13 @@ def test_split_place_reduce_matches_reduce_mod():
                     num = Poly(F, [rng.randrange(q) for _ in range(6)])
                     r = RatFunc(num, den)
                     want = reduce_mod(r, pi, sp.modulus)
-                    if r.den in sp._den_inverses:
+                    if r.den in sp._scaled_basis:
                         hits += 1
                     else:
                         misses += 1
                     assert reduce(r) == (want, zero, zero, want)
                     # the second reduction reads the memo and agrees
-                    assert r.den in sp._den_inverses
+                    assert r.den in sp._scaled_basis
                     assert reduce(r) == (want, zero, zero, want)
             assert hits and misses
             for bad in (pi, pi * Poly.t(F), pi * pi):
@@ -115,7 +114,7 @@ def test_split_place_reduce_matches_reduce_mod():
                     reduce(r)
                 with pytest.raises(ValueError):
                     reduce_mod(r, pi, sp.modulus)
-                assert r.den not in sp._den_inverses
+                assert r.den not in sp._scaled_basis
 
 
 # The per-entry formulas SplitPlace used before its multiply-reduce kernel:
@@ -124,7 +123,7 @@ def test_split_place_reduce_matches_reduce_mod():
 
 
 def _ref_inv(a, m):
-    g, u, _ = (a % m).xgcd(m)
+    g, u, _ = xgcd(a % m, m)
     assert g.is_one()
     return u % m
 
@@ -263,9 +262,8 @@ def test_split_place_kernel_matches_per_entry_formulas(q):
                 assert sp.scale_mat(A, B[0], k) == _cut(
                     tuple(e * B[0] for e in A), m)
                 assert sp.embed(elt, k) == _ref_embed(sp, elt, m)
-            # one scaled basis matrix per (denominator, coordinate)
-            assert {(elt.den, idx) for idx, n in enumerate(elt.nums)
-                    if n.coeffs} <= set(sp._scaled_basis)
+            # the four scaled basis matrices of the denominator
+            assert len(sp._scaled_basis[elt.den]) == 4
         for bad in (lambda r: sp.unit_inverse(r, P),
                     lambda r: sp.embed(OrderElement.scalar(alg, r), P)):
             with pytest.raises(ValueError):
@@ -377,6 +375,26 @@ def test_inv_mod_names_the_place_and_the_precision():
         sp.inv_mod(pi * Poly.t(alg.field))
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_inv_mod_is_the_extended_euclid_inverse(q):
+    # Newton's lift of the residue-field inverse is the inverse mod pi^P
+    # that extended Euclid finds, at every place of degree <= 2
+    rng = random.Random(900 + q)
+    alg = AlgebraParams(q)
+    F = alg.field
+    for pi in default_places(alg, 2):
+        sp = SplitPlace(alg, pi)
+        m, D = sp.modulus, sp.modulus.degree
+        for _ in range(10):
+            a = Poly(F, [rng.randrange(q)
+                         for _ in range(rng.randrange(1, D + 4))])
+            if (a % pi).is_zero():
+                continue
+            inv = sp.inv_mod(a)
+            assert inv == _ref_inv(a, m)
+            assert (a * inv % m).is_one()
+
+
 def test_split_place_rejects_t():
     alg = AlgebraParams(3)
     with pytest.raises(ValueError):
@@ -413,7 +431,9 @@ def test_witness_counts_and_normalization():
 def _coset_labels(pi, kind):
     """The labels of the q^deg(pi) + 1 right ("upper") or left ("lower")
     cosets of the degree-one double coset at pi."""
-    return [("diag",)] + [(kind, r.coeffs) for r in residue_field_elements(pi)]
+    F = pi.field
+    return [("diag",)] + [(kind, Poly(F, cs).coeffs)
+                          for cs in product(range(F.q), repeat=pi.degree)]
 
 
 def test_witness_cosets_cover_exactly():
@@ -1135,6 +1155,21 @@ def test_norm_table_past_the_row_cap_is_a_search_bound():
     assert 9 ** 8 > adelic.TABLE_ROW_CAP
     with pytest.raises(SearchBoundExceededError, match="cap"):
         next(adelic._box_candidates(alg, pi, 4))
+
+
+def test_place_past_the_row_cap_builds_no_split_model(monkeypatch):
+    # the cap is checked before the model (its residue field has 3^13
+    # elements) is built
+    def refuse(alg, pi):
+        raise AssertionError("SplitPlace built past the row cap")
+
+    monkeypatch.setattr(adelic, "_SCANS", {})
+    monkeypatch.setattr(adelic, "SplitPlace", refuse)
+    alg = AlgebraParams(3)
+    pi = parse_poly(alg.field, "t^13+2t^3+t^2+1")
+    assert 3 ** 14 > adelic.TABLE_ROW_CAP
+    with pytest.raises(SearchBoundExceededError, match="cap"):
+        verify_witness_uniqueness(alg, pi, depth_bound=7)
 
 
 def _fresh_caches(monkeypatch):

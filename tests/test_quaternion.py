@@ -8,7 +8,8 @@ import pytest
 
 import tjl.quaternion as quaternion
 from oracles import (coords, infinity_integral, ref_mul, ref_nrd,
-                     ref_reduce_at_infinity, ref_reduce_at_zero, t_integral)
+                     ref_reduce_at_infinity, ref_reduce_at_zero,
+                     ref_split_point, t_integral)
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (Poly, RatFunc, ResidueField, fq2, gf,
                            monic_irreducibles, parse_poly)
@@ -224,7 +225,17 @@ def test_ramification_certificates():
 
 def test_anisotropic_at_t():
     alg = AlgebraParams(3)
-    assert split_certificate(alg, Poly.t(alg.field)) is None
+    assert split_certificate(alg, ResidueField(Poly.t(alg.field))) is None
+
+
+@pytest.mark.parametrize("q, max_deg", [(3, 4), (5, 3), (7, 2), (9, 2)])
+def test_split_point_is_the_first_pair_in_canonical_order(q, max_deg):
+    # the square-root read finds the point the pair search finds, at every
+    # place of degree <= max_deg, t (no point) included
+    alg = AlgebraParams(q)
+    for pi in monic_irreducibles(alg.field, max_deg):
+        assert split_certificate(alg, ResidueField(pi)) \
+            == ref_split_point(alg, pi)
 
 
 def test_unit_congruence_certificate():
