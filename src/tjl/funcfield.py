@@ -63,6 +63,18 @@ def is_prime_power(q: int) -> bool:
     return prime_power_decomposition(q) is not None
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out, r = [], 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    return out + [n] if n > 1 else out
+
+
 class GF:
     """The finite field with q elements, q = p^r a small prime power."""
 
@@ -594,29 +606,87 @@ class RatFunc:
 class ResidueField:
     """F_q[x]/(m), m monic irreducible of degree d over F_q.  The element
     sum c_k x^k is the int sum c_k q^k (constant first, as in a Poly), so F_q
-    sits at 0..q-1 as in GF.  One walk of the powers of the generator, the
-    first element in index order of order q^d - 1, fills the antilog table
-    _exp and the log table _log, where products, quotients and discrete logs
-    are lookups.  A reducible m has no generator (FalsificationError)."""
+    sits at 0..q-1 as in GF.  The generator is the first element in index
+    order of order Q - 1 = q^d - 1, each candidate tested by its powers
+    g^((Q-1)/r) for the primes r | Q - 1; one walk of its powers, in ints and
+    the tables of F_q, fills the antilog table _exp and the log table _log,
+    where products, quotients and discrete logs are lookups.  A reducible m
+    has no generator (FalsificationError)."""
 
     def __init__(self, modulus: Poly):
         F = modulus.field
         self.base, self.modulus, self.q = F, modulus, F.q
         self.order = order = F.q ** modulus.degree - 1
-        exp = None
-        for g in range(1, order + 1):
-            gen = Poly(F, self.coeffs(g))
-            walk, x = [1], gen
-            while not x.is_one() and len(walk) < order:
-                walk.append(self.index(x))
-                x = x * gen % modulus
-            if x.is_one() and len(walk) == order:
-                exp = walk
-                break
+        # in a field, g has order Q - 1 = order iff g^((Q-1)/r) != 1 for each
+        # prime r | Q - 1; the walk then checks g^(Q-1) = 1.  When m is
+        # reducible, a zero divisor passes the first test and no walk
+        # closes, as the units number less than Q - 1
+        cofactors = [order // r for r in _prime_divisors(order)]
+        one = self._digits(1)
+        gen = next(g for g in range(1, order + 1)
+                   if all(self._power(self._digits(g), e) != one
+                          for e in cofactors))
+        exp = self._walk(gen)
         require(exp is not None,
                 f"GF({F.q})[x]/({format_poly(modulus)}) has no generator")
         self._exp = exp
         self._log = {x: k for k, x in enumerate(exp)}
+
+    def _walk(self, gen: int) -> list[int] | None:
+        """[1, gen, ..., gen^(Q-2)], or None when gen^(Q-1) != 1.  x gen is
+        the sum over the digits c_i of x of c_i (x^i gen), and each row
+        c (x^i gen) is built once."""
+        F = self.base
+        add, mul = F._add, F._mul
+        g = self._digits(gen)
+        weights = [self.q ** i for i in range(len(g))]
+        rows = [[[mul[c][v] for v in self._times(self._digits(w), g)]
+                 for c in range(F.q)] for w in weights]
+        exp, x, digits = [1], gen, g
+        for _ in range(self.order - 1):
+            exp.append(x)
+            acc = rows[0][digits[0]]
+            for row, c in zip(rows[1:], digits[1:]):
+                acc = [add[a][b] for a, b in zip(acc, row[c])]
+            digits = acc
+            x = sum(c * w for c, w in zip(digits, weights))
+        return exp if x == 1 else None
+
+    def _digits(self, x: int) -> list[int]:
+        """The d coefficients of the polynomial that x names, zero-padded."""
+        cs = self.coeffs(x)
+        return list(cs) + [0] * (self.modulus.degree - len(cs))
+
+    def _times(self, a: list[int], b: list[int]) -> list[int]:
+        """The product of two elements given as digit lists, reduced mod m
+        in the tables of F_q; the log tables are built from it."""
+        F = self.base
+        add, mul, neg = F._add, F._mul, F._neg
+        m = self.modulus.coeffs
+        d = len(m) - 1
+        out = [0] * (2 * d - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                row = mul[cb]
+                for j, ca in enumerate(a, i):
+                    out[j] = add[out[j]][row[ca]]
+        for e in range(2 * d - 2, d - 1, -1):  # x^d = -(m - x^d)
+            if out[e]:
+                row = mul[neg[out[e]]]
+                for j, c in enumerate(m[:d], e - d):
+                    out[j] = add[out[j]][row[c]]
+        return out[:d]
+
+    def _power(self, x: list[int], e: int) -> list[int]:
+        """x^e for e >= 1, by squaring."""
+        acc = None
+        while e:
+            if e & 1:
+                acc = x if acc is None else self._times(acc, x)
+            e >>= 1
+            if e:
+                x = self._times(x, x)
+        return acc
 
     def index(self, r: Poly) -> int:
         """The element of a residue r, deg r < deg m."""

@@ -369,8 +369,11 @@ def _j_power(alg: AlgebraParams, k: int) -> OrderElement:
     """j^k for any integer k: t^h for k = 2h and t^h j for k = 2h + 1,
     since j^2 = t (so j^{-1} = j/t)."""
     half, odd = divmod(k, 2)  # floor division keeps odd in {0, 1}
-    th, z = RatFunc.t_power(alg.field, half), RatFunc.zero(alg.field)
-    return OrderElement(alg, *((z, z, th, z) if odd else (th, z, z, z)))
+    F = alg.field
+    # t^h over 1, or 1 over t^(-h): normal either way
+    num, den = Poly.t_power(F, max(half, 0)), Poly.t_power(F, max(-half, 0))
+    z = Poly.zero(F)
+    return _element(alg, (z, z, num, z) if odd else (num, z, z, z), den)
 
 
 def reduce_at_zero(x: OrderElement) -> LocalReduction:

@@ -2,9 +2,11 @@
 
 from itertools import product
 
+from tjl.adelic import SplitComponent, group_of, witness_set
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import INF, Poly, RatFunc, format_poly
-from tjl.quaternion import LocalReduction, OrderElement
+from tjl.quaternion import (LocalReduction, OrderElement, _j_power,
+                            reduce_at_infinity, reduce_at_zero)
 
 
 def xgcd(a, b):
@@ -22,6 +24,28 @@ def xgcd(a, b):
         return r0, s0, t0
     c = F.inv(r0.lead)
     return r0.scale(c), s0.scale(c), t0.scale(c)
+
+
+def ref_generator_walk(modulus):
+    """The antilog table of F_q[x]/modulus, elements encoded as the ints
+    sum c_k q^k, by the walk that tries each candidate in index order, a
+    Poly product per power, until one reaches every unit before 1; None
+    when none does."""
+    F = modulus.field
+    q, order = F.q, F.q ** modulus.degree - 1
+
+    def index(x):
+        return sum(c * q ** k for k, c in enumerate(x.coeffs))
+
+    for g in range(1, order + 1):
+        gen = Poly(F, [g // q ** k % q for k in range(modulus.degree)])
+        walk, x = [1], gen
+        while not x.is_one() and len(walk) < order:
+            walk.append(index(x))
+            x = x * gen % modulus
+        if x.is_one() and len(walk) == order:
+            return walk
+    return None
 
 
 def ref_split_point(alg, pi):
@@ -156,3 +180,37 @@ def ref_reduce_at_infinity(x):
     u = K.element(value_at_infinity(y.a), value_at_infinity(y.b))
     assert K.norm(u) == value_at_infinity(ref_nrd(y))
     return LocalReduction("infinity", k, u, K.dlog(u))
+
+
+def ref_factorize_adele(alg, state):
+    """The peeling that divides every split component by every divisor and
+    multiplies the components at t and infinity by each divisor's inverse
+    as it goes, on copies: state is left as it is.  Returns (class, rho,
+    zero, infinity, peeled), where peeled maps each place whose component
+    needed peeling to its (mat, precision) when its own peeling ended."""
+    G = group_of(alg)
+    comps = {pi: SplitComponent(c.sp, c.mat,
+                                min(c.det_valuation() + 2, c.precision))
+             for pi, c in state.split.items()}
+    zero, infinity, rho = state.zero, state.infinity, OrderElement.one(alg)
+    peeled = {}
+    for pi in sorted(comps, key=lambda p: (p.degree, p.coeffs)):
+        comp, ws = comps[pi], witness_set(alg, pi)
+        while comp.det_valuation() > 0:
+            if all((e % pi).is_zero() for e in comp.mat):
+                x = OrderElement.scalar(alg, RatFunc(pi))
+            else:
+                x = ws.by_left[comp.sp.identify_left_coset(comp.mat)].element
+            inv = x.inverse()
+            zero, infinity, rho = zero * inv, infinity * inv, rho * inv
+            for c in comps.values():
+                c.right_divide(x, x.nrd())
+            peeled[pi] = (comp.mat, comp.precision)
+    r = reduce_at_infinity(infinity)
+    gamma_f = (OrderElement.teichmuller(alg, alg.residue.inv(r.residue))
+               * _j_power(alg, r.k))
+    zero, infinity, rho = zero * gamma_f, infinity * gamma_f, rho * gamma_f
+    assert infinity.in_K1_infinity()
+    assert all(c.is_unit() for c in comps.values())
+    return (reduce_at_zero(zero).to_gamma(G.R, G.M), rho, zero, infinity,
+            peeled)

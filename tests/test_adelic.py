@@ -12,8 +12,8 @@ from itertools import product
 import pytest
 
 from int_rows import matmul
-from oracles import (coords, reduce_mod, ref_reduce_at_infinity,
-                     ref_reduce_at_zero, xgcd)
+from oracles import (coords, reduce_mod, ref_factorize_adele,
+                     ref_reduce_at_infinity, ref_reduce_at_zero, xgcd)
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_infinity,
@@ -886,28 +886,109 @@ def _right_multiply(state, elt):
 
 
 def test_adele_right_divide_returns_the_inverse():
-    # one norm serves every component: each ends as if divided on its own.
-    # Each divisor gets a fresh state: at P = MAX_HECKE_MODS + 2 digits a
+    # one norm serves every component: each live one (determinant not a
+    # unit) ends as if divided on its own, and each frozen one (a unit) is
+    # left as it is, as are the components at t and infinity.  Each
+    # divisor gets a fresh state: at P = MAX_HECKE_MODS + 2 digits a
     # synthesized component has room for a witness or a central pi, not
     # for both
     alg = AlgebraParams(5)
     places = default_places(alg, 1)
     rng = random.Random(104)
+    kinds = Counter()
     for pi in places[:3]:
         for elt in (witness_set(alg, pi).witnesses[0].element,
                     OrderElement.scalar(alg, RatFunc(pi))):
             state, _, _ = synthesize_random_adele(alg, rng, places)
             _right_multiply(state, elt)  # so that elt divides every component
             zero, infinity = state.zero, state.infinity
-            alone = {p: adelic.SplitComponent(c.sp, c.mat, c.precision)
-                     for p, c in state.split.items()}
+            before = {p: (c, c.mat, c.precision, c.is_unit())
+                      for p, c in state.split.items()}
             inv = state.right_divide(elt)
             assert inv == elt.inverse()
-            assert (state.zero, state.infinity) == (zero * inv, infinity * inv)
-            for p, comp in alone.items():
-                comp.right_divide(elt, elt.nrd())
-                assert (comp.mat, comp.precision) == (
-                    state.split[p].mat, state.split[p].precision)
+            assert state.zero is zero and state.infinity is infinity
+            for p, (comp, mat, precision, frozen) in before.items():
+                kinds[frozen] += 1
+                assert state.split[p] is comp
+                alone = adelic.SplitComponent(comp.sp, mat, precision)
+                if not frozen:
+                    alone.right_divide(elt, elt.nrd())
+                assert (comp.mat, comp.precision) == (alone.mat,
+                                                      alone.precision)
+    assert kinds[True] and kinds[False]
+
+
+@pytest.mark.parametrize("q, level, degree_bound",
+                         [(3, 1, 2), (9, 1, 1), (3, 2, 2)])
+def test_peeling_the_live_components_alone_matches_peeling_them_all(
+        q, level, degree_bound):
+    # the old peeling divides every component by every divisor and
+    # multiplies t and infinity once per divisor: it gives the same class,
+    # rho and components at t and infinity, and each component it had to
+    # peel ends as it did when its own peeling ended; a unit component
+    # stays as the v + 2 cut left it
+    alg = AlgebraParams(q, level=level)
+    places = default_places(alg, degree_bound)
+    rng = random.Random(1000 * q + 10 * level + degree_bound)
+    kinds = Counter()
+    for _ in range(40):
+        state, cls, grand = synthesize_random_adele(alg, rng, places)
+        want_cls, want_rho, zero, infinity, peeled = ref_factorize_adele(
+            alg, state)
+        cut = {pi: adelic.SplitComponent(c.sp, c.mat, min(2, c.precision))
+               for pi, c in state.split.items() if c.is_unit()}
+        recovered, rho = factorize_adele(alg, state)
+        assert (recovered, rho) == (want_cls, want_rho) == (cls,
+                                                            grand.inverse())
+        assert (state.zero, state.infinity) == (zero, infinity)
+        assert set(cut) | set(peeled) == set(state.split)
+        assert not set(cut) & set(peeled)
+        for pi, comp in state.split.items():
+            kinds[pi in cut] += 1
+            want = ((cut[pi].mat, cut[pi].precision) if pi in cut
+                    else peeled[pi])
+            assert (comp.mat, comp.precision) == want
+    assert kinds[True] and kinds[False]
+
+
+# peels a witness at t+2 while the component at t+1 is a unit, first as it
+# is and then with every witness norm at t+2 faked to hold t+1 once
+_FROZEN_PLACE_SCRIPT = (
+    "import sys\n"
+    "from tjl import adelic\n"
+    "from tjl.funcfield import RatFunc, parse_poly\n"
+    "from tjl.quaternion import AlgebraParams, OrderElement\n"
+    "alg = AlgebraParams(3)\n"
+    "p1, p2 = (parse_poly(alg.field, s) for s in ('t+1', 't+2'))\n"
+    "sp1, sp2 = (adelic.witness_set(alg, p).split for p in (p1, p2))\n"
+    "ws = [w.element for w in adelic.witness_set(alg, p2).witnesses]\n"
+    "one = OrderElement.one(alg)\n"
+    "def state():\n"
+    "    return adelic.AdeleState(alg, ws[0], ws[0], {\n"
+    "        p1: adelic.SplitComponent(sp1, sp1.embed(one, 4)),\n"
+    "        p2: adelic.SplitComponent(sp2, sp2.embed(ws[0], 4))})\n"
+    "print(adelic.factorize_adele(alg, state())[0])\n"
+    "for w in ws:\n"
+    "    adelic._DIVISORS[(alg, w)] = (w.nrd() * RatFunc(p1), w.inverse())\n"
+    "try:\n"
+    "    adelic.factorize_adele(alg, state())\n"
+    "except adelic.FactorizationError as exc:\n"
+    "    print(sys.flags.optimize, exc)\n"
+)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_a_divisor_that_is_no_unit_at_a_frozen_place_fails(flags):
+    # the frozen component at t+1 is never multiplied, so a divisor whose
+    # norm is not a unit there is caught through that norm, by no assert
+    # that -O could strip
+    proc = subprocess.run([sys.executable, *flags, "-c", _FROZEN_PLACE_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "(0, 0)",
+        f"{len(flags)} a divisor has norm valuation 1 at t+1, where the "
+        f"component must stay a unit"]
 
 
 @pytest.mark.parametrize("q", [3, 5, 9])

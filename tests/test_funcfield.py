@@ -9,7 +9,8 @@ from itertools import product
 
 import pytest
 
-from oracles import reduce_mod, value_at_infinity, value_at_zero, xgcd
+from oracles import (reduce_mod, ref_generator_walk, value_at_infinity,
+                     value_at_zero, xgcd)
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (
     GF,
@@ -388,10 +389,31 @@ def test_residue_field_at_each_place_is_poly_arithmetic_mod_pi(q):
             assert R.mul(R.index(quot), R.index(s)) == R.index(r)
 
 
+def test_generator_by_its_order_matches_the_walk_over_every_candidate():
+    # every field a default run builds at q <= 9 (F_q(i), and F_q[t]/pi at
+    # degree <= 2), and F_27 and F_81 over F_3: the same first generator,
+    # so the same tables
+    fields = [fq2(q) for q in (3, 5, 7, 9)]
+    for q in (3, 5, 7, 9):
+        fields += [ResidueField(pi) for pi in monic_irreducibles(gf(q), 2)]
+    fields += [ResidueField(pi) for pi in monic_irreducibles(gf(3), 4)
+               if pi.degree > 2]
+    assert {R.order + 1 for R in fields} >= {9, 25, 49, 81, 27}
+    for R in fields:
+        assert R._exp == ref_generator_walk(R.modulus)
+
+
 def test_reducible_modulus_has_no_generator():
     F = gf(3)
     with pytest.raises(FalsificationError, match="has no generator"):
         ResidueField(parse_poly(F, "t^2+2"))
+    # a zero divisor passes the order test and its walk does not close; a
+    # reducible modulus of any shape fails as the walk over every candidate
+    # does
+    for name in ("t^2", "t^2+2t+1", "t^3+t", "t^4+2", "t^3"):
+        assert ref_generator_walk(parse_poly(F, name)) is None
+        with pytest.raises(FalsificationError, match="has no generator"):
+            ResidueField(parse_poly(F, name))
 
 
 def test_reducible_modulus_fails_under_dash_O():
