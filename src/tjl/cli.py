@@ -50,6 +50,7 @@ from .metacyclic import (
     enumerate_irreps,
     enumerate_orbits,
     gamma,
+    orthonormality_pairs,
 )
 from .quaternion import AlgebraParams, OrderElement, ReductionError
 from .spectral import projective_basis, verify_claim
@@ -156,15 +157,16 @@ def cmd_irreps(args) -> int:
     labels, reps, sizes, rows = character_table(G)
     square_sum = sum(lb.dim ** 2 for lb in labels)
     # <b, a> is the conjugate of <a, b>, and both must be rational (else
-    # NotRationalError), so the pairs i <= j decide orthonormality
+    # NotRationalError), so the pairs i <= j decide orthonormality; the
+    # table's certified symmetries carry each pair's verdict to its whole
+    # orbit, so only the first pair of each orbit is computed
     failed = []
-    for i, ra in enumerate(rows):
-        for j in range(i, len(rows)):
-            want = Fraction(1 if i == j else 0)
-            got = character_inner(G, ra, rows[j], sizes)
-            if got != want and not failed:
-                failed.append(f"orthonormality: <{labels[i]}, {labels[j]}> "
-                              f"is {got}, not {want}")
+    for i, j in orthonormality_pairs(G, rows):
+        want = Fraction(1 if i == j else 0)
+        got = character_inner(G, rows[i], rows[j], sizes)
+        if got != want and not failed:
+            failed.append(f"orthonormality: <{labels[i]}, {labels[j]}> "
+                          f"is {got}, not {want}")
     ortho = not failed  # only the pair check has run so far
     classes = G.conjugacy_classes()
     multiplicity = []
@@ -177,6 +179,13 @@ def cmd_irreps(args) -> int:
                 f"the restriction of {lb} contains chi_c for c in {support}, "
                 f"not for its orbit {list(lb.orbit)}")
         multiplicity.append({"sigma": lb.to_json(), "support": support})
+    # a table holds few distinct values, each shared by many entries: one
+    # JSON object per value object
+    as_json = {}
+    for row in rows:
+        for v in row:
+            if id(v) not in as_json:
+                as_json[id(v)] = v.to_json()
     report = {
         "schema_version": SCHEMA_VERSION,
         "q": args.q,
@@ -192,7 +201,7 @@ def cmd_irreps(args) -> int:
         "character_table": {
             "class_representatives": [list(r) for r in reps],
             "class_sizes": sizes,
-            "rows": [[v.to_json() for v in row] for row in rows],
+            "rows": [[as_json[id(v)] for v in row] for row in rows],
         },
         "restriction_multiplicities": multiplicity,
     }

@@ -6,6 +6,14 @@ the Frobenius e -> q e, so irreducible representations are indexed by
 Frobenius orbits on Z/M together with a twist s mod R/f (f = orbit size).
 Each irrep is realised by explicit monomial matrices over the cyclotomic ring,
 so characters, multiplicities and intertwiners are all exact.
+
+Orthonormality of a character table is decided by one exact inner product
+per orbit of row pairs (orthonormality_pairs) under the row permutations the
+table certifies itself (table_symmetries): the Galois maps zeta -> zeta^k and
+the twists by linear characters, each kept only if it maps every row, value
+for value, to a row and the row map is a bijection.  Such a map sends
+<chi_a, chi_b> to its Galois conjugate, so the first failing or non-rational
+pair is the first pair of its orbit, the one that is computed.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import (
     Cyc,
@@ -380,3 +388,142 @@ def character_inner(
             f"character values of order {row_a[0].order} in a group of "
             f"cyclotomic order {group.cyc_order}")
     return inner_product(row_a, row_b, sizes, group.order)
+
+
+def _unit_generators(m: int) -> list[int]:
+    """Generators of (Z/m)^x: each unit in increasing order that lies
+    outside the subgroup the earlier ones generate."""
+    subgroup = {1 % m}
+    gens = []
+    for k in range(2, m):
+        if k in subgroup or gcd(k, m) != 1:
+            continue
+        gens.append(k)
+        # <H, k> is the union of the cosets H k^i, H abelian
+        powers, x = [1], k
+        while x not in subgroup:
+            powers.append(x)
+            x = x * k % m
+        subgroup = {h * p % m for h in subgroup for p in powers}
+    return gens
+
+
+def table_symmetries(group: Gamma, rows) -> list[tuple[int, tuple[int, ...]]]:
+    """Row permutations certified on the table itself, as (k, perm) pairs:
+    the value at class c of row perm[a] is sigma_k of the value of row a
+    times lam(c), for a row lam whose values are roots of unity, so
+    <chi_perm[a], chi_perm[b]> = sigma_k(<chi_a, chi_b>) with
+    sigma_k: zeta_m -> zeta_m^k (m = group.cyc_order).
+
+    The candidates are the Galois maps sigma_k for generators k of
+    (Z/m)^x (exponents e -> k e mod m, lam = 1) and the twists by the rows
+    whose every value is one root of unity zeta_m^t with coefficient 1
+    (exponents e -> e + t class by class, k = 1).  A twist row is not tried
+    when the twists kept before it carry the trivial row to it: it lies in
+    the group they generate.  A candidate is kept only if it sends each
+    row, value for value and by exact term equality, to a row of the table,
+    and the row map is a bijection.  A table with a value of another order,
+    or with rows of different lengths, gets no symmetry.  Each distinct
+    value is mapped once per Galois map, and once per shift of a class it
+    occurs in for a twist."""
+    m = group.cyc_order
+    values = {id(v): v for row in rows for v in row}
+    if (any(v.order != m for v in values.values())
+            or len({len(row) for row in rows}) > 1):
+        return []
+    # rows as tuples of indices into the distinct values, keyed by terms
+    index_of: dict[frozenset, int] = {}
+    by_id = {key: index_of.setdefault(v.terms, len(index_of))
+             for key, v in values.items()}
+    keyed = [tuple(map(by_id.__getitem__, map(id, row))) for row in rows]
+    row_of = {key: a for a, key in enumerate(keyed)}
+    terms = list(index_of)
+    width = len(keyed[0]) if keyed else 0
+
+    def mapped(exponent, among) -> list[int | None]:
+        """At each value index i in among, the index of the value i with
+        its exponents e sent to exponent(e); None where that is no value
+        of the table, and at the indices not in among."""
+        image = [None] * len(terms)
+        for i in among:
+            image[i] = index_of.get(frozenset((exponent(e), v)
+                                              for e, v in terms[i]))
+        return image
+
+    def certified(images) -> tuple[int, ...] | None:
+        """The row map sending row a to the row whose value index at class
+        c is images[c][i], for i the value index of row a there, if every
+        image is a row and the map is a bijection."""
+        perm = tuple(row_of.get(tuple(map(list.__getitem__, images, key)))
+                     for key in keyed)
+        if None in perm or len(set(perm)) != len(perm):
+            return None
+        return perm
+
+    kept = []
+    for k in _unit_generators(m):
+        perm = certified([mapped(lambda e: k * e % m, range(len(terms)))]
+                         * width)
+        if perm is not None:
+            kept.append((k, perm))
+
+    roots = {i: e for i, t in enumerate(terms) if len(t) == 1
+             for e, v in t if v == 1}
+    columns = [set(column) for column in zip(*keyed)]
+    twists: list[tuple[int, ...]] = []
+    trivial = row_of.get((index_of.get(frozenset({(0, 1)})),) * width)
+    reached = set() if trivial is None else {trivial}
+    for a, key in enumerate(keyed):
+        if a in reached or not all(i in roots for i in key):
+            continue
+        # the values of class c are shifted by the exponent of row a there
+        among: dict[int, set[int]] = {}
+        for i, column in zip(key, columns):
+            among.setdefault(roots[i], set()).update(column)
+        by_shift = {t: mapped(lambda e: (e + t) % m, indices)
+                    for t, indices in among.items()}
+        perm = certified([by_shift[roots[i]] for i in key])
+        if perm is None:
+            continue
+        kept.append((1, perm))
+        twists.append(perm)
+        frontier = list(reached)
+        while frontier:
+            b = frontier.pop()
+            for twist in twists:
+                if twist[b] not in reached:
+                    reached.add(twist[b])
+                    frontier.append(twist[b])
+    return kept
+
+
+def orthonormality_pairs(group: Gamma, rows) -> list[tuple[int, int]]:
+    """The lex-first pair (a, b), a <= b, of each orbit of row pairs under
+    the permutations of table_symmetries, in lex order.
+
+    Each orbit's pairs have inner products sigma(z) for one z, so they are
+    all rational or all not; a rational one is fixed by sigma, and every
+    pair of the orbit is diagonal or none is.  So the first pair, in lex
+    order, whose inner product is not rational or not the Kronecker delta
+    is the first pair of its orbit: computing these pairs alone finds it."""
+    perms = [perm for _, perm in table_symmetries(group, rows)]
+    n = len(rows)
+    seen = bytearray(n * n)
+    out = []
+    for a in range(n):
+        for b in range(a, n):
+            if seen[a * n + b]:
+                continue
+            out.append((a, b))
+            seen[a * n + b] = 1
+            frontier = [(a, b)]
+            while frontier:
+                x, y = frontier.pop()
+                for perm in perms:
+                    u, v = perm[x], perm[y]
+                    if u > v:
+                        u, v = v, u
+                    if not seen[u * n + v]:
+                        seen[u * n + v] = 1
+                        frontier.append((u, v))
+    return out

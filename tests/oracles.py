@@ -214,3 +214,11 @@ def ref_factorize_adele(alg, state):
     assert all(c.is_unit() for c in comps.values())
     return (reduce_at_zero(zero).to_gamma(G.R, G.M), rho, zero, infinity,
             peeled)
+
+
+def ref_orthonormality(group, rows):
+    """The row pairs of the all-pairs orthonormality loop: every (a, b)
+    with a <= b, in lex order.  `tjl irreps` run with these pairs in place
+    of metacyclic.orthonormality_pairs computes every inner product of the
+    table, with no symmetry taken on trust."""
+    return [(a, b) for a in range(len(rows)) for b in range(a, len(rows))]

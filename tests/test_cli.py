@@ -4,19 +4,23 @@ determinism guarantees."""
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 import tjl.cli as cli
+from oracles import ref_orthonormality
 from tjl.adelic import FactorizationError
 from tjl.cli import run, main
-from tjl.cyclotomic import NotRationalError, OrderMismatchError
+from tjl.cyclotomic import Cyc, NotRationalError, OrderMismatchError
+from tjl.metacyclic import character_table, gamma, table_symmetries
 from tjl.quaternion import NotInvertibleError, ReductionError
 
 
@@ -519,6 +523,101 @@ def test_failed_orthonormality_is_named_on_stderr(monkeypatch, capsys):
     assert code == 1
     assert json.loads(out)["orthonormal"] is False
     assert "orthonormality" in _stderr_falsification(err)
+
+
+# each tampering case with the exit code of irreps on its table; a row
+# shorter than the class list is a ValueError in inner_product, exit 2
+TAMPER_CASES = {"none": 0, "duplicated-row": 1, "altered-degree": 1,
+                "altered-value": 1, "rotated-value": 1, "scaled-trivial": 1,
+                "dropped-row": 1, "foreign-order": 1, "short-row": 2}
+
+
+def _tampered_table(case):
+    """The character table of Gamma(5, 2, 2) with one defect; row 16 is
+    the character of the orbit (7, 11) with s = 0, class 0 is that of the
+    identity and class 1 that of (0, 1)."""
+    labels, reps, sizes, rows = character_table(gamma(5, 2, 2))
+    labels, rows = list(labels), [list(row) for row in rows]
+    m = rows[0][0].order
+    if case == "duplicated-row":
+        labels.insert(17, labels[16])
+        rows.insert(17, rows[16])
+    elif case == "altered-degree":
+        rows[16][0] = rows[16][0] + 1
+    elif case == "altered-value":
+        rows[16][1] = rows[16][1] + 1
+    elif case == "rotated-value":
+        rows[16][1] = rows[16][1] * Cyc(m, {1: 1})
+    elif case == "scaled-trivial":
+        rows[0][-1] = rows[0][-1] * 2
+    elif case == "dropped-row":
+        del labels[16], rows[16]
+    elif case == "foreign-order":
+        rows[16][3] = Cyc(2 * m, {1: 1})
+    elif case == "short-row":
+        del rows[16][-1]
+    return tuple(labels), reps, sizes, tuple(map(tuple, rows))
+
+
+def _irreps_reading(table, pairs):
+    """(exit code, stdout, stderr) of irreps --q 5 --n 2 --N 2 reading
+    table, with its pair choice replaced by pairs unless that is None."""
+    saved = cli.character_table, cli.orthonormality_pairs
+    cli.character_table = lambda G: table
+    if pairs is not None:
+        cli.orthonormality_pairs = pairs
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(["irreps", "--q", "5", "--n", "2", "--N", "2"])
+    finally:
+        cli.character_table, cli.orthonormality_pairs = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def tamper_outcomes():
+    """For each tampering case: irreps' outcome, the outcome of the
+    all-pairs loop, and the number of table symmetries kept."""
+    G = gamma(5, 2, 2)
+    out = {}
+    for case in TAMPER_CASES:
+        table = _tampered_table(case)
+        out[case] = (_irreps_reading(table, None),
+                     _irreps_reading(table, ref_orthonormality),
+                     len(table_symmetries(G, table[3])))
+    return out
+
+
+def test_tampered_tables_match_the_all_pairs_loop():
+    # one pair per symmetry orbit must find what the all-pairs loop finds,
+    # byte for byte: the first failing pair, the first non-rational one and
+    # the order mismatch.  The checks are exceptions, so -O keeps them
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    script = (f"import json, sys\n"
+              f"sys.path.insert(0, {tests_dir!r})\n"
+              f"from test_cli import tamper_outcomes\n"
+              f"print(json.dumps([sys.flags.optimize, tamper_outcomes()]))\n")
+    seen = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        optimize, outcomes = json.loads(proc.stdout)
+        assert optimize == len(flags)
+        seen.append(outcomes)
+    assert seen[0] == seen[1]
+    outcomes = seen[0]
+    for case, (found, oracle, kept) in outcomes.items():
+        assert found == oracle, case
+        assert found[0] == TAMPER_CASES[case], case
+    # some defects leave symmetries standing, so orbits were compared; a
+    # duplicated row makes every row map two-to-one, and a value of another
+    # order or a short row leaves nothing to map
+    kept = {case: outcomes[case][2] for case in TAMPER_CASES}
+    assert kept["none"] == 5
+    assert (kept["duplicated-row"] == kept["foreign-order"]
+            == kept["short-row"] == 0)
+    assert any(0 < kept[case] < 5 for case in TAMPER_CASES)
 
 
 def test_failed_square_sum_is_named_on_stderr(monkeypatch, capsys):

@@ -22,7 +22,10 @@ from tjl.metacyclic import (
     enumerate_orbits,
     gamma,
     orbit_count_of_size,
+    orthonormality_pairs,
+    table_symmetries,
 )
+from oracles import ref_orthonormality
 
 SMALL_GROUPS = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 3, 1), (3, 2, 2), (5, 1, 2)]
 
@@ -283,6 +286,68 @@ def test_histogram_sums_match_naive_reference(q, n, level):
         for rb in rows:
             assert character_inner(G, ra, rb, sizes) == naive_character_inner(
                 G, ra, rb, sizes)
+
+
+def _galois(value, k):
+    """sigma_k(value): zeta_m -> zeta_m^k on the group-ring terms."""
+    return Cyc(value.order, {k * e: v for e, v in value.terms})
+
+
+@pytest.mark.parametrize("q,n,level", CENSUS_SMALL + [(5, 3, 1)])
+def test_table_symmetries_carry_the_inner_products(q, n, level):
+    # brute force: each kept permutation is sigma_k value by value up to a
+    # root-of-unity row lam, the image of the trivial row, and
+    # <chi_pi(a), chi_pi(b)> = sigma_k(<chi_a, chi_b>) on every pair
+    G = gamma(q, n, level)
+    labels, reps, sizes, rows = character_table(G)
+    trivial = rows.index(tuple(Cyc.from_rational(G.cyc_order, 1)
+                               for _ in reps))
+    inner = {(a, b): character_inner(G, rows[a], rows[b], sizes)
+             for a, b in ref_orthonormality(G, rows)}
+    symmetries = table_symmetries(G, rows)
+    assert len(rows) == 1 or symmetries
+    for k, perm in symmetries:
+        assert sorted(perm) == list(range(len(rows)))
+        lam = rows[perm[trivial]]
+        assert all((v * v.conj()) == 1 and len(v.terms) == 1 for v in lam)
+        for a, row in enumerate(rows):
+            assert all(image == _galois(v, k) * t
+                       for image, v, t in zip(rows[perm[a]], row, lam))
+        for (a, b), value in inner.items():
+            u, v = sorted((perm[a], perm[b]))
+            assert inner[u, v] == value  # rational, so sigma_k fixes it
+
+
+@pytest.mark.parametrize("q,n,level", CENSUS_SMALL + [(5, 3, 1)])
+def test_orbit_representatives_cover_every_pair(q, n, level):
+    G = gamma(q, n, level)
+    rows = character_table(G)[3]
+    perms = [perm for _, perm in table_symmetries(G, rows)]
+    reps = orthonormality_pairs(G, rows)
+    assert reps == sorted(reps)
+    covered = set()
+    for rep in reps:
+        orbit, frontier = {rep}, [rep]
+        while frontier:
+            a, b = frontier.pop()
+            for perm in perms:
+                pair = tuple(sorted((perm[a], perm[b])))
+                if pair not in orbit:
+                    orbit.add(pair)
+                    frontier.append(pair)
+        assert min(orbit) == rep
+        assert not orbit & covered
+        covered |= orbit
+    assert sorted(covered) == ref_orthonormality(G, rows)
+
+
+@pytest.mark.parametrize("groups, computed, pairs", [
+    (CENSUS_SMALL, 209, 2046), ([(5, 3, 1)], 27, 1378)])
+def test_one_inner_product_per_orbit(groups, computed, pairs):
+    tables = [(gamma(*g), character_table(gamma(*g))[3]) for g in groups]
+    assert sum(len(orthonormality_pairs(G, rows))
+               for G, rows in tables) == computed
+    assert sum(len(ref_orthonormality(G, rows)) for G, rows in tables) == pairs
 
 
 def test_character_inner_rejects_foreign_order():
