@@ -46,7 +46,7 @@ from .metacyclic import (
     IrrepLabel,
     character_inner,
     character_table,
-    chi_multiplicity,
+    chi_restriction,
     enumerate_irreps,
     enumerate_orbits,
     gamma,
@@ -172,8 +172,8 @@ def cmd_irreps(args) -> int:
     multiplicity = []
     for lb in labels:
         # the restriction to the pairs (0, e) contains chi_c exactly for c
-        # in the orbit; chi_multiplicity certifies each c of Z/M
-        support = [c for c in range(G.M) if chi_multiplicity(G, lb, c)]
+        # in the orbit; chi_restriction certifies each c of Z/M
+        support = list(chi_restriction(G, lb))
         if support != list(lb.orbit):
             raise FalsificationError(
                 f"the restriction of {lb} contains chi_c for c in {support}, "

@@ -375,9 +375,12 @@ def inner_product(
     The products w*v1*v2 are added into one dense histogram over Z/m,
     skipping the classes where f or g is zero, and the histogram goes
     through the module's one reduction modulo Phi_m (_reduce) once; no Cyc
-    is built."""
-    if not (len(f_values) == len(g_values) == len(weights)):
-        raise ValueError("mismatched lengths")
+    is built.  The three lists must have one length, else
+    FalsificationError: a short character row is a defect of the table,
+    not of the caller's input."""
+    require(len(f_values) == len(g_values) == len(weights),
+            f"mismatched lengths: {len(f_values)} and {len(g_values)} values "
+            f"over {len(weights)} weights")
     if not f_values:
         return Fraction(0)
     m = f_values[0].order

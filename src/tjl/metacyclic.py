@@ -7,6 +7,17 @@ Frobenius orbits on Z/M together with a twist s mod R/f (f = orbit size).
 Each irrep is realised by explicit monomial matrices over the cyclotomic ring,
 so characters, multiplicities and intertwiners are all exact.
 
+A character table is built once per distinct value: the value of the irrep
+(orbit, s) at the class of (k, e) is 0 unless f | k, and otherwise a root of
+unity zeta_m^twist, set by s and k / f, times sum_{j<f} zeta_M^(e c_0 q^j),
+c_0 = orbit[0], so f, the twist and e c_0 mod M fix it (Irrep.character_key).  The restriction of an
+irrep to the pairs (0, e) is certified at each c of Z/M both by the basis
+tags and by the character sum (1/M) sum_{c' in orbit} S_M(c' - c) of root
+sums S_M(d) = sum_e zeta_M^(e d).  The support D = {d : S_M(d) != 0} is
+read off the exact sums of all d once per M; the sum is taken at the c of
+the orbit minus D, and it is 0 term by term at every other c, where no tag
+may lie (chi_restriction).
+
 Orthonormality of a character table is decided by one exact inner product
 per orbit of row pairs (orthonormality_pairs) under the row permutations the
 table certifies itself (table_symmetries): the Galois maps zeta -> zeta^k and
@@ -295,18 +306,31 @@ class Irrep:
                      for j in range(f))
         return perm, exps
 
-    def character(self, g: Element) -> Cyc:
-        """Trace of monomial(g), by the closed formula: zero unless f divides
-        k, else the twist times the sum of zeta_M^(e c) over the orbit."""
+    def character_key(self, g: Element) -> tuple[int, int] | None:
+        """What the trace of monomial(g) depends on besides f: None where it
+        is zero (f does not divide k), else (twist, x) with x = e c_0 mod M
+        for c_0 = orbit[0].  The trace is then zeta_m^twist times the sum
+        over the orbit of zeta_M^(e c), and e c runs through the x q^j,
+        j < f, so irreps of one dimension share their values by key."""
         k, e = g
         k %= self.group.R
         if k % self.f:
+            return None
+        sm = self.s_modulus
+        return ((self.m // sm) * (self.s * (k // self.f) % sm),
+                e * self.label.orbit[0] % self.group.M)
+
+    def character(self, g: Element) -> Cyc:
+        """Trace of monomial(g), by the closed formula of character_key:
+        the twist times the sum of zeta_M^(x q^j) over j < f."""
+        key = self.character_key(g)
+        if key is None:
             return Cyc.zero(self.m)
+        twist, x = key
         M, m = self.group.M, self.m
-        twist = (m // self.s_modulus) * (self.s * (k // self.f)
-                                         % self.s_modulus)
-        return Cyc(m, Counter(twist + (m // M) * (e * c % M)
-                              for c in self.label.orbit))
+        return Cyc(m, Counter(twist + (m // M) * (x * self.group.frob_power(j)
+                                                  % M)
+                              for j in range(self.f)))
 
     def __repr__(self):
         return f"Irrep({self.group!r}, orbit={self.label.orbit}, s={self.s})"
@@ -314,6 +338,8 @@ class Irrep:
 
 # S_M(d) = sum over e in Z/M of zeta_M^(e d), keyed by (M, d mod M)
 _ROOT_SUMS: dict[tuple[int, int], Fraction | int] = {}
+# the support {d mod M : S_M(d) != 0} of the root sums, keyed by M
+_ROOT_SUPPORT: dict[int, frozenset[int]] = {}
 
 
 def _root_sum(M: int, d: int) -> Fraction | int:
@@ -331,21 +357,26 @@ def _root_sum(M: int, d: int) -> Fraction | int:
     return value
 
 
-def chi_multiplicity(group: Gamma, label: IrrepLabel, c_exp: int) -> int:
-    """Multiplicity of the abelian character e -> zeta_M^(c_exp * e) in the
-    restriction of the irrep to the normal subgroup of pairs (0, e).
+def _root_support(M: int) -> frozenset[int]:
+    """The d in Z/M with S_M(d) != 0, certified by the exact root sums of
+    every d in Z/M (_root_sum) once per M, then memoised."""
+    support = _ROOT_SUPPORT.get(M)
+    if support is None:
+        support = frozenset(d for d in range(M) if _root_sum(M, d))
+        _ROOT_SUPPORT[M] = support
+    return support
 
-    Computed two independent ways, which must agree: the count of basis tags
-    of the monomial model (group.orbit_tags) equal to c_exp, and the exact
-    character inner product (1/M) sum_e sum_{c in orbit} zeta_M^(e c)
-    zeta_M^(-c_exp e) = (1/M) sum_{c in orbit} S_M(c - c_exp), a sum of f
-    memoised root sums (_root_sum).
-    """
-    M = group.M
-    c_exp %= M
-    by_tags = group.orbit_tags(label.orbit).count(c_exp)
 
-    total = sum(_root_sum(M, c - c_exp) for c in label.orbit)
+def _multiplicity(M: int, label: IrrepLabel, tags: tuple[int, ...],
+                  support: frozenset[int], c_exp: int) -> int:
+    """The multiplicity of chi_{c_exp}, 0 <= c_exp < M, in the restriction
+    of label, by the count of tags equal to c_exp, which the character sum
+    must confirm.  The sum is (1/M) sum_{c in orbit} S_M(c - c_exp); where
+    no c - c_exp lies in the certified support it is 0 term by term."""
+    by_tags = tags.count(c_exp)
+    total = 0
+    if any((c - c_exp) % M in support for c in label.orbit):
+        total = sum(_root_sum(M, c - c_exp) for c in label.orbit)
     if total % M:
         raise FalsificationError(
             f"multiplicity of chi_{c_exp} in {label} is {Fraction(total, M)}, "
@@ -357,6 +388,45 @@ def chi_multiplicity(group: Gamma, label: IrrepLabel, c_exp: int) -> int:
     return by_tags
 
 
+def chi_multiplicity(group: Gamma, label: IrrepLabel, c_exp: int) -> int:
+    """Multiplicity of the abelian character e -> zeta_M^(c_exp * e) in the
+    restriction of the irrep to the normal subgroup of pairs (0, e).
+
+    Computed two independent ways, which must agree: the count of basis tags
+    of the monomial model (group.orbit_tags) equal to c_exp, and the exact
+    character inner product (1/M) sum_e sum_{c in orbit} zeta_M^(e c)
+    zeta_M^(-c_exp e) = (1/M) sum_{c in orbit} S_M(c - c_exp).  That sum
+    is taken, over f memoised root sums (_root_sum), only when some
+    c - c_exp lies in the support of the root sums (_root_support), which
+    is certified once per M from all M of them; otherwise every term is 0,
+    and so must the tag count be.
+    """
+    M = group.M
+    return _multiplicity(M, label, group.orbit_tags(label.orbit),
+                         _root_support(M), c_exp % M)
+
+
+def chi_restriction(group: Gamma, label: IrrepLabel) -> dict[int, int]:
+    """The restriction of the irrep to the pairs (0, e), as the nonzero
+    multiplicities {c: chi_multiplicity(group, label, c)}, c increasing.
+
+    The multiplicity is certified both ways at each c of the orbit minus
+    the root-sum support and at each basis tag; at every other c the
+    character sum is 0 term by term and no tag equals c, so both ways give
+    0 there.  The c are taken in increasing order, so a failure is the one
+    that the loop over every c of Z/M meets first."""
+    M = group.M
+    tags = group.orbit_tags(label.orbit)
+    support = _root_support(M)
+    reached = {(c - d) % M for c in label.orbit for d in support}
+    out = {}
+    for c in sorted(reached.union(tags)):
+        mult = _multiplicity(M, label, tags, support, c)
+        if mult:
+            out[c] = mult
+    return out
+
+
 def character_table(group: Gamma):
     """(labels, class representatives, class sizes, value matrix), as
     tuples, computed once per group."""
@@ -366,14 +436,23 @@ def character_table(group: Gamma):
         reps = tuple(cls[0] for cls in classes)
         sizes = tuple(len(cls) for cls in classes)
         # a table holds few distinct values (195 in the 3885 entries of the
-        # groups with q^n - 1 <= 26); the cache keeps one Cyc for each,
-        # keyed by its sparse terms (the dense coefficients have length m)
+        # groups with q^n - 1 <= 26): each is built once, for the first
+        # entry of its key (f, character_key), and entries with equal
+        # sparse terms share one Cyc
+        by_key: dict[tuple, Cyc] = {}
         distinct: dict[frozenset, Cyc] = {}
         values = []
         for lab in labels:
             rep = Irrep(group, lab)
-            row = [rep.character(g) for g in reps]
-            values.append(tuple(distinct.setdefault(v.terms, v) for v in row))
+            row = []
+            for g in reps:
+                key = (rep.f, rep.character_key(g))
+                v = by_key.get(key)
+                if v is None:
+                    v = rep.character(g)
+                    v = by_key[key] = distinct.setdefault(v.terms, v)
+                row.append(v)
+            values.append(tuple(row))
         group._table = labels, reps, sizes, tuple(values)
     return group._table
 

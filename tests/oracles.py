@@ -1,10 +1,12 @@
 """Reference computations that several test files check tjl against."""
 
+from collections import Counter
 from itertools import product
 
 from tjl.adelic import SplitComponent, group_of, witness_set
-from tjl.cyclotomic import FalsificationError
+from tjl.cyclotomic import Cyc, FalsificationError
 from tjl.funcfield import INF, Poly, RatFunc, format_poly
+from tjl.metacyclic import Irrep
 from tjl.quaternion import (LocalReduction, OrderElement, _j_power,
                             reduce_at_infinity, reduce_at_zero)
 
@@ -222,3 +224,27 @@ def ref_orthonormality(group, rows):
     of metacyclic.orthonormality_pairs computes every inner product of the
     table, with no symmetry taken on trust."""
     return [(a, b) for a in range(len(rows)) for b in range(a, len(rows))]
+
+
+def ref_character(group, label, g):
+    """The character of label at g as the trace of the monomial model:
+    the diagonal entries of Irrep.monomial(g), one term each."""
+    rep = Irrep(group, label)
+    perm, exps = rep.monomial(g)
+    return Cyc(rep.m, Counter(x for j, (i, x) in enumerate(zip(perm, exps))
+                              if i == j))
+
+
+def ref_restriction(group, label):
+    """The multiplicity of each chi_c, c in Z/M, in the restriction of
+    label to the pairs (0, e), as a list indexed by c: the inner product
+    (1/M) sum_e tr(0, e) zeta_M^(-c e), with tr(0, e) read off the diagonal
+    of Irrep.monomial((0, e)) and all M f terms of each c in one exponent
+    histogram, reduced once.  No root sum and no support is used."""
+    M, rep = group.M, Irrep(group, label)
+    step = rep.m // M  # the diagonal at k = 0 lies in Q(zeta_M)
+    diagonals = [[x // step for x in rep.monomial((0, e))[1]]
+                 for e in range(M)]
+    return [Cyc(M, Counter((x - c * e) % M for e, xs in enumerate(diagonals)
+                           for x in xs)).to_rational() / M
+            for c in range(M)]

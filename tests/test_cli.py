@@ -353,6 +353,7 @@ def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
     for module, cache in ((adelic, "_SCANS"), (adelic, "_NORM_TABLES"),
                           (adelic, "_DIVISORS"), (spectral, "_CENTRAL"),
                           (metacyclic, "_ROOT_SUMS"),
+                          (metacyclic, "_ROOT_SUPPORT"),
                           (quaternion, "_BASIS_PRODUCTS")):
         monkeypatch.setattr(module, cache, {})
     for seed in (1, 2, 3):
@@ -362,6 +363,7 @@ def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
             assert invoke(capsys, *command.split()) == fresh[command], (
                 seed, command)
     assert adelic._SCANS and spectral._CENTRAL and metacyclic._ROOT_SUMS
+    assert metacyclic._ROOT_SUPPORT
 
 
 def _modules_loaded(argv: list[str], modules: list[str]) -> dict:
@@ -526,10 +528,11 @@ def test_failed_orthonormality_is_named_on_stderr(monkeypatch, capsys):
 
 
 # each tampering case with the exit code of irreps on its table; a row
-# shorter than the class list is a ValueError in inner_product, exit 2
+# shorter than the class list fails the length check of inner_product, a
+# falsification like every other defect of the table
 TAMPER_CASES = {"none": 0, "duplicated-row": 1, "altered-degree": 1,
                 "altered-value": 1, "rotated-value": 1, "scaled-trivial": 1,
-                "dropped-row": 1, "foreign-order": 1, "short-row": 2}
+                "dropped-row": 1, "foreign-order": 1, "short-row": 1}
 
 
 def _tampered_table(case):
@@ -613,6 +616,8 @@ def test_tampered_tables_match_the_all_pairs_loop():
     # some defects leave symmetries standing, so orbits were compared; a
     # duplicated row makes every row map two-to-one, and a value of another
     # order or a short row leaves nothing to map
+    message = json.loads(outcomes["short-row"][0][2])["message"]
+    assert message.startswith("mismatched lengths: ")
     kept = {case: outcomes[case][2] for case in TAMPER_CASES}
     assert kept["none"] == 5
     assert (kept["duplicated-row"] == kept["foreign-order"]
@@ -712,10 +717,11 @@ def test_irreps_certifies_the_restriction_support(monkeypatch, capsys):
 
 
 def test_irreps_rejects_a_support_off_the_orbit(monkeypatch, capsys):
-    # a multiplicity that misses the last element of each orbit of size > 1
-    real = cli.chi_multiplicity
-    monkeypatch.setattr(cli, "chi_multiplicity", lambda G, lb, c: (
-        0 if c == lb.orbit[-1] and lb.dim > 1 else real(G, lb, c)))
+    # a restriction that misses the last element of each orbit of size > 1
+    real = cli.chi_restriction
+    monkeypatch.setattr(cli, "chi_restriction", lambda G, lb: {
+        c: m for c, m in real(G, lb).items()
+        if not (c == lb.orbit[-1] and lb.dim > 1)})
     code, out, err = invoke(capsys, "irreps", "--q", "3", "--n", "2")
     assert code == 1 and out == ""
     assert "not for its orbit" in _stderr_falsification(err)

@@ -290,3 +290,8 @@ def test_inner_product_rejects_non_rational_and_mixed_orders(m):
         inner_product([zeta(m), one], [one, one], [1, 1], 2)
     with pytest.raises(OrderMismatchError):
         inner_product([one, one], [one, zeta(2 * m)], [1, 1], 2)
+    # a list of another length is a falsification, which -O keeps
+    for f, g, w in (([one], [one, one], [1, 1]), ([one, one], [one], [1, 1]),
+                    ([one, one], [one, one], [1])):
+        with pytest.raises(FalsificationError, match="mismatched lengths"):
+            inner_product(f, g, w, 2)

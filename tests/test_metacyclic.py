@@ -18,6 +18,7 @@ from tjl.metacyclic import (
     character_inner,
     character_table,
     chi_multiplicity,
+    chi_restriction,
     enumerate_irreps,
     enumerate_orbits,
     gamma,
@@ -25,7 +26,7 @@ from tjl.metacyclic import (
     orthonormality_pairs,
     table_symmetries,
 )
-from oracles import ref_orthonormality
+from oracles import ref_character, ref_orthonormality, ref_restriction
 
 SMALL_GROUPS = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (3, 2, 1), (2, 3, 1), (3, 2, 2), (5, 1, 2)]
 
@@ -478,3 +479,96 @@ def test_tampered_root_sum_survives_dash_O():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True", "1", "True"]
+
+
+# the 40 groups that tjl irreps accepts with q^n - 1 <= 124
+IRREPS_GRID = [(q, n, N) for q in (2, 3, 4, 5, 7, 8, 9) for n in (1, 2, 3, 4)
+               for N in (1, 2) if q**n - 1 <= 124]
+
+
+@pytest.mark.parametrize("q,n,level", IRREPS_GRID)
+def test_table_values_and_restrictions_match_the_oracles(q, n, level):
+    # each value, built once per key, has the exact terms of the trace of
+    # the monomial model at its entry, and equal terms are one object;
+    # each restriction is the naive inner product at every c of Z/M
+    G = gamma(q, n, level)
+    labels, reps, sizes, rows = character_table(G)
+    by_terms = {}
+    for label, row in zip(labels, rows):
+        for g, value in zip(reps, row):
+            assert value.terms == ref_character(G, label, g).terms
+            assert by_terms.setdefault(value.terms, value) is value
+    by_orbit = {}
+    for label in labels:
+        if label.orbit not in by_orbit:
+            by_orbit[label.orbit] = ref_restriction(G, label)
+        restriction = chi_restriction(G, label)
+        assert list(restriction) == sorted(restriction)
+        assert [restriction.get(c, 0) for c in range(G.M)] == by_orbit[
+            label.orbit]
+
+
+def test_the_restriction_support_is_computed_not_assumed(monkeypatch):
+    # S_8(1) tampered to 8 or 3 puts d = 1 in the certified support, so
+    # chi_0 of the orbit (1, 3) gets the character sum 8 + S_8(3) = 8, one
+    # copy, or 3/8, while no tag is 0; a support taken to be {0} would
+    # skip c = 0 and pass
+    G, label = gamma(3, 2, 1), IrrepLabel((1, 3), 0)
+    for tampered, match in ((8, "basis tags"), (3, "not an integer")):
+        monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {(8, 1): tampered})
+        monkeypatch.setattr(metacyclic, "_ROOT_SUPPORT", {})
+        with pytest.raises(FalsificationError, match=match):
+            chi_multiplicity(G, label, 0)
+        with pytest.raises(FalsificationError, match=match):
+            chi_restriction(G, label)
+        assert metacyclic._ROOT_SUPPORT[8] == {0, 1}
+
+
+def test_the_restriction_support_survives_dash_O():
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stderr, redirect_stdout\n"
+        "from tjl import metacyclic\n"
+        "from tjl.cli import run\n"
+        "from tjl.cyclotomic import FalsificationError\n"
+        "from tjl.metacyclic import IrrepLabel, chi_multiplicity, gamma\n"
+        "for tampered in (8, 3):\n"
+        "    metacyclic._ROOT_SUMS = {(8, 1): tampered}\n"
+        "    metacyclic._ROOT_SUPPORT = {}\n"
+        "    try:\n"
+        "        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 0)\n"
+        "    except FalsificationError as exc:\n"
+        "        print(sys.flags.optimize, str(exc))\n"
+        "    metacyclic._ROOT_SUMS = {(8, 1): tampered}\n"
+        "    metacyclic._ROOT_SUPPORT = {}\n"
+        "    err = io.StringIO()\n"
+        "    with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
+        "        code = run(['irreps', '--q', '3', '--n', '2'])\n"
+        "    print(code, json.loads(err.getvalue())['message'])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    for line, match in zip(lines, ("basis tags", "basis tags",
+                                   "not an integer", "not an integer")):
+        assert line.split()[0] == "1" and match in line, line
+
+
+def test_a_tag_off_the_reached_c_fails_as_the_loop_over_z_mod_m_does(
+        monkeypatch):
+    # one extra tag, orbit[0] + 1: every c of the orbit keeps its count,
+    # and the extra c, which the orbit minus the support need not reach,
+    # must still be checked; the failure is the first one in c order
+    real = Gamma.orbit_tags
+    monkeypatch.setattr(Gamma, "orbit_tags", lambda self, orbit: (
+        real(self, orbit) + ((orbit[0] + 1) % self.M,)))
+    G = gamma(3, 2, 1)
+    for label in enumerate_irreps(G):
+        with pytest.raises(FalsificationError, match="basis tags") as got:
+            chi_restriction(G, label)
+        with pytest.raises(FalsificationError) as first:
+            for c in range(G.M):
+                chi_multiplicity(G, label, c)
+        assert str(got.value) == str(first.value)
