@@ -7,12 +7,15 @@ separators, matrices optionally as TSV with a comment header.  The
 per-sigma verification loop runs serially in canonical order: it is pure
 Python, so threads could not speed it up under the GIL.  TJL_THREADS is
 still read and validated (a positive integer, else exit 2) but changes
-nothing, so the bytes do not depend on it.  Exit codes: 0 success, 1
-falsified invariant (including an internal inconsistency such as a
-non-rational inner product, a scalar order mismatch or a failed inverse),
-2 usage error (including an --output path that cannot be written), 3
-resource or search bound exceeded.  Every failure writes one JSON line
-with a non-empty message to stderr.
+nothing, so the bytes do not depend on it.  The parser checks the shape
+of every argument, and a command its --place or --sigma, before any work,
+so the exception type alone sets the exit code: 0 success; 1 falsified
+invariant, including any internal ValueError or ZeroDivisionError (a
+non-rational inner product, a scalar order mismatch, a failed inverse);
+2 usage error, a UsageError (argparse's own errors included) or an
+--output path that cannot be written; 3 resource or search bound
+exceeded.  Every failure writes one JSON line with a non-empty message to
+stderr.
 
 Start-up is kept lean: beyond tjl's own modules, importing this module
 loads only argparse, json and fractions from the standard library (with
@@ -29,7 +32,6 @@ import sys
 from fractions import Fraction
 
 from .adelic import (
-    FactorizationError,
     FalsificationError,
     SearchBoundExceededError,
     default_places,
@@ -39,7 +41,6 @@ from .adelic import (
     factorize_adele,
     verify_witness_uniqueness,
 )
-from .cyclotomic import NotRationalError, OrderMismatchError
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
 from .metacyclic import (
     GroupParams,
@@ -52,7 +53,7 @@ from .metacyclic import (
     gamma,
     orthonormality_pairs,
 )
-from .quaternion import AlgebraParams, OrderElement, ReductionError
+from .quaternion import AlgebraParams, OrderElement
 from .spectral import projective_basis, verify_claim
 from .tame import tame_report
 
@@ -62,18 +63,36 @@ ODD_PRIME_POWERS = (3, 5, 7, 9)
 LOCAL_SIZE_CAP = 5000
 
 
-class UsageError(ValueError):
-    pass
+class UsageError(Exception):
+    """A malformed or meaningless argument: exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Its errors are UsageErrors: one JSON line, not argparse's usage text."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def _check_threads() -> None:
-    raw = os.environ.get("TJL_THREADS", "1")
     try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"TJL_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError("TJL_THREADS must be >= 1")
+        _int_at_least(1)(os.environ.get("TJL_THREADS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"TJL_THREADS {exc}") from None
 
 
 def _canonical_json(obj) -> str:
@@ -89,28 +108,10 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _check_local(q: int, n: int, level: int) -> None:
-    if q not in PRIME_POWERS:
-        raise UsageError(f"q must be a prime power <= 9, got {q}")
-    if not 1 <= n <= 4:
-        raise UsageError(f"n must be between 1 and 4, got {n}")
-    if level < 1:
-        raise UsageError(f"N must be >= 1, got {level}")
     if n * level * (q ** n - 1) > LOCAL_SIZE_CAP:
         raise SearchBoundExceededError(
             f"group order {n * level * (q ** n - 1)} exceeds the cap "
             f"{LOCAL_SIZE_CAP}")
-
-
-def _check_adelic(args) -> None:
-    if args.q not in ODD_PRIME_POWERS:
-        raise UsageError(
-            f"adelic commands need an odd prime power q <= 9, got {args.q}")
-    if args.level < 1:
-        raise UsageError(f"N must be >= 1, got {args.level}")
-    if args.degree_bound < 1:
-        raise UsageError(f"--degree-bound must be >= 1, got {args.degree_bound}")
-    if getattr(args, "round_trips", 0) < 0:
-        raise UsageError(f"--round-trips must be >= 0, got {args.round_trips}")
 
 
 def _parse_sigma(text: str, group) -> IrrepLabel:
@@ -140,7 +141,10 @@ def _certify_places(alg: AlgebraParams, places: list[Poly],
 
 
 def _parse_place(alg: AlgebraParams, text: str) -> Poly:
-    pi = parse_poly(alg.field, text)
+    try:
+        pi = parse_poly(alg.field, text)
+    except ValueError as exc:
+        raise UsageError(f"bad --place {text!r}: {exc}") from None
     if not pi.is_monic() or not is_irreducible(pi):
         raise UsageError(f"place must be a monic irreducible, got {text!r}")
     if pi == Poly.t(alg.field):
@@ -246,7 +250,6 @@ def cmd_tame(args) -> int:
 
 
 def cmd_brandt(args) -> int:
-    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     pi = _parse_place(alg, args.place)
     _certify_places(alg, [pi], args.depth_bound)
@@ -280,7 +283,6 @@ def _verify_one(alg, label, places):
 
 
 def cmd_verify(args) -> int:
-    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     G = group_of(alg)
     places = default_places(alg, args.degree_bound)
@@ -323,7 +325,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    _check_adelic(args)
     alg = AlgebraParams(args.q, level=args.level)
     G = group_of(alg)
     label = _parse_sigma(args.sigma, G)
@@ -350,7 +351,7 @@ def cmd_basis(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tjl",
         description="Exact representation-theory laboratory for metacyclic "
                     "groups, the tame dictionary, and quaternionic "
@@ -359,18 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, adelic=False):
         p.add_argument("--q", type=int, required=True,
+                       choices=ODD_PRIME_POWERS if adelic else PRIME_POWERS,
                        help="residue field size (prime power)")
-        p.add_argument("--N", "--level", dest="level", type=int, default=1,
-                       help="level (default 1)")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
+        p.add_argument("--N", "--level", dest="level", type=_int_at_least(1),
+                       default=1, help="level (default 1)")
         p.add_argument("--output", help="write the report to this path")
         if adelic:
-            p.add_argument("--degree-bound", type=int, default=2,
+            p.add_argument("--degree-bound", type=_int_at_least(1), default=2,
                            help="max degree of split places used (default 2)")
             p.add_argument("--depth-bound", type=int, default=3,
                            help="max witness denominator depth (default 3)")
         else:
-            p.add_argument("--n", type=int, default=2,
+            p.add_argument("--n", type=int, choices=range(1, 5), default=2,
                            help="unramified degree (default 2)")
 
     p = sub.add_parser("irreps", help="irrep census and character table")
@@ -387,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brandt", help="Hecke matrix dump")
     common(p, adelic=True)
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.add_argument("--place", required=True,
                    help="monic irreducible place, e.g. 't-1' or 't^2+1'")
     p.set_defaults(func=cmd_brandt)
@@ -396,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", help="restrict to one irrep: 'trivial' or 'c[:s]'")
     p.add_argument("--seed", type=int, default=20240,
                    help="seed for the round-trip property checks")
-    p.add_argument("--round-trips", type=int, default=5,
+    p.add_argument("--round-trips", type=_int_at_least(0), default=5,
                    help="number of synthesized round trips (default 5)")
     p.set_defaults(func=cmd_verify)
 
@@ -419,12 +421,7 @@ def run(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         _check_threads()
-        if getattr(args, "format", "json") == "tsv" and args.command != "brandt":
-            raise UsageError("tsv output is only available for brandt")
         return args.func(args)
     except (UsageError, OSError) as exc:
         # an OSError here is an --output path that cannot be written
@@ -432,12 +429,10 @@ def run(argv=None) -> int:
     except SearchBoundExceededError as exc:
         return _fail(3, "resource", exc,
                      hint="raise --degree-bound/--depth-bound")
-    except (FalsificationError, NotRationalError, OrderMismatchError,
-            ZeroDivisionError, ReductionError, FactorizationError) as exc:
-        # an exact computation contradicted itself: not the caller's fault
+    except (FalsificationError, ValueError, ZeroDivisionError) as exc:
+        # every argument was checked before the work began, so an exact
+        # computation contradicted itself: not the caller's fault
         return _fail(1, "falsification", exc)
-    except ValueError as exc:
-        return _fail(2, "usage", exc)
 
 
 def _verdict(failed: list[str]) -> int:

@@ -440,14 +440,19 @@ def parse_poly(field: GF, text: str) -> Poly:
 
 
 def is_irreducible(poly: Poly) -> bool:
-    """Trial division by the enumerated monic irreducibles of half the degree."""
+    """Ben-Or's test: poly of degree d >= 1 is irreducible iff it has no
+    factor of degree i <= d / 2, that is iff gcd(t^(q^i) - t, poly) = 1, as
+    t^(q^i) - t is the product of the monic irreducibles of degree | i."""
     d = poly.degree
     if d <= 0:
         return False
-    if d == 1:
-        return True
-    for g in monic_irreducibles(poly.field, d // 2):
-        if g.divides(poly):
+    # power runs through t^(q^i) mod poly; t is reduced when the loop runs
+    t = power = Poly.t(poly.field)
+    for _ in range(d // 2):
+        base = power
+        for _ in range(poly.field.q - 1):
+            power = power * base % poly
+        if not (power - t).gcd(poly).is_one():
             return False
     return True
 

@@ -22,6 +22,7 @@ from tjl.cli import run, main
 from tjl.cyclotomic import Cyc, NotRationalError, OrderMismatchError
 from tjl.metacyclic import character_table, gamma, table_symmetries
 from tjl.quaternion import NotInvertibleError, ReductionError
+from tjl.tame import TameParamError
 
 
 def invoke(capsys, *argv):
@@ -179,38 +180,37 @@ def test_basis_lines(capsys):
     assert len(d["lines"]) == d["dim"] == 2
 
 
-def test_usage_errors_exit_2(capsys):
-    code, out, err = invoke(capsys, "verify", "--q", "2", "--N", "1")
-    assert code == 2
-    assert json.loads(err)["error"] == "usage"
-
-    code, _, err = invoke(capsys, "brandt", "--q", "3", "--place", "t")
-    assert code == 2
-
-    code, _, err = invoke(capsys, "brandt", "--q", "3", "--place", "t+t")
-    assert code == 2
-
-    code, _, err = invoke(capsys, "irreps", "--q", "6", "--n", "2")
-    assert code == 2
-
-    code, _, err = invoke(capsys, "irreps", "--q", "3", "--n", "5")
-    assert code == 2
-
-    code, _, err = invoke(capsys, "tame", "--q", "3", "--n", "2",
-                          "--format", "tsv")
-    assert code == 2
-
-    code, _, _ = invoke(capsys, "bogus")
-    assert code == 2
-
-    code, _, _ = invoke(capsys, "verify", "--q", "3", "--sigma", "x:y")
-    assert code == 2
-
+USAGE_ERRORS = (
+    "verify --q 2 --N 1",
+    "brandt --q 3 --place t",
+    "brandt --q 3 --place t+t",
+    "brandt --q 3 --place t^",
+    "brandt --q 3 --format xml --place t+1",
+    "irreps --q 6 --n 2",
+    "irreps --q 3 --n 5",
+    "irreps --q 3 --format json",
+    "tame --q 3 --n 2 --format tsv",
+    "bogus",
+    "verify",
+    "verify --q x",
+    "verify --q 3 --N 0",
+    "verify --q 3 --sigma",
+    "verify --q 3 --sigma x:y",
     # c:s takes two parts at most
-    code, out, err = invoke(capsys, "basis", "--q", "3", "--sigma", "1:0:junk")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "usage"
+    "basis --q 3 --sigma 1:0:junk",
+)
+
+
+def test_usage_errors_exit_2(capsys):
+    # argparse's own errors too: exit 2, nothing on stdout and one JSON
+    # line on stderr, never argparse's usage text
+    for argv in USAGE_ERRORS:
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (2, ""), argv
+        lines = err.splitlines()
+        assert len(lines) == 1, argv
+        payload = json.loads(lines[0])
+        assert payload["error"] == "usage" and payload["message"], argv
 
 
 def test_resource_cap_exit_3(capsys):
@@ -496,10 +496,14 @@ def test_order_mismatch_is_a_falsification(monkeypatch, capsys):
     assert payload["message"] == "orders differ: 8 vs 4"
 
 
-@pytest.mark.parametrize("error", [ZeroDivisionError, NotInvertibleError])
+@pytest.mark.parametrize("error", [ZeroDivisionError, NotInvertibleError,
+                                   ValueError, TameParamError, ReductionError,
+                                   FactorizationError])
 def test_division_by_zero_is_a_falsification(monkeypatch, capsys, error):
-    # a failed inverse mod pi^P or of a quaternion is an internal
-    # inconsistency: one JSON line and exit 1, not a traceback
+    # a failed inverse mod pi^P or of a quaternion, or any ValueError out of
+    # the library once the arguments are checked, is an internal
+    # inconsistency: one JSON line and exit 1, not a traceback and not the
+    # exit 2 of a usage error
     def broken(*args, **kwargs):
         raise error()
 
@@ -509,6 +513,20 @@ def test_division_by_zero_is_a_falsification(monkeypatch, capsys, error):
     payload = json.loads(err)
     assert payload["error"] == "falsification"
     assert payload["message"] == error.__name__
+
+
+def test_internal_value_error_exits_1_under_python_O():
+    # the verdict is the exception's type, which -O keeps
+    script = ("import tjl.cli as cli\n"
+              "def broken(*args):\n"
+              "    raise ValueError('valuation of zero')\n"
+              "cli.hecke_matrix = broken\n"
+              "cli.main(['brandt', '--q', '3', '--place', 't+1'])\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ('{"error":"falsification","message":'
+                           '"valuation of zero","schema_version":"1"}\n')
 
 
 def _stderr_falsification(err):

@@ -191,6 +191,29 @@ def test_is_irreducible_examples():
     F2 = gf(2)
     assert is_irreducible(parse_poly(F2, "t^2+t+1"))
     assert not is_irreducible(parse_poly(F2, "t^2+1"))
+    # reducible with no factor below degree 5: a square and a product of
+    # two distinct irreducibles
+    polys = monic_irreducibles(F, 6)
+    g = next(f for f in polys if f.degree == 5)
+    h = next(f for f in polys if f.degree == 6)
+    assert is_irreducible(g) and is_irreducible(h)
+    assert not is_irreducible(g * g)
+    assert not is_irreducible(g * h)
+
+
+@pytest.mark.parametrize("q, max_deg", [(2, 6), (3, 5), (4, 3), (5, 4),
+                                        (9, 3)])
+def test_is_irreducible_agrees_with_the_enumeration(q, max_deg):
+    # Ben-Or's gcd test against membership in the trial-division
+    # enumeration, on every monic polynomial of degree <= max_deg and on a
+    # non-monic multiple of each
+    F = gf(q)
+    irreducible = set(monic_irreducibles(F, max_deg))
+    for d in range(max_deg + 1):
+        for tail in product(range(q), repeat=d):
+            f = Poly(F, tail + (1,))
+            assert is_irreducible(f) == (f in irreducible), f
+            assert is_irreducible(f.scale(q - 1)) == (f in irreducible), f
 
 
 def test_parse_poly():
