@@ -65,8 +65,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement, product
 from operator import getitem
 
-from .cyclotomic import FalsificationError, FrozenRecord, require
-from .funcfield import (Poly, RatFunc, ResidueField, format_poly,
+from .cyclotomic import FalsificationError, FrozenRecord, memo, require
+from .funcfield import (Poly, RatFunc, ResidueField, format_poly, gf,
                         monic_irreducibles)
 from .metacyclic import Gamma, gamma
 from .quaternion import (
@@ -86,7 +86,12 @@ Mat = tuple[Poly, Poly, Poly, Poly]  # row-major 2x2 over F_q[t] / pi^P
 
 
 class SearchBoundExceededError(RuntimeError):
-    pass
+    """A search bound is too small: exit 3.  hint says what lifts it, a
+    larger --depth-bound, or nothing where the bound is a fixed cap."""
+
+    def __init__(self, message: str, hint: str):
+        super().__init__(message)
+        self.hint = hint
 
 
 class FactorizationError(ValueError):
@@ -461,25 +466,22 @@ class WitnessSet:
 # and 9, >= 9 for q = 5 and >= 13 for q = 3.
 TABLE_ROW_CAP = 1 << 22
 
-_NORM_TABLES: dict = {}
 
-
-def _norm_table(F, m: int) -> dict[tuple, list[tuple[int, int]]]:
+@memo
+def _norm_table(q: int, m: int) -> dict[tuple, list[tuple[int, int]]]:
     """The coefficients of eps*b^2 + t*c^2 -> the index pairs (ib, ic) of
-    the (b, c) of degree < m behind them, in increasing order, for F's eps;
-    built once per (q, m) and shared by every place."""
-    table = _NORM_TABLES.get((F.q, m))
-    if table is None:
-        eps = F.smallest_nonsquare
-        lows = (Poly(F, cs) for cs in product(range(F.q), repeat=m))
-        squares = [p * p for p in lows]
-        tcs = [p.shift(1) for p in squares]
-        table = {}
-        for ib, b2 in enumerate(squares):
-            eb = b2.scale(eps)
-            for ic, tc in enumerate(tcs):
-                table.setdefault((eb + tc).coeffs, []).append((ib, ic))
-        _NORM_TABLES[(F.q, m)] = table
+    the (b, c) of degree < m behind them, in increasing order, for the eps
+    of GF(q); shared by every place."""
+    F = gf(q)
+    eps = F.smallest_nonsquare
+    lows = (Poly(F, cs) for cs in product(range(q), repeat=m))
+    squares = [p * p for p in lows]
+    tcs = [p.shift(1) for p in squares]
+    table: dict[tuple, list[tuple[int, int]]] = {}
+    for ib, b2 in enumerate(squares):
+        eb = b2.scale(eps)
+        for ic, tc in enumerate(tcs):
+            table.setdefault((eb + tc).coeffs, []).append((ib, ic))
     return table
 
 
@@ -488,7 +490,8 @@ def _require_table_rows(q: int, m: int) -> None:
     if q ** (2 * m) > TABLE_ROW_CAP:
         raise SearchBoundExceededError(
             f"the norm-form table at depth {m} needs {q ** (2 * m)} rows, "
-            f"more than the cap {TABLE_ROW_CAP}")
+            f"more than the cap {TABLE_ROW_CAP}",
+            f"the norm-form table row cap {TABLE_ROW_CAP} is fixed")
 
 
 def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
@@ -506,7 +509,7 @@ def _box_candidates(alg: AlgebraParams, pi: Poly, m: int):
     if e0 < 0:
         return
     _require_table_rows(q, m)
-    get = _norm_table(F, m).get
+    get = _norm_table(q, m).get
     lows = [Poly(F, cs) for cs in product(range(q), repeat=m)]
     tm = Poly.t_power(F, m)
     tops = [tm + p for p in lows]
@@ -550,24 +553,18 @@ def _scan(split: SplitPlace) -> list[Witness]:
     return found
 
 
-# (alg, pi) -> its WitnessSet; a failed certification is not stored, so it
-# raises on every call
-_SCANS: dict = {}
-
-
+@memo
 def witness_set(alg: AlgebraParams, pi: Poly) -> WitnessSet:
     """The canonical witnesses for the degree-one modification at pi:
     gamma = t^{-m} w with nrd(w) = t^{2m - deg pi} * pi, gamma a principal
     unit at infinity, all of depth m0 = ceil(deg pi / 2), so no depth bound
     applies (verify_witness_uniqueness checks one).  Exactly one witness
     per right coset and per left coset of the split model; the set and its
-    model, the one split model at pi, are kept per place once certified."""
-    ws = _SCANS.get((alg, pi))
-    if ws is None:
-        _require_table_rows(alg.field.q, (pi.degree + 1) // 2)
-        split = SplitPlace(alg, pi)
-        ws = _SCANS[(alg, pi)] = WitnessSet(split, _scan(split))
-    return ws
+    model, the one split model at pi, are kept per place once certified;
+    a failed certification is not kept, so it raises on every call."""
+    _require_table_rows(alg.field.q, (pi.degree + 1) // 2)
+    split = SplitPlace(alg, pi)
+    return WitnessSet(split, _scan(split))
 
 
 def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
@@ -581,7 +578,7 @@ def verify_witness_uniqueness(alg: AlgebraParams, pi: Poly,
     if depth_bound < (pi.degree + 1) // 2:
         raise SearchBoundExceededError(
             f"found 0 of {cosets} witnesses at {format_poly(pi)} within "
-            f"depth {depth_bound}")
+            f"depth {depth_bound}", "raise --depth-bound")
     return {"cosets": cosets,
             "witnesses": len(witness_set(alg, pi).witnesses),
             "norm_degree_bound": 2 * depth_bound}
@@ -733,9 +730,14 @@ class SplitComponent:
         self.mat, self._valuation = num, None
 
 
-# (alg, x) -> (nrd x, x^{-1}) for AdeleState.right_divide, whose divisors in
-# factorize_adele are the witnesses and the central pi's of the places
-_DIVISORS: dict = {}
+@memo
+def _divisor(alg: AlgebraParams,
+             x: OrderElement) -> tuple[RatFunc, OrderElement]:
+    """(nrd x, x^{-1}) for AdeleState.right_divide, whose divisors in
+    factorize_adele are the witnesses and the central pi's of the places.
+    alg is in the key because OrderElement equality ignores it."""
+    n = x.nrd()
+    return n, x.inverse(n)
 
 
 class AdeleState:
@@ -756,11 +758,7 @@ class AdeleState:
         unit exactly when nrd(elt) is one at its place (det(A x^{-1}) =
         det(A) / nrd(x)), which is checked in place of the product.  The
         components at t and infinity are left to the caller."""
-        key = (elt.alg, elt)
-        if key not in _DIVISORS:
-            n = elt.nrd()
-            _DIVISORS[key] = (n, elt.inverse(n))
-        n, inv = _DIVISORS[key]
+        n, inv = _divisor(elt.alg, elt)
         for pi, comp in self.split.items():
             if comp.is_unit():
                 _require_unit_norm(n, pi, "a divisor")

@@ -41,6 +41,7 @@ from .adelic import (
     factorize_adele,
     verify_witness_uniqueness,
 )
+from .cyclotomic import memo
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
 from .metacyclic import (
     GroupParams,
@@ -111,7 +112,8 @@ def _check_local(q: int, n: int, level: int) -> None:
     if n * level * (q ** n - 1) > LOCAL_SIZE_CAP:
         raise SearchBoundExceededError(
             f"group order {n * level * (q ** n - 1)} exceeds the cap "
-            f"{LOCAL_SIZE_CAP}")
+            f"{LOCAL_SIZE_CAP}",
+            f"the group-order cap {LOCAL_SIZE_CAP} is fixed")
 
 
 def _parse_sigma(text: str, group) -> IrrepLabel:
@@ -350,7 +352,9 @@ def cmd_basis(args) -> int:
 # -- parser and entry point -------------------------------------------
 
 
+@memo
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves no state in it."""
     parser = _Parser(
         prog="tjl",
         description="Exact representation-theory laboratory for metacyclic "
@@ -366,13 +370,16 @@ def build_parser() -> argparse.ArgumentParser:
                        default=1, help="level (default 1)")
         p.add_argument("--output", help="write the report to this path")
         if adelic:
-            p.add_argument("--degree-bound", type=_int_at_least(1), default=2,
-                           help="max degree of split places used (default 2)")
-            p.add_argument("--depth-bound", type=int, default=3,
+            p.add_argument("--depth-bound", type=_int_at_least(0), default=3,
                            help="max witness denominator depth (default 3)")
         else:
             p.add_argument("--n", type=int, choices=range(1, 5), default=2,
                            help="unramified degree (default 2)")
+
+    def places(p):
+        common(p, adelic=True)
+        p.add_argument("--degree-bound", type=_int_at_least(1), default=2,
+                       help="max degree of split places used (default 2)")
 
     p = sub.add_parser("irreps", help="irrep census and character table")
     common(p)
@@ -394,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_brandt)
 
     p = sub.add_parser("verify", help="full pipeline verification")
-    common(p, adelic=True)
+    places(p)
     p.add_argument("--sigma", help="restrict to one irrep: 'trivial' or 'c[:s]'")
     p.add_argument("--seed", type=int, default=20240,
                    help="seed for the round-trip property checks")
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("basis", help="projective basis dump for one irrep")
-    common(p, adelic=True)
+    places(p)
     p.add_argument("--sigma", required=True,
                    help="'trivial' or 'c[:s]'")
     p.set_defaults(func=cmd_basis)
@@ -411,24 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None
-
-
 def run(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        # parsing leaves no state in the parser, so one serves every call
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = build_parser().parse_args(argv)
         _check_threads()
         return args.func(args)
     except (UsageError, OSError) as exc:
         # an OSError here is an --output path that cannot be written
         return _fail(2, "usage", exc)
     except SearchBoundExceededError as exc:
-        return _fail(3, "resource", exc,
-                     hint="raise --degree-bound/--depth-bound")
+        return _fail(3, "resource", exc, hint=exc.hint)
     except (FalsificationError, ValueError, ZeroDivisionError) as exc:
         # every argument was checked before the work began, so an exact
         # computation contradicted itself: not the caller's fault

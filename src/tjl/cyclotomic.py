@@ -22,8 +22,8 @@ it; inner_product hands it a bare histogram and builds no Cyc.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 
 RationalLike = int | Fraction
@@ -39,6 +39,21 @@ class NotRationalError(ValueError):
 
 class FalsificationError(RuntimeError):
     """An exact computation contradicts a structural prediction."""
+
+
+# every module-level memo of tjl, each made by memo: emptying them all
+# (cache_clear() on each) leaves tjl as a fresh process finds it
+MEMOS: list = []
+
+
+def memo(fn):
+    """fn memoised on its arguments (an unbounded lru_cache) and registered
+    in MEMOS; cache_info() counts its hits and misses.  A call that raises
+    stores nothing.  Callers pass one value's arguments one way, positionally,
+    so that it is stored under one key."""
+    cached = functools.lru_cache(maxsize=None)(fn)
+    MEMOS.append(cached)
+    return cached
 
 
 def require(ok: bool, message: str) -> None:
@@ -151,7 +166,7 @@ def _poly_exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
     return quot
 
 
-@lru_cache(maxsize=None)
+@memo
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Dense coefficients (constant first) of Phi_m, via exact division of x^m - 1."""
     if m == 1:
@@ -162,7 +177,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _reduction_rows(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Rows x^k mod Phi_m for 0 <= k < m, each as its nonzero (j, c) pairs."""
     phi = cyclotomic_polynomial(m)

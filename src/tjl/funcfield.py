@@ -36,10 +36,9 @@ polynomials.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
-from .cyclotomic import FalsificationError, require
+from .cyclotomic import FalsificationError, memo, require
 
 
 def prime_power_decomposition(q: int) -> tuple[int, int] | None:
@@ -179,7 +178,7 @@ class GF:
         return f"GF({self.q})"
 
 
-@lru_cache(maxsize=None)
+@memo
 def gf(q: int) -> GF:
     return GF(q)
 
@@ -238,9 +237,11 @@ class Poly:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def __eq__(self, other):
+        # the field by its q, as in the hash: a Poly built before the memos
+        # were emptied equals one built after, over a second GF(q)
         return (
             isinstance(other, Poly)
-            and self.field is other.field
+            and self.field.q == other.field.q
             and self.coeffs == other.coeffs
         )
 
@@ -457,7 +458,7 @@ def is_irreducible(poly: Poly) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@memo
 def _monic_irreducibles_cached(q: int, max_deg: int) -> tuple[Poly, ...]:
     field = gf(q)
     out: list[Poly] = []
@@ -740,7 +741,7 @@ class ResidueField:
         return self._exp[k % self.order]
 
 
-@lru_cache(maxsize=None)
+@memo
 def fq2(q: int) -> ResidueField:
     """The shared F_q(i) = F_q[x]/(x^2 - eps), eps the smallest non-square
     (odd q: smallest_nonsquare refuses characteristic 2), one per q."""

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 
 from .cyclotomic import (
@@ -42,6 +41,7 @@ from .cyclotomic import (
     OrderMismatchError,
     divisors,
     inner_product,
+    memo,
     require,
 )
 from .funcfield import is_prime_power
@@ -210,8 +210,8 @@ class Gamma:
         return f"Gamma(q={self.q}, n={self.n}, level={self.level})"
 
 
-@lru_cache(maxsize=None)
-def gamma(q: int, n: int, level: int = 1) -> Gamma:
+@memo
+def gamma(q: int, n: int, level: int) -> Gamma:
     return Gamma(q, n, level)
 
 
@@ -336,35 +336,20 @@ class Irrep:
         return f"Irrep({self.group!r}, orbit={self.label.orbit}, s={self.s})"
 
 
-# S_M(d) = sum over e in Z/M of zeta_M^(e d), keyed by (M, d mod M)
-_ROOT_SUMS: dict[tuple[int, int], Fraction | int] = {}
-# the support {d mod M : S_M(d) != 0} of the root sums, keyed by M
-_ROOT_SUPPORT: dict[int, frozenset[int]] = {}
-
-
+@memo
 def _root_sum(M: int, d: int) -> Fraction | int:
-    """S_M(d) = sum over e in Z/M of zeta_M^(e d), exactly: its exponent
-    histogram reduced modulo Phi_M once per (M, d mod M), then memoised.
-    It must be rational, else NotRationalError; an integer value is kept
-    as an int."""
-    key = (M, d % M)
-    value = _ROOT_SUMS.get(key)
-    if value is None:
-        value = Cyc(M, Counter(e * key[1] % M for e in range(M))).to_rational()
-        if value.denominator == 1:
-            value = value.numerator
-        _ROOT_SUMS[key] = value
-    return value
+    """S_M(d) = sum over e in Z/M of zeta_M^(e d), 0 <= d < M, exactly: its
+    exponent histogram reduced modulo Phi_M once.  It must be rational,
+    else NotRationalError; an integer value is kept as an int."""
+    value = Cyc(M, Counter(e * d % M for e in range(M))).to_rational()
+    return value.numerator if value.denominator == 1 else value
 
 
+@memo
 def _root_support(M: int) -> frozenset[int]:
     """The d in Z/M with S_M(d) != 0, certified by the exact root sums of
-    every d in Z/M (_root_sum) once per M, then memoised."""
-    support = _ROOT_SUPPORT.get(M)
-    if support is None:
-        support = frozenset(d for d in range(M) if _root_sum(M, d))
-        _ROOT_SUPPORT[M] = support
-    return support
+    every d in Z/M (_root_sum)."""
+    return frozenset(d for d in range(M) if _root_sum(M, d))
 
 
 def _multiplicity(M: int, label: IrrepLabel, tags: tuple[int, ...],
@@ -376,7 +361,7 @@ def _multiplicity(M: int, label: IrrepLabel, tags: tuple[int, ...],
     by_tags = tags.count(c_exp)
     total = 0
     if any((c - c_exp) % M in support for c in label.orbit):
-        total = sum(_root_sum(M, c - c_exp) for c in label.orbit)
+        total = sum(_root_sum(M, (c - c_exp) % M) for c in label.orbit)
     if total % M:
         raise FalsificationError(
             f"multiplicity of chi_{c_exp} in {label} is {Fraction(total, M)}, "

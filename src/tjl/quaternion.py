@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .cyclotomic import FalsificationError, FrozenRecord, require
+from .cyclotomic import FalsificationError, FrozenRecord, memo, require
 from .funcfield import (GF, Poly, RatFunc, ResidueField, format_poly, fq2, gf,
                         monic_irreducibles, normal_form)
 
@@ -200,7 +200,7 @@ class OrderElement:
         F = self.alg.field
         add, mul = F._add, F._mul
         ys = other.nums
-        table = _basis_products(self.alg)
+        table = _basis_products(self.alg.q)
         out: tuple[list[int], ...] = ([], [], [], [])
         for x, p in enumerate(self.nums):
             p = p.coeffs
@@ -287,24 +287,21 @@ _BASIS_PRODUCT_RULES = (
     ((1, 0, 0), (-1, 1, 0), (1, 0, 1), (-1, 1, 1)),   # ij, -eps j, t i, -eps t
 )
 
-_BASIS_PRODUCTS: dict = {}
 
-
-def _basis_products(alg: AlgebraParams) -> tuple:
+@memo
+def _basis_products(q: int) -> tuple:
     """Row x holds, for each y, (x XOR y, s, c): e_x e_y = c t^s e_(x XOR y)
-    with c = +-1 or +-eps in F_q; built once per q, which fixes eps."""
-    table = _BASIS_PRODUCTS.get(alg.q)
-    if table is None:
-        F = alg.field
-        rows = []
-        for x, rules in enumerate(_BASIS_PRODUCT_RULES):
-            row = []
-            for y, (sign, a, s) in enumerate(rules):
-                c = alg.eps if a else 1
-                row.append((x ^ y, s, F.neg(c) if sign < 0 else c))
-            rows.append(tuple(row))
-        table = _BASIS_PRODUCTS[alg.q] = tuple(rows)
-    return table
+    with c = +-1 or +-eps in F_q; eps is fixed by q."""
+    F = gf(q)
+    eps = F.smallest_nonsquare
+    rows = []
+    for x, rules in enumerate(_BASIS_PRODUCT_RULES):
+        row = []
+        for y, (sign, a, s) in enumerate(rules):
+            c = eps if a else 1
+            row.append((x ^ y, s, F.neg(c) if sign < 0 else c))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _is_t_power(den: Poly) -> bool:

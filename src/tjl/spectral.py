@@ -47,7 +47,7 @@ from .adelic import (
     group_of,
     witness_set,
 )
-from .cyclotomic import Cyc, Record, require
+from .cyclotomic import Cyc, Record, memo, require
 from .funcfield import Poly, format_poly
 from .metacyclic import (
     Gamma,
@@ -128,12 +128,12 @@ class HomSpace:
 
 
 class SpectralLine(Record):
-    __slots__ = ("chi", "vector", "eigenvalues")
+    __slots__ = ("chi", "vector")
 
-    def __init__(self, chi: int, vector: Vector, eigenvalues: list[Cyc]):
-        # chi is the unit-character exponent at infinity; the eigenvalues
-        # are aligned with the place list
-        self._set(chi, vector, eigenvalues)
+    def __init__(self, chi: int, vector: Vector):
+        # chi is the unit-character exponent at infinity; the line's Hecke
+        # eigenvalues are its block's
+        self._set(chi, vector)
 
 
 class EigensystemBlock(Record):
@@ -212,27 +212,19 @@ def _unit_vector(f: int, j: int, order: int) -> Vector:
     return [Cyc.from_rational(order, 1 if i == j else 0) for i in range(f)]
 
 
-# S_pi as a histogram of shifts, once its invariance under conjugation by
-# both generators holds, keyed by (alg, pi)
-_CENTRAL: dict = {}
-
-
+@memo
 def _central_shifts(alg: AlgebraParams, pi: Poly) -> tuple:
     """The witness shifts at pi as (shift, multiplicity) pairs, certified
     invariant under conjugation by F = (1, 0) and U = (0, 1), so that the
     Hecke operator at pi is central in Z[Gamma]."""
-    found = _CENTRAL.get((alg, pi))
-    if found is None:
-        G = group_of(alg)
-        hist = Counter(witness_set(alg, pi).shifts)
-        for gen in ((1, 0), (0, 1)):
-            require(Counter({G.conjugate(gen, g): n for g, n in hist.items()})
-                    == hist,
-                    f"the Hecke operator at {format_poly(pi)} is not "
-                    f"central: its witness shifts change under conjugation "
-                    f"by {gen}")
-        found = _CENTRAL[(alg, pi)] = tuple(hist.items())
-    return found
+    G = group_of(alg)
+    hist = Counter(witness_set(alg, pi).shifts)
+    for gen in ((1, 0), (0, 1)):
+        require(Counter({G.conjugate(gen, g): n for g, n in hist.items()})
+                == hist,
+                f"the Hecke operator at {format_poly(pi)} is not central: "
+                f"its witness shifts change under conjugation by {gen}")
+    return tuple(hist.items())
 
 
 def decompose(alg: AlgebraParams, label: IrrepLabel,
@@ -315,7 +307,7 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
         a=0,
         places=list(places),
         hecke_eigenvalues=eigenvalues,
-        lines=[SpectralLine(c, _unit_vector(f, lines[c], order), eigenvalues)
+        lines=[SpectralLine(c, _unit_vector(f, lines[c], order))
                for c in orbit],
         infinity_label=IrrepLabel(orbit, x // (order // sm)),
     )]

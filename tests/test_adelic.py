@@ -968,8 +968,11 @@ _FROZEN_PLACE_SCRIPT = (
     "        p1: adelic.SplitComponent(sp1, sp1.embed(one, 4)),\n"
     "        p2: adelic.SplitComponent(sp2, sp2.embed(ws[0], 4))})\n"
     "print(adelic.factorize_adele(alg, state())[0])\n"
-    "for w in ws:\n"
-    "    adelic._DIVISORS[(alg, w)] = (w.nrd() * RatFunc(p1), w.inverse())\n"
+    "real = adelic._divisor\n"
+    "def faked(alg, x):\n"
+    "    n, inv = real(alg, x)\n"
+    "    return (n * RatFunc(p1), inv) if x in ws else (n, inv)\n"
+    "adelic._divisor = faked\n"
     "try:\n"
     "    adelic.factorize_adele(alg, state())\n"
     "except adelic.FactorizationError as exc:\n"
@@ -1155,12 +1158,11 @@ def test_deeper_depths_hold_only_t_multiples(q, top):
             above = deeper
 
 
-def test_isotropic_norm_form_is_a_falsification(monkeypatch):
+def test_isotropic_norm_form_is_a_falsification(monkeypatch, fresh_memos):
     with pytest.raises(FalsificationError,
                        match="its zeros are \\[\\(0, 0\\), \\(1, 1\\)"):
         require_anisotropic(gf(3), 1)
     # the scan checks the lemma's one premise before it trusts one depth
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(adelic, "require_anisotropic",
                         lambda F, eps: require_anisotropic(F, 1))
     alg = AlgebraParams(3)
@@ -1203,31 +1205,19 @@ def test_norm_table_files_each_pair_under_its_norm(q, m):
         for ic, c in enumerate(lows):
             key = (eps * b * b + t * c * c).coeffs
             want.setdefault(key, []).append((ib, ic))
-    assert adelic._norm_table(F, m) == want
+    assert adelic._norm_table(q, m) == want
 
 
-class _RecordingDict(dict):
-    """A dict that lists the keys stored in it, in order."""
-
-    def __init__(self):
-        super().__init__()
-        self.stored = []
-
-    def __setitem__(self, key, value):
-        self.stored.append(key)
-        super().__setitem__(key, value)
-
-
-def test_norm_table_is_built_once_per_q_depth(monkeypatch):
-    tables = _RecordingDict()
-    monkeypatch.setattr(adelic, "_NORM_TABLES", tables)
+def test_norm_table_is_built_once_per_q_depth(fresh_memos):
     alg = AlgebraParams(3)
     places = default_places(alg, 2)
     for pi in places:
         list(adelic._box_candidates(alg, pi, 2))
-    assert tables.stored == [(3, 2)]
+    info = adelic._norm_table.cache_info()
+    assert (info.misses, info.hits) == (1, len(places) - 1)
     list(adelic._box_candidates(alg, places[0], 1))
-    assert tables.stored == [(3, 2), (3, 1)]
+    info = adelic._norm_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_norm_table_past_the_row_cap_is_a_search_bound():
@@ -1238,13 +1228,13 @@ def test_norm_table_past_the_row_cap_is_a_search_bound():
         next(adelic._box_candidates(alg, pi, 4))
 
 
-def test_place_past_the_row_cap_builds_no_split_model(monkeypatch):
+def test_place_past_the_row_cap_builds_no_split_model(monkeypatch,
+                                                     fresh_memos):
     # the cap is checked before the model (its residue field has 3^13
     # elements) is built
     def refuse(alg, pi):
         raise AssertionError("SplitPlace built past the row cap")
 
-    monkeypatch.setattr(adelic, "_SCANS", {})
     monkeypatch.setattr(adelic, "SplitPlace", refuse)
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t^13+2t^3+t^2+1")
@@ -1253,11 +1243,7 @@ def test_place_past_the_row_cap_builds_no_split_model(monkeypatch):
         verify_witness_uniqueness(alg, pi, depth_bound=7)
 
 
-def _fresh_caches(monkeypatch):
-    monkeypatch.setattr(adelic, "_SCANS", {})
-
-
-def test_uniqueness_depth_bound_ignores_cache_state(monkeypatch):
+def test_uniqueness_depth_bound_ignores_cache_state(fresh_memos):
     alg = AlgebraParams(3)
     for pi in default_places(alg, 2):
         ws = witness_set(alg, pi)
@@ -1268,7 +1254,7 @@ def test_uniqueness_depth_bound_ignores_cache_state(monkeypatch):
         cert = verify_witness_uniqueness(alg, pi, depth_bound=depth)
         assert cert["witnesses"] == len(ws.witnesses)
         assert witness_set(alg, pi).witnesses == ws.witnesses
-    _fresh_caches(monkeypatch)
+    fresh_memos()
     pi = parse_poly(alg.field, "t^2+2t+2")
     with pytest.raises(SearchBoundExceededError, match="t\\^2\\+2t\\+2"):
         verify_witness_uniqueness(alg, pi, depth_bound=0)
@@ -1277,8 +1263,7 @@ def test_uniqueness_depth_bound_ignores_cache_state(monkeypatch):
         verify_witness_uniqueness(alg, pi, depth_bound=0)
 
 
-def test_witness_set_is_certified_once_per_place(monkeypatch):
-    _fresh_caches(monkeypatch)
+def test_witness_set_is_certified_once_per_place(monkeypatch, fresh_memos):
     scan = adelic._scan
     calls = []
     monkeypatch.setattr(adelic, "_scan",
@@ -1306,7 +1291,8 @@ def test_witness_set_cache_is_keyed_by_level():
     assert all(w.element.alg == ws2.split.alg for w in ws2.witnesses)
 
 
-def test_second_witness_in_a_coset_is_a_falsification(monkeypatch):
+def test_second_witness_in_a_coset_is_a_falsification(monkeypatch,
+                                                      fresh_memos):
     box = adelic._box_candidates
 
     def doubled(alg, pi, m):
@@ -1314,7 +1300,6 @@ def test_second_witness_in_a_coset_is_a_falsification(monkeypatch):
             yield cand
             yield cand
 
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(adelic, "_box_candidates", doubled)
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t-1")
@@ -1339,7 +1324,8 @@ def test_uniqueness_reports_missing_cosets_as_a_search_bound():
     assert verify_witness_uniqueness(alg, pi, depth_bound=2)["witnesses"] == 28
 
 
-def test_missing_witness_at_m0_is_a_falsification(monkeypatch, capsys):
+def test_missing_witness_at_m0_is_a_falsification(monkeypatch, capsys,
+                                                  fresh_memos):
     # every witness lies at depth m0, so a short count is no search bound
     box = adelic._box_candidates
 
@@ -1348,7 +1334,6 @@ def test_missing_witness_at_m0_is_a_falsification(monkeypatch, capsys):
         next(cands)
         yield from cands
 
-    _fresh_caches(monkeypatch)
     monkeypatch.setattr(adelic, "_box_candidates", dropped)
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t^2+1")

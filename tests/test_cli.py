@@ -19,7 +19,8 @@ import tjl.cli as cli
 from oracles import ref_orthonormality
 from tjl.adelic import FactorizationError
 from tjl.cli import run, main
-from tjl.cyclotomic import Cyc, NotRationalError, OrderMismatchError
+from tjl.cyclotomic import (MEMOS, Cyc, NotRationalError,
+                            OrderMismatchError)
 from tjl.metacyclic import character_table, gamma, table_symmetries
 from tjl.quaternion import NotInvertibleError, ReductionError
 from tjl.tame import TameParamError
@@ -198,6 +199,9 @@ USAGE_ERRORS = (
     "verify --q 3 --sigma x:y",
     # c:s takes two parts at most
     "basis --q 3 --sigma 1:0:junk",
+    "verify --q 3 --depth-bound -1",
+    # brandt reads one --place, so it takes no --degree-bound
+    "brandt --q 3 --place t+1 --degree-bound 1",
 )
 
 
@@ -214,11 +218,16 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_resource_cap_exit_3(capsys):
-    code, out, err = invoke(capsys, "irreps", "--q", "9", "--n", "4")
-    assert code == 3
-    payload = json.loads(err)
-    assert payload["error"] == "resource"
-    assert "hint" in payload
+    # no flag lifts a fixed cap, so its hint names the cap and no flag
+    for argv, hint in (
+            ("irreps --q 9 --n 4", "the group-order cap 5000 is fixed"),
+            ("brandt --q 3 --place t^13+2t^3+t^2+1 --depth-bound 7",
+             "the norm-form table row cap 4194304 is fixed")):
+        code, out, err = invoke(capsys, *argv.split())
+        assert (code, out) == (3, ""), argv
+        payload = json.loads(err)
+        assert payload["error"] == "resource"
+        assert payload["hint"] == hint and "--" not in hint
 
 
 def test_output_file(tmp_path, capsys):
@@ -312,14 +321,14 @@ def test_reused_parser_gives_the_bytes_of_fresh_processes(capsys):
                                capture_output=True, text=True)
         assert (code, out, err) == (fresh.returncode, fresh.stdout,
                                     fresh.stderr)
-    assert cli._PARSER is not None
+    assert cli.build_parser() is cli.build_parser()
 
 
-# Commands that share the process caches: the witness scans and their split
-# models with every memo on them (adelic._SCANS), the norm tables of the
-# join, the central Hecke shifts, the root sums of the census and the
-# quaternion basis products.  One command exceeds its search bound,
-# so a failed run is interleaved too.
+# Commands that share the process memos (cyclotomic.MEMOS): the witness
+# scans and their split models with every memo on them, the norm tables of
+# the join, the central Hecke shifts, the root sums of the census and the
+# quaternion basis products among them.  One command exceeds its search
+# bound, so a failed run is interleaved too.
 CALL_ORDER_COMMANDS = (
     "verify --q 3 --degree-bound 1",
     "verify --q 3 --depth-bound 3 --round-trips 5",
@@ -337,12 +346,11 @@ CALL_ORDER_COMMANDS = (
 )
 
 
-def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
-                                                            capsys):
-    # three orders in one process, the first from empty caches, each run
-    # against a fresh interpreter's exit code, stdout and stderr
-    from tjl import adelic, metacyclic, quaternion, spectral
-
+def test_results_do_not_depend_on_call_order_or_cache_state(capsys,
+                                                            fresh_memos):
+    # three orders in one process, the first from every registered memo
+    # emptied, each run against a fresh interpreter's exit code, stdout and
+    # stderr
     fresh = {}
     for command in CALL_ORDER_COMMANDS:
         proc = subprocess.run(
@@ -350,20 +358,15 @@ def test_results_do_not_depend_on_call_order_or_cache_state(monkeypatch,
             capture_output=True, text=True)
         fresh[command] = (proc.returncode, proc.stdout, proc.stderr)
     assert {code for code, _, _ in fresh.values()} == {0, 3}
-    for module, cache in ((adelic, "_SCANS"), (adelic, "_NORM_TABLES"),
-                          (adelic, "_DIVISORS"), (spectral, "_CENTRAL"),
-                          (metacyclic, "_ROOT_SUMS"),
-                          (metacyclic, "_ROOT_SUPPORT"),
-                          (quaternion, "_BASIS_PRODUCTS")):
-        monkeypatch.setattr(module, cache, {})
     for seed in (1, 2, 3):
         order = list(CALL_ORDER_COMMANDS)
         random.Random(seed).shuffle(order)
         for command in order:
             assert invoke(capsys, *command.split()) == fresh[command], (
                 seed, command)
-    assert adelic._SCANS and spectral._CENTRAL and metacyclic._ROOT_SUMS
-    assert metacyclic._ROOT_SUPPORT
+    # the commands refill every memo, so each one was emptied and reused
+    assert MEMOS and all(memo.cache_info().currsize for memo in MEMOS), [
+        memo.__qualname__ for memo in MEMOS if not memo.cache_info().currsize]
 
 
 def _modules_loaded(argv: list[str], modules: list[str]) -> dict:
@@ -444,7 +447,7 @@ def test_depth_bound_too_small_exits_3(flags, argv, message):
     assert proc.returncode == 3
     assert proc.stdout == ""
     assert proc.stderr == (
-        '{"error":"resource","hint":"raise --degree-bound/--depth-bound",'
+        '{"error":"resource","hint":"raise --depth-bound",'
         f'"message":"{message}","schema_version":"1"}}\n')
 
 
@@ -474,7 +477,8 @@ def test_basis_honours_depth_bound(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--degree-bound", "0"),
-                                         ("--round-trips", "-2")])
+                                         ("--round-trips", "-2"),
+                                         ("--depth-bound", "-1")])
 def test_bad_bounds_are_usage_errors(capsys, flag, value):
     code, out, err = invoke(capsys, "verify", "--q", "3", flag, value)
     assert code == 2 and out == ""

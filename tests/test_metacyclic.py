@@ -418,58 +418,81 @@ GRID_ORDERS = sorted({q**n - 1 for q in (2, 3, 4, 5) for n in (1, 2, 3)
                       if q**n - 1 <= 124})
 
 
+def _tampered_root_sums(values):
+    """metacyclic._root_sum with the (M, d) -> value pairs of values."""
+    real = metacyclic._root_sum
+    return lambda M, d: values[(M, d)] if (M, d) in values else real(M, d)
+
+
 @pytest.mark.parametrize("M", GRID_ORDERS)
-def test_root_sums_match_naive_sums(monkeypatch, M):
+def test_root_sums_match_naive_sums(fresh_memos, M):
     # S_M(d) from one reduced histogram, cold and then memoised, against
     # one Cyc per term and the closed form M [d = 0 mod M]
-    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
     for d in range(-1, 2 * M):
         naive = Cyc.zero(M)
         for e in range(M):
             naive = naive + Cyc(M, {e * d: 1})
         for _ in range(2):
-            value = metacyclic._root_sum(M, d)
+            value = metacyclic._root_sum(M, d % M)
             assert type(value) is int
             assert value == naive.to_rational() == (M if d % M == 0 else 0)
-    assert set(metacyclic._ROOT_SUMS) == {(M, d) for d in range(M)}
+    # one entry per d mod M, each built once
+    info = metacyclic._root_sum.cache_info()
+    assert (info.currsize, info.misses) == (M, M)
 
 
 @pytest.mark.parametrize("first, second", [(4, 8), (8, 4)])
-def test_root_sum_memo_is_keyed_by_order(monkeypatch, first, second):
-    # d = 4 is 0 mod 4 but not mod 8: S_4(4) = 4 and S_8(4) = 0
-    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
+def test_root_sum_memo_is_keyed_by_order(fresh_memos, first, second):
+    # d = 4 is 0 mod 4 but not mod 8: S_4(4) = 4 and S_8(4) = 0; and
+    # S_M(0) = M, which a memo keyed by d alone would share between orders
     want = {4: 4, 8: 0}
-    assert metacyclic._root_sum(first, 4) == want[first]
-    assert metacyclic._root_sum(second, 4) == want[second]
-    assert metacyclic._root_sum(first, 4) == want[first]
+    for M in (first, second, first):
+        assert metacyclic._root_sum(M, 4 % M) == want[M]
+        assert metacyclic._root_sum(M, 0) == M
     # chi_multiplicity at the groups with M = 4 and M = 8, in that order
-    monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {})
+    fresh_memos()
     for M in (first, second):
         G = gamma(*{4: (5, 1, 2), 8: (3, 2, 1)}[M])
         for label in enumerate_irreps(G):
             assert [chi_multiplicity(G, label, c) for c in range(G.M)] == [
                 int(c in label.orbit) for c in range(G.M)]
+    # callers reduce d mod M, so each value has one key
+    assert metacyclic._root_sum.cache_info().currsize == first + second
 
 
 @pytest.mark.parametrize("tampered, match", [(9, "not an integer"),
                                               (16, "basis tags")])
-def test_tampered_root_sum_raises_falsification(monkeypatch, tampered,
-                                                match):
+def test_tampered_root_sum_raises_falsification(monkeypatch, fresh_memos,
+                                                tampered, match):
     # S_8(0) = 8 enters the character side of every chi_c with c in the
     # orbit; 9 breaks integrality, 16 the agreement with the tags
-    monkeypatch.setitem(metacyclic._ROOT_SUMS, (8, 0), tampered)
+    monkeypatch.setattr(metacyclic, "_root_sum",
+                        _tampered_root_sums({(8, 0): tampered}))
     with pytest.raises(FalsificationError, match=match):
         chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)
 
 
+# metacyclic._root_sum tampered as by _tampered_root_sums, from memos
+# emptied as by fresh_memos, in a child process
+_TAMPER_ROOT_SUM = (
+    "from tjl import metacyclic\n"
+    "from tjl.cyclotomic import MEMOS\n"
+    "real = metacyclic._root_sum\n"
+    "def tamper(values):\n"
+    "    for memo in MEMOS:\n"
+    "        memo.cache_clear()\n"
+    "    metacyclic._root_sum = lambda M, d: (\n"
+    "        values[(M, d)] if (M, d) in values else real(M, d))\n"
+)
+
+
 def test_tampered_root_sum_survives_dash_O():
-    script = (
+    script = _TAMPER_ROOT_SUM + (
         "import sys\n"
-        "from tjl import metacyclic\n"
         "from tjl.cyclotomic import FalsificationError\n"
         "from tjl.metacyclic import IrrepLabel, chi_multiplicity, gamma\n"
         "for tampered in (9, 16):\n"
-        "    metacyclic._ROOT_SUMS[(8, 0)] = tampered\n"
+        "    tamper({(8, 0): tampered})\n"
         "    try:\n"
         "        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 1)\n"
         "    except FalsificationError as exc:\n"
@@ -508,39 +531,38 @@ def test_table_values_and_restrictions_match_the_oracles(q, n, level):
             label.orbit]
 
 
-def test_the_restriction_support_is_computed_not_assumed(monkeypatch):
+def test_the_restriction_support_is_computed_not_assumed(monkeypatch,
+                                                         fresh_memos):
     # S_8(1) tampered to 8 or 3 puts d = 1 in the certified support, so
     # chi_0 of the orbit (1, 3) gets the character sum 8 + S_8(3) = 8, one
     # copy, or 3/8, while no tag is 0; a support taken to be {0} would
     # skip c = 0 and pass
     G, label = gamma(3, 2, 1), IrrepLabel((1, 3), 0)
     for tampered, match in ((8, "basis tags"), (3, "not an integer")):
-        monkeypatch.setattr(metacyclic, "_ROOT_SUMS", {(8, 1): tampered})
-        monkeypatch.setattr(metacyclic, "_ROOT_SUPPORT", {})
+        fresh_memos()
+        monkeypatch.setattr(metacyclic, "_root_sum", _tampered_root_sums(
+            {(8, 1): tampered}))
         with pytest.raises(FalsificationError, match=match):
             chi_multiplicity(G, label, 0)
         with pytest.raises(FalsificationError, match=match):
             chi_restriction(G, label)
-        assert metacyclic._ROOT_SUPPORT[8] == {0, 1}
+        assert metacyclic._root_support(8) == {0, 1}
 
 
 def test_the_restriction_support_survives_dash_O():
-    script = (
+    script = _TAMPER_ROOT_SUM + (
         "import io, json, sys\n"
         "from contextlib import redirect_stderr, redirect_stdout\n"
-        "from tjl import metacyclic\n"
         "from tjl.cli import run\n"
         "from tjl.cyclotomic import FalsificationError\n"
         "from tjl.metacyclic import IrrepLabel, chi_multiplicity, gamma\n"
         "for tampered in (8, 3):\n"
-        "    metacyclic._ROOT_SUMS = {(8, 1): tampered}\n"
-        "    metacyclic._ROOT_SUPPORT = {}\n"
+        "    tamper({(8, 1): tampered})\n"
         "    try:\n"
         "        chi_multiplicity(gamma(3, 2, 1), IrrepLabel((1, 3), 0), 0)\n"
         "    except FalsificationError as exc:\n"
         "        print(sys.flags.optimize, str(exc))\n"
-        "    metacyclic._ROOT_SUMS = {(8, 1): tampered}\n"
-        "    metacyclic._ROOT_SUPPORT = {}\n"
+        "    tamper({(8, 1): tampered})\n"
         "    err = io.StringIO()\n"
         "    with redirect_stdout(io.StringIO()), redirect_stderr(err):\n"
         "        code = run(['irreps', '--q', '3', '--n', '2'])\n"

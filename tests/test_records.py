@@ -99,11 +99,11 @@ def test_sorted_records_follow_the_field_tuples(cls, values):
 
 def test_spectral_records_are_mutable_and_unhashable():
     label = IrrepLabel((0,), 0)
-    line = SpectralLine(0, [], [])
+    line = SpectralLine(0, [])
     block = EigensystemBlock(0, [], [], [line], label)
     report = SpectralReport(label, 1, [], [block], True, 1)
     basis = ProjectiveBasis(label, [(0, 0, [])])
-    assert repr(line) == "SpectralLine(chi=0, vector=[], eigenvalues=[])"
+    assert repr(line) == "SpectralLine(chi=0, vector=[])"
     assert block.dim == 1
     assert report == SpectralReport(label, 1, [], [block], True, 1)
     assert report != SpectralReport(label, 1, [], [block], False, 1)

@@ -11,7 +11,7 @@ import pytest
 
 from tjl.funcfield import parse_poly
 from tjl.cyclotomic import Cyc
-from tjl import adelic, cli, spectral
+from tjl import cli, spectral
 from tjl.metacyclic import (
     GroupParams,
     Irrep,
@@ -144,8 +144,8 @@ def oracle_decompose(alg, label, places):
             a=a,
             places=list(places),
             hecke_eigenvalues=eigen[chis[0]],
-            lines=[SpectralLine(c, spectral._unit_vector(f, lines[c], order),
-                                eigen[c]) for c in chis],
+            lines=[SpectralLine(c, spectral._unit_vector(f, lines[c], order))
+                   for c in chis],
             infinity_label=inf_label,
         ))
     return blocks
@@ -162,7 +162,7 @@ def test_decompose_matches_per_line_oracle(q, level):
             == oracle_decompose(alg, label, places)
 
 
-def test_centrality_cache_keyed_by_algebra_and_place(monkeypatch):
+def test_centrality_cache_keyed_by_algebra_and_place(fresh_memos):
     # levels 1 and 2 share q = 3 and their places; each order runs from
     # empty caches and again over the other order's entries
     def run(levels):
@@ -174,15 +174,12 @@ def test_centrality_cache_keyed_by_algebra_and_place(monkeypatch):
                           for label in enumerate_irreps(group_of(alg))]
         return out
 
-    def clear():
-        monkeypatch.setattr(spectral, "_CENTRAL", {})
-        monkeypatch.setattr(adelic, "_SCANS", {})
-
-    clear()
     first = run((1, 2))
-    assert {alg.level for alg, _ in spectral._CENTRAL} == {1, 2}
+    # one entry per level and place, so the levels do not share one
+    places = len(default_places(AlgebraParams(3), 2))
+    assert spectral._central_shifts.cache_info().currsize == 2 * places
     warm = run((2, 1))
-    clear()
+    fresh_memos()
     second = run((2, 1))
     again = run((1, 2))
     assert first == warm == second == again
@@ -375,8 +372,8 @@ def _tamper_ops(monkeypatch, fakes):
 
 
 def _extra_shifts(monkeypatch, extra):
-    """Every witness set gains the given shifts, and the centrality of no
-    place is cached yet."""
+    """Every witness set gains the given shifts; the test's fresh_memos
+    leaves the centrality of no place cached."""
     real = spectral.witness_set
 
     class Shifted:
@@ -385,7 +382,6 @@ def _extra_shifts(monkeypatch, extra):
 
     monkeypatch.setattr(spectral, "witness_set",
                         lambda *a, **k: Shifted(real(*a, **k)))
-    monkeypatch.setattr(spectral, "_CENTRAL", {})
 
 
 def _tamper_table(monkeypatch, edit):
@@ -439,7 +435,7 @@ def test_tamper_unit_character_coverage(monkeypatch):
         _decompose_q3(level=3)
 
 
-def test_tamper_hecke_leaves_a_line(monkeypatch):
+def test_tamper_hecke_leaves_a_line(monkeypatch, fresh_memos):
     # R_(1,0) would swap the two coordinate lines; conjugation by U takes
     # the shift (1, 0) to (1, 2), so the Hecke operator is not central
     _extra_shifts(monkeypatch, [(1, 0)])
@@ -471,7 +467,7 @@ def test_tamper_lines_two_frobenius_orbits(monkeypatch):
         _decompose_q3()
 
 
-def test_tamper_conjugate_lines_split(monkeypatch):
+def test_tamper_conjugate_lines_split(monkeypatch, fresh_memos):
     # R_(0,1) would add zeta^7 to line 7 and zeta^5 to line 5; conjugation
     # by F takes the shift (0, 1) to (0, 3), so the Hecke operator is not
     # central
@@ -481,7 +477,7 @@ def test_tamper_conjugate_lines_split(monkeypatch):
         _decompose_q3()
 
 
-def test_tamper_hecke_not_central_exits_1(monkeypatch, capsys):
+def test_tamper_hecke_not_central_exits_1(monkeypatch, capsys, fresh_memos):
     _extra_shifts(monkeypatch, [(0, 1)])
     _basis_exits_1(capsys, "is not central")
 
