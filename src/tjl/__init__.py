@@ -4,167 +4,7 @@ Layered bottom-up: cyclotomic scalars, finite-field function-field
 arithmetic, metacyclic groups and their irreps, the tame parameter
 dictionary, quaternion order arithmetic, adelic factorization and Hecke
 matrices, and the spectral decomposition that ties them together.
+
+The package re-exports nothing: import each name from its module.  The
+commands of tjl.cli are the library's one entry point.
 """
-
-from __future__ import annotations
-
-from .cyclotomic import Cyc
-from .funcfield import (
-    GF,
-    Poly,
-    RatFunc,
-    ResidueField,
-    format_poly,
-    gf,
-    fq2,
-    is_irreducible,
-    monic_irreducibles,
-    parse_poly,
-)
-from .metacyclic import (
-    Gamma,
-    GroupParams,
-    Irrep,
-    IrrepLabel,
-    character_inner,
-    character_table,
-    chi_multiplicity,
-    chi_restriction,
-    enumerate_irreps,
-    enumerate_orbits,
-    gamma,
-)
-from .tame import (
-    GlobalTameParam,
-    TameParam,
-    classify_irreducibles,
-    enumerate_A_tame,
-    infinity_prediction,
-    jl_transfer,
-    katz_special_extension,
-    negate_orbit,
-    orbit_count_of_size,
-    r_value,
-    restrict_at_infinity,
-    tame_report,
-)
-from .quaternion import (
-    AlgebraParams,
-    LocalReduction,
-    OrderElement,
-    maximality_certificate,
-    nrd,
-    ramification_certificate,
-    reduce_at_infinity,
-    reduce_at_zero,
-    split_certificate,
-    unit_congruence_certificate,
-)
-from .adelic import (
-    AdeleState,
-    FactorizationError,
-    SearchBoundExceededError,
-    SplitPlace,
-    Witness,
-    WitnessSet,
-    default_places,
-    factorize_adele,
-    group_of,
-    hecke_matrix,
-    infinity_action,
-    left_translation_matrix,
-    right_translation_matrix,
-    synthesize_random_adele,
-    verify_action_relations,
-    verify_witness_uniqueness,
-    witness_set,
-)
-from .spectral import (
-    EigensystemBlock,
-    FalsificationError,
-    HomSpace,
-    ProjectiveBasis,
-    SpectralLine,
-    SpectralReport,
-    decompose,
-    projective_basis,
-    verify_all,
-    verify_claim,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Cyc",
-    "GF",
-    "Poly",
-    "RatFunc",
-    "ResidueField",
-    "format_poly",
-    "gf",
-    "fq2",
-    "is_irreducible",
-    "monic_irreducibles",
-    "parse_poly",
-    "Gamma",
-    "GroupParams",
-    "Irrep",
-    "IrrepLabel",
-    "character_inner",
-    "character_table",
-    "chi_multiplicity",
-    "chi_restriction",
-    "enumerate_irreps",
-    "enumerate_orbits",
-    "gamma",
-    "GlobalTameParam",
-    "TameParam",
-    "classify_irreducibles",
-    "enumerate_A_tame",
-    "infinity_prediction",
-    "jl_transfer",
-    "katz_special_extension",
-    "negate_orbit",
-    "orbit_count_of_size",
-    "r_value",
-    "restrict_at_infinity",
-    "tame_report",
-    "AlgebraParams",
-    "LocalReduction",
-    "OrderElement",
-    "maximality_certificate",
-    "nrd",
-    "ramification_certificate",
-    "reduce_at_infinity",
-    "reduce_at_zero",
-    "split_certificate",
-    "unit_congruence_certificate",
-    "AdeleState",
-    "FactorizationError",
-    "SearchBoundExceededError",
-    "SplitPlace",
-    "Witness",
-    "WitnessSet",
-    "default_places",
-    "factorize_adele",
-    "group_of",
-    "hecke_matrix",
-    "infinity_action",
-    "left_translation_matrix",
-    "right_translation_matrix",
-    "synthesize_random_adele",
-    "verify_action_relations",
-    "verify_witness_uniqueness",
-    "witness_set",
-    "EigensystemBlock",
-    "FalsificationError",
-    "HomSpace",
-    "ProjectiveBasis",
-    "SpectralLine",
-    "SpectralReport",
-    "decompose",
-    "projective_basis",
-    "verify_all",
-    "verify_claim",
-    "__version__",
-]

@@ -605,17 +605,6 @@ def _count_rows(G: Gamma, images) -> Rows:
     return tuple(rows)
 
 
-def left_translation_matrix(alg: AlgebraParams, g: Element) -> Rows:
-    G = group_of(alg)
-    ginv = G.inv(g)
-    return _count_rows(G, lambda x: (G.mul(ginv, x),))
-
-
-def right_translation_matrix(alg: AlgebraParams, g: Element) -> Rows:
-    G = group_of(alg)
-    return _count_rows(G, lambda x: (G.mul(x, g),))
-
-
 def hecke_matrix(alg: AlgebraParams, pi: Poly) -> Rows:
     """Sum of the right translations by the witness reductions at pi: a
     nonnegative integer matrix with all row sums q^{deg pi} + 1, commuting
@@ -625,12 +614,14 @@ def hecke_matrix(alg: AlgebraParams, pi: Poly) -> Rows:
     return _count_rows(G, lambda x: [G.mul(x, g) for g in shifts])
 
 
+@memo
 def infinity_action(alg: AlgebraParams) -> dict:
     """Right action of the local group at infinity on the class set, by
     right translation: the uniformizer by p, the reduction of its witness
     j, and the Teichmueller unit of exponent e by g_e, the reduction of the
     Teichmueller lift of u^{-e}.  Products are reversed:
-    act(h) act(h') = act(h' h)."""
+    act(h) act(h') = act(h' h).  Built once per algebra: every command
+    checks its relations, and decompose reads it once per sigma."""
     G = group_of(alg)
 
     def image(w: OrderElement) -> Element:

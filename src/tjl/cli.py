@@ -39,6 +39,7 @@ from .adelic import (
     hecke_matrix,
     synthesize_random_adele,
     factorize_adele,
+    verify_action_relations,
     verify_witness_uniqueness,
 )
 from .cyclotomic import memo
@@ -54,7 +55,8 @@ from .metacyclic import (
     gamma,
     orthonormality_pairs,
 )
-from .quaternion import AlgebraParams, OrderElement
+from .quaternion import (AlgebraParams, OrderElement, maximality_certificate,
+                         unit_congruence_certificate)
 from .spectral import projective_basis, verify_claim
 from .tame import tame_report
 
@@ -136,7 +138,13 @@ def _parse_sigma(text: str, group) -> IrrepLabel:
 def _certify_places(alg: AlgebraParams, places: list[Poly],
                     depth_bound: int) -> list[dict]:
     """Each place's uniqueness certificate, in order: the one check of
-    --depth-bound, made before any other adelic work."""
+    --depth-bound, made before any other adelic work.  The algebra is
+    certified first: its order is maximal, so the class set is Gamma; 1 is
+    its only unit that is principal at infinity; and the infinity action
+    satisfies the relations that decompose relies on."""
+    maximality_certificate(alg)
+    unit_congruence_certificate(alg)
+    verify_action_relations(alg)
     return [{"place": format_poly(pi),
              **verify_witness_uniqueness(alg, pi, depth_bound=depth_bound)}
             for pi in places]

@@ -4,8 +4,11 @@ over the rational function field F_q(t), q odd.
 The algebra is ramified exactly at the place t and at infinity (eps a
 non-square makes the residue norm form anisotropic there; at every other
 place the conic x^2 - eps y^2 = t has a smooth point, its y a square root
-read in the log table of the residue field).  The standard order spanned by
-1, i, j, ij over F_q[t] is maximal: its reduced discriminant is (t).
+read in the log table of the residue field).  Each fact is checked where a
+command relies on it: the split model at a place finds that point
+(split_certificate), and the witness scan checks the anisotropy
+(require_anisotropic).  The standard order spanned by 1, i, j, ij over
+F_q[t] is maximal: its reduced discriminant is (t).
 
 Reduction at a ramified place sends x to (k, u): k the valuation of nrd(x)
 and u the residue after dividing out the k-th uniformizer power on the left
@@ -33,8 +36,7 @@ from __future__ import annotations
 from itertools import product
 
 from .cyclotomic import FalsificationError, FrozenRecord, memo, require
-from .funcfield import (GF, Poly, RatFunc, ResidueField, format_poly, fq2, gf,
-                        monic_irreducibles, normal_form)
+from .funcfield import GF, Poly, RatFunc, ResidueField, fq2, gf, normal_form
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -273,10 +275,6 @@ class OrderElement:
                 and d.degree < e)
 
 
-def nrd(x: OrderElement) -> RatFunc:
-    return x.nrd()
-
-
 # e_x e_y = sign * eps^a * t^s * e_(x XOR y) on the basis e_0..e_3 = 1, i,
 # j, ij, as (sign, a, s): from i^2 = eps, j^2 = t and ji = -ij.  Row x
 # holds y = 0..3; its comment spells out e_x e_0, ..., e_x e_3.
@@ -497,30 +495,6 @@ def require_anisotropic(F: GF, eps: int) -> None:
     require(zeros == [(0, 0)],
             f"norm form must be anisotropic at the ramified places; "
             f"its zeros are {zeros}")
-
-
-def ramification_certificate(alg: AlgebraParams, max_deg: int = 2) -> dict:
-    """Split at every monic irreducible pi != t up to max_deg; division at t
-    and at infinity because eps is a non-square (residue norm form
-    anisotropic, checked by brute force)."""
-    F = alg.field
-    t = Poly.t(F)
-    split_at = []
-    for pi in monic_irreducibles(F, max_deg):
-        if pi == t:
-            continue
-        point = split_certificate(alg, ResidueField(pi))
-        if point is None:
-            raise FalsificationError(
-                f"unexpected ramification at {format_poly(pi)}")
-        split_at.append((pi, point))
-    # the residue field at t is F_q, and the same form controls infinity
-    require_anisotropic(F, alg.eps)
-    return {
-        "split_places": [p for p, _ in split_at],
-        "split_points": {p: pt for p, pt in split_at},
-        "ramified": ("t", "infinity"),
-    }
 
 
 def unit_congruence_certificate(alg: AlgebraParams) -> bool:

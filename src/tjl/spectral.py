@@ -43,8 +43,8 @@ from collections import Counter
 
 from .adelic import (
     FalsificationError,
-    default_places,
     group_of,
+    infinity_action,
     witness_set,
 )
 from .cyclotomic import Cyc, Record, memo, require
@@ -54,7 +54,6 @@ from .metacyclic import (
     GroupParams,
     Irrep,
     IrrepLabel,
-    enumerate_irreps,
 )
 from .quaternion import AlgebraParams
 from .tame import enumerate_A_tame, infinity_prediction, TameParam
@@ -201,13 +200,6 @@ class ProjectiveBasis(Record):
         self._set(label, lines)
 
 
-def _phi(g: Element, R: int) -> Element:
-    """The identification of the group at infinity with the class group:
-    composes the reduction anti-homomorphism with inversion.  It is a
-    homomorphism because q^2 = 1 on the exponent lattice here (n = 2)."""
-    return ((-g[0]) % R, g[1])
-
-
 def _unit_vector(f: int, j: int, order: int) -> Vector:
     return [Cyc.from_rational(order, 1 if i == j else 0) for i in range(f)]
 
@@ -237,17 +229,22 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     and its lines must form one Frobenius orbit under the Frobenius step.
     At each place the Hecke operator must be central; its eigenvalue is
     then the diagonal entry at one line.  F^f must act on the lines by one
-    scalar that is a twist, which with the orbit names the block's label."""
+    scalar that is a twist, which with the orbit names the block's label.
+
+    The three elements come from infinity_action: U is the image of u^-1,
+    the Frobenius step the image p of the uniformizer, and F^f is p^-f."""
     G = group_of(alg)
     hs = HomSpace(G, label)
     f = hs.f
     M, R = G.M, G.R
     order = G.cyc_order
+    act = infinity_action(alg)
+    frobenius = act["uniformizer"]
 
     # lines: the unit group at infinity acts through U, diagonal in the tag
     # basis with simple spectrum; line c is the coordinate where U has
     # the eigenvalue zeta_M^c
-    perm, exps = hs.op_right((0, 1))
+    perm, exps = hs.op_right(act["units"][-1])
     require(perm == tuple(range(f)),
             "the unit group at infinity does not act diagonally")
     step = order // M
@@ -266,7 +263,7 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
 
     # the Frobenius part of the infinity action permutes lines c -> cq, in
     # one cycle
-    perm, _ = hs.op_right((1, 0))
+    perm, _ = hs.op_right(frobenius)
     for c, j in lines.items():
         target = (c * alg.q) % M
         if target not in lines:
@@ -292,7 +289,10 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     # must be the twist zeta_m^((m/sm) s) of the irreducible with this orbit
     # and some s mod sm
     sm = R // f
-    perm, exps = hs.op_right(_phi((f, 0), R))
+    power = G.identity
+    for _ in range(f):
+        power = G.mul(power, frobenius)
+    perm, exps = hs.op_right(G.inv(power))
     require(all(perm[j] == j for j in lines.values()),
             f"F^{f} does not keep every unit line of {orbit}")
     xs = {exps[j] for j in lines.values()}
@@ -352,16 +352,6 @@ def verify_claim(alg: AlgebraParams, label: IrrepLabel,
         claim_ok=count_ok and inf_sum == label.dim,
         infinity_dim_sum=inf_sum,
     )
-
-
-def verify_all(alg: AlgebraParams,
-               places: list[Poly] | None = None) -> list[SpectralReport]:
-    """verify_claim for every irrep of the class group; with places=None,
-    the places of degree <= 2."""
-    if places is None:
-        places = default_places(alg, 2)
-    return [verify_claim(alg, label, places)
-            for label in enumerate_irreps(group_of(alg))]
 
 
 def projective_basis(alg: AlgebraParams, label: IrrepLabel,

@@ -3,12 +3,16 @@
 from collections import Counter
 from itertools import product
 
-from tjl.adelic import SplitComponent, group_of, witness_set
+from tjl.adelic import (SplitComponent, default_places, group_of,
+                        witness_set)
 from tjl.cyclotomic import Cyc, FalsificationError
-from tjl.funcfield import INF, Poly, RatFunc, format_poly
-from tjl.metacyclic import Irrep
+from tjl.funcfield import (INF, Poly, RatFunc, ResidueField, format_poly,
+                           monic_irreducibles)
+from tjl.metacyclic import Irrep, enumerate_irreps
 from tjl.quaternion import (LocalReduction, OrderElement, _j_power,
-                            reduce_at_infinity, reduce_at_zero)
+                            reduce_at_infinity, reduce_at_zero,
+                            require_anisotropic, split_certificate)
+from tjl.spectral import verify_claim
 
 
 def xgcd(a, b):
@@ -248,3 +252,59 @@ def ref_restriction(group, label):
     return [Cyc(M, Counter((x - c * e) % M for e, xs in enumerate(diagonals)
                            for x in xs)).to_rational() / M
             for c in range(M)]
+
+
+def ramification_certificate(alg, max_deg=2):
+    """Split at every monic irreducible pi != t up to max_deg; division at t
+    and at infinity because eps is a non-square (residue norm form
+    anisotropic, checked by brute force).  The commands check the same
+    facts where they use them: SplitPlace finds the point at each place it
+    models, and the witness scan checks the anisotropy."""
+    F = alg.field
+    t = Poly.t(F)
+    split_at = []
+    for pi in monic_irreducibles(F, max_deg):
+        if pi == t:
+            continue
+        point = split_certificate(alg, ResidueField(pi))
+        if point is None:
+            raise FalsificationError(
+                f"unexpected ramification at {format_poly(pi)}")
+        split_at.append((pi, point))
+    # the residue field at t is F_q, and the same form controls infinity
+    require_anisotropic(F, alg.eps)
+    return {
+        "split_places": [p for p, _ in split_at],
+        "split_points": {p: pt for p, pt in split_at},
+        "ramified": ("t", "infinity"),
+    }
+
+
+def _translation_matrix(alg, image):
+    """Row x counts image(x) by its column: a 0/1 permutation matrix."""
+    G = group_of(alg)
+    rows = []
+    for x in G.elements():
+        row = [0] * G.order
+        row[G.element_index(image(G, x))] += 1
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def left_translation_matrix(alg, g):
+    """x -> g^{-1} x as int rows."""
+    return _translation_matrix(alg, lambda G, x: G.mul(G.inv(g), x))
+
+
+def right_translation_matrix(alg, g):
+    """x -> x g as int rows."""
+    return _translation_matrix(alg, lambda G, x: G.mul(x, g))
+
+
+def verify_all(alg, places=None):
+    """verify_claim for every irrep of the class group; with places=None,
+    the places of degree <= 2."""
+    if places is None:
+        places = default_places(alg, 2)
+    return [verify_claim(alg, label, places)
+            for label in enumerate_irreps(group_of(alg))]

@@ -15,6 +15,8 @@ import time
 from fractions import Fraction
 
 from int_rows import matmul
+from oracles import (left_translation_matrix, ramification_certificate,
+                     verify_all)
 from tjl.funcfield import monic_irreducibles, parse_poly, Poly
 from tjl.metacyclic import (
     GroupParams,
@@ -37,17 +39,14 @@ from tjl.tame import (
 from tjl.quaternion import (
     AlgebraParams,
     OrderElement,
-    ramification_certificate,
 )
 from tjl.adelic import (
     default_places,
     factorize_adele,
     hecke_matrix,
-    left_translation_matrix,
     synthesize_random_adele,
     verify_witness_uniqueness,
 )
-from tjl.spectral import verify_all
 
 
 CENSUS = [

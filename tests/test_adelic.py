@@ -12,8 +12,9 @@ from itertools import product
 import pytest
 
 from int_rows import matmul
-from oracles import (coords, reduce_mod, ref_factorize_adele,
-                     ref_reduce_at_infinity, ref_reduce_at_zero, xgcd)
+from oracles import (coords, left_translation_matrix, reduce_mod,
+                     ref_factorize_adele, ref_reduce_at_infinity,
+                     ref_reduce_at_zero, right_translation_matrix, xgcd)
 from tjl import adelic, cli
 from tjl.funcfield import Poly, RatFunc, format_poly, gf, parse_poly
 from tjl.quaternion import (AlgebraParams, OrderElement, reduce_at_infinity,
@@ -30,8 +31,6 @@ from tjl.adelic import (
     group_of,
     hecke_matrix,
     infinity_action,
-    left_translation_matrix,
-    right_translation_matrix,
     synthesize_random_adele,
     verify_action_relations,
     verify_witness_uniqueness,

@@ -451,6 +451,59 @@ def test_depth_bound_too_small_exits_3(flags, argv, message):
         f'"message":"{message}","schema_version":"1"}}\n')
 
 
+# name -> (the tamper, run in a fresh interpreter, and a fragment of the
+# message of the check that it breaks)
+ALGEBRA_TAMPERING = {
+    "gram-determinant": (
+        "quaternion.gram_determinant = "
+        "lambda alg: quaternion.RatFunc.one(alg.field)\n",
+        "Gram determinant RatFunc(1) is not -16 eps^2 t^2"),
+    "constants-principal": (
+        "real = quaternion.OrderElement.in_K1_infinity\n"
+        "quaternion.OrderElement.in_K1_infinity = lambda self: (\n"
+        "    self.den.degree == 0 and max(n.degree for n in self.nums) <= 0\n"
+        "    or real(self))\n",
+        "the principal units at infinity among the constants a + b i are"),
+    "infinity-action": (
+        "real = adelic.infinity_action\n"
+        "adelic.infinity_action = spectral.infinity_action = (\n"
+        "    lambda alg: {**real(alg), 'uniformizer': (1, 1)})\n",
+        "the infinity action breaks P^2 = t"),
+    # t+1 is the first place of each command
+    "no-split-point": (
+        "adelic.split_certificate = lambda alg, R: None\n",
+        "the algebra is ramified at t+1"),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize("name", sorted(ALGEBRA_TAMPERING))
+def test_a_broken_algebra_certificate_fails_every_adelic_command(flags, name):
+    # verify, basis and brandt certify the algebra before any place: the
+    # order's Gram determinant, the unit congruence and the infinity
+    # action, patched where both the relation check and decompose read it;
+    # then the split model at each place finds its split point.  Each
+    # check raises an exception that -O keeps
+    tamper, message = ALGEBRA_TAMPERING[name]
+    script = (
+        "from tjl import adelic, quaternion, spectral\n"
+        "from tjl.cli import run\n"
+        + tamper +
+        "for argv in ('verify --q 3 --degree-bound 1',\n"
+        "             'basis --q 3 --sigma 1:0',\n"
+        "             'brandt --q 3 --place t+1'):\n"
+        "    print(run(argv.split()))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "1", "1"]
+    errors = [json.loads(line) for line in proc.stderr.splitlines()]
+    assert len(errors) == 3
+    for err in errors:
+        assert err["error"] == "falsification"
+        assert message in err["message"]
+
+
 @pytest.mark.parametrize("error", [NotRationalError, ReductionError,
                                    FactorizationError])
 def test_internal_errors_exit_1(monkeypatch, capsys, error):

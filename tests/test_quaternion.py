@@ -6,10 +6,12 @@ import sys
 
 import pytest
 
+import tjl.adelic as adelic
 import tjl.quaternion as quaternion
-from oracles import (coords, infinity_integral, ref_mul, ref_nrd,
-                     ref_reduce_at_infinity, ref_reduce_at_zero,
-                     ref_split_point, t_integral)
+from oracles import (coords, infinity_integral, ramification_certificate,
+                     ref_mul, ref_nrd, ref_reduce_at_infinity,
+                     ref_reduce_at_zero, ref_split_point, t_integral)
+from tjl.adelic import SplitPlace
 from tjl.cyclotomic import FalsificationError
 from tjl.funcfield import (Poly, RatFunc, ResidueField, fq2, gf,
                            monic_irreducibles, parse_poly)
@@ -19,7 +21,6 @@ from tjl.quaternion import (
     ReductionError,
     gram_determinant,
     maximality_certificate,
-    ramification_certificate,
     reduce_at_infinity,
     reduce_at_zero,
     split_certificate,
@@ -508,34 +509,39 @@ def test_reduce_at_zero_rejects_a_wrong_residue_norm(monkeypatch):
 # -- certificate checks that python -O keeps --------------------------------
 
 
+# name -> (tamper, check, a fragment of the check's message).  The
+# ramification check is the one the commands run: the split model at a
+# place of degree 1 finds no point once split_certificate, looked up in
+# tjl.adelic, says the conic has none.
 CERTIFICATE_TAMPERING = {
     "gram_determinant": (
         lambda mp, alg: mp.setattr(OrderElement, "trd",
                                    lambda self: self.a + self.b + self.c),
-        gram_determinant),
+        gram_determinant, "not diagonal"),
     "maximality_certificate": (
         lambda mp, alg: mp.setattr(quaternion, "gram_determinant",
                                    lambda alg: RatFunc.one(alg.field)),
-        maximality_certificate),
+        maximality_certificate, "Gram determinant"),
     "ramification_certificate": (
-        lambda mp, alg: mp.setattr(quaternion, "split_certificate",
-                                   lambda alg, pi: None),
-        ramification_certificate),
+        lambda mp, alg: mp.setattr(adelic, "split_certificate",
+                                   lambda alg, R: None),
+        lambda alg: SplitPlace(alg, parse_poly(alg.field, "t+1")),
+        "the algebra is ramified at t+1"),
     "unit_congruence_certificate": (
         lambda mp, alg: mp.setattr(OrderElement, "in_K1_infinity",
                                    lambda self: True),
-        unit_congruence_certificate),
+        unit_congruence_certificate, "not only 1"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_TAMPERING))
 def test_tampered_certificates_raise_falsification(monkeypatch, name):
-    tamper, check = CERTIFICATE_TAMPERING[name]
+    tamper, check, message = CERTIFICATE_TAMPERING[name]
     alg = AlgebraParams(3)
     tamper(monkeypatch, alg)
     with pytest.raises(FalsificationError) as exc:
         check(alg)
-    assert str(exc.value)
+    assert message in str(exc.value)
 
 
 def test_tampered_maximality_certificate_fails_under_dash_O():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import verify_all
 from tjl.funcfield import parse_poly
 from tjl.cyclotomic import Cyc
 from tjl import cli, spectral
@@ -22,7 +23,8 @@ from tjl.metacyclic import (
     gamma,
 )
 from tjl.quaternion import AlgebraParams
-from tjl.adelic import default_places, group_of, witness_set
+from tjl.adelic import (default_places, group_of, infinity_action,
+                        witness_set)
 from tjl.spectral import (
     EigensystemBlock,
     FalsificationError,
@@ -30,7 +32,6 @@ from tjl.spectral import (
     SpectralLine,
     decompose,
     projective_basis,
-    verify_all,
     verify_claim,
 )
 from tjl.tame import infinity_prediction
@@ -86,6 +87,13 @@ def character_row_index(group):
     return index
 
 
+def _phi(g, R):
+    """The identification of the group at infinity with the class group:
+    composes the reduction anti-homomorphism with inversion.  It is a
+    homomorphism because q^2 = 1 on the exponent lattice here (n = 2)."""
+    return ((-g[0]) % R, g[1])
+
+
 def oracle_decompose(alg, label, places):
     """Blocks found without centrality: every line's image under every
     Hecke operator as one histogram per row, the off-diagonal ones zero;
@@ -120,7 +128,7 @@ def oracle_decompose(alg, label, places):
         block = {lines[c] for c in chis}
         char_row = []
         for rep in reps:
-            op_perm, op_exps = hs.op_right(spectral._phi(rep, R))
+            op_perm, op_exps = hs.op_right(_phi(rep, R))
             if any(op_perm[j] not in block for j in block):
                 raise FalsificationError(
                     f"the infinity action at {rep} does not keep the "
@@ -364,6 +372,34 @@ def test_no_assert_statements():
         assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_decompose_reads_the_group_at_infinity_from_its_action(
+        monkeypatch, q):
+    # U is the image of u^-1, the Frobenius step the uniformizer's image,
+    # and F^f the inverse of that image's f-th power; decompose passes
+    # these three to op_right, in this order, when it names no place
+    real = HomSpace.op_right
+    for level in (1, 2, 3):
+        alg = AlgebraParams(q, level=level)
+        G = group_of(alg)
+        act = infinity_action(alg)
+        assert act["units"][-1] == (0, 1)
+        assert act["uniformizer"] == (1, 0)
+        for f in (1, 2):
+            labels = [lb for lb in enumerate_irreps(G) if lb.dim == f]
+            calls = []
+            monkeypatch.setattr(HomSpace, "op_right",
+                                lambda self, g: calls.append(g)
+                                or real(self, g))
+            decompose(alg, labels[0], [])
+            monkeypatch.undo()
+            p_f = G.identity
+            for _ in range(f):
+                p_f = G.mul(p_f, act["uniformizer"])
+            assert calls == [(0, 1), (1, 0), ((-f) % G.R, 0)] \
+                == [act["units"][-1], act["uniformizer"], G.inv(p_f)]
+
+
 def _tamper_ops(monkeypatch, fakes):
     """HomSpace.op_right returns fakes[g] where given."""
     real = HomSpace.op_right
@@ -500,8 +536,9 @@ def test_tamper_hecke_not_central_under_python_O():
         '(1, 0)","schema_version":"1"}\n')
 
 
-# at level 1, F^f = F^2 is the identity element and _phi((2, 0)) = (0, 0),
-# so R_(0,0) is the operator whose scalar gives the twist of SIGMA's block
+# at level 1, F^f = F^2 is the identity element: the uniformizer's image
+# (1, 0) raised to the power -2 is (0, 0), so R_(0,0) is the operator whose
+# scalar gives the twist of SIGMA's block
 
 
 def test_tamper_block_not_invariant(monkeypatch):
