@@ -637,20 +637,25 @@ def verify_action_relations(alg: AlgebraParams) -> None:
     """The infinity action reverses products and satisfies the local
     commutation rule (uniformizer) u = u^q (uniformizer); its square is
     the central scalar t.  Right translation is faithful and
-    R_a R_b = R_(ab), so each matrix relation is a group identity."""
+    R_a R_b = R_(ab), so each matrix relation is a group identity.
+
+    The units are cyclic, generated by u, so M + 3 checks suffice:
+    act(1) = 1 and act(u^e) = act(u^(e-1)) act(u) for 0 < e <= M make
+    act(u^e) = act(u)^e with act(u)^M = 1, hence
+    act(u^e) act(u^e2) = act(u^(e+e2)) for every pair; and P u = u^q P
+    then gives P u^e = u^(eq) P for every e."""
     G = group_of(alg)
     act = infinity_action(alg)
     p, g = act["uniformizer"], act["units"]
 
     require(g[0] == G.identity, "the infinity action breaks act(1) = 1")
-    for e in range(G.M):
-        for e2 in range(G.M):
-            require(G.mul(g[e], g[e2]) == g[(e + e2) % G.M],
-                    f"the infinity action breaks act(u^{e}) act(u^{e2}) "
-                    f"= act(u^{e + e2})")
-        # act(u) act(P) = act(P u) = act(u^q P) = act(P) act(u^q)
-        require(G.mul(g[e], p) == G.mul(p, g[(e * alg.q) % G.M]),
-                f"the infinity action breaks P u^{e} = u^{e * alg.q} P")
+    for e in range(1, G.M + 1):
+        require(G.mul(g[e - 1], g[1]) == g[e % G.M],
+                f"the infinity action breaks act(u^{e - 1}) act(u^1) "
+                f"= act(u^{e})")
+    # act(u) act(P) = act(P u) = act(u^q P) = act(P) act(u^q)
+    require(G.mul(g[1], p) == G.mul(p, g[alg.q % G.M]),
+            f"the infinity action breaks P u^1 = u^{alg.q} P")
     require(G.mul(p, p) == (2 % G.R, 0), "the infinity action breaks P^2 = t")
 
 

@@ -42,7 +42,7 @@ from .adelic import (
     verify_action_relations,
     verify_witness_uniqueness,
 )
-from .cyclotomic import memo
+from .cyclotomic import Cyc, memo
 from .funcfield import Poly, format_poly, is_irreducible, parse_poly
 from .metacyclic import (
     GroupParams,
@@ -57,7 +57,7 @@ from .metacyclic import (
 )
 from .quaternion import (AlgebraParams, OrderElement, maximality_certificate,
                          unit_congruence_certificate)
-from .spectral import projective_basis, verify_claim
+from .spectral import EigensystemBlock, decompose, verify_claim
 from .tame import tame_report
 
 SCHEMA_VERSION = "1"
@@ -288,8 +288,37 @@ def cmd_brandt(args) -> int:
     return 0
 
 
+def _lines_json(block: EigensystemBlock, order: int) -> list[dict]:
+    """The unit lines as printed: line (chi, j) has the unit vector at j
+    as its coordinates.  The key "a" names the one block of the sigma."""
+    zero, one = (Cyc.from_rational(order, v).to_json() for v in (0, 1))
+    return [{"a": 0, "chi": chi,
+             "line_coordinates": [one if i == j else zero
+                                  for i in range(block.dim)]}
+            for chi, j in block.lines]
+
+
 def _verify_one(alg, label, places):
-    return verify_claim(alg, label, places).to_json()
+    rep = verify_claim(alg, label, places)
+    block = rep.block
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "sigma": label.to_json(),
+        "dim": label.dim,
+        "places": [format_poly(p) for p in places],
+        "blocks": [{
+            "a": 0,
+            "eigenvalues": [
+                {"place": format_poly(p), "value": v.to_json()}
+                for p, v in zip(places, block.hecke_eigenvalues)],
+            "dim": block.dim,
+            "infinity_orbit": list(block.infinity_label.orbit),
+            "infinity_s": block.infinity_label.s,
+        }],
+        "claim_ok": rep.claim_ok,
+        "infinity_dim_sum": block.dim,
+        "projective_basis": _lines_json(block, group_of(alg).cyc_order),
+    }
 
 
 def cmd_verify(args) -> int:
@@ -340,18 +369,13 @@ def cmd_basis(args) -> int:
     label = _parse_sigma(args.sigma, G)
     places = default_places(alg, args.degree_bound)
     _certify_places(alg, places, args.depth_bound)
-    pb = projective_basis(alg, label, places)
     report = {
         "schema_version": SCHEMA_VERSION,
         "q": args.q,
         "N": args.level,
         "sigma": label.to_json(),
         "dim": label.dim,
-        "lines": [
-            {"a": a, "chi": chi,
-             "line_coordinates": [c.to_json() for c in vec]}
-            for a, chi, vec in pb.lines
-        ],
+        "lines": _lines_json(decompose(alg, label, places), G.cyc_order),
     }
     _emit(_canonical_json(report), args.output)
     return 0

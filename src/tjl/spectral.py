@@ -34,7 +34,13 @@ Linear Representations of Finite Groups, section 8.2, Proposition 25): an
 irreducible representation of Gamma = Z/M x| Z/R is fixed by the Frobenius
 orbit of its characters of Z/M, here the lines, and by the scalar through
 which F^f acts on them, a twist zeta_m^((m/sm) s) with sm = R/f.  The
-lines are sigma's basis tags negated, and so is the orbit at infinity.
+lines are sigma's basis tags negated, and so is the orbit at infinity,
+which verify_claim compares with the tame prediction.
+
+The lines span, so the basis command prints them with no check of its
+own.  Each coordinate carries one exponent of U, so distinct characters
+sit at distinct coordinates, and f characters cover all f coordinates;
+and f = dim(sigma), since Gamma.orbit_tags lists sigma's orbit.
 """
 
 from __future__ import annotations
@@ -51,16 +57,14 @@ from .cyclotomic import Cyc, Record, memo, require
 from .funcfield import Poly, format_poly
 from .metacyclic import (
     Gamma,
-    GroupParams,
     Irrep,
     IrrepLabel,
 )
 from .quaternion import AlgebraParams
-from .tame import enumerate_A_tame, infinity_prediction, TameParam
+from .tame import infinity_prediction
 
 Element = tuple[int, int]
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]
-Vector = list[Cyc]
 
 
 def _compose(a: Monomial, b: Monomial, m: int) -> Monomial:
@@ -84,7 +88,6 @@ class HomSpace:
 
     def __init__(self, group: Gamma, label: IrrepLabel):
         self.group = group
-        self.label = label
         irrep = Irrep(group, label)
         self.f = f = irrep.dim
         self.order = m = group.cyc_order
@@ -123,26 +126,19 @@ class HomSpace:
         return perm, tuple(-x % m for x in exps)
 
 
-# -- lines, blocks, reports -------------------------------------------
-
-
-class SpectralLine(Record):
-    __slots__ = ("chi", "vector")
-
-    def __init__(self, chi: int, vector: Vector):
-        # chi is the unit-character exponent at infinity; the line's Hecke
-        # eigenvalues are its block's
-        self._set(chi, vector)
+# -- blocks and reports ----------------------------------------------
 
 
 class EigensystemBlock(Record):
-    __slots__ = ("a", "places", "hecke_eigenvalues", "lines",
-                 "infinity_label")
+    """sigma's Hecke eigensystem, one eigenvalue per place; its unit lines
+    as (chi, coordinate) pairs, chi the unit-character exponent at
+    infinity of the coordinate line; and its label at infinity."""
 
-    def __init__(self, a: int, places: list[Poly],
-                 hecke_eigenvalues: list[Cyc], lines: list[SpectralLine],
-                 infinity_label: IrrepLabel):
-        self._set(a, places, hecke_eigenvalues, lines, infinity_label)
+    __slots__ = ("hecke_eigenvalues", "lines", "infinity_label")
+
+    def __init__(self, hecke_eigenvalues: list[Cyc],
+                 lines: list[tuple[int, int]], infinity_label: IrrepLabel):
+        self._set(hecke_eigenvalues, lines, infinity_label)
 
     @property
     def dim(self) -> int:
@@ -150,58 +146,11 @@ class EigensystemBlock(Record):
 
 
 class SpectralReport(Record):
-    __slots__ = ("label", "dim", "places", "blocks", "claim_ok",
-                 "infinity_dim_sum")
+    __slots__ = ("label", "block", "claim_ok")
 
-    def __init__(self, label: IrrepLabel, dim: int, places: list[Poly],
-                 blocks: list[EigensystemBlock], claim_ok: bool,
-                 infinity_dim_sum: int):
-        self._set(label, dim, places, blocks, claim_ok, infinity_dim_sum)
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": "1",
-            "sigma": self.label.to_json(),
-            "dim": self.dim,
-            "places": [format_poly(p) for p in self.places],
-            "blocks": [
-                {
-                    "a": b.a,
-                    "eigenvalues": [
-                        {"place": format_poly(p), "value": v.to_json()}
-                        for p, v in zip(b.places, b.hecke_eigenvalues)
-                    ],
-                    "dim": b.dim,
-                    "infinity_orbit": list(b.infinity_label.orbit),
-                    "infinity_s": b.infinity_label.s,
-                }
-                for b in self.blocks
-            ],
-            "claim_ok": self.claim_ok,
-            "infinity_dim_sum": self.infinity_dim_sum,
-            "projective_basis": [
-                {
-                    "a": b.a,
-                    "chi": line.chi,
-                    "line_coordinates": [c.to_json() for c in line.vector],
-                }
-                for b in self.blocks
-                for line in b.lines
-            ],
-        }
-
-
-class ProjectiveBasis(Record):
-    __slots__ = ("label", "lines")
-
-    def __init__(self, label: IrrepLabel,
-                 lines: list[tuple[int, int, Vector]]):
-        # each line is (block index a, chi, line)
-        self._set(label, lines)
-
-
-def _unit_vector(f: int, j: int, order: int) -> Vector:
-    return [Cyc.from_rational(order, 1 if i == j else 0) for i in range(f)]
+    def __init__(self, label: IrrepLabel, block: EigensystemBlock,
+                 claim_ok: bool):
+        self._set(label, block, claim_ok)
 
 
 @memo
@@ -220,13 +169,15 @@ def _central_shifts(alg: AlgebraParams, pi: Poly) -> tuple:
 
 
 def decompose(alg: AlgebraParams, label: IrrepLabel,
-              places: list[Poly]) -> list[EigensystemBlock]:
+              places: list[Poly]) -> EigensystemBlock:
     """The Hecke eigensystem of the sigma-isotypic intertwiner space, as
     one block labelled by an irreducible representation of the group at
     infinity (module docstring).
 
     The unit group at infinity must act diagonally with simple spectrum,
     and its lines must form one Frobenius orbit under the Frobenius step.
+    The f lines then span: one exponent per coordinate puts distinct
+    characters at distinct coordinates, and f = dim(sigma) by the tags.
     At each place the Hecke operator must be central; its eigenvalue is
     then the diagonal entry at one line.  F^f must act on the lines by one
     scalar that is a twist, which with the orbit names the block's label.
@@ -303,72 +254,18 @@ def decompose(alg: AlgebraParams, label: IrrepLabel,
     require(x % (order // sm) == 0,
             f"F^{f} acts on the unit lines of {orbit} by zeta_{order}^{x}, "
             f"not by a twist zeta_{order}^({order // sm} s)")
-    return [EigensystemBlock(
-        a=0,
-        places=list(places),
+    return EigensystemBlock(
         hecke_eigenvalues=eigenvalues,
-        lines=[SpectralLine(c, _unit_vector(f, lines[c], order))
-               for c in orbit],
+        lines=[(c, lines[c]) for c in orbit],
         infinity_label=IrrepLabel(orbit, x // (order // sm)),
-    )]
+    )
 
 
 def verify_claim(alg: AlgebraParams, label: IrrepLabel,
                  places: list[Poly]) -> SpectralReport:
-    """The dimension count: blocks of the sigma-decomposition carry
-    irreducible representations at infinity whose dimensions sum to
-    dim(sigma); cross-validated against the tame dictionary (predicted
-    count of eigensystems and predicted orbit at infinity).  A wrong
-    eigensystem count sets claim_ok false; a wrong orbit or twist at
-    infinity raises."""
-    blocks = decompose(alg, label, places)
-    inf_sum = sum(b.dim for b in blocks)
-
-    params = GroupParams(alg.q, 2, alg.level)
-    predicted = infinity_prediction(label, params)
-    for b in blocks:
-        if b.infinity_label.orbit != predicted.orbit:
-            raise FalsificationError(
-                f"block orbit {b.infinity_label.orbit} differs from the "
-                f"predicted {predicted.orbit}")
-        if b.infinity_label.s != predicted.s:
-            raise FalsificationError("twist convention mismatch at infinity")
-    if len(label.orbit) == params.n:
-        # regular orbit: the tame dictionary enumerates the global
-        # extensions, predicting the eigensystem count and the r-sum
-        p = TameParam(label.orbit, 1, label.s)
-        ext = enumerate_A_tame(p, params)
-        count_ok = len(ext) == len(blocks)
-        require(sum(r for _, _, r in ext) == params.n,
-                f"the tame r-sum of {label} is not n = {params.n}")
-    else:
-        # one-dimensional sector: a single eigensystem
-        count_ok = len(blocks) == 1
-    return SpectralReport(
-        label=label,
-        dim=label.dim,
-        places=list(blocks[0].places),
-        blocks=blocks,
-        claim_ok=count_ok and inf_sum == label.dim,
-        infinity_dim_sum=inf_sum,
-    )
-
-
-def projective_basis(alg: AlgebraParams, label: IrrepLabel,
-                     places: list[Poly]) -> ProjectiveBasis:
-    """Within each block, the eigenlines of the unit group at infinity:
-    all one-dimensional, labeled (block, chi), jointly spanning."""
-    blocks = decompose(alg, label, places)
-    lines = [(b.a, line.chi, line.vector)
-             for b in blocks for line in b.lines]
-    require(len(lines) == label.dim,
-            f"{len(lines)} projective lines for dimension {label.dim}")
-    require(len({(a, chi) for a, chi, _ in lines}) == len(lines),
-            "two projective lines carry the same (block, chi) label")
-    # coordinate lines span exactly when their coordinates are distinct
-    supports = {tuple(j for j, c in enumerate(v) if not c.is_zero())
-                for _, _, v in lines}
-    require(len(supports) == label.dim
-            and all(len(s) == 1 for s in supports),
-            "projective lines do not span")
-    return ProjectiveBasis(label, lines)
+    """sigma's eigensystem, and the claim that its label at infinity is
+    the tame prediction: the negated orbit and the same twist.  A wrong
+    label sets claim_ok false, and the report still stands."""
+    block = decompose(alg, label, places)
+    predicted = infinity_prediction(label, group_of(alg).params)
+    return SpectralReport(label, block, block.infinity_label == predicted)

@@ -223,29 +223,24 @@ def test_criterion_8_full_pipeline():
     for rep in reports:
         lb = rep.label
         assert rep.claim_ok
-        assert rep.infinity_dim_sum == lb.dim
+        block = rep.block
+        assert block.dim == lb.dim
         # cross-validation against the tame dictionary
-        predicted = infinity_prediction(lb, G_params)
-        for block in rep.blocks:
-            assert block.infinity_label == predicted
+        assert block.infinity_label == infinity_prediction(lb, G_params)
         if lb.dim == 2:
             regular += 1
-            assert len(rep.blocks) == 1
-            block = rep.blocks[0]
-            assert block.dim == 2
             assert block.infinity_label.orbit == negate_orbit(lb.orbit, 8)
-            chis = [line.chi for line in block.lines]
+            chis = [chi for chi, _ in block.lines]
             assert len(chis) == 2 and len(set(chis)) == 2
             a_size = len(enumerate_A_tame(TameParam(lb.orbit, 1, lb.s),
                                           G_params))
-            assert a_size == len(rep.blocks)
+            assert a_size == 1
         else:
             one_dim += 1
-            assert len(rep.blocks) == 1
-            assert rep.blocks[0].dim == 1
+            assert block.dim == 1
     assert regular == 3 and one_dim == 4
     sample = {tuple(r.label.orbit): r for r in reports}
-    assert sample[(1, 3)].blocks[0].infinity_label.orbit == (5, 7)
+    assert sample[(1, 3)].block.infinity_label.orbit == (5, 7)
     elapsed = time.time() - t0
     assert elapsed <= 300.0, elapsed
     report(8, f"7 sigma pipelines: block counts, infinity orbits, projective "

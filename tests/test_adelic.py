@@ -557,6 +557,19 @@ def test_broken_infinity_action_is_a_falsification(monkeypatch):
         assert _dense_action_failures(alg, act)[:1] == [str(err.value)]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 9])
+def test_action_relations_make_m_plus_3_checks(monkeypatch, q):
+    # act(1) = 1, the M steps act(u^(e-1)) act(u) = act(u^e), P u = u^q P
+    # and P^2 = t: the units are cyclic, so no pair of them is checked
+    alg = AlgebraParams(q)
+    verify_action_relations(alg)  # the memos it reads are built first
+    checks = []
+    monkeypatch.setattr(adelic, "require",
+                        lambda ok, message: checks.append(ok))
+    verify_action_relations(alg)
+    assert checks == [True] * (group_of(alg).M + 3)
+
+
 def test_broken_infinity_action_fails_under_dash_O():
     script = (
         "import sys\n"

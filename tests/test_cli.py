@@ -753,24 +753,46 @@ def test_failed_claim_is_named_on_stderr(monkeypatch, capsys):
     assert "all_claims_ok" in message and '"orbit":[0]' in message
 
 
-def test_wrong_eigensystem_count_fails_only_its_sigma(monkeypatch, capsys):
-    # one extra predicted extension with r = 0 keeps the tame r-sum at n
-    from tjl import spectral
+# (the dimension of the tampered sigmas, their count at q = 3, the
+# prediction given them)
+TAMPERED_PREDICTION = {
+    "orbit": (2, 3, "IrrepLabel(tuple((c + 1) % params.M for c in p.orbit), "
+                    "p.s)"),
+    "twist": (1, 4, "IrrepLabel(p.orbit, (p.s + 1) % params.R)"),
+}
 
-    real = spectral.enumerate_A_tame
-    monkeypatch.setattr(spectral, "enumerate_A_tame", lambda p, params: (
-        real(p, params) + [(None, None, 0)]))
-    code, out, err = invoke(capsys, "verify", "--q", "3", "--degree-bound",
-                            "1", "--round-trips", "0")
-    assert code == 1
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["python", "python-O"])
+@pytest.mark.parametrize("name", sorted(TAMPERED_PREDICTION))
+def test_wrong_label_at_infinity_fails_only_its_sigma(flags, name):
+    # the tame prediction that spectral compares each label at infinity
+    # with, shifted for the sigmas of one dimension: the report still goes
+    # to stdout, claim_ok is false for exactly those, and stderr names
+    # each; the comparison is no assert, so -O keeps it
+    dim, count, predicted = TAMPERED_PREDICTION[name]
+    script = (
+        "from tjl import cli, spectral\n"
+        "from tjl.metacyclic import IrrepLabel\n"
+        "real = spectral.infinity_prediction\n"
+        "def tampered(label, params):\n"
+        "    p = real(label, params)\n"
+        f"    return {predicted} if label.dim == {dim} else p\n"
+        "spectral.infinity_prediction = tampered\n"
+        "print(cli.run('verify --q 3 --degree-bound 1 --round-trips 0'"
+        ".split()))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out, code = proc.stdout.splitlines()
+    assert code == "1"
     d = json.loads(out)
     assert d["all_claims_ok"] is False
     assert len(d["sigma_reports"]) == 7
     failed = [r["sigma"] for r in d["sigma_reports"] if not r["claim_ok"]]
     assert failed == [r["sigma"] for r in d["sigma_reports"]
-                      if r["sigma"]["dim"] == 2]
-    assert len(failed) == 3
-    message = _stderr_falsification(err)
+                      if r["sigma"]["dim"] == dim]
+    assert len(failed) == count
+    message = _stderr_falsification(proc.stderr)
     assert message == "; ".join(
         "all_claims_ok: the claim fails for sigma "
         + json.dumps(s, sort_keys=True, separators=(",", ":"))

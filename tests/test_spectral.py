@@ -29,10 +29,7 @@ from tjl.spectral import (
     EigensystemBlock,
     FalsificationError,
     HomSpace,
-    SpectralLine,
     decompose,
-    projective_basis,
-    verify_claim,
 )
 from tjl.tame import infinity_prediction
 
@@ -95,10 +92,11 @@ def _phi(g, R):
 
 
 def oracle_decompose(alg, label, places):
-    """Blocks found without centrality: every line's image under every
+    """The block found without centrality: every line's image under every
     Hecke operator as one histogram per row, the off-diagonal ones zero;
-    lines grouped by their eigensystems; each block's character on every
-    class representative, looked up in the row index."""
+    lines grouped by their eigensystems, which must be one; the block's
+    character on every class representative, looked up in the row
+    index."""
     G = group_of(alg)
     hs = HomSpace(G, label)
     f, M, R, order = hs.f, G.M, G.R, G.cyc_order
@@ -120,49 +118,46 @@ def oracle_decompose(alg, label, places):
     by_system = {}
     for c in sorted(lines):
         by_system.setdefault(keys[c], []).append(c)
+    if len(by_system) != 1:
+        raise FalsificationError(
+            f"the unit lines carry {len(by_system)} Hecke eigensystems")
+    (chis,) = by_system.values()
     _, reps, sizes, _ = character_table(G)
     row_index = character_row_index(G)
-    blocks = []
-    for a, key in enumerate(sorted(by_system)):
-        chis = by_system[key]
-        block = {lines[c] for c in chis}
-        char_row = []
-        for rep in reps:
-            op_perm, op_exps = hs.op_right(_phi(rep, R))
-            if any(op_perm[j] not in block for j in block):
-                raise FalsificationError(
-                    f"the infinity action at {rep} does not keep the "
-                    f"block of unit characters {chis}")
-            char_row.append(Cyc(order, Counter(
-                op_exps[j] for j in block if op_perm[j] == j)))
-        inf_label = row_index.get(tuple(v.reduced() for v in char_row))
-        if inf_label is None:
-            norm = character_inner(G, char_row, char_row, sizes)
-            if norm > 1:
-                raise FalsificationError(
-                    f"block of dimension {len(chis)} is reducible at "
-                    f"infinity (character norm {norm})")
+    block = {lines[c] for c in chis}
+    char_row = []
+    for rep in reps:
+        op_perm, op_exps = hs.op_right(_phi(rep, R))
+        if any(op_perm[j] not in block for j in block):
             raise FalsificationError(
-                "block character is irreducible but matches no label")
-        if inf_label.dim != len(chis):
+                f"the infinity action at {rep} does not keep the "
+                f"block of unit characters {chis}")
+        char_row.append(Cyc(order, Counter(
+            op_exps[j] for j in block if op_perm[j] == j)))
+    inf_label = row_index.get(tuple(v.reduced() for v in char_row))
+    if inf_label is None:
+        norm = character_inner(G, char_row, char_row, sizes)
+        if norm > 1:
             raise FalsificationError(
-                f"block of dimension {len(chis)} matches {inf_label} of "
-                f"dimension {inf_label.dim}")
-        blocks.append(EigensystemBlock(
-            a=a,
-            places=list(places),
-            hecke_eigenvalues=eigen[chis[0]],
-            lines=[SpectralLine(c, spectral._unit_vector(f, lines[c], order))
-                   for c in chis],
-            infinity_label=inf_label,
-        ))
-    return blocks
+                f"block of dimension {len(chis)} is reducible at "
+                f"infinity (character norm {norm})")
+        raise FalsificationError(
+            "block character is irreducible but matches no label")
+    if inf_label.dim != len(chis):
+        raise FalsificationError(
+            f"block of dimension {len(chis)} matches {inf_label} of "
+            f"dimension {inf_label.dim}")
+    return EigensystemBlock(
+        hecke_eigenvalues=eigen[chis[0]],
+        lines=[(c, lines[c]) for c in chis],
+        infinity_label=inf_label,
+    )
 
 
 @pytest.mark.parametrize("q, level", [(3, 1), (3, 2), (5, 1), (5, 2)])
 def test_decompose_matches_per_line_oracle(q, level):
-    # the same blocks: eigenvalues at every default place, lines and
-    # infinity labels
+    # the same block: eigenvalues at every default place, lines and
+    # infinity label
     alg = AlgebraParams(q, level=level)
     places = default_places(alg, 2)
     for label in enumerate_irreps(group_of(alg)):
@@ -261,13 +256,11 @@ def test_eigensystem_table_q3_frozen():
     G = group_of(alg)
     seen = {}
     for label in enumerate_irreps(G):
-        blocks = decompose(alg, label, places)
-        assert len(blocks) == 1
-        b = blocks[0]
+        b = decompose(alg, label, places)
         assert b.dim == label.dim
         evs = tuple(int(v.to_rational()) for v in b.hecke_eigenvalues)
         seen[(label.orbit, label.s)] = (
-            evs, b.infinity_label.orbit, sorted(l.chi for l in b.lines))
+            evs, b.infinity_label.orbit, sorted(chi for chi, _ in b.lines))
         assert b.infinity_label.s == label.s
     assert seen == expected
 
@@ -278,9 +271,8 @@ def test_trivial_sigma_eigenvalues_are_coset_counts():
         G = group_of(alg)
         trivial = IrrepLabel((0,), 0)
         places = default_places(alg, 2 if q == 3 else 1)
-        blocks = decompose(alg, trivial, places)
-        assert len(blocks) == 1
-        for pi, v in zip(blocks[0].places, blocks[0].hecke_eigenvalues):
+        block = decompose(alg, trivial, places)
+        for pi, v in zip(places, block.hecke_eigenvalues):
             assert v.to_rational() == q ** pi.degree + 1
 
 
@@ -288,9 +280,7 @@ def test_single_place_still_one_block():
     alg = AlgebraParams(3)
     pi = parse_poly(alg.field, "t-1")
     for label in enumerate_irreps(group_of(alg)):
-        blocks = decompose(alg, label, [pi])
-        assert len(blocks) == 1
-        assert blocks[0].dim == label.dim
+        assert decompose(alg, label, [pi]).dim == label.dim
 
 
 def test_claim_every_sigma_q3_levels():
@@ -300,15 +290,14 @@ def test_claim_every_sigma_q3_levels():
         assert len(reports) == len(enumerate_irreps(group_of(alg)))
         for r in reports:
             assert r.claim_ok
-            assert r.infinity_dim_sum == r.dim
-            assert len(r.blocks) == 1
+            assert r.block.dim == r.label.dim
 
 
 def test_claim_every_sigma_q5():
     alg = AlgebraParams(5)
     reports = verify_all(alg, default_places(alg, 1))
     assert len(reports) == 18
-    assert all(r.claim_ok and len(r.blocks) == 1 for r in reports)
+    assert all(r.claim_ok for r in reports)
 
 
 def test_infinity_label_matches_tame_prediction():
@@ -317,10 +306,8 @@ def test_infinity_label_matches_tame_prediction():
         G = group_of(alg)
         params = GroupParams(q, 2, level)
         for label in enumerate_irreps(G):
-            blocks = decompose(alg, label, default_places(alg, 2))
-            predicted = infinity_prediction(label, params)
-            for b in blocks:
-                assert b.infinity_label == predicted
+            block = decompose(alg, label, default_places(alg, 2))
+            assert block.infinity_label == infinity_prediction(label, params)
 
 
 def test_projective_basis_lines():
@@ -332,16 +319,15 @@ def test_projective_basis_lines():
     }
     for (orbit, s), chis in cases.items():
         label = IrrepLabel(orbit, s)
-        pb = projective_basis(alg, label, _places_q3())
-        assert len(pb.lines) == label.dim
-        assert {chi for _, chi, _ in pb.lines} == chis
-        assert len({(a, chi) for a, chi, _ in pb.lines}) == len(pb.lines)
+        block = decompose(alg, label, _places_q3())
+        assert block.dim == label.dim
+        assert {chi for chi, _ in block.lines} == chis
+        assert sorted(j for _, j in block.lines) == list(range(label.dim))
 
 
 def test_report_json_shape():
     alg = AlgebraParams(3)
-    rep = verify_claim(alg, IrrepLabel((1, 3), 0), _places_q3())
-    js = rep.to_json()
+    js = cli._verify_one(alg, IrrepLabel((1, 3), 0), _places_q3())
     assert js["schema_version"] == "1"
     assert js["sigma"] == {"orbit": [1, 3], "s": 0, "dim": 2}
     assert js["dim"] == 2
@@ -621,8 +607,7 @@ def test_row_index_keys_values_not_terms(monkeypatch):
         return labels, reps, sizes, rows[:i] + (row,) + rows[i + 1:]
 
     _tamper_table(monkeypatch, edit)
-    blocks = _oracle_q3()
-    assert [b.infinity_label for b in blocks] == [BLOCK_LABEL]
+    assert _oracle_q3().infinity_label == BLOCK_LABEL
 
 
 def test_tamper_block_label_dimension(monkeypatch):
